@@ -1,21 +1,19 @@
 """White-box and black-box attacks plus the composite suite runner.
 
-PGD and C&W consume exact input gradients taken at a chosen free-phase
-timestep of the dynamics (or injected gradient callables for other model
-kinds); the Square attack is strictly query-based, touching nothing but a
-logits callable. All attacks operate on raw pixels in [0,1]; every emitted
-example satisfies the norm-ball and box constraints.
+PGD and C&W take a ModelHandle (see epbench.handle) and consume its exact
+input gradients; the Square attack is strictly query-based, touching nothing
+but a logits callable. All attacks operate on raw pixels in [0,1]; every
+emitted example satisfies the norm-ball and box constraints.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import energy, runtime, unrolled
-from .model import ModelSpec, Params
 
 _F = np.float64
 
@@ -42,7 +40,6 @@ class AttackConfig:
     cw_lr: float = 0.01
     cw_steps: int = 100
     query_budget: int = 5000
-    attack_timestep: int | None = None  # None: measured convergence step
     seed: int = 0
 
     def __post_init__(self):
@@ -139,63 +136,12 @@ def uniform_ball(rng: np.random.Generator, shape, norm: str, epsilon: float) -> 
     return (direction * radius).reshape(shape)
 
 
-def _default_white_box(params: Params, spec: ModelSpec, timestep: int,
-                       normalize=None):
-    """(loss_grad_fn, predict_fn, logits_vjp_fn) for the dynamics model.
-
-    normalize=(mean, std) maps raw pixels into model space per channel; its
-    jacobian (1/std) is chained into the returned gradients.
-    """
-    mean, std = _norm_arrays(normalize)
-
-    def to_model(xs):
-        return (np.asarray(xs, dtype=_F) - mean) / std
-
-    def loss_grad_fn(xs, ys):
-        losses, grads = unrolled.loss_and_grad_batch(to_model(xs), ys, params, spec, timestep)
-        return losses, grads / std
-
-    def predict_fn(xs):
-        return np.argmax(energy.logits_at(to_model(xs), params, spec, timestep), axis=-1)
-
-    def logits_vjp_fn(xs):
-        logits, vjp = unrolled.logits_and_vjp(to_model(xs), params, spec, timestep)
-        return logits, lambda gz: vjp(gz) / std
-
-    return loss_grad_fn, predict_fn, logits_vjp_fn
-
-
-def _norm_arrays(normalize):
-    if normalize is None:
-        return np.float64(0.0), np.float64(1.0)
-    mean, std = normalize
-    mean = np.asarray(mean, dtype=_F).reshape(1, -1, 1, 1)
-    std = np.asarray(std, dtype=_F).reshape(1, -1, 1, 1)
-    return mean, std
-
-
-def resolve_timestep(xs, params: Params, spec: ModelSpec, cfg: AttackConfig,
-                     normalize=None) -> int:
-    """cfg.attack_timestep, or the measured convergence step on this batch."""
-    if cfg.attack_timestep is not None:
-        return cfg.attack_timestep
-    mean, std = _norm_arrays(normalize)
-    xm = (np.asarray(xs, dtype=_F) - mean) / std
-    return energy.convergence_step(xm, params, spec)
-
-
-def pgd_attack(xs, ys, params: Params, spec: ModelSpec, cfg: AttackConfig, *,
-               grad_fn=None, predict_fn=None, normalize=None) -> AttackResult:
-    """Iterated ascent-then-project at a fixed dynamics timestep."""
+def pgd_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
+    """Iterated ascent-then-project on the handle's cross-entropy gradients."""
     if cfg.family != "pgd":
         raise ValueError("cfg.family must be 'pgd'")
     xs = np.asarray(xs, dtype=_F)
     ys = np.asarray(ys)
-    if grad_fn is None or predict_fn is None:
-        t = resolve_timestep(xs, params, spec, cfg, normalize)
-        dflt_grad, dflt_pred, _ = _default_white_box(params, spec, t, normalize)
-        grad_fn = grad_fn or dflt_grad
-        predict_fn = predict_fn or dflt_pred
     rng = np.random.default_rng(cfg.seed)
     x = xs.copy()
     if cfg.random_start and cfg.epsilon > 0:
@@ -203,10 +149,10 @@ def pgd_attack(xs, ys, params: Params, spec: ModelSpec, cfg: AttackConfig, *,
                     cfg.norm, cfg.epsilon)
     losses = np.zeros(len(xs))
     for _ in range(cfg.steps):
-        losses, grads = grad_fn(x, ys)
+        losses, grads = model.loss_grad(x, ys)
         x = project(xs, x + cfg.alpha * steepest_ascent(grads, cfg.norm),
                     cfg.norm, cfg.epsilon)
-    preds = predict_fn(x)
+    preds = model.predict(x)
     return AttackResult(
         adversarial=x,
         success=preds != ys,
@@ -225,8 +171,7 @@ def _margin(logits: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return true - masked.max(axis=1)
 
 
-def cw_attack(xs, ys, params: Params, spec: ModelSpec, cfg: AttackConfig, *,
-              logits_vjp_fn=None, normalize=None) -> AttackResult:
+def cw_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
     """l2 norm-minimizing attack with margin hinge under a tanh box change
     of variables; plain gradient descent with a single fixed constant.
 
@@ -237,9 +182,6 @@ def cw_attack(xs, ys, params: Params, spec: ModelSpec, cfg: AttackConfig, *,
         raise ValueError("cfg.family must be 'cw'")
     xs = np.asarray(xs, dtype=_F)
     ys = np.asarray(ys)
-    if logits_vjp_fn is None:
-        t = resolve_timestep(xs, params, spec, cfg, normalize)
-        _, _, logits_vjp_fn = _default_white_box(params, spec, t, normalize)
     eps = 1e-6
     w = np.arctanh((2.0 * np.clip(xs, eps, 1.0 - eps) - 1.0) * (1.0 - eps))
     best = xs.copy()
@@ -249,7 +191,7 @@ def cw_attack(xs, ys, params: Params, spec: ModelSpec, cfg: AttackConfig, *,
     x_adv = xs.copy()
     for _ in range(cfg.cw_steps):
         x_adv = 0.5 * (np.tanh(w) + 1.0)
-        logits, vjp = logits_vjp_fn(x_adv)
+        logits, vjp = model.logits_vjp(x_adv)
         margin = _margin(logits, ys)
         delta = x_adv - xs
         l2sq = (delta.reshape(len(xs), -1) ** 2).sum(axis=1)
@@ -345,7 +287,7 @@ def square_attack(xs, ys, query_model, cfg: AttackConfig) -> AttackResult:
                 x_best = x_new
         return x_best[0], loss_best < 0, q, loss_best
 
-    rows = runtime.map_workers(attack_one, range(n))
+    rows = [attack_one(i) for i in range(n)]
     adv = np.stack([r[0] for r in rows]) if rows else xs.copy()
     return AttackResult(
         adversarial=adv,
@@ -390,42 +332,33 @@ class SuiteResult:
     results: dict[str, AttackResult]
     worst_case_accuracy: float
     survived: np.ndarray  # per example: correct under every attack
+    wall_ms: dict[str, float]  # per results key: time spent in that attack
 
 
-def attack_suite(xs, ys, params: Params, spec: ModelSpec,
-                 configs: list[AttackConfig], *, normalize=None,
-                 grad_fn=None, predict_fn=None, logits_vjp_fn=None,
-                 query_model=None) -> SuiteResult:
-    """Run each configured attack; an example counts as robust only if it
-    keeps its label under all of them (worst-case aggregation).
-
-    Model access defaults to the dynamics model; pass the fn arguments to
-    aim the suite at another model kind.
+def attack_suite(xs, ys, model, configs: list[AttackConfig]) -> SuiteResult:
+    """Run each configured attack against the handle; an example counts as
+    robust only if it keeps its label under all of them (worst-case
+    aggregation). Square sees nothing but model.logits.
     """
     xs = np.asarray(xs, dtype=_F)
     ys = np.asarray(ys)
     results: dict[str, AttackResult] = {}
+    wall_ms: dict[str, float] = {}
     survived = np.ones(len(xs), dtype=bool)
     for cfg in configs:
+        t0 = time.perf_counter()
         if cfg.family == "pgd":
-            res = pgd_attack(xs, ys, params, spec, cfg, normalize=normalize,
-                             grad_fn=grad_fn, predict_fn=predict_fn)
+            res = pgd_attack(xs, ys, model, cfg)
         elif cfg.family == "cw":
-            res = cw_attack(xs, ys, params, spec, cfg, normalize=normalize,
-                            logits_vjp_fn=logits_vjp_fn)
+            res = cw_attack(xs, ys, model, cfg)
         elif cfg.family == "square":
-            qm = query_model
-            if qm is None:
-                t = resolve_timestep(xs, params, spec, cfg, normalize)
-                mean, std = _norm_arrays(normalize)
-                qm = lambda z: energy.logits_at((np.asarray(z, dtype=_F) - mean) / std,
-                                                params, spec, t)
-            res = square_attack(xs, ys, qm, cfg)
+            res = square_attack(xs, ys, model.logits, cfg)
         else:
             raise ValueError(f"suite cannot run family {cfg.family!r}")
         key = f"{cfg.family}-{cfg.norm}-{cfg.epsilon:g}"
+        wall_ms[key] = (time.perf_counter() - t0) * 1000
         results[key] = res
         survived &= ~res.success
     return SuiteResult(results=results,
                        worst_case_accuracy=float(np.mean(survived)),
-                       survived=survived)
+                       survived=survived, wall_ms=wall_ms)

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import ops
 from .attacks import project, steepest_ascent, uniform_ball
-from .energy import _as_batch_x, _f64, _flat, _linmap, _linmap_t, cross_entropy, softmax
+from .energy import _as_batch_x, _flat, _linmap, _linmap_t, cross_entropy, softmax
 from .model import ModelSpec, Params
-from .training import GradEstimate, TrainConfig, run_training
+from .training import TrainConfig, run_training
 
 _F = np.float64
 
@@ -25,7 +25,7 @@ _F = np.float64
 def bp_forward(xs, params: Params, spec: ModelSpec, collect: bool = False):
     """Feedforward logits; with collect=True also the per-layer cache."""
     xb, _ = _as_batch_x(xs, spec)
-    p64 = _f64(params)
+    p64 = params.map(np.asarray, dtype=_F)
     cache = []
     s = xb
     for i, cs in enumerate(spec.conv):
@@ -50,8 +50,8 @@ def bp_forward(xs, params: Params, spec: ModelSpec, collect: bool = False):
 
 def bp_backward(cache, params: Params, spec: ModelSpec, g_logits):
     """Parameter gradients (summed over the batch) and the input gradient."""
-    p64 = _f64(params)
-    grads = GradEstimate.zeros_like(params)
+    p64 = params.map(np.asarray, dtype=_F)
+    grads = params.map(np.zeros_like, dtype=_F)
     top = _flat(cache["top"])
     grads.readout_w = np.einsum("bk,bd->kd", g_logits, top, dtype=_F)
     grads.readout_b = g_logits.sum(axis=0)

@@ -11,6 +11,7 @@ step, and the tensor manifest (name + shape). Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -68,73 +69,72 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             fh.write(t.tobytes())
 
 
+def _unpack(blob: bytes, offset: int, fmt: str, name: str) -> int:
+    if len(blob) < offset + struct.calcsize(fmt):
+        raise CheckpointError(f"truncated {name} field at byte offset {offset}")
+    return struct.unpack_from(fmt, blob, offset)[0]
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Parse a checkpoint; any malformed content raises CheckpointError naming
+    the byte offset or header field at fault."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        blob = fh.read()
+    if blob[:4] != MAGIC:
+        raise CheckpointError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    version = _unpack(blob, 4, "<I", "version")
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    hlen = _unpack(blob, 8, "<Q", "header length")
+    offset = 16 + hlen
+    if offset > len(blob):
+        raise CheckpointError(f"header length {hlen} at byte offset 8 runs past "
+                              f"the end of the {len(blob)}-byte file")
+    try:
+        text = blob[16:offset].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"header is not UTF-8 at byte offset {16 + exc.start}") from None
+    try:
+        header = json.loads(text)
+    except json.JSONDecodeError as exc:
+        at = 16 + len(text[:exc.pos].encode("utf-8"))
+        raise CheckpointError(f"header is not JSON at byte offset {at}: {exc.msg}") from None
+    try:
         spec = spec_from_dict(header["spec"])
-        arrays = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(4 * count)
-            if len(buf) != 4 * count:
-                raise CheckpointError(f"truncated tensor {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
-        trailing = fh.read(1)
-        if trailing:
-            raise CheckpointError("trailing bytes after the last tensor")
+        manifest = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
+                    for e in header["tensors"]]
+        meta = {k: header[k] for k in ("model_kind", "seed", "train_config", "norm_mean",
+                                       "norm_std", "convergence_step")}
+    except KeyError as exc:
+        raise CheckpointError(f"header field {exc.args[0]!r} missing") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad header field: {exc}") from None
+    arrays = {}
+    for name, shape in manifest:
+        if min(shape, default=0) < 0:
+            raise CheckpointError(f"tensor {name} has a negative extent in {shape}")
+        count = math.prod(shape)
+        if offset + 4 * count > len(blob):
+            raise CheckpointError(f"truncated tensor {name} at byte offset {offset}")
+        arrays[name] = np.frombuffer(blob, dtype="<f4", count=count,
+                                     offset=offset).reshape(shape).copy()
+        offset += 4 * count
+    if offset != len(blob):
+        raise CheckpointError(f"trailing bytes after the last tensor at byte offset {offset}")
     n_conv = sum(1 for k in arrays if k.startswith("conv_w"))
     n_fc = sum(1 for k in arrays if k.startswith("fc_w"))
-    params = Params(
-        conv_w=[arrays[f"conv_w{i}"] for i in range(n_conv)],
-        conv_b=[arrays[f"conv_b{i}"] for i in range(n_conv)],
-        fc_w=[arrays[f"fc_w{j}"] for j in range(n_fc)],
-        fc_b=[arrays[f"fc_b{j}"] for j in range(n_fc)],
-        readout_w=arrays["readout_w"],
-        readout_b=arrays["readout_b"],
-    )
-    params.validate(spec)
-    return Checkpoint(
-        spec=spec, params=params,
-        model_kind=header["model_kind"], seed=header["seed"],
-        train_config=header["train_config"],
-        norm_mean=header["norm_mean"], norm_std=header["norm_std"],
-        convergence_step=header["convergence_step"],
-    )
-
-
-def model_fns(ckpt: Checkpoint, timestep: int | None = None):
-    """(predict_fn, logits_fn) in raw [0,1] pixel space for any model kind.
-
-    For dynamics models the timestep defaults to the recorded convergence
-    step; feedforward baselines ignore it.
-    """
-    from . import baseline, energy  # deferred: keep checkpoint import light
-
-    norm = ckpt.normalize
-    mean = np.asarray(norm[0], dtype=np.float64).reshape(1, -1, 1, 1) if norm else 0.0
-    std = np.asarray(norm[1], dtype=np.float64).reshape(1, -1, 1, 1) if norm else 1.0
-
-    def to_model(xs):
-        return (np.asarray(xs, dtype=np.float64) - mean) / std
-
-    if ckpt.model_kind == "ep":
-        t = timestep if timestep is not None else (ckpt.convergence_step or ckpt.spec.t_free)
-
-        def logits_fn(xs):
-            return energy.logits_at(to_model(xs), ckpt.params, ckpt.spec, t)
-    else:
-        def logits_fn(xs):
-            return baseline.bp_forward(to_model(xs), ckpt.params, ckpt.spec)
-
-    def predict_fn(xs):
-        return np.argmax(logits_fn(xs), axis=-1)
-
-    return predict_fn, logits_fn
+    try:
+        params = Params(
+            conv_w=[arrays[f"conv_w{i}"] for i in range(n_conv)],
+            conv_b=[arrays[f"conv_b{i}"] for i in range(n_conv)],
+            fc_w=[arrays[f"fc_w{j}"] for j in range(n_fc)],
+            fc_b=[arrays[f"fc_b{j}"] for j in range(n_fc)],
+            readout_w=arrays["readout_w"],
+            readout_b=arrays["readout_b"],
+        )
+        params.validate(spec)
+    except KeyError as exc:
+        raise CheckpointError(f"tensor {exc.args[0]!r} missing from the manifest") from None
+    except ValueError as exc:
+        raise CheckpointError(f"tensor manifest does not match the spec: {exc}") from None
+    return Checkpoint(spec=spec, params=params, **meta)

@@ -14,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (attacks, baseline, bench, corruptions, energy, training,
-               uncertainty, unrolled)
+from . import attacks, baseline, bench, corruptions, energy, training, uncertainty
 from .bench import RunRecord
-from .checkpoint import Checkpoint, load_checkpoint, model_fns, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import load_config
 from .data import Dataset, channel_stats, load_cifar_binary, normalize_images, synth_dataset
+from .handle import from_checkpoint
 
 
 def _split_floats(text: str) -> list[float]:
@@ -118,68 +118,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _white_box_fns(ckpt: Checkpoint, timestep: int | None):
-    """grad/predict/logits-vjp closures in raw pixel space for any model kind."""
-    mean, std = (ckpt.normalize if ckpt.normalize is not None
-                 else (np.zeros(1), np.ones(1)))
-    mean = np.asarray(mean, dtype=np.float64).reshape(1, -1, 1, 1)
-    std = np.asarray(std, dtype=np.float64).reshape(1, -1, 1, 1)
-
-    def to_model(xs):
-        return (np.asarray(xs, dtype=np.float64) - mean) / std
-
-    if ckpt.model_kind == "ep":
-        t = timestep
-
-        def grad_fn(xs, ys):
-            losses, g = unrolled.loss_and_grad_batch(to_model(xs), ys,
-                                                     ckpt.params, ckpt.spec, t)
-            return losses, g / std
-
-        def predict_fn(xs):
-            return np.argmax(energy.logits_at(to_model(xs), ckpt.params, ckpt.spec, t),
-                             axis=-1)
-
-        def logits_vjp_fn(xs):
-            logits, vjp = unrolled.logits_and_vjp(to_model(xs), ckpt.params, ckpt.spec, t)
-            return logits, lambda gz: vjp(gz) / std
-    else:
-        def grad_fn(xs, ys):
-            losses, g = baseline.bp_loss_and_input_grad(to_model(xs), ys,
-                                                        ckpt.params, ckpt.spec)
-            return losses, g / std
-
-        def predict_fn(xs):
-            return baseline.bp_predict(to_model(xs), ckpt.params, ckpt.spec)
-
-        def logits_vjp_fn(xs):
-            logits, vjp = baseline.bp_logits_and_vjp(to_model(xs), ckpt.params, ckpt.spec)
-            return logits, lambda gz: vjp(gz) / std
-
-    return grad_fn, predict_fn, logits_vjp_fn
-
-
-def _resolve_timestep(args, ckpt: Checkpoint) -> int | None:
-    if ckpt.model_kind != "ep":
-        return None
-    if getattr(args, "timestep", None) is not None:
-        return args.timestep
-    return ckpt.convergence_step or ckpt.spec.t_free
-
-
 def cmd_attack(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     ds = _load_eval_data(args, ckpt)
     xs = np.asarray(ds.images, dtype=np.float64)
     ys = ds.labels
     model_id = Path(args.ckpt).stem
-    t = _resolve_timestep(args, ckpt)
-    grad_fn, predict_fn, logits_vjp_fn = _white_box_fns(ckpt, t)
-    _, logits_fn = model_fns(ckpt, timestep=t)
+    model = from_checkpoint(ckpt, args.timestep)
 
     records: list[RunRecord] = []
     t0 = time.perf_counter()
-    clean_acc = float(np.mean(predict_fn(xs) == ys))
+    clean_acc = float(np.mean(model.predict(xs) == ys))
     records.append(RunRecord(model=model_id, attack="clean", accuracy=clean_acc,
                              n=len(ys), seed=args.seed,
                              wall_ms=(time.perf_counter() - t0) * 1000))
@@ -192,24 +141,21 @@ def cmd_attack(args) -> int:
             family=family, norm=norm,
             epsilon=strength, steps=args.steps,
             cw_constant=strength if family == "cw" else 0.1,
-            query_budget=args.query_budget, attack_timestep=t, seed=args.seed,
+            query_budget=args.query_budget, seed=args.seed,
         )
 
     for strength in _split_floats(args.eps):
         families = ["pgd", "cw", "square"] if args.family == "suite" else [args.family]
         t0 = time.perf_counter()
-        suite = attacks.attack_suite(
-            xs, ys, ckpt.params, ckpt.spec, [make_cfg(f, strength) for f in families],
-            grad_fn=grad_fn, predict_fn=predict_fn, logits_vjp_fn=logits_vjp_fn,
-            query_model=logits_fn,
-        )
+        suite = attacks.attack_suite(xs, ys, model,
+                                     [make_cfg(f, strength) for f in families])
         wall = (time.perf_counter() - t0) * 1000
         for key, res in suite.results.items():
             family, norm, _ = key.split("-")
             acc = res.robust_accuracy()
             records.append(RunRecord(model=model_id, attack=family, norm=norm,
                                      strength=strength, accuracy=acc, n=len(ys),
-                                     seed=args.seed, wall_ms=wall / len(suite.results)))
+                                     seed=args.seed, wall_ms=suite.wall_ms[key]))
             print(f"{family:6s} {norm} strength {strength:g}: "
                   f"robust accuracy {acc:.4f}")
         if args.family == "suite":
@@ -228,12 +174,12 @@ def cmd_corrupt(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     ds = _load_eval_data(args, ckpt)
     model_id = Path(args.ckpt).stem
-    predict_fn, _ = model_fns(ckpt, timestep=_resolve_timestep(args, ckpt))
+    model = from_checkpoint(ckpt, args.timestep)
     kinds = args.kinds.split(",") if args.kinds else list(corruptions.KINDS)
     severities = _split_ints(args.severities)
     records = []
     t0 = time.perf_counter()
-    grid = corruptions.corruption_sweep(ds, predict_fn, kinds=kinds,
+    grid = corruptions.corruption_sweep(ds, model.predict, kinds=kinds,
                                         severities=severities, seed=args.seed)
     wall = (time.perf_counter() - t0) * 1000 / max(len(grid), 1)
     for (kind, sev), acc in sorted(grid.items()):
@@ -250,9 +196,9 @@ def cmd_corrupt(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     ds = _load_eval_data(args, ckpt)
-    predict_fn, _ = model_fns(ckpt, timestep=_resolve_timestep(args, ckpt))
+    model = from_checkpoint(ckpt, args.timestep)
     t0 = time.perf_counter()
-    acc = bench.evaluate(predict_fn, ds, batch_size=args.batch_size)
+    acc = bench.evaluate(model.predict, ds, batch_size=args.batch_size)
     wall = (time.perf_counter() - t0) * 1000
     print(f"accuracy: {acc:.4f} on {len(ds.labels)} examples")
     out = args.out or (str(Path(args.ckpt).with_suffix("")) + "_eval.csv")
@@ -266,16 +212,12 @@ def cmd_eval(args) -> int:
 def cmd_uncertainty(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     ds = _load_eval_data(args, ckpt)
-    t = _resolve_timestep(args, ckpt)
-    predict_fn, _ = model_fns(ckpt, timestep=t)
+    model = from_checkpoint(ckpt, args.timestep)
     model_id = Path(args.ckpt).stem
-
-    def model_eval(xs, _t):
-        return predict_fn(xs)
-
     curve = uncertainty.disagreement_curve(
-        model_eval, ds.images, args.norm, _split_floats(args.eps_grid),
-        samples_per_eps=args.samples, t=t, seed=args.seed,
+        lambda xs, _t: model.predict(xs), ds.images, args.norm,
+        _split_floats(args.eps_grid), samples_per_eps=args.samples,
+        t=model.timestep, seed=args.seed,
     )
     records = []
     for eps, rate, n in zip(curve.eps, curve.rate, curve.samples):

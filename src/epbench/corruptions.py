@@ -15,8 +15,6 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from . import runtime
-
 KINDS = ("gaussian_noise", "shot_noise", "impulse_noise", "gaussian_blur",
          "contrast", "brightness", "pixelate")
 NOISE_KINDS = ("gaussian_noise", "shot_noise", "impulse_noise")
@@ -139,10 +137,6 @@ def corruption_sweep(dataset, model_eval, kinds=KINDS, severities=(1, 2, 3, 4, 5
     clean = accuracy(xs)
     for kind in kinds:
         grid[(kind, 0)] = clean
-        results = runtime.map_workers(
-            lambda sev: (sev, accuracy(corrupt_batch(xs, kind, sev, seed=seed))),
-            list(severities),
-        )
-        for sev, acc in results:
-            grid[(kind, sev)] = acc
+        for sev in severities:
+            grid[(kind, sev)] = accuracy(corrupt_batch(xs, kind, sev, seed=seed))
     return grid

@@ -1,5 +1,4 @@
-"""Datasets: the CIFAR binary reader, synthetic desk-scale generators, and
-training-time augmentation.
+"""Datasets: the CIFAR binary reader and synthetic desk-scale generators.
 
 Images are float32 in [0,1], channel-first [N,C,H,W]; labels are int64.
 Normalization statistics (per-channel mean/std applied at model input) travel
@@ -129,30 +128,3 @@ def synth_dataset(kind: str, n: int, image_shape=(1, 8, 8), classes: int = 2,
             img = (0.5 + 0.45 * wave)[None, :, :] + noise * rng.standard_normal((C, H, W))
             images[k] = np.clip(img, 0.0, 1.0)
     return Dataset(images, labels, classes, split=split)
-
-
-def augment(batch: np.ndarray, flags: dict, seed: int = 0) -> np.ndarray:
-    """hflip (probability 0.5) and/or zero-pad-then-random-crop, per example.
-
-    flags: {"hflip": bool, "random_crop": pad} with pad defaulting to 4 when
-    the key maps to True. Deterministic per seed; empty flags are identity.
-    """
-    batch = np.asarray(batch)
-    out = batch.copy()
-    if not flags:
-        return out
-    rng = np.random.default_rng(seed)
-    n = len(out)
-    if flags.get("hflip"):
-        flip = rng.random(n) < 0.5
-        out[flip] = out[flip][:, :, :, ::-1]
-    pad = flags.get("random_crop")
-    if pad:
-        pad = 4 if pad is True else int(pad)
-        H, W = out.shape[2], out.shape[3]
-        padded = np.pad(out, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
-        for k in range(n):
-            r, c = offs[k]
-            out[k] = padded[k, :, r:r + H, c:c + W]
-    return out

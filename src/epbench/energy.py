@@ -38,18 +38,6 @@ def _as_batch_x(x, spec: ModelSpec):
     )
 
 
-def _f64(params: Params) -> Params:
-    cast = lambda a: np.asarray(a, dtype=_F)
-    return Params(
-        conv_w=[cast(w) for w in params.conv_w],
-        conv_b=[cast(b) for b in params.conv_b],
-        fc_w=[cast(w) for w in params.fc_w],
-        fc_b=[cast(b) for b in params.fc_b],
-        readout_w=cast(params.readout_w),
-        readout_b=cast(params.readout_b),
-    )
-
-
 def _flat(s: np.ndarray) -> np.ndarray:
     return s.reshape(s.shape[0], -1)
 
@@ -117,7 +105,7 @@ def _add_top_down(pre, layers, params: Params, spec: ModelSpec, idx):
 def phi(x, state: NetworkState, params: Params, spec: ModelSpec):
     """Scalar energy; a vector of per-example energies for batched input."""
     xb, batched = _as_batch_x(x, spec)
-    params = _f64(params)
+    params = params.map(np.asarray, dtype=_F)
     layers, _ = _layers64(state, spec)
     pre, _ = _bottom_up(xb, layers, params, spec)
     total = np.zeros(xb.shape[0], dtype=_F)
@@ -129,7 +117,7 @@ def phi(x, state: NetworkState, params: Params, spec: ModelSpec):
 def phi_grad_state(x, state: NetworkState, params: Params, spec: ModelSpec):
     """dPhi/ds^n for every layer: bottom-up drive plus feedback from above."""
     xb, batched = _as_batch_x(x, spec)
-    params = _f64(params)
+    params = params.map(np.asarray, dtype=_F)
     layers, _ = _layers64(state, spec)
     pre, idx = _bottom_up(xb, layers, params, spec)
     pre = _add_top_down(pre, layers, params, spec, idx)
@@ -204,7 +192,7 @@ def free_phase(x, params: Params, spec: ModelSpec, t: int | None = None,
     returns the per-step trajectory consumed by the unrolled gradient engine.
     """
     xb, batched = _as_batch_x(x, spec)
-    params = _f64(params)
+    params = params.map(np.asarray, dtype=_F)
     t = spec.t_free if t is None else t
     if t < 1:
         raise ValueError("free_phase needs t >= 1")
@@ -251,7 +239,7 @@ def nudged_phase(x, params: Params, spec: ModelSpec, s_star: NetworkState, y,
     beta_signed = 0 reproduces plain free-phase continuation bit for bit.
     """
     xb, batched = _as_batch_x(x, spec)
-    params = _f64(params)
+    params = params.map(np.asarray, dtype=_F)
     t = spec.t_nudge if t is None else t
     if t < 1:
         raise ValueError("nudged_phase needs t >= 1")
@@ -270,7 +258,7 @@ def logits_at(x, params: Params, spec: ModelSpec, t: int) -> np.ndarray:
     """Readout logits after exactly t free-phase steps (no early exit)."""
     xb, batched = _as_batch_x(x, spec)
     state = free_phase(xb, params, spec, t=t, fp_tol=0.0)
-    z = readout(state, _f64(params))
+    z = readout(state, params)
     return z if batched else z[0]
 
 

@@ -8,7 +8,7 @@ the dynamics. States s^1..s^N live in [0,1]; s^0 is the clamped input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,7 +93,8 @@ class ModelSpec:
 
 @dataclass
 class Params:
-    """Weight set: energy connections plus the readout.
+    """Weight set: energy connections plus the readout. Gradient estimates and
+    optimizer velocities use the same container, holding float64 arrays.
 
     conv_w[i]: [out,in,k,k]; conv_b[i]: [out]; fc_w[j]: [out,in]; fc_b[j]: [out];
     readout_w: [readout_dim, top_dim]; readout_b: [readout_dim].
@@ -115,15 +116,18 @@ class Params:
         named += [("readout_w", self.readout_w), ("readout_b", self.readout_b)]
         return named
 
-    def copy(self) -> "Params":
-        return Params(
-            conv_w=[w.copy() for w in self.conv_w],
-            conv_b=[b.copy() for b in self.conv_b],
-            fc_w=[w.copy() for w in self.fc_w],
-            fc_b=[b.copy() for b in self.fc_b],
-            readout_w=self.readout_w.copy(),
-            readout_b=self.readout_b.copy(),
-        )
+    def map(self, fn, *others: "Params", **kwargs) -> "Params":
+        """Params of fn(tensor, *same-named tensors of others, **kwargs).
+
+        params.map(np.asarray, dtype=np.float64) casts; params.map(np.zeros_like,
+        dtype=np.float64) starts a gradient estimate; g.map(f, h) combines two.
+        """
+        out = {}
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), [getattr(o, f.name) for o in others]
+            out[f.name] = ([fn(*ts, **kwargs) for ts in zip(mine, *theirs)]
+                           if isinstance(mine, list) else fn(mine, *theirs, **kwargs))
+        return Params(**out)
 
     def all_finite(self) -> bool:
         return all(np.isfinite(t).all() for _, t in self.tensors())

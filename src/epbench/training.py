@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .energy import (_as_batch_x, _f64, _flat, _layers64, _linmap,
+from .energy import (_as_batch_x, _flat, _layers64, _linmap,
                      free_phase, nudged_phase, readout, softmax)
 from .model import ModelSpec, NetworkState, Params, init_params
 
@@ -68,53 +68,8 @@ class TrainConfig:
             )
 
 
-@dataclass
-class GradEstimate:
-    """One array per parameter tensor, shaped like Params."""
-
-    conv_w: list[np.ndarray]
-    conv_b: list[np.ndarray]
-    fc_w: list[np.ndarray]
-    fc_b: list[np.ndarray]
-    readout_w: np.ndarray
-    readout_b: np.ndarray
-
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        named = []
-        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b)):
-            named += [(f"conv_w{i}", w), (f"conv_b{i}", b)]
-        for j, (w, b) in enumerate(zip(self.fc_w, self.fc_b)):
-            named += [(f"fc_w{j}", w), (f"fc_b{j}", b)]
-        named += [("readout_w", self.readout_w), ("readout_b", self.readout_b)]
-        return named
-
-    @staticmethod
-    def zeros_like(params: Params) -> "GradEstimate":
-        z = lambda a: np.zeros(a.shape, dtype=_F)
-        return GradEstimate(
-            conv_w=[z(w) for w in params.conv_w],
-            conv_b=[z(b) for b in params.conv_b],
-            fc_w=[z(w) for w in params.fc_w],
-            fc_b=[z(b) for b in params.fc_b],
-            readout_w=z(params.readout_w),
-            readout_b=z(params.readout_b),
-        )
-
-    def combine(self, other: "GradEstimate", a: float, b: float) -> "GradEstimate":
-        """a*self + b*other, elementwise."""
-        f = lambda u, v: a * u + b * v
-        return GradEstimate(
-            conv_w=[f(u, v) for u, v in zip(self.conv_w, other.conv_w)],
-            conv_b=[f(u, v) for u, v in zip(self.conv_b, other.conv_b)],
-            fc_w=[f(u, v) for u, v in zip(self.fc_w, other.fc_w)],
-            fc_b=[f(u, v) for u, v in zip(self.fc_b, other.fc_b)],
-            readout_w=f(self.readout_w, other.readout_w),
-            readout_b=f(self.readout_b, other.readout_b),
-        )
-
-
 def phi_grad_params(x, state: NetworkState, params: Params,
-                    spec: ModelSpec) -> GradEstimate:
+                    spec: ModelSpec) -> Params:
     """dPhi/dtheta at the given state (batch mean for batched input).
 
     Conv weights: correlation between the unpool-routed post-synaptic state
@@ -122,10 +77,10 @@ def phi_grad_params(x, state: NetworkState, params: Params,
     post-synaptic states. Readout slots stay zero (outside the energy).
     """
     xb, batched = _as_batch_x(x, spec)
-    p64 = _f64(params)
+    p64 = params.map(np.asarray, dtype=_F)
     layers, _ = _layers64(state, spec)
     n = xb.shape[0]
-    est = GradEstimate.zeros_like(params)
+    est = params.map(np.zeros_like, dtype=_F)
     srcs = [xb] + layers[:-1]
     for i, cs in enumerate(spec.conv):
         # pooling routes of the bottom-up pass at this state
@@ -151,37 +106,45 @@ def _readout_delta(s_star_layers, params: Params, y) -> tuple[np.ndarray, np.nda
 
 
 def ep_update_one_sided(x, y, params: Params, spec: ModelSpec,
-                        cfg: TrainConfig) -> GradEstimate:
+                        cfg: TrainConfig) -> Params:
     """Loss-gradient estimate (G(s_*) - G(s^beta)) / beta from one nudged phase."""
-    beta = cfg.beta if cfg.beta is not None else spec.beta
-    xb, _ = _as_batch_x(x, spec)
-    yb = np.atleast_1d(np.asarray(y))
-    s_star = free_phase(xb, params, spec)
-    s_plus = nudged_phase(xb, params, spec, s_star, yb, beta)
-    g_free = phi_grad_params(xb, s_star, params, spec)
-    g_plus = phi_grad_params(xb, s_plus, params, spec)
-    return g_free.combine(g_plus, 1.0 / beta, -1.0 / beta)
+    return _ep_estimate(x, y, params, spec, cfg, "one_sided")
 
 
 def ep_update_symmetric(x, y, params: Params, spec: ModelSpec,
-                        cfg: TrainConfig) -> GradEstimate:
+                        cfg: TrainConfig) -> Params:
     """Centered loss-gradient estimate from +|beta| and -|beta| nudged phases.
 
     The evaluation points are anchored at +/-|beta| with the signed prefactor
     1/(2*beta), which makes the estimate an exactly odd function of beta.
     """
+    return _ep_estimate(x, y, params, spec, cfg, "symmetric")
+
+
+def _ep_estimate(x, y, params: Params, spec: ModelSpec, cfg: TrainConfig, rule: str,
+                 s_star: NetworkState | None = None) -> Params:
+    """The contrastive estimate of `rule`; s_star is the free fixed point of x
+    when the caller already has it."""
     beta = cfg.beta if cfg.beta is not None else spec.beta
-    mag = abs(beta)
-    if mag == 0:
+    if rule == "symmetric" and beta == 0:
         raise ValueError("symmetric update needs beta != 0")
     xb, _ = _as_batch_x(x, spec)
     yb = np.atleast_1d(np.asarray(y))
-    s_star = free_phase(xb, params, spec)
-    s_plus = nudged_phase(xb, params, spec, s_star, yb, +mag)
-    s_minus = nudged_phase(xb, params, spec, s_star, yb, -mag)
-    g_plus = phi_grad_params(xb, s_plus, params, spec)
-    g_minus = phi_grad_params(xb, s_minus, params, spec)
-    return g_minus.combine(g_plus, 1.0 / (2.0 * beta), -1.0 / (2.0 * beta))
+    if s_star is None:
+        s_star = free_phase(xb, params, spec)
+    if rule == "one_sided":
+        s_plus = nudged_phase(xb, params, spec, s_star, yb, beta)
+        lo = phi_grad_params(xb, s_star, params, spec)
+        hi = phi_grad_params(xb, s_plus, params, spec)
+        a, b = 1.0 / beta, -1.0 / beta
+    else:
+        mag = abs(beta)
+        s_plus = nudged_phase(xb, params, spec, s_star, yb, +mag)
+        s_minus = nudged_phase(xb, params, spec, s_star, yb, -mag)
+        hi = phi_grad_params(xb, s_plus, params, spec)
+        lo = phi_grad_params(xb, s_minus, params, spec)
+        a, b = 1.0 / (2.0 * beta), -1.0 / (2.0 * beta)
+    return lo.map(lambda u, v: a * u + b * v, hi)
 
 
 def _lr_for(name: str, spec: ModelSpec, cfg: TrainConfig) -> float:
@@ -193,7 +156,7 @@ def _lr_for(name: str, spec: ModelSpec, cfg: TrainConfig) -> float:
     return lrs[-1]  # readout
 
 
-def sgd_momentum_step(params: Params, grads: GradEstimate, velocity: GradEstimate,
+def sgd_momentum_step(params: Params, grads: Params, velocity: Params,
                       spec: ModelSpec, cfg: TrainConfig) -> None:
     """In-place: v <- mu*v + g; theta <- theta - lr_layer * v."""
     for (name, p), (_, g), (_, v) in zip(
@@ -206,17 +169,16 @@ def sgd_momentum_step(params: Params, grads: GradEstimate, velocity: GradEstimat
 
 
 def _ep_batch_grads(params, spec, cfg, xs, ys):
-    rule = ep_update_symmetric if cfg.update_rule == "symmetric" else ep_update_one_sided
-    est = rule(xs, ys, params, spec, cfg)
     s_star = free_phase(xs, params, spec)
-    p64 = _f64(params)
-    est.readout_w, est.readout_b = _readout_delta(s_star.layers, p64, ys)
+    est = _ep_estimate(xs, ys, params, spec, cfg, cfg.update_rule, s_star)
+    est.readout_w, est.readout_b = _readout_delta(
+        s_star.layers, params.map(np.asarray, dtype=_F), ys)
     return est
 
 
 def _ep_predict(params, spec, xs):
     state = free_phase(xs, params, spec)
-    return np.argmax(readout(state, _f64(params)), axis=-1)
+    return np.argmax(readout(state, params), axis=-1)
 
 
 def run_training(dataset, spec: ModelSpec, cfg: TrainConfig, grad_fn, predict_fn,
@@ -225,7 +187,7 @@ def run_training(dataset, spec: ModelSpec, cfg: TrainConfig, grad_fn, predict_fn
     cfg.validate_for(spec)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(spec, rng, dtype=np.float32)
-    velocity = GradEstimate.zeros_like(params)
+    velocity = params.map(np.zeros_like, dtype=_F)
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("dataset is empty")

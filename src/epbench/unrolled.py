@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .energy import (_as_batch_x, _f64, _flat, _linmap, _linmap_t,
+from .energy import (_as_batch_x, _flat, _linmap, _linmap_t,
                      cross_entropy, free_phase, softmax)
 from .model import ModelSpec, Params
 
@@ -60,7 +60,7 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
                    g_logits: np.ndarray) -> np.ndarray:
     """Pull a logit-space gradient back through readout and unrolled dynamics."""
     xb, batched = _as_batch_x(x, spec)
-    params = _f64(params)
+    params = params.map(np.asarray, dtype=_F)
     n_conv, n_layers = spec.n_conv, spec.n_layers
 
     g_logits = np.asarray(g_logits, dtype=_F)
@@ -108,7 +108,7 @@ def loss_and_grad_batch(xs, ys, params: Params, spec: ModelSpec, t: int):
     xb, batched = _as_batch_x(xs, spec)
     ys = np.atleast_1d(np.asarray(ys))
     tape = record_free_phase(xb, params, spec, t)
-    p64 = _f64(params)
+    p64 = params.map(np.asarray, dtype=_F)
     logits = _linmap(_flat(tape.final[-1]), p64.readout_w) + p64.readout_b
     losses = cross_entropy(logits, ys)
     g_logits = softmax(logits)
@@ -133,7 +133,7 @@ def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):
     """
     xb, _ = _as_batch_x(xs, spec)
     tape = record_free_phase(xb, params, spec, t)
-    p64 = _f64(params)
+    p64 = params.map(np.asarray, dtype=_F)
     logits = _linmap(_flat(tape.final[-1]), p64.readout_w) + p64.readout_b
 
     def vjp(g_logits: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from epbench import (attacks, baseline, bench, cli, corruptions, data, energy,
 from epbench.attacks import AttackConfig
 from epbench.bench import RunRecord
 from epbench.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from epbench.handle import for_params
 from epbench.model import init_params
 from epbench.training import TrainConfig
 from conftest import (desk_spec, desk_train_config, fd_param_grads,
@@ -137,9 +138,8 @@ def test_c04_attack_timestep_saturation(trained_ep, eval_batch):
     for eps in (0.02, 0.05, 0.1):
         accs = []
         for t in (T, T + 10):
-            cfg = AttackConfig(family="pgd", norm="linf", epsilon=eps,
-                               attack_timestep=t, seed=0)
-            accs.append(attacks.pgd_attack(xs, ys, params, spec, cfg)
+            cfg = AttackConfig(family="pgd", norm="linf", epsilon=eps, seed=0)
+            accs.append(attacks.pgd_attack(xs, ys, for_params(params, spec, "ep", t), cfg)
                         .robust_accuracy())
         worst_gap = max(worst_gap, abs(accs[0] - accs[1]))
     ok = worst_gap < 0.02
@@ -191,12 +191,10 @@ def test_c06_robustness_ordering(desk_data):
                               adversarial=training.AdversarialBlock("l2", eps_train, 10)))
         out = {}
         for name, p in (("bp", bp), ("adv", adv)):
-            grad_fn = lambda z, y, pp=p: baseline.bp_loss_and_input_grad(z, y, pp, spec)
-            pred_fn = lambda z, pp=p: baseline.bp_predict(z, pp, spec)
-            clean = float(np.mean(pred_fn(xs) == ys))
+            model = for_params(p, spec, name, None)
+            clean = float(np.mean(model.predict(xs) == ys))
             cfg = AttackConfig(family="pgd", norm="l2", epsilon=eps_train, seed=0)
-            rob = attacks.pgd_attack(xs, ys, p, spec, cfg, grad_fn=grad_fn,
-                                     predict_fn=pred_fn).robust_accuracy()
+            rob = attacks.pgd_attack(xs, ys, model, cfg).robust_accuracy()
             out[name] = (clean, rob)
         good = (out["adv"][1] >= out["bp"][1]
                 and out["adv"][0] <= out["bp"][0] + 0.01)
@@ -212,19 +210,20 @@ def test_c07_attack_invariants(trained_ep, eval_batch):
     xs, ys = eval_batch
     xs, ys = xs[:64], ys[:64]
     T = energy.convergence_step(xs, params, spec)
+    model = for_params(params, spec, "ep", T)
 
     # ball/box containment for every family on the trained model
     violations = 0
     runs = []
-    cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.1, attack_timestep=T, seed=0)
-    runs.append(("linf", 0.1, attacks.pgd_attack(xs, ys, params, spec, cfg)))
-    cfg = AttackConfig(family="pgd", norm="l2", epsilon=1.0, attack_timestep=T, seed=0)
-    runs.append(("l2", 1.0, attacks.pgd_attack(xs, ys, params, spec, cfg)))
+    cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.1, seed=0)
+    runs.append(("linf", 0.1, attacks.pgd_attack(xs, ys, model, cfg)))
+    cfg = AttackConfig(family="pgd", norm="l2", epsilon=1.0, seed=0)
+    runs.append(("l2", 1.0, attacks.pgd_attack(xs, ys, model, cfg)))
     qm = lambda z: energy.logits_at(np.asarray(z, dtype=np.float64), params, spec, T)
     cfg = AttackConfig(family="square", norm="linf", epsilon=0.1, query_budget=300, seed=0)
     runs.append(("linf", 0.1, attacks.square_attack(xs, ys, qm, cfg)))
-    cfg = AttackConfig(family="cw", cw_constant=0.5, cw_steps=50, attack_timestep=T)
-    runs.append((None, None, attacks.cw_attack(xs, ys, params, spec, cfg)))
+    cfg = AttackConfig(family="cw", cw_constant=0.5, cw_steps=50)
+    runs.append((None, None, attacks.cw_attack(xs, ys, model, cfg)))
     for norm, eps, res in runs:
         if res.adversarial.min() < -1e-6 or res.adversarial.max() > 1 + 1e-6:
             violations += 1
@@ -238,7 +237,7 @@ def test_c07_attack_invariants(trained_ep, eval_batch):
     # closed-form linear-model oracles
     from test_attacks import linear_model, make_linear_case
     xs_l, ys_l, w, b = make_linear_case(seed=21, n=40)
-    logits_fn, predict_fn, grad_fn, vjp_fn = linear_model(w, b)
+    linear = linear_model(w, b)
     dw = w[ys_l] - w[1 - ys_l]
     db = b[ys_l] - b[1 - ys_l]
     margins = np.einsum("nd,nd->n", dw, xs_l.reshape(len(xs_l), -1)) + db
@@ -247,20 +246,19 @@ def test_c07_attack_invariants(trained_ep, eval_batch):
     thresh = eps * np.abs(w[0] - w[1]).sum()
     cfg = AttackConfig(family="pgd", norm="linf", epsilon=eps, steps=40,
                        step_size=eps / 8, seed=1)
-    res = attacks.pgd_attack(xs_l, ys_l, None, None, cfg,
-                             grad_fn=grad_fn, predict_fn=predict_fn)
+    res = attacks.pgd_attack(xs_l, ys_l, linear, cfg)
     clear = np.abs(margins - thresh) > 0.02 * thresh
     pgd_ok = bool(np.all(res.success[clear] == (margins < thresh)[clear]))
 
     cfg = AttackConfig(family="cw", cw_constant=5.0, cw_steps=400, cw_lr=0.02)
-    res_cw = attacks.cw_attack(xs_l, ys_l, None, None, cfg, logits_vjp_fn=vjp_fn)
+    res_cw = attacks.cw_attack(xs_l, ys_l, linear, cfg)
     dist = margins / np.linalg.norm(w[0] - w[1])
     cw_ok = bool(res_cw.success.all()
                  and np.median(np.abs(res_cw.norms - dist) / dist) < 0.10)
 
     cfg = AttackConfig(family="square", norm="linf", epsilon=eps,
                        query_budget=3000, seed=0)
-    res_sq = attacks.square_attack(xs_l, ys_l, logits_fn, cfg)
+    res_sq = attacks.square_attack(xs_l, ys_l, linear.logits, cfg)
     reachable = margins < thresh
     sq_ok = bool((~res_sq.success[~reachable]).all()
                  and res_sq.success[reachable].mean() >= 0.9)

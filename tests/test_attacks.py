@@ -7,19 +7,17 @@ import pytest
 
 from epbench import attacks, energy
 from epbench.attacks import AttackConfig
+from epbench.handle import ModelHandle, for_params
 
 
 def linear_model(w, b):
-    """Callables for logits = W @ flat(x) + b, plus exact CE gradients."""
+    """Handle on logits = W @ flat(x) + b, with exact CE gradients."""
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
 
     def logits_fn(xs):
         flat = np.asarray(xs, dtype=np.float64).reshape(len(xs), -1)
         return flat @ w.T + b
-
-    def predict_fn(xs):
-        return np.argmax(logits_fn(xs), axis=-1)
 
     def grad_fn(xs, ys):
         z = logits_fn(xs)
@@ -37,7 +35,7 @@ def linear_model(w, b):
 
         return logits_fn(xs), vjp
 
-    return logits_fn, predict_fn, grad_fn, logits_vjp_fn
+    return ModelHandle(logits=logits_fn, loss_grad=grad_fn, logits_vjp=logits_vjp_fn)
 
 
 def make_linear_case(seed=0, n=40, shape=(1, 6, 6), margin_hi=0.6):
@@ -140,24 +138,22 @@ class TestSteepestAscent:
 class TestPGD:
     def test_eps_zero_keeps_clean_accuracy(self):
         xs, ys, w, b = make_linear_case()
-        _, predict_fn, grad_fn, _ = linear_model(w, b)
+        model = linear_model(w, b)
         cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.0, seed=0)
-        res = attacks.pgd_attack(xs, ys, None, None, cfg,
-                                 grad_fn=grad_fn, predict_fn=predict_fn)
+        res = attacks.pgd_attack(xs, ys, model, cfg)
         assert np.array_equal(res.adversarial, xs)
         assert res.robust_accuracy() == 1.0
 
     def test_linf_flips_exactly_the_low_margin_examples(self):
         xs, ys, w, b = make_linear_case(seed=6, n=60)
-        _, predict_fn, grad_fn, _ = linear_model(w, b)
+        model = linear_model(w, b)
         dw = w[ys] - w[1 - ys]                      # [n, d]
         db = b[ys] - b[1 - ys]
         margins = np.einsum("nd,nd->n", dw, xs.reshape(len(xs), -1)) + db
         flip_threshold = 0.05 * np.abs(w[0] - w[1]).sum()
         cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.05, steps=40,
                            step_size=0.05 / 8, random_start=True, seed=1)
-        res = attacks.pgd_attack(xs, ys, None, None, cfg,
-                                 grad_fn=grad_fn, predict_fn=predict_fn)
+        res = attacks.pgd_attack(xs, ys, model, cfg)
         analytic_flip = margins < flip_threshold
         # exclude hairline cases within 2% of the threshold
         clear = np.abs(margins - flip_threshold) > 0.02 * flip_threshold
@@ -168,11 +164,11 @@ class TestPGD:
         spec, params, _ = trained_ep
         xs, ys = eval_batch
         T = energy.convergence_step(xs, params, spec)
+        model = for_params(params, spec, "ep", T)
         accs = []
         for eps in (0.0, 0.02, 0.05, 0.1):
-            cfg = AttackConfig(family="pgd", norm="linf", epsilon=eps,
-                               attack_timestep=T, seed=0)
-            accs.append(attacks.pgd_attack(xs, ys, params, spec, cfg)
+            cfg = AttackConfig(family="pgd", norm="linf", epsilon=eps, seed=0)
+            accs.append(attacks.pgd_attack(xs, ys, model, cfg)
                         .robust_accuracy())
         for lo, hi in zip(accs[1:], accs[:-1]):
             assert lo <= hi + 0.0101
@@ -181,11 +177,12 @@ class TestPGD:
         spec, params, _ = trained_ep
         xs, ys = eval_batch
         T = energy.convergence_step(xs, params, spec)
+        model = for_params(params, spec, "ep", T)
         accs = []
         for steps in (5, 20, 40):
             cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.08, steps=steps,
-                               step_size=0.01, attack_timestep=T, seed=0)
-            accs.append(attacks.pgd_attack(xs, ys, params, spec, cfg)
+                               step_size=0.01, seed=0)
+            accs.append(attacks.pgd_attack(xs, ys, model, cfg)
                         .robust_accuracy())
         assert accs[1] <= accs[0] + 0.0101
         assert accs[2] <= accs[1] + 0.0101
@@ -194,21 +191,21 @@ class TestPGD:
 class TestCW:
     def test_c_zero_pure_norm_minimization(self):
         xs, ys, w, b = make_linear_case(seed=7, n=20)
-        logits_fn, predict_fn, _, vjp_fn = linear_model(w, b)
+        model = linear_model(w, b)
         cfg = AttackConfig(family="cw", cw_constant=0.0, cw_steps=60, cw_lr=0.05)
-        res = attacks.cw_attack(xs, ys, None, None, cfg, logits_vjp_fn=vjp_fn)
+        res = attacks.cw_attack(xs, ys, model, cfg)
         assert not res.success.any()
         assert np.max(res.norms) < 0.02
 
     def test_linear_model_minimal_distance_within_10pct(self):
         xs, ys, w, b = make_linear_case(seed=8, n=30, margin_hi=0.4)
-        _, predict_fn, _, vjp_fn = linear_model(w, b)
+        model = linear_model(w, b)
         dw = w[ys] - w[1 - ys]
         db = b[ys] - b[1 - ys]
         margins = np.einsum("nd,nd->n", dw, xs.reshape(len(xs), -1)) + db
         dist = margins / np.linalg.norm(w[0] - w[1])
         cfg = AttackConfig(family="cw", cw_constant=5.0, cw_steps=400, cw_lr=0.02)
-        res = attacks.cw_attack(xs, ys, None, None, cfg, logits_vjp_fn=vjp_fn)
+        res = attacks.cw_attack(xs, ys, model, cfg)
         assert res.success.all()
         rel = np.abs(res.norms - dist) / dist
         assert np.median(rel) < 0.10
@@ -219,11 +216,11 @@ class TestCW:
         xs, ys = eval_batch
         xs, ys = xs[:48], ys[:48]
         T = energy.convergence_step(xs, params, spec)
+        model = for_params(params, spec, "ep", T)
         rates = []
         for c in (0.005, 0.1, 2.0):
-            cfg = AttackConfig(family="cw", cw_constant=c, cw_steps=60, cw_lr=0.02,
-                               attack_timestep=T)
-            res = attacks.cw_attack(xs, ys, params, spec, cfg)
+            cfg = AttackConfig(family="cw", cw_constant=c, cw_steps=60, cw_lr=0.02)
+            res = attacks.cw_attack(xs, ys, model, cfg)
             rates.append(res.success.mean())
         assert rates[1] >= rates[0] - 1e-9
         assert rates[2] >= rates[1] - 1e-9
@@ -232,7 +229,7 @@ class TestCW:
 class TestSquare:
     def test_eps_zero_equals_clean(self):
         xs, ys, w, b = make_linear_case(seed=9, n=10)
-        logits_fn, predict_fn, _, _ = linear_model(w, b)
+        logits_fn = linear_model(w, b).logits
         cfg = AttackConfig(family="square", norm="linf", epsilon=0.0,
                            query_budget=50, seed=0)
         res = attacks.square_attack(xs, ys, logits_fn, cfg)
@@ -241,7 +238,7 @@ class TestSquare:
 
     def test_query_counter_counts_model_calls_exactly(self):
         xs, ys, w, b = make_linear_case(seed=10, n=6)
-        logits_fn, _, _, _ = linear_model(w, b)
+        logits_fn = linear_model(w, b).logits
         calls = [0]
 
         def counting(z):
@@ -255,7 +252,7 @@ class TestSquare:
 
     def test_deterministic_given_seed(self):
         xs, ys, w, b = make_linear_case(seed=11, n=8)
-        logits_fn, _, _, _ = linear_model(w, b)
+        logits_fn = linear_model(w, b).logits
         cfg = AttackConfig(family="square", norm="linf", epsilon=0.05,
                            query_budget=60, seed=3)
         a = attacks.square_attack(xs, ys, logits_fn, cfg)
@@ -265,7 +262,7 @@ class TestSquare:
 
     def test_linear_model_flip_set_within_10pct(self):
         xs, ys, w, b = make_linear_case(seed=12, n=50)
-        logits_fn, _, _, _ = linear_model(w, b)
+        logits_fn = linear_model(w, b).logits
         eps = 0.06
         dw = w[ys] - w[1 - ys]
         db = b[ys] - b[1 - ys]
@@ -281,24 +278,12 @@ class TestSquare:
         with pytest.raises(ValueError, match="linf"):
             AttackConfig(family="square", norm="l2", epsilon=0.1)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        xs, ys, w, b = make_linear_case(seed=14, n=10)
-        logits_fn, _, _, _ = linear_model(w, b)
-        cfg = AttackConfig(family="square", norm="linf", epsilon=0.05,
-                           query_budget=80, seed=5)
-        monkeypatch.setenv("EPBENCH_THREADS", "1")
-        serial = attacks.square_attack(xs, ys, logits_fn, cfg)
-        monkeypatch.setenv("EPBENCH_THREADS", "4")
-        threaded = attacks.square_attack(xs, ys, logits_fn, cfg)
-        assert np.array_equal(serial.adversarial, threaded.adversarial)
-        assert np.array_equal(serial.queries, threaded.queries)
-
     def test_rejects_gradient_access_structurally(self):
         # the attack signature admits only a logits callable; a poisoned
         # gradient engine must never be reached
         import epbench.unrolled as unrolled
         xs, ys, w, b = make_linear_case(seed=13, n=4)
-        logits_fn, _, _, _ = linear_model(w, b)
+        logits_fn = linear_model(w, b).logits
         orig = unrolled.loss_and_grad_batch
         calls = []
         unrolled.loss_and_grad_batch = lambda *a, **k: calls.append(1)
@@ -317,6 +302,7 @@ class TestContainment:
         xs, ys = eval_batch
         xs, ys = xs[:32], ys[:32]
         T = energy.convergence_step(xs, params, spec)
+        model = for_params(params, spec, "ep", T)
 
         def check(res, norm, eps):
             assert res.adversarial.min() >= -1e-6
@@ -330,16 +316,14 @@ class TestContainment:
 
         for norm in ("linf", "l2"):
             eps = 0.1 if norm == "linf" else 1.0
-            cfg = AttackConfig(family="pgd", norm=norm, epsilon=eps,
-                               attack_timestep=T, seed=0)
-            check(attacks.pgd_attack(xs, ys, params, spec, cfg), norm, eps)
+            cfg = AttackConfig(family="pgd", norm=norm, epsilon=eps, seed=0)
+            check(attacks.pgd_attack(xs, ys, model, cfg), norm, eps)
         cfg = AttackConfig(family="square", norm="linf", epsilon=0.1,
                            query_budget=200, seed=0)
         qm = lambda z: energy.logits_at(np.asarray(z, dtype=np.float64), params, spec, T)
         check(attacks.square_attack(xs, ys, qm, cfg), "linf", 0.1)
-        cfg = AttackConfig(family="cw", cw_constant=0.5, cw_steps=40,
-                           attack_timestep=T)
-        res = attacks.cw_attack(xs, ys, params, spec, cfg)
+        cfg = AttackConfig(family="cw", cw_constant=0.5, cw_steps=40)
+        res = attacks.cw_attack(xs, ys, model, cfg)
         assert res.adversarial.min() >= -1e-6
         assert res.adversarial.max() <= 1 + 1e-6
 
@@ -350,10 +334,10 @@ class TestSuite:
         xs, ys = eval_batch
         xs, ys = xs[:32], ys[:32]
         T = energy.convergence_step(xs, params, spec)
-        cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.05,
-                           attack_timestep=T, seed=0)
-        alone = attacks.pgd_attack(xs, ys, params, spec, cfg)
-        suite = attacks.attack_suite(xs, ys, params, spec, [cfg])
+        model = for_params(params, spec, "ep", T)
+        cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.05, seed=0)
+        alone = attacks.pgd_attack(xs, ys, model, cfg)
+        suite = attacks.attack_suite(xs, ys, model, [cfg])
         assert suite.worst_case_accuracy == alone.robust_accuracy()
 
     def test_worst_case_below_min_and_nesting(self, trained_ep, eval_batch):
@@ -361,12 +345,11 @@ class TestSuite:
         xs, ys = eval_batch
         xs, ys = xs[:32], ys[:32]
         T = energy.convergence_step(xs, params, spec)
-        cfg1 = AttackConfig(family="pgd", norm="linf", epsilon=0.05,
-                            attack_timestep=T, seed=0)
-        cfg2 = AttackConfig(family="pgd", norm="l2", epsilon=0.8,
-                            attack_timestep=T, seed=1)
-        small = attacks.attack_suite(xs, ys, params, spec, [cfg1])
-        big = attacks.attack_suite(xs, ys, params, spec, [cfg1, cfg2])
+        model = for_params(params, spec, "ep", T)
+        cfg1 = AttackConfig(family="pgd", norm="linf", epsilon=0.05, seed=0)
+        cfg2 = AttackConfig(family="pgd", norm="l2", epsilon=0.8, seed=1)
+        small = attacks.attack_suite(xs, ys, model, [cfg1])
+        big = attacks.attack_suite(xs, ys, model, [cfg1, cfg2])
         mins = min(r.robust_accuracy() for r in big.results.values())
         assert big.worst_case_accuracy <= mins + 1e-12
         assert big.worst_case_accuracy <= small.worst_case_accuracy + 1e-12

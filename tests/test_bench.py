@@ -1,15 +1,18 @@
-"""Harness pieces: the CIFAR binary parser, synthetic data, augmentation,
-evaluation, mean robustness, result files, and checkpoint round trips."""
+"""Harness pieces: the CIFAR binary parser, synthetic data, evaluation, mean
+robustness, result files, and checkpoint round trips."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from epbench import bench, data
 from epbench.bench import RunRecord
-from epbench.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
-                                model_fns, save_checkpoint)
+from epbench.checkpoint import (MAGIC, Checkpoint, CheckpointError, load_checkpoint,
+                                save_checkpoint)
 from epbench.data import CifarFormatError
+from epbench.handle import from_checkpoint
 from epbench.model import init_params
 from conftest import desk_spec
 
@@ -100,44 +103,6 @@ class TestSynth:
         ds = data.synth_dataset("stripes", 10, (2, 8, 8), 3, seed=2)
         assert ds.images.shape == (10, 2, 8, 8)
         assert ds.images.min() >= 0 and ds.images.max() <= 1
-
-
-class TestAugment:
-    def test_empty_flags_identity(self):
-        rng = np.random.default_rng(0)
-        batch = rng.uniform(0, 1, (4, 1, 8, 8))
-        out = data.augment(batch, {})
-        assert np.array_equal(out, batch)
-
-    def test_double_hflip_is_identity(self):
-        rng = np.random.default_rng(1)
-        batch = rng.uniform(0, 1, (4, 1, 8, 8))
-        flipped = batch[:, :, :, ::-1]
-        assert np.array_equal(flipped[:, :, :, ::-1], batch)
-
-    def test_crop_offsets_uniform_chi_square(self):
-        pad = 2
-        positions = (2 * pad + 1) ** 2
-        counts = np.zeros(positions)
-        # one-hot probe makes the chosen offset readable from the output
-        probe = np.zeros((1, 1, 9, 9))
-        probe[0, 0, 4, 4] = 1.0
-        draws = 10000
-        out = data.augment(np.repeat(probe, draws, axis=0),
-                           {"random_crop": pad}, seed=7)
-        for k in range(draws):
-            r, c = np.argwhere(out[k, 0] == 1.0)[0]
-            counts[(4 + pad - r) * (2 * pad + 1) + (4 + pad - c)] += 1
-        chi2 = float(((counts - draws / positions) ** 2 / (draws / positions)).sum())
-        p = 1.0 - stats.chi2.cdf(chi2, positions - 1)
-        assert p > 0.01
-
-    def test_deterministic_per_seed(self):
-        rng = np.random.default_rng(2)
-        batch = rng.uniform(0, 1, (8, 1, 8, 8))
-        a = data.augment(batch, {"hflip": True, "random_crop": True}, seed=3)
-        b = data.augment(batch, {"hflip": True, "random_crop": True}, seed=3)
-        assert np.array_equal(a, b)
 
 
 class TestEvaluate:
@@ -251,8 +216,8 @@ class TestCheckpoint:
         p = tmp_path / "ep.ckpt"
         save_checkpoint(p, ck)
         loaded = load_checkpoint(p)
-        predict_a, logits_a = model_fns(ck)
-        predict_b, logits_b = model_fns(loaded)
+        logits_a = from_checkpoint(ck).logits
+        logits_b = from_checkpoint(loaded).logits
         assert np.array_equal(logits_a(xs[:16]), logits_b(xs[:16]))
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -269,4 +234,37 @@ class TestCheckpoint:
         blob = p.read_bytes()
         p.write_bytes(blob[:-8])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(p)
+
+    @staticmethod
+    def _framed(header: bytes, payload: bytes = b"") -> bytes:
+        return MAGIC + struct.pack("<IQ", 1, len(header)) + header + payload
+
+    @pytest.mark.parametrize("case, where", [
+        ("truncated version field", "version field at byte offset 4"),
+        ("truncated header-length field", "header length field at byte offset 8"),
+        ("non-UTF-8 header", "not UTF-8 at byte offset 26"),
+        ("bad JSON", "not JSON at byte offset 25"),
+        ("header missing spec", "field 'spec' missing"),
+        ("header length 2^62", f"header length {2 ** 62} at byte offset 8"),
+    ])
+    def test_malformed_file_names_offset_or_field(self, tmp_path, case, where):
+        spec = desk_spec()
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, Checkpoint(spec=spec, params=init_params(
+            spec, np.random.default_rng(2), dtype=np.float32)))
+        good = p.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", good, 8)
+        header, payload = json.loads(good[16:16 + hlen]), good[16 + hlen:]
+        del header["spec"]
+        blob = {
+            "truncated version field": good[:6],
+            "truncated header-length field": good[:12],
+            "non-UTF-8 header": self._framed(b'{"spec": "\xff"}', payload),
+            "bad JSON": self._framed(b'{"spec": }', payload),
+            "header missing spec": self._framed(json.dumps(header).encode(), payload),
+            "header length 2^62": good[:8] + struct.pack("<Q", 2 ** 62) + good[16:],
+        }[case]
+        p.write_bytes(blob)
+        with pytest.raises(CheckpointError, match=where):
             load_checkpoint(p)

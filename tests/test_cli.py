@@ -168,6 +168,11 @@ class TestEndToEnd:
         per_family = [r.accuracy for r in records
                       if r.attack in ("pgd", "cw", "square")]
         assert suite_acc <= min(per_family) + 1e-9
+        # each family row carries its own measured time; the suite row the total
+        walls = [r.wall_ms for r in records if r.attack in ("pgd", "cw", "square")]
+        suite_wall = next(r.wall_ms for r in records if r.attack == "suite")
+        assert len(set(walls)) == 3
+        assert suite_wall >= sum(walls)
 
     def test_json_mirror(self, ep_ckpt, workdir):
         out = workdir / "eval.json"
