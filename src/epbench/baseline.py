@@ -15,7 +15,8 @@ import numpy as np
 
 from . import ops
 from .attacks import project, steepest_ascent, uniform_ball
-from .energy import _as_batch_x, _flat, _linmap, _linmap_t, cross_entropy, softmax
+from .energy import (_as_batch_x, _flat, _linmap, _linmap_t, cross_entropy,
+                     cross_entropy_grad)
 from .model import ModelSpec, Params
 from .training import TrainConfig, run_training
 
@@ -75,14 +76,10 @@ def bp_backward(cache, params: Params, spec: ModelSpec, g_logits):
 
 def bp_loss_and_input_grad(xs, ys, params: Params, spec: ModelSpec):
     """Per-example cross-entropy losses and input gradients."""
-    xb, batched = _as_batch_x(xs, spec)
     ys = np.atleast_1d(np.asarray(ys))
-    logits, cache = bp_forward(xb, params, spec, collect=True)
-    losses = cross_entropy(logits, ys)
-    g_logits = softmax(logits)
-    g_logits[np.arange(len(ys)), ys] -= 1.0
-    _, g_x = bp_backward(cache, params, spec, g_logits)
-    if batched:
+    logits, vjp = bp_logits_and_vjp(xs, params, spec)
+    losses, g_x = cross_entropy(logits, ys), vjp(cross_entropy_grad(logits, ys))
+    if np.ndim(xs) == 4:
         return losses, g_x
     return float(losses[0]), g_x[0]
 
@@ -105,9 +102,7 @@ def bp_logits_and_vjp(xs, params: Params, spec: ModelSpec):
 
 def _bp_batch_grads(params, spec, xs, ys):
     logits, cache = bp_forward(xs, params, spec, collect=True)
-    g_logits = softmax(logits)
-    g_logits[np.arange(len(ys)), ys] -= 1.0
-    g_logits /= len(ys)  # batch-mean loss
+    g_logits = cross_entropy_grad(logits, ys) / len(ys)  # batch-mean loss
     grads, _ = bp_backward(cache, params, spec, g_logits)
     return grads
 

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,26 +59,26 @@ def _load_eval_data(args, ckpt: Checkpoint) -> Dataset:
 def cmd_train(args) -> int:
     spec, cfg = load_config(args.config)
     if args.data == "synth":
-        n_train, n_test = args.synth_n, max(args.synth_n // 2, 1)
-        train = synth_dataset(args.synth_kind, n_train, spec.input_shape,
-                              spec.readout_dim, seed=cfg.seed,
-                              noise=args.synth_noise, split="train")
-        test = synth_dataset(args.synth_kind, n_test, spec.input_shape,
-                             spec.readout_dim, seed=cfg.seed + 1,
-                             noise=args.synth_noise, split="test")
         snapshot = {"data": "synth", "synth_kind": args.synth_kind,
                     "input_shape": list(spec.input_shape), "classes": spec.readout_dim,
-                    "n_train": n_train, "n_test": n_test, "seed": cfg.seed,
-                    "synth_noise": args.synth_noise}
+                    "n_train": args.synth_n, "n_test": max(args.synth_n // 2, 1),
+                    "seed": cfg.seed, "synth_noise": args.synth_noise}
+        train = _synth_from_snapshot(snapshot, split="train")
+        test = _synth_from_snapshot(snapshot, split="test")
     else:
-        train = load_cifar_binary(args.data, variant=args.cifar_variant)
-        test = train
+        # no held-out split ships with one CIFAR file: `epbench eval --data
+        # <test file>` measures held-out accuracy
+        train = replace(load_cifar_binary(args.data, variant=args.cifar_variant),
+                        split="train")
+        test = None
         snapshot = {"data": args.data, "seed": cfg.seed}
     mean, std = channel_stats(train.images)
-    norm_train = Dataset(normalize_images(train.images, mean, std).astype(np.float32),
-                         train.labels, train.classes, "train")
-    norm_test = Dataset(normalize_images(test.images, mean, std).astype(np.float32),
-                        test.labels, test.classes, "test")
+
+    def normalized(ds):
+        return replace(ds, images=normalize_images(ds.images, mean, std).astype(np.float32))
+
+    norm_train = normalized(train)
+    norm_test = None if test is None else normalized(test)
 
     t0 = time.perf_counter()
     if args.model == "ep":

@@ -9,11 +9,13 @@ for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
+
+from . import bench
 
 KINDS = ("gaussian_noise", "shot_noise", "impulse_noise", "gaussian_blur",
          "contrast", "brightness", "pixelate")
@@ -124,19 +126,11 @@ def corruption_sweep(dataset, model_eval, kinds=KINDS, severities=(1, 2, 3, 4, 5
     model_eval(images) -> predicted labels. Returns {(kind, severity): acc}.
     """
     xs = np.asarray(dataset.images, dtype=np.float64)
-    ys = dataset.labels
     grid: dict[tuple[str, int], float] = {}
-
-    def accuracy(images):
-        hits = 0
-        for b0 in range(0, len(ys), batch_size):
-            hits += int(np.sum(model_eval(images[b0:b0 + batch_size])
-                               == ys[b0:b0 + batch_size]))
-        return hits / len(ys)
-
-    clean = accuracy(xs)
+    clean = bench.evaluate(model_eval, dataset, batch_size)
     for kind in kinds:
         grid[(kind, 0)] = clean
         for sev in severities:
-            grid[(kind, sev)] = accuracy(corrupt_batch(xs, kind, sev, seed=seed))
+            corrupted = replace(dataset, images=corrupt_batch(xs, kind, sev, seed=seed))
+            grid[(kind, sev)] = bench.evaluate(model_eval, corrupted, batch_size)
     return grid

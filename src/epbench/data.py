@@ -1,8 +1,6 @@
 """Datasets: the CIFAR binary reader and synthetic desk-scale generators.
 
 Images are float32 in [0,1], channel-first [N,C,H,W]; labels are int64.
-Normalization statistics (per-channel mean/std applied at model input) travel
-with the dataset and end up in the checkpoint.
 """
 
 from __future__ import annotations
@@ -26,15 +24,12 @@ class Dataset:
     labels: np.ndarray          # [N] int64 in [0, classes)
     classes: int
     split: str = "train"
-    norm_mean: np.ndarray | None = None  # per-channel, model-input normalization
-    norm_std: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def subset(self, n: int) -> "Dataset":
-        return Dataset(self.images[:n], self.labels[:n], self.classes, self.split,
-                       self.norm_mean, self.norm_std)
+        return Dataset(self.images[:n], self.labels[:n], self.classes, self.split)
 
 
 def channel_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,8 @@ update is s_{t+1} = clamp(dPhi/ds_t) applied synchronously to every layer,
 with pooling argmax routes refreshed from the current bottom-up pass at each
 step. The readout (logits on the flattened top state) stays outside Phi; the
 nudged phase injects -beta * dL/ds^N through it, where L is softmax
-cross-entropy.
+cross-entropy. Free, nudged and recorded runs all go through one loop,
+`_relax`.
 
 All dynamics run in float64 regardless of parameter dtype. Functions accept
 either a single example (x of rank 3) or a batch (rank 4) and return matching
@@ -139,6 +140,13 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lse - np.take_along_axis(z, np.asarray(y)[..., None], axis=-1)[..., 0]
 
 
+def cross_entropy_grad(logits: np.ndarray, y) -> np.ndarray:
+    """d cross_entropy / d logits per example: softmax(logits) - onehot(y)."""
+    g = softmax(logits)
+    g[np.arange(len(g)), y] -= 1.0
+    return g
+
+
 def readout(state: NetworkState, params: Params) -> np.ndarray:
     """Logits from the flattened top state; batched in, batched out."""
     top = np.asarray(state.layers[-1], dtype=_F)
@@ -155,13 +163,10 @@ def readout(state: NetworkState, params: Params) -> np.ndarray:
 
 
 def _nudge_force(state_layers, params: Params, spec: ModelSpec, y, beta_signed: float):
-    """-beta * dL/ds^N routed through the readout: beta * W^T (onehot - softmax)."""
+    """-beta * dL/ds^N routed through the readout: -beta * W^T (softmax - onehot)."""
     top = _flat(state_layers[-1])
     logits = _linmap(top, params.readout_w) + params.readout_b
-    p = softmax(logits)
-    onehot = np.zeros_like(p)
-    onehot[np.arange(p.shape[0]), y] = 1.0
-    force = beta_signed * _linmap_t(onehot - p, params.readout_w)
+    force = -beta_signed * _linmap_t(cross_entropy_grad(logits, y), params.readout_w)
     return force.reshape(state_layers[-1].shape)
 
 
@@ -183,53 +188,49 @@ def dynamics_step(x, layers, params: Params, spec: ModelSpec, *, y=None,
     return new, idx, masks
 
 
+def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
+           y=None, beta_signed: float = 0.0, record: bool = False):
+    """The one relaxation loop behind free, nudged and recorded runs.
+
+    Applies up to t dynamics steps to the batched float64 `layers` (None
+    starts from the all-zero state) and stops early once the largest
+    infinity-norm step difference across layers drops below tol (tol <= 0
+    runs all t steps). Returns (state, routes, masks): the state is shaped
+    like x, and with record set routes[k] and masks[k] are the pool routes
+    and clamp masks used by step k (both lists stay empty otherwise).
+    """
+    if t < 1:
+        raise ValueError(f"a relaxation needs t >= 1, got t={t}")
+    xb, batched = _as_batch_x(x, spec)
+    params = params.map(np.asarray, dtype=_F)
+    if layers is None:
+        layers = zero_state(spec, xb.shape[0]).layers
+    routes, masks = [], []
+    for steps in range(1, t + 1):
+        new, idx, mask = dynamics_step(xb, layers, params, spec, y=y,
+                                       beta_signed=beta_signed, collect=record)
+        if record:
+            routes.append(idx)
+            masks.append(mask)
+        done = tol > 0 and max(np.max(np.abs(n - o)) for n, o in zip(new, layers)) < tol
+        layers = new
+        if done:
+            break
+    if not batched:
+        layers, idx = [s[0] for s in layers], [i[0] for i in idx]
+    return NetworkState(layers=layers, pool_idx=idx, steps=steps), routes, masks
+
+
 def free_phase(x, params: Params, spec: ModelSpec, t: int | None = None,
-               record: bool = False, fp_tol: float | None = None):
+               fp_tol: float | None = None) -> NetworkState:
     """Relax from the all-zero state for up to t steps.
 
     Exits early once the largest infinity-norm step difference across layers
-    drops below fp_tol (fp_tol=0 disables early exit). With record=True also
-    returns the per-step trajectory consumed by the unrolled gradient engine.
+    drops below fp_tol (fp_tol=0 disables early exit).
     """
-    xb, batched = _as_batch_x(x, spec)
-    params = params.map(np.asarray, dtype=_F)
     t = spec.t_free if t is None else t
-    if t < 1:
-        raise ValueError("free_phase needs t >= 1")
     tol = spec.fp_tol if fp_tol is None else fp_tol
-    layers = zero_state(spec, xb.shape[0]).layers
-    traj_states, traj_idx, traj_masks = [], [], []
-    idx = []
-    steps = 0
-    for _ in range(t):
-        new, idx, masks = dynamics_step(xb, layers, params, spec, collect=record)
-        if record:
-            traj_states.append(layers)
-            traj_idx.append(idx)
-            traj_masks.append(masks)
-        resid = max(np.max(np.abs(n - o)) for n, o in zip(new, layers))
-        layers = new
-        steps += 1
-        if tol and resid < tol:
-            break
-    state = NetworkState(layers=layers, pool_idx=idx, steps=steps)
-    if not batched:
-        state = _squeeze_state(state)
-    if record:
-        from .unrolled import UnrolledTape  # local import to avoid a cycle
-
-        tape = UnrolledTape(steps=steps, states=traj_states, pool_idx=traj_idx,
-                            masks=traj_masks, final=[s.copy() for s in layers])
-        return state, tape
-    return state
-
-
-def _squeeze_state(state: NetworkState) -> NetworkState:
-    return NetworkState(
-        layers=[s[0] for s in state.layers],
-        pool_idx=[i[0] for i in state.pool_idx],
-        steps=state.steps,
-    )
+    return _relax(x, None, params, spec, t, tol)[0]
 
 
 def nudged_phase(x, params: Params, spec: ModelSpec, s_star: NetworkState, y,
@@ -238,20 +239,12 @@ def nudged_phase(x, params: Params, spec: ModelSpec, s_star: NetworkState, y,
 
     beta_signed = 0 reproduces plain free-phase continuation bit for bit.
     """
-    xb, batched = _as_batch_x(x, spec)
-    params = params.map(np.asarray, dtype=_F)
     t = spec.t_nudge if t is None else t
-    if t < 1:
-        raise ValueError("nudged_phase needs t >= 1")
     layers, _ = _layers64(s_star, spec)
-    yb = np.atleast_1d(np.asarray(y))
-    idx = s_star.pool_idx
-    for _ in range(t):
-        layers, idx, _ = dynamics_step(
-            xb, layers, params, spec, y=yb, beta_signed=beta_signed
-        )
-    out = NetworkState(layers=layers, pool_idx=idx, steps=s_star.steps + t)
-    return out if batched else _squeeze_state(out)
+    state, _, _ = _relax(x, layers, params, spec, t, 0.0,
+                         y=np.atleast_1d(np.asarray(y)), beta_signed=beta_signed)
+    state.steps += s_star.steps
+    return state
 
 
 def logits_at(x, params: Params, spec: ModelSpec, t: int) -> np.ndarray:

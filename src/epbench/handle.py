@@ -21,21 +21,26 @@ _F = np.float64
 
 @dataclass(frozen=True)
 class ModelHandle:
-    """logits(xs) -> [B,K]; loss_grad(xs, ys) -> (per-example cross-entropy,
-    dL/dxs); logits_vjp(xs) -> (logits, pullback from logit to pixel space).
+    """logits(xs) -> [B,K]; logits_vjp(xs) -> (logits, pullback from logit to
+    pixel space). Cross-entropy gradients (loss_grad) and labels (predict)
+    derive from these two.
 
     timestep is the free-phase step a dynamics model is read at; None for
     feedforward models.
     """
 
     logits: Callable
-    loss_grad: Callable
     logits_vjp: Callable
     timestep: int | None = None
 
     def predict(self, xs) -> np.ndarray:
         """Top-1 labels; ties go to the lowest index."""
         return np.argmax(self.logits(xs), axis=-1)
+
+    def loss_grad(self, xs, ys):
+        """(per-example cross-entropy, dL/dxs), pulled back through logits_vjp."""
+        z, vjp = self.logits_vjp(xs)
+        return energy.cross_entropy(z, ys), vjp(energy.cross_entropy_grad(z, ys))
 
 
 def for_params(params: Params, spec: ModelSpec, kind: str, timestep: int | None,
@@ -60,9 +65,6 @@ def for_params(params: Params, spec: ModelSpec, kind: str, timestep: int | None,
         def logits(xs):
             return energy.logits_at(to_model(xs), params, spec, timestep)
 
-        def model_loss_grad(xm, ys):
-            return unrolled.loss_and_grad_batch(xm, ys, params, spec, timestep)
-
         def model_logits_vjp(xm):
             return unrolled.logits_and_vjp(xm, params, spec, timestep)
     elif kind in ("bp", "adv"):
@@ -71,23 +73,16 @@ def for_params(params: Params, spec: ModelSpec, kind: str, timestep: int | None,
         def logits(xs):
             return baseline.bp_forward(to_model(xs), params, spec)
 
-        def model_loss_grad(xm, ys):
-            return baseline.bp_loss_and_input_grad(xm, ys, params, spec)
-
         def model_logits_vjp(xm):
             return baseline.bp_logits_and_vjp(xm, params, spec)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
 
-    def loss_grad(xs, ys):
-        losses, g = model_loss_grad(to_model(xs), ys)
-        return losses, g / std
-
     def logits_vjp(xs):
         z, vjp = model_logits_vjp(to_model(xs))
         return z, lambda gz: vjp(gz) / std
 
-    return ModelHandle(logits, loss_grad, logits_vjp, timestep)
+    return ModelHandle(logits, logits_vjp, timestep)
 
 
 def from_checkpoint(ckpt, timestep: int | None = None) -> ModelHandle:

@@ -10,12 +10,13 @@ weight tensor (biases share their layer's rate).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import ops
-from .energy import (_as_batch_x, _flat, _layers64, _linmap,
-                     free_phase, nudged_phase, readout, softmax)
+from . import bench, ops
+from .energy import (_as_batch_x, _flat, _layers64, _linmap, cross_entropy_grad,
+                     free_phase, nudged_phase, readout)
 from .model import ModelSpec, NetworkState, Params, init_params
 
 _F = np.float64
@@ -99,8 +100,7 @@ def _readout_delta(s_star_layers, params: Params, y) -> tuple[np.ndarray, np.nda
     """dL/d(readout) at the free fixed point: the delta rule."""
     top = _flat(s_star_layers[-1])
     logits = _linmap(top, params.readout_w) + params.readout_b
-    err = softmax(logits)
-    err[np.arange(len(y)), y] -= 1.0
+    err = cross_entropy_grad(logits, y)
     gw = np.einsum("bk,bd->kd", err, top, dtype=_F) / len(y)
     return gw, err.mean(axis=0)
 
@@ -204,19 +204,12 @@ def run_training(dataset, spec: ModelSpec, cfg: TrainConfig, grad_fn, predict_fn
                 raise DivergenceError(
                     f"non-finite parameter at epoch {epoch}, batch {b0 // cfg.batch_size}"
                 )
-        entry = {"epoch": epoch, "train_acc": _accuracy(predict_fn, params, dataset)}
+        predict = partial(predict_fn, params)
+        entry = {"epoch": epoch, "train_acc": bench.evaluate(predict, dataset)}
         if val_dataset is not None:
-            entry["val_acc"] = _accuracy(predict_fn, params, val_dataset)
+            entry["val_acc"] = bench.evaluate(predict, val_dataset)
         history.append(entry)
     return params, history
-
-
-def _accuracy(predict_fn, params, dataset, chunk: int = 256) -> float:
-    hits = 0
-    for b0 in range(0, len(dataset.labels), chunk):
-        xs = np.asarray(dataset.images[b0:b0 + chunk], dtype=_F)
-        hits += int(np.sum(predict_fn(params, xs) == dataset.labels[b0:b0 + chunk]))
-    return hits / len(dataset.labels)
 
 
 def train_ep(dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=None):

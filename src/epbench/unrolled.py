@@ -1,7 +1,8 @@
 """Exact input gradients by reverse mode through the unrolled free phase.
 
-The forward pass records, per step, the pre-update states, the pooling argmax
-routes, and the clamp pass-through masks. The backward pass walks the tape in
+The forward pass records, per step, only the pooling argmax routes and the
+clamp pass-through masks, plus the final state that the readout reads; no
+intermediate states are kept. The backward pass walks the tape in
 reverse, treating pooling routes as constants of the forward pass and using
 clamp subgradient 1 on [0,1] (boundary included) and 0 outside. Because the
 clamped input x feeds the first connection at every step, its gradient
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .energy import (_as_batch_x, _flat, _linmap, _linmap_t,
-                     cross_entropy, free_phase, softmax)
+from .energy import (_as_batch_x, _flat, _linmap, _linmap_t, _relax,
+                     cross_entropy, cross_entropy_grad)
 from .model import ModelSpec, Params
 
 _F = np.float64
@@ -29,13 +30,11 @@ _F = np.float64
 class UnrolledTape:
     """Recorded free-phase trajectory of length `steps`.
 
-    states[t] holds the layer states *entering* step t (so states[0] is the
-    all-zero start); pool_idx[t] and masks[t] are the routes and clamp masks
-    used by step t; final is the state after the last step.
+    pool_idx[t] and masks[t] are the routes and clamp masks used by step t;
+    final is the batched state after the last step.
     """
 
     steps: int
-    states: list[list[np.ndarray]]
     pool_idx: list[list[np.ndarray]]
     masks: list[list[np.ndarray]]
     final: list[np.ndarray]
@@ -43,17 +42,17 @@ class UnrolledTape:
     def nbytes(self) -> int:
         total = sum(s.nbytes for s in self.final)
         for t in range(self.steps):
-            total += sum(a.nbytes for a in self.states[t])
             total += sum(a.nbytes for a in self.pool_idx[t])
             total += sum(a.nbytes for a in self.masks[t])
         return total
 
 
 def record_free_phase(x, params: Params, spec: ModelSpec, t: int) -> UnrolledTape:
-    """Run exactly t steps (no early exit) and keep the full trajectory."""
+    """Run exactly t steps (no early exit), keeping each step's routes and masks."""
     xb, _ = _as_batch_x(x, spec)
-    _, tape = free_phase(xb, params, spec, t=t, record=True, fp_tol=0.0)
-    return tape
+    state, routes, masks = _relax(xb, None, params, spec, t, 0.0, record=True)
+    return UnrolledTape(steps=state.steps, pool_idx=routes, masks=masks,
+                        final=state.layers)
 
 
 def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
@@ -75,7 +74,7 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
         idx = tape.pool_idx[step]
         masks = tape.masks[step]
         g_pre = [g * m for g, m in zip(g_layers, masks)]
-        g_new = [np.zeros_like(s) for s in tape.states[step]]
+        g_new = [np.zeros_like(s) for s in tape.final]
         for i in range(n_layers):
             # bottom-up term of connection i read s^{i-1} (or x)
             if i < n_conv:
@@ -105,16 +104,10 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
 
 def loss_and_grad_batch(xs, ys, params: Params, spec: ModelSpec, t: int):
     """Per-example cross-entropy losses at step t and their input gradients."""
-    xb, batched = _as_batch_x(xs, spec)
     ys = np.atleast_1d(np.asarray(ys))
-    tape = record_free_phase(xb, params, spec, t)
-    p64 = params.map(np.asarray, dtype=_F)
-    logits = _linmap(_flat(tape.final[-1]), p64.readout_w) + p64.readout_b
-    losses = cross_entropy(logits, ys)
-    g_logits = softmax(logits)
-    g_logits[np.arange(len(ys)), ys] -= 1.0
-    grads = backward_input(tape, xb, params, spec, g_logits)
-    if batched:
+    logits, vjp = logits_and_vjp(xs, params, spec, t)
+    losses, grads = cross_entropy(logits, ys), vjp(cross_entropy_grad(logits, ys))
+    if np.ndim(xs) == 4:
         return losses, grads
     return float(losses[0]), grads[0]
 
@@ -129,7 +122,8 @@ def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):
     """Logits at step t plus a pullback mapping logit gradients to input space.
 
     Shares one recorded tape between the forward value and the backward call;
-    used by attacks that differentiate losses other than cross-entropy.
+    every input gradient of a dynamics model, cross-entropy included, is a
+    pullback through it.
     """
     xb, _ = _as_batch_x(xs, spec)
     tape = record_free_phase(xb, params, spec, t)

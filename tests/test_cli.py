@@ -1,6 +1,8 @@
 """End-to-end CLI runs on a throwaway config: train -> eval -> attack ->
 corrupt -> uncertainty -> report, plus config-file validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,39 @@ class TestConfig:
         spec, cfg = load_config(root / "cifar10_full.cfg")
         assert spec.state_shapes()[-1] == (512, 1, 1)
         assert len(cfg.learning_rates) == 5
+
+
+CIFAR_CONFIG = """
+input_shape = 3,32,32
+conv_channels = 2
+readout_dim = 10
+t_free = 8
+t_nudge = 4
+epochs = 1
+batch_size = 8
+learning_rates = 0.05, 0.05
+"""
+
+
+def test_cifar_training_reports_no_validation_accuracy(tmp_path, capsys):
+    # one CIFAR file carries no held-out split, so the history must not call
+    # an accuracy on the training images a validation accuracy
+    rng = np.random.default_rng(0)
+    labels = np.arange(6, dtype=np.uint8)[:, None]
+    pixels = rng.integers(0, 256, (6, 3072), dtype=np.uint8)
+    fixture = tmp_path / "data_batch.bin"
+    fixture.write_bytes(np.concatenate([labels, pixels], axis=1).tobytes())
+    cfg = tmp_path / "cifar.cfg"
+    cfg.write_text(CIFAR_CONFIG)
+    out = tmp_path / "ep.ckpt"
+    rc = cli.main(["train", "--model", "ep", "--config", str(cfg),
+                   "--data", str(fixture), "--out", str(out)])
+    assert rc == 0
+    history = json.loads((tmp_path / "ep.ckpt.history.json").read_text())
+    assert len(history) == 1
+    assert "train_acc" in history[0]
+    assert "val_acc" not in history[0]
+    assert "val_acc" not in capsys.readouterr().out
 
 
 class TestEndToEnd:

@@ -4,7 +4,7 @@ state gradient, fixed-point behavior, nudging, readout, and prediction."""
 import numpy as np
 import pytest
 
-from epbench import energy, ops
+from epbench import energy, ops, unrolled
 from epbench.model import (ModelSpec, NetworkState, init_params, tiny_model,
                            zero_state)
 from epbench.ops import ConvSpec
@@ -150,21 +150,39 @@ class TestFreePhase:
         rng = np.random.default_rng(8)
         spec, params = tiny_model(rng, scale=2.0)
         x = rng.uniform(0, 1, spec.input_shape)
-        _, tape = energy.free_phase(x, params, spec, t=20, record=True, fp_tol=0.0)
-        for states in tape.states:
-            for s in states:
+        for t in range(1, 21):
+            st = energy.free_phase(x, params, spec, t=t, fp_tol=0.0)
+            assert st.steps == t
+            for s in st.layers:
                 assert s.min() >= 0.0 and s.max() <= 1.0
 
     def test_record_replays_bit_exactly(self):
         rng = np.random.default_rng(9)
         spec, params = tiny_model(rng, scale=0.9)
         x = rng.uniform(0, 1, (1,) + spec.input_shape)
-        _, tape = energy.free_phase(x, params, spec, t=12, record=True, fp_tol=0.0)
-        layers = [s.copy() for s in tape.states[0]]
+        tape = unrolled.record_free_phase(x, params, spec, 12)
+        assert tape.steps == 12
+        layers = zero_state(spec, 1).layers
         for t in range(tape.steps):
-            assert all(np.array_equal(a, b) for a, b in zip(layers, tape.states[t]))
-            layers, _, _ = energy.dynamics_step(x, layers, params, spec)
+            layers, idx, masks = energy.dynamics_step(x, layers, params, spec,
+                                                      collect=True)
+            assert all(np.array_equal(a, b) for a, b in zip(idx, tape.pool_idx[t]))
+            assert all(np.array_equal(a, b) for a, b in zip(masks, tape.masks[t]))
         assert all(np.array_equal(a, b) for a, b in zip(layers, tape.final))
+
+
+@pytest.mark.parametrize("run", ["free_phase", "nudged_phase", "record_free_phase"])
+def test_zero_steps_rejected(run):
+    spec, params = tiny_model(np.random.default_rng(17))
+    x = rng_global.uniform(0, 1, (2,) + spec.input_shape)
+    calls = {
+        "free_phase": lambda: energy.free_phase(x, params, spec, t=0),
+        "nudged_phase": lambda: energy.nudged_phase(
+            x, params, spec, zero_state(spec, 2), np.array([0, 1]), 0.5, t=0),
+        "record_free_phase": lambda: unrolled.record_free_phase(x, params, spec, 0),
+    }
+    with pytest.raises(ValueError, match="t >= 1"):
+        calls[run]()
 
 
 class TestNudgedPhase:
