@@ -4,9 +4,10 @@ The feedforward pass is a single sweep: clamp(pool(conv(s)) + b) per conv
 connection, clamp(W s + b) per fc connection, then the linear readout. No
 batch normalization (deliberate simplification; it would introduce
 train/eval mode divergence orthogonal to what these baselines are for).
-Gradients are a dedicated hand-written reverse pass sharing the adjoint
-primitives; the adversarially trained variant replaces each minibatch with
-PGD examples crafted against the current model before the step.
+Both sweeps are made of the connection drives, adjoints and weight gradients
+in `energy`, the ones the energy model's dynamics and EP rules use; the
+adversarially trained variant replaces each minibatch with PGD examples
+crafted against the current model before the step.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 from . import ops
 from .attacks import project, steepest_ascent, uniform_ball
-from .energy import (_as_batch_x, _flat, _linmap, _linmap_t, cross_entropy,
+from .energy import (_add_bias, _adjoint, _as_batch_x, _drive, _logits,
+                     _set_connection, _unpool, _weight_grad, cross_entropy,
                      cross_entropy_grad)
 from .model import ModelSpec, Params
 from .training import TrainConfig, run_training
@@ -29,21 +31,13 @@ def bp_forward(xs, params: Params, spec: ModelSpec, collect: bool = False):
     p64 = params.map(np.asarray, dtype=_F)
     cache = []
     s = xb
-    for i, cs in enumerate(spec.conv):
-        c = ops.conv2d(s, p64.conv_w[i], cs)
-        pooled, idx = ops.maxpool2(c)
-        pre = pooled + p64.conv_b[i][:, None, None]
-        out = ops.hard_clamp(pre)
+    for i in range(spec.n_layers):
+        drive, route = _drive(i, s, p64, spec)
+        pre = _add_bias(i, drive, p64, spec)
         if collect:
-            cache.append({"src": s, "idx": idx, "mask": (pre >= 0) & (pre <= 1)})
-        s = out
-    for j in range(len(spec.fc)):
-        pre = _linmap(_flat(s), p64.fc_w[j]) + p64.fc_b[j]
-        out = ops.hard_clamp(pre)
-        if collect:
-            cache.append({"src": s, "mask": (pre >= 0) & (pre <= 1)})
-        s = out
-    logits = _linmap(_flat(s), p64.readout_w) + p64.readout_b
+            cache.append({"src": s, "route": route, "mask": (pre >= 0) & (pre <= 1)})
+        s = ops.hard_clamp(pre)
+    logits = _logits(s, p64, spec)
     if collect:
         return logits, {"layers": cache, "top": s}
     return logits
@@ -53,24 +47,16 @@ def bp_backward(cache, params: Params, spec: ModelSpec, g_logits):
     """Parameter gradients (summed over the batch) and the input gradient."""
     p64 = params.map(np.asarray, dtype=_F)
     grads = params.map(np.zeros_like, dtype=_F)
-    top = _flat(cache["top"])
-    grads.readout_w = np.einsum("bk,bd->kd", g_logits, top, dtype=_F)
-    grads.readout_b = g_logits.sum(axis=0)
-    g = _linmap_t(g_logits, p64.readout_w).reshape(cache["top"].shape)
-    for j in reversed(range(len(spec.fc))):
-        layer = cache["layers"][spec.n_conv + j]
-        g_pre = _flat(g) * _flat(layer["mask"])
-        src_flat = _flat(layer["src"])
-        grads.fc_w[j] = np.einsum("bk,bd->kd", g_pre, src_flat, dtype=_F)
-        grads.fc_b[j] = g_pre.sum(axis=0)
-        g = _linmap_t(g_pre, p64.fc_w[j]).reshape(layer["src"].shape)
-    for i in reversed(range(spec.n_conv)):
+    n, top = spec.n_layers, cache["top"]
+    _set_connection(grads, spec, n, *_weight_grad(n, top, g_logits, p64, spec))
+    g = _adjoint(n, g_logits, p64, spec).reshape(top.shape)
+    for i in reversed(range(n)):
         layer = cache["layers"][i]
         g_pre = g.reshape(layer["mask"].shape) * layer["mask"]
-        routed = ops.unpool2(g_pre, layer["idx"])
-        grads.conv_w[i] = ops.conv2d_weight_grad(layer["src"], routed, spec.conv[i])
-        grads.conv_b[i] = g_pre.sum(axis=(0, 2, 3))
-        g = ops.conv2d_transpose(routed, p64.conv_w[i], spec.conv[i])
+        u = _unpool(g_pre, layer["route"])  # shared by both gradients: one unpool
+        _set_connection(grads, spec, i,
+                        *_weight_grad(i, layer["src"], g_pre, p64, spec, u))
+        g = _adjoint(i, u, p64, spec).reshape(layer["src"].shape)
     return grads, g
 
 

@@ -92,7 +92,7 @@ def load_config(path) -> tuple[ModelSpec, TrainConfig]:
             epsilon=float(pairs.get("adv_epsilon", 0.5)),
             steps=int(pairs.get("adv_steps", 10)),
         )
-    n_rates = spec.n_conv + len(spec.fc) + 1
+    n_rates = spec.n_layers + 1
     cfg = TrainConfig(
         epochs=int(pairs.get("epochs", 20)),
         batch_size=int(pairs.get("batch_size", 64)),

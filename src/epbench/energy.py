@@ -13,6 +13,11 @@ nudged phase injects -beta * dL/ds^N through it, where L is softmax
 cross-entropy. Free, nudged and recorded runs all go through one loop,
 `_relax`.
 
+Connections are numbered conv first, then fc, then the readout. Each one's
+drive, bias, adjoint at fixed pool routes, weight gradient and (w, b) in
+Params are written once here; the unrolled reverse pass, the EP rules and
+the backprop twin reuse them.
+
 All dynamics run in float64 regardless of parameter dtype. Functions accept
 either a single example (x of rank 3) or a batch (rank 4) and return matching
 structure.
@@ -43,18 +48,6 @@ def _flat(s: np.ndarray) -> np.ndarray:
     return s.reshape(s.shape[0], -1)
 
 
-# einsum (fixed reduction order) instead of BLAS `@` keeps results
-# bit-identical across batch sizes
-def _linmap(x2d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w @ x per example: x[B,D], w[K,D] -> [B,K]."""
-    return np.einsum("kd,bd->bk", w, x2d, dtype=_F)
-
-
-def _linmap_t(g2d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w^T @ g per example: g[B,K], w[K,D] -> [B,D]."""
-    return np.einsum("kd,bk->bd", w, g2d, dtype=_F)
-
-
 def _layers64(state: NetworkState, spec: ModelSpec) -> tuple[list[np.ndarray], bool]:
     """Cast state layers to float64 with a batch axis; report if one was added."""
     shapes = spec.state_shapes()
@@ -73,33 +66,101 @@ def _layers64(state: NetworkState, spec: ModelSpec) -> tuple[list[np.ndarray], b
     return layers, batched
 
 
+def _connection(params: Params, spec: ModelSpec, i: int):
+    """(w, b) of connection i: conv i, then fc i - n_conv, then the readout
+    at i = n_layers."""
+    if i < spec.n_conv:
+        return params.conv_w[i], params.conv_b[i]
+    if i < spec.n_layers:
+        return params.fc_w[i - spec.n_conv], params.fc_b[i - spec.n_conv]
+    return params.readout_w, params.readout_b
+
+
+def _set_connection(params: Params, spec: ModelSpec, i: int, w, b) -> None:
+    """Copy (w, b) into connection i of params (numbering as in _connection)."""
+    for dst, src in zip(_connection(params, spec, i), (w, b)):
+        dst[...] = src
+
+
+def _drive(i, src, params: Params, spec: ModelSpec, route=None):
+    """Connection i's drive on the batched src, bias excluded: (drive, route).
+
+    A conv drive is P(w * src), max-pooled along fresh argmax routes when
+    route is None and gathered along the given route otherwise; an fc
+    connection or the readout gives w flat(src) and route None.
+    """
+    w, _ = _connection(params, spec, i)
+    if i >= spec.n_conv:
+        # einsum (fixed reduction order) instead of BLAS `@` keeps results
+        # bit-identical across batch sizes
+        return np.einsum("kd,bd->bk", w, _flat(src), dtype=_F), None
+    c = ops.conv2d(src, w, spec.conv[i])
+    return ops.maxpool2(c) if route is None else (ops.pool_gather(c, route), route)
+
+
+def _add_bias(i, drive, params: Params, spec: ModelSpec):
+    """drive + b_i, the bias broadcast over a conv drive's spatial axes."""
+    b = _connection(params, spec, i)[1]
+    return drive + b.reshape(b.shape + (1,) * (drive.ndim - 2))
+
+
+def _unpool(g, route):
+    """A gradient on a connection's drive moved back through its pooling:
+    unpooled along a conv's route, only flattened when route is None."""
+    return _flat(g) if route is None else ops.unpool2(g, route)
+
+
+def _adjoint(i, u, params: Params, spec: ModelSpec):
+    """Transpose of connection i's linear map applied to u = _unpool(g, route);
+    with the pooling routes held fixed this is the adjoint of the drive."""
+    w, _ = _connection(params, spec, i)
+    if i < spec.n_conv:
+        return ops.conv2d_transpose(u, w, spec.conv[i])
+    return np.einsum("kd,bk->bd", w, u, dtype=_F)
+
+
+def _weight_grad(i, src, g, params: Params, spec: ModelSpec, u=None):
+    """Batch-summed (dw, db) of <g, drive_i(src) + b_i> at fixed routes.
+
+    u is _unpool(g, route) if the caller has it; a conv without it pools
+    along the fresh routes of its drive from src. db sums g itself, so a
+    conv's stays on the pooled shape (the summation order the bits rely on).
+    """
+    db = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
+    if i >= spec.n_conv:
+        return np.einsum("bk,bd->kd", _flat(g), _flat(src), dtype=_F), db
+    if u is None:
+        u = ops.unpool2(g, _drive(i, src, params, spec)[1])
+    return ops.conv2d_weight_grad(src, u, spec.conv[i]), db
+
+
+def _route(routes, i):
+    """Pool route of connection i from a list holding the conv routes only."""
+    return routes[i] if i < len(routes) else None
+
+
+def _logits(top, params: Params, spec: ModelSpec):
+    """Readout logits flat(s^N) W^T + b of a batched top state."""
+    n = spec.n_layers
+    return _add_bias(n, _drive(n, top, params, spec)[0], params, spec)
+
+
 def _bottom_up(x, layers, params: Params, spec: ModelSpec):
-    """P(w_i * s^{i-1}) + b_i for every connection; also the pool routes."""
-    srcs = [x] + layers[:-1]
-    pre, idx = [], []
-    for i, cs in enumerate(spec.conv):
-        c = ops.conv2d(srcs[i], params.conv_w[i], cs)
-        p, ix = ops.maxpool2(c)
-        pre.append(p + params.conv_b[i][:, None, None])
-        idx.append(ix)
-    for j in range(len(spec.fc)):
-        i = spec.n_conv + j
-        pre.append(ops.affine(_flat(srcs[i]), params.fc_w[j], params.fc_b[j]))
-    return pre, idx
+    """P(w_i * s^{i-1}) + b_i for every connection; also the conv pool routes."""
+    pre, routes = [], []
+    for i, src in enumerate([x] + layers[:-1]):
+        drive, route = _drive(i, src, params, spec)
+        pre.append(_add_bias(i, drive, params, spec))
+        if route is not None:
+            routes.append(route)
+    return pre, routes
 
 
-def _add_top_down(pre, layers, params: Params, spec: ModelSpec, idx):
+def _add_top_down(pre, layers, params: Params, spec: ModelSpec, routes):
     """Add the feedback term from connection i into layer i-1 (top layer gets none)."""
     for i in range(1, spec.n_layers):
-        if i < spec.n_conv:
-            td = ops.conv2d_transpose(
-                ops.unpool2(layers[i], idx[i]), params.conv_w[i], spec.conv[i]
-            )
-        else:
-            j = i - spec.n_conv
-            td = _linmap_t(layers[i].reshape(layers[i].shape[0], -1), params.fc_w[j])
-            td = td.reshape(pre[i - 1].shape)
-        pre[i - 1] = pre[i - 1] + td
+        td = _adjoint(i, _unpool(layers[i], _route(routes, i)), params, spec)
+        pre[i - 1] = pre[i - 1] + td.reshape(pre[i - 1].shape)
     return pre
 
 
@@ -152,22 +213,18 @@ def readout(state: NetworkState, params: Params) -> np.ndarray:
     top = np.asarray(state.layers[-1], dtype=_F)
     w = np.asarray(params.readout_w, dtype=_F)
     b = np.asarray(params.readout_b, dtype=_F)
-    d = w.shape[1]
-    if top.ndim >= 2 and top[0].size == d:  # leading batch axis
-        return ops.affine(_flat(top), w, b)
-    if top.size == d:
-        return ops.affine(top.reshape(d), w, b)
-    raise ops.ShapeError(
-        f"top state with shape {top.shape} does not flatten to readout width {d}"
-    )
+    rank = 1 if params.fc_w else 3  # an fc top layer is a vector, a conv top C x H x W
+    if top.ndim not in (rank, rank + 1):
+        raise ops.ShapeError(f"top state rank {top.ndim}; one example has rank {rank}")
+    return ops.affine(_flat(top) if top.ndim > rank else top.reshape(-1), w, b)
 
 
 def _nudge_force(state_layers, params: Params, spec: ModelSpec, y, beta_signed: float):
     """-beta * dL/ds^N routed through the readout: -beta * W^T (softmax - onehot)."""
-    top = _flat(state_layers[-1])
-    logits = _linmap(top, params.readout_w) + params.readout_b
-    force = -beta_signed * _linmap_t(cross_entropy_grad(logits, y), params.readout_w)
-    return force.reshape(state_layers[-1].shape)
+    top = state_layers[-1]
+    err = cross_entropy_grad(_logits(top, params, spec), y)
+    force = -beta_signed * _adjoint(spec.n_layers, err, params, spec)
+    return force.reshape(top.shape)
 
 
 def dynamics_step(x, layers, params: Params, spec: ModelSpec, *, y=None,

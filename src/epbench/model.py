@@ -197,13 +197,6 @@ class NetworkState:
     pool_idx: list[np.ndarray] = field(default_factory=list)
     steps: int = 0
 
-    def copy(self) -> "NetworkState":
-        return NetworkState(
-            layers=[s.copy() for s in self.layers],
-            pool_idx=[i.copy() for i in self.pool_idx],
-            steps=self.steps,
-        )
-
 
 def zero_state(spec: ModelSpec, batch: int, dtype=np.float64) -> NetworkState:
     return NetworkState(

@@ -4,7 +4,8 @@ The energy-weight gradients come from differences of dPhi/dtheta between
 nudged and free fixed points (one-sided or symmetric rule); the readout is
 trained by the delta rule at the free fixed point and stays outside the
 energy. Optimization is plain SGD with momentum and one learning rate per
-weight tensor (biases share their layer's rate).
+connection (its weight and bias share it). The per-connection gradient math
+is energy's, shared with the dynamics.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from functools import partial
 
 import numpy as np
 
-from . import bench, ops
-from .energy import (_as_batch_x, _flat, _layers64, _linmap, cross_entropy_grad,
-                     free_phase, nudged_phase, readout)
+from . import bench
+from .energy import (_as_batch_x, _layers64, _logits, _set_connection, _weight_grad,
+                     cross_entropy_grad, free_phase, nudged_phase, readout)
 from .model import ModelSpec, NetworkState, Params, init_params
 
 _F = np.float64
@@ -61,10 +62,10 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
 
     def validate_for(self, spec: ModelSpec) -> None:
-        want = spec.n_conv + len(spec.fc) + 1  # one per weight tensor incl. readout
+        want = spec.n_layers + 1  # one per connection incl. readout
         if len(self.learning_rates) != want:
             raise ValueError(
-                f"need {want} learning rates (one per weight tensor incl. readout), "
+                f"need {want} learning rates (one per connection incl. readout), "
                 f"got {len(self.learning_rates)}"
             )
 
@@ -82,27 +83,11 @@ def phi_grad_params(x, state: NetworkState, params: Params,
     layers, _ = _layers64(state, spec)
     n = xb.shape[0]
     est = params.map(np.zeros_like, dtype=_F)
-    srcs = [xb] + layers[:-1]
-    for i, cs in enumerate(spec.conv):
-        # pooling routes of the bottom-up pass at this state
-        _, idx = ops.maxpool2(ops.conv2d(srcs[i], p64.conv_w[i], cs))
-        routed = ops.unpool2(layers[i], idx)
-        est.conv_w[i] = ops.conv2d_weight_grad(srcs[i], routed, cs) / n
-        est.conv_b[i] = layers[i].sum(axis=(0, 2, 3)) / n
-    for j in range(len(spec.fc)):
-        i = spec.n_conv + j
-        est.fc_w[j] = np.einsum("bk,bd->kd", layers[i], _flat(srcs[i]), dtype=_F) / n
-        est.fc_b[j] = layers[i].sum(axis=0) / n
+    for i, (src, s) in enumerate(zip([xb] + layers[:-1], layers)):
+        # conv weights use the pooling routes of the bottom-up pass at this state
+        dw, db = _weight_grad(i, src, s, p64, spec)
+        _set_connection(est, spec, i, dw / n, db / n)
     return est
-
-
-def _readout_delta(s_star_layers, params: Params, y) -> tuple[np.ndarray, np.ndarray]:
-    """dL/d(readout) at the free fixed point: the delta rule."""
-    top = _flat(s_star_layers[-1])
-    logits = _linmap(top, params.readout_w) + params.readout_b
-    err = cross_entropy_grad(logits, y)
-    gw = np.einsum("bk,bd->kd", err, top, dtype=_F) / len(y)
-    return gw, err.mean(axis=0)
 
 
 def ep_update_one_sided(x, y, params: Params, spec: ModelSpec,
@@ -147,32 +132,26 @@ def _ep_estimate(x, y, params: Params, spec: ModelSpec, cfg: TrainConfig, rule: 
     return lo.map(lambda u, v: a * u + b * v, hi)
 
 
-def _lr_for(name: str, spec: ModelSpec, cfg: TrainConfig) -> float:
-    lrs = cfg.learning_rates
-    if name.startswith("conv_"):
-        return lrs[int(name[6:])]  # conv_w{i} / conv_b{i} share rate i
-    if name.startswith("fc_"):
-        return lrs[spec.n_conv + int(name[4:])]
-    return lrs[-1]  # readout
-
-
 def sgd_momentum_step(params: Params, grads: Params, velocity: Params,
-                      spec: ModelSpec, cfg: TrainConfig) -> None:
-    """In-place: v <- mu*v + g; theta <- theta - lr_layer * v."""
-    for (name, p), (_, g), (_, v) in zip(
+                      cfg: TrainConfig) -> None:
+    """In-place: v <- mu*v + g; theta <- theta - lr * v, where tensor k of
+    Params.tensors() (weight and bias in turn) takes rate k // 2 of its connection."""
+    for k, ((_, p), (_, g), (_, v)) in enumerate(zip(
         params.tensors(), grads.tensors(), velocity.tensors()
-    ):
+    )):
         v *= cfg.momentum
         v += g
-        lr = _lr_for(name, spec, cfg)
-        p -= np.asarray(lr * v, dtype=p.dtype)
+        p -= np.asarray(cfg.learning_rates[k // 2] * v, dtype=p.dtype)
 
 
 def _ep_batch_grads(params, spec, cfg, xs, ys):
     s_star = free_phase(xs, params, spec)
     est = _ep_estimate(xs, ys, params, spec, cfg, cfg.update_rule, s_star)
-    est.readout_w, est.readout_b = _readout_delta(
-        s_star.layers, params.map(np.asarray, dtype=_F), ys)
+    # the readout learns by the delta rule at the free fixed point
+    p64, top, n = params.map(np.asarray, dtype=_F), s_star.layers[-1], spec.n_layers
+    err = cross_entropy_grad(_logits(top, p64, spec), ys)
+    gw, gb = _weight_grad(n, top, err, p64, spec)
+    _set_connection(est, spec, n, gw / len(ys), gb / len(ys))
     return est
 
 
@@ -199,7 +178,7 @@ def run_training(dataset, spec: ModelSpec, cfg: TrainConfig, grad_fn, predict_fn
             xs = np.asarray(dataset.images[take], dtype=_F)
             ys = dataset.labels[take]
             grads = grad_fn(params, xs, ys, rng)
-            sgd_momentum_step(params, grads, velocity, spec, cfg)
+            sgd_momentum_step(params, grads, velocity, cfg)
             if not params.all_finite():
                 raise DivergenceError(
                     f"non-finite parameter at epoch {epoch}, batch {b0 // cfg.batch_size}"

@@ -9,7 +9,8 @@ clamped input x feeds the first connection at every step, its gradient
 accumulates across all t steps.
 
 Everything here is per-example exact and bit-identical between batched and
-single-example calls.
+single-example calls. Each step's reverse pass is built from the connection
+drives and their adjoints in `energy`, the same ones the forward dynamics use.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
-from .energy import (_as_batch_x, _flat, _linmap, _linmap_t, _relax,
+from .energy import (_adjoint, _as_batch_x, _drive, _logits, _relax, _route, _unpool,
                      cross_entropy, cross_entropy_grad)
 from .model import ModelSpec, Params
 
@@ -60,44 +60,27 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
     """Pull a logit-space gradient back through readout and unrolled dynamics."""
     xb, batched = _as_batch_x(x, spec)
     params = params.map(np.asarray, dtype=_F)
-    n_conv, n_layers = spec.n_conv, spec.n_layers
 
-    g_logits = np.asarray(g_logits, dtype=_F)
-    if g_logits.ndim == 1:
-        g_logits = g_logits[None]
-    # readout: logits = flat(s^N) @ W^T + b
+    g_logits = np.atleast_2d(np.asarray(g_logits, dtype=_F))
     g_layers = [np.zeros_like(s) for s in tape.final]
-    g_layers[-1] = _linmap_t(g_logits, params.readout_w).reshape(tape.final[-1].shape)
+    g_layers[-1] = _adjoint(spec.n_layers, g_logits, params, spec).reshape(
+        tape.final[-1].shape)
     g_x = np.zeros_like(xb)
 
     for step in reversed(range(tape.steps)):
-        idx = tape.pool_idx[step]
-        masks = tape.masks[step]
-        g_pre = [g * m for g, m in zip(g_layers, masks)]
+        routes = tape.pool_idx[step]
+        g_pre = [g * m for g, m in zip(g_layers, tape.masks[step])]
         g_new = [np.zeros_like(s) for s in tape.final]
-        for i in range(n_layers):
+        sinks = [g_x] + g_new[:-1]  # what connection i reads: x, then s^1..s^{N-1}
+        for i in range(spec.n_layers):
+            route = _route(routes, i)
             # bottom-up term of connection i read s^{i-1} (or x)
-            if i < n_conv:
-                back = ops.conv2d_transpose(
-                    ops.unpool2(g_pre[i], idx[i]), params.conv_w[i], spec.conv[i]
-                )
-            else:
-                back = _linmap_t(g_pre[i], params.fc_w[i - n_conv])
-            if i == 0:
-                g_x += back.reshape(xb.shape)
-            else:
-                g_new[i - 1] += back.reshape(g_new[i - 1].shape)
+            back = _adjoint(i, _unpool(g_pre[i], route), params, spec)
+            sinks[i] += back.reshape(sinks[i].shape)
             # top-down term of connection i (into layer i-1) read s^i
             if i >= 1:
-                if i < n_conv:
-                    g_new[i] += ops.pool_gather(
-                        ops.conv2d(g_pre[i - 1], params.conv_w[i], spec.conv[i]),
-                        idx[i],
-                    )
-                else:
-                    g_new[i] += _linmap(_flat(g_pre[i - 1]), params.fc_w[i - n_conv]).reshape(
-                        g_new[i].shape
-                    )
+                fwd, _ = _drive(i, g_pre[i - 1], params, spec, route)
+                g_new[i] += fwd.reshape(g_new[i].shape)
         g_layers = g_new
     return g_x if batched else g_x[0]
 
@@ -127,8 +110,7 @@ def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):
     """
     xb, _ = _as_batch_x(xs, spec)
     tape = record_free_phase(xb, params, spec, t)
-    p64 = params.map(np.asarray, dtype=_F)
-    logits = _linmap(_flat(tape.final[-1]), p64.readout_w) + p64.readout_b
+    logits = _logits(tape.final[-1], params.map(np.asarray, dtype=_F), spec)
 
     def vjp(g_logits: np.ndarray) -> np.ndarray:
         return backward_input(tape, xb, params, spec, g_logits)

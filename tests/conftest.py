@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from epbench import baseline, data, energy, training
-from epbench.model import ModelSpec, tiny_model
+from epbench.model import ModelSpec, init_params, tiny_model
 from epbench.ops import ConvSpec
 
 DESK_NOISE = 0.5
@@ -45,6 +45,14 @@ def fd_param_grads(x, y, params, spec, h=1e-4, skip_readout=True):
             g[ix] = (lp - lm) / (2 * h)
         out[name] = g
     return out
+
+
+def conv_fc_model(rng, *, scale=1.0):
+    """Random tiny model with an fc connection inside the energy: conv 1->4 on
+    1x8x8, then fc 64->6, then a 3-class readout."""
+    spec = ModelSpec(input_shape=(1, 8, 8), conv=(ConvSpec(1, 4, 3, 1),),
+                     fc=((64, 6),), readout_dim=3)
+    return spec, init_params(spec, rng, dtype=np.float64, scale=scale)
 
 
 def desk_spec() -> ModelSpec:

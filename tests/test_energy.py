@@ -260,6 +260,18 @@ class TestReadoutPredict:
         ref = params.readout_w.astype(np.float64) @ flat + params.readout_b
         assert np.max(np.abs(z - ref)) < 1e-6
 
+    def test_unbatched_one_channel_conv_top(self):
+        # a 1x4x4 top state: one channel holds as many elements as the readout
+        # reads, so an element count cannot tell whether axis 0 is the batch
+        spec = ModelSpec(input_shape=(1, 8, 8), conv=(ConvSpec(1, 1, 3, 1),),
+                         readout_dim=3, t_free=10)
+        params = init_params(spec, np.random.default_rng(16), dtype=np.float64)
+        x = np.random.default_rng(17).uniform(0, 1, spec.input_shape)
+        z = energy.readout(energy.free_phase(x, params, spec), params)
+        zb = energy.readout(energy.free_phase(x[None], params, spec), params)
+        assert z.shape == (3,)
+        assert np.array_equal(z, zb[0])
+
     def test_shallow_t_gives_chance(self):
         # before information reaches the top layer the logits cannot depend
         # on the input; with all biases silenced they are exactly the

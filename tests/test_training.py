@@ -9,7 +9,7 @@ from epbench import baseline, energy, training
 from epbench.model import ModelSpec, NetworkState, init_params, tiny_model
 from epbench.ops import ConvSpec
 from epbench.training import AdversarialBlock, DivergenceError, TrainConfig
-from conftest import (desk_spec, desk_train_config, fd_param_grads,
+from conftest import (conv_fc_model, desk_spec, desk_train_config, fd_param_grads,
                       oracle_model)
 
 
@@ -215,9 +215,11 @@ class TestTrainLoops:
 
 
 class TestBPGradients:
-    def test_param_grads_match_fd(self):
+    @pytest.mark.parametrize("make_model", [tiny_model, conv_fc_model],
+                             ids=["conv", "conv_fc"])
+    def test_param_grads_match_fd(self, make_model):
         rng = np.random.default_rng(16)
-        spec, params = tiny_model(np.random.default_rng(17), scale=1.0)
+        spec, params = make_model(np.random.default_rng(17), scale=1.0)
         xs = rng.uniform(0, 1, (3,) + spec.input_shape)
         ys = np.array([0, 1, 2])
         grads = dict(baseline._bp_batch_grads(params, spec, xs, ys).tensors())
@@ -242,9 +244,11 @@ class TestBPGradients:
                 if abs(fd) > 1e-8:
                     assert abs(fd - grads[name][ix]) / abs(fd) < 1e-4, name
 
-    def test_input_grad_directional(self):
+    @pytest.mark.parametrize("make_model", [tiny_model, conv_fc_model],
+                             ids=["conv", "conv_fc"])
+    def test_input_grad_directional(self, make_model):
         rng = np.random.default_rng(18)
-        spec, params = tiny_model(np.random.default_rng(19))
+        spec, params = make_model(np.random.default_rng(19))
         xs = rng.uniform(0.1, 0.9, (2,) + spec.input_shape)
         ys = np.array([1, 0])
         _, gx = baseline.bp_loss_and_input_grad(xs, ys, params, spec)

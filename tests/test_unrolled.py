@@ -2,10 +2,12 @@
 step, finite differences, saturation, batching, and the memory contract."""
 
 import numpy as np
+import pytest
 
 from epbench import energy, ops, unrolled
 from epbench.model import ModelSpec, init_params, tiny_model
 from epbench.ops import ConvSpec
+from conftest import conv_fc_model
 
 
 class TestInputGrad:
@@ -88,9 +90,11 @@ class TestInputGrad:
                 rel = np.linalg.norm(gk - gT) / np.linalg.norm(gT)
                 assert rel < 1e-3
 
-    def test_directional_derivative_100_pairs(self):
+    @pytest.mark.parametrize("make_model", [tiny_model, conv_fc_model],
+                             ids=["conv", "conv_fc"])
+    def test_directional_derivative_100_pairs(self, make_model):
         rng = np.random.default_rng(5)
-        spec, params = tiny_model(np.random.default_rng(11), scale=0.8)
+        spec, params = make_model(np.random.default_rng(11), scale=0.8)
         t = 15
         h = 1e-3
         passed = tried = 0
