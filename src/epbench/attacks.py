@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 
 _F = np.float64
 
@@ -87,19 +88,17 @@ def _batch_norms(delta: np.ndarray, norm: str) -> np.ndarray:
 
 
 def project(x0: np.ndarray, x: np.ndarray, norm: str, epsilon: float) -> np.ndarray:
-    """Nearest point to x in the epsilon-ball around x0, then box-clipped.
+    """Nearest point to each x[n] in the epsilon-ball around x0[n], then
+    box-clipped; both are [B, C, H, W].
 
     Box clipping after ball projection cannot re-violate either ball, since
     x0 itself lies in [0,1].
     """
     x0 = np.asarray(x0, dtype=_F)
-    x = np.asarray(x, dtype=_F)
+    x = ops._as_batch(np.asarray(x, dtype=_F), "project")
     if x0.shape != x.shape:
         raise ValueError(f"project: shapes differ ({x0.shape} vs {x.shape})")
-    single = x.ndim == x0.ndim and x.ndim < 4
-    xb = x if x.ndim == 4 else x[None]
-    x0b = x0 if x0.ndim == 4 else x0[None]
-    delta = xb - x0b
+    delta = x - x0
     if norm == "linf":
         delta = np.clip(delta, -epsilon, epsilon)
     else:
@@ -108,21 +107,20 @@ def project(x0: np.ndarray, x: np.ndarray, norm: str, epsilon: float) -> np.ndar
         over = norms > epsilon
         scale[over] = epsilon / norms[over]
         delta = delta * scale[:, None, None, None]
-    out = np.clip(x0b + delta, 0.0, 1.0)
-    return out[0] if (x.ndim < 4) else out
+    return np.clip(x0 + delta, 0.0, 1.0)
 
 
 def steepest_ascent(g: np.ndarray, norm: str) -> np.ndarray:
-    """argmax_{||v||<=1} v.g: sign(g) for linf, g/||g|| for l2 (0 if g=0)."""
-    g = np.asarray(g, dtype=_F)
+    """Per example of g [B, C, H, W], argmax_{||v||<=1} v.g: sign(g) for
+    linf, g/||g|| for l2 (0 if g=0)."""
+    g = ops._as_batch(np.asarray(g, dtype=_F), "steepest_ascent gradient")
     if norm == "linf":
         return np.sign(g)
-    gb = g if g.ndim == 4 else g[None]
-    norms = _batch_norms(gb, "l2")
-    out = np.zeros_like(gb)
+    norms = _batch_norms(g, "l2")
+    out = np.zeros_like(g)
     nz = norms > 0
-    out[nz] = gb[nz] / norms[nz][:, None, None, None]
-    return out if g.ndim == 4 else out[0]
+    out[nz] = g[nz] / norms[nz][:, None, None, None]
+    return out
 
 
 def uniform_ball(rng: np.random.Generator, shape, norm: str, epsilon: float) -> np.ndarray:
@@ -256,7 +254,7 @@ def square_attack(xs, ys, query_model, cfg: AttackConfig) -> AttackResult:
         x0 = xs[i:i + 1]
         if eps == 0.0:
             loss = _margin(query_model(x0), ys[i:i + 1])[0]
-            return x0[0], loss < 0, 1, loss
+            return x0, loss < 0, 1, loss
         stripes = eps * rng.choice([-1.0, 1.0], size=(1, C, 1, W))
         x_best = np.clip(x0 + stripes, 0.0, 1.0)
         loss_best = _margin(query_model(x_best), ys[i:i + 1])[0]
@@ -285,10 +283,10 @@ def square_attack(xs, ys, query_model, cfg: AttackConfig) -> AttackResult:
             if loss_new < loss_best:  # strict decrease only
                 loss_best = loss_new
                 x_best = x_new
-        return x_best[0], loss_best < 0, q, loss_best
+        return x_best, loss_best < 0, q, loss_best
 
     rows = [attack_one(i) for i in range(n)]
-    adv = np.stack([r[0] for r in rows]) if rows else xs.copy()
+    adv = np.concatenate([r[0] for r in rows]) if rows else xs.copy()
     return AttackResult(
         adversarial=adv,
         success=np.array([r[1] for r in rows], dtype=bool),
@@ -318,7 +316,7 @@ def random_noise_baseline(xs, ys, query_model, cfg: AttackConfig) -> AttackResul
             queries[i] += 1
             if m < best:
                 best = m
-                adv[i] = x_try[0]
+                adv[i:i + 1] = x_try
             if m < 0:
                 success[i] = True
                 break

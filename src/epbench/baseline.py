@@ -27,7 +27,7 @@ _F = np.float64
 
 def bp_forward(xs, params: Params, spec: ModelSpec, collect: bool = False):
     """Feedforward logits; with collect=True also the per-layer cache."""
-    xb, _ = _as_batch_x(xs, spec)
+    xb = _as_batch_x(xs, spec)
     p64 = params.map(np.asarray, dtype=_F)
     cache = []
     s = xb
@@ -61,13 +61,9 @@ def bp_backward(cache, params: Params, spec: ModelSpec, g_logits):
 
 
 def bp_loss_and_input_grad(xs, ys, params: Params, spec: ModelSpec):
-    """Per-example cross-entropy losses and input gradients."""
-    ys = np.atleast_1d(np.asarray(ys))
+    """Per-example cross-entropy losses [B] and input gradients."""
     logits, vjp = bp_logits_and_vjp(xs, params, spec)
-    losses, g_x = cross_entropy(logits, ys), vjp(cross_entropy_grad(logits, ys))
-    if np.ndim(xs) == 4:
-        return losses, g_x
-    return float(losses[0]), g_x[0]
+    return cross_entropy(logits, ys), vjp(cross_entropy_grad(logits, ys))
 
 
 def bp_predict(xs, params: Params, spec: ModelSpec):
@@ -76,7 +72,7 @@ def bp_predict(xs, params: Params, spec: ModelSpec):
 
 def bp_logits_and_vjp(xs, params: Params, spec: ModelSpec):
     """Feedforward logits plus a pullback from logit space to input space."""
-    xb, _ = _as_batch_x(xs, spec)
+    xb = _as_batch_x(xs, spec)
     logits, cache = bp_forward(xb, params, spec, collect=True)
 
     def vjp(g_logits):

@@ -44,16 +44,19 @@ def _synth_from_snapshot(snap: dict, split: str) -> Dataset:
                          seed=seed + 1, noise=noise, split="test")
 
 
-def _load_eval_data(args, ckpt: Checkpoint) -> Dataset:
-    source = getattr(args, "data", None) or ckpt.train_config.get("data", "synth")
+def _open_checkpoint(args):
+    """(checkpoint, evaluation data, handle, model id) for --ckpt. The data is
+    --data, else the test split of the recipe the checkpoint was trained on;
+    the handle reads an ep model at --timestep."""
+    ckpt = load_checkpoint(args.ckpt)
+    source = args.data or ckpt.train_config.get("data", "synth")
     if source == "synth":
         ds = _synth_from_snapshot(ckpt.train_config, split="test")
     else:
-        ds = load_cifar_binary(source, variant=getattr(args, "cifar_variant", "cifar10"))
-    subset = getattr(args, "subset", None)
-    if subset:
-        ds = ds.subset(subset)
-    return ds
+        ds = load_cifar_binary(source, variant=args.cifar_variant)
+    if args.subset:
+        ds = ds.subset(args.subset)
+    return ckpt, ds, from_checkpoint(ckpt, args.timestep), Path(args.ckpt).stem
 
 
 def cmd_train(args) -> int:
@@ -120,12 +123,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    ds = _load_eval_data(args, ckpt)
+    _, ds, model, model_id = _open_checkpoint(args)
     xs = np.asarray(ds.images, dtype=np.float64)
     ys = ds.labels
-    model_id = Path(args.ckpt).stem
-    model = from_checkpoint(ckpt, args.timestep)
 
     records: list[RunRecord] = []
     t0 = time.perf_counter()
@@ -172,22 +172,17 @@ def cmd_attack(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    ds = _load_eval_data(args, ckpt)
-    model_id = Path(args.ckpt).stem
-    model = from_checkpoint(ckpt, args.timestep)
+    _, ds, model, model_id = _open_checkpoint(args)
     kinds = args.kinds.split(",") if args.kinds else list(corruptions.KINDS)
-    severities = _split_ints(args.severities)
     records = []
-    t0 = time.perf_counter()
-    grid = corruptions.corruption_sweep(ds, model.predict, kinds=kinds,
-                                        severities=severities, seed=args.seed)
-    wall = (time.perf_counter() - t0) * 1000 / max(len(grid), 1)
+    grid, wall_ms = corruptions.corruption_sweep(
+        ds, model.predict, kinds=kinds, severities=_split_ints(args.severities),
+        seed=args.seed)
     for (kind, sev), acc in sorted(grid.items()):
         name = "clean" if sev == 0 else kind
         records.append(RunRecord(model=model_id, attack=name, severity=sev,
                                  accuracy=acc, n=len(ds.labels), seed=args.seed,
-                                 wall_ms=wall))
+                                 wall_ms=wall_ms[(kind, sev)]))
         print(f"{kind:15s} severity {sev}: accuracy {acc:.4f}")
     bench.emit_results(records, args.out, fmt=args.format)
     print(f"wrote {len(records)} records -> {args.out}")
@@ -195,15 +190,13 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    ds = _load_eval_data(args, ckpt)
-    model = from_checkpoint(ckpt, args.timestep)
+    ckpt, ds, model, model_id = _open_checkpoint(args)
     t0 = time.perf_counter()
     acc = bench.evaluate(model.predict, ds, batch_size=args.batch_size)
     wall = (time.perf_counter() - t0) * 1000
     print(f"accuracy: {acc:.4f} on {len(ds.labels)} examples")
     out = args.out or (str(Path(args.ckpt).with_suffix("")) + "_eval.csv")
-    bench.emit_results([RunRecord(model=Path(args.ckpt).stem, attack="clean",
+    bench.emit_results([RunRecord(model=model_id, attack="clean",
                                   accuracy=acc, n=len(ds.labels), seed=ckpt.seed,
                                   wall_ms=wall)], out, fmt=args.format)
     print(f"wrote 1 record -> {out}")
@@ -211,10 +204,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    ds = _load_eval_data(args, ckpt)
-    model = from_checkpoint(ckpt, args.timestep)
-    model_id = Path(args.ckpt).stem
+    _, ds, model, model_id = _open_checkpoint(args)
     curve = uncertainty.disagreement_curve(
         lambda xs, _t: model.predict(xs), ds.images, args.norm,
         _split_floats(args.eps_grid), samples_per_eps=args.samples,
@@ -260,6 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="epbench",
                                  description="energy-model robustness benchmark")
     sub = ap.add_subparsers(dest="command", required=True)
+    # shared by the commands that read a checkpoint; run_args adds a seed
+    # and a required result file
+    ckpt_args = argparse.ArgumentParser(add_help=False)
+    ckpt_args.add_argument("--ckpt", required=True)
+    ckpt_args.add_argument("--timestep", type=int, default=None)
+    ckpt_args.add_argument("--data", default=None)
+    ckpt_args.add_argument("--cifar-variant", choices=("cifar10", "cifar100"),
+                           default="cifar10")
+    ckpt_args.add_argument("--subset", type=int, default=None)
+    ckpt_args.add_argument("--format", choices=("csv", "json"), default="csv")
+    run_args = argparse.ArgumentParser(add_help=False, parents=[ckpt_args])
+    run_args.add_argument("--seed", type=int, default=0)
+    run_args.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     p.add_argument("--model", choices=("ep", "bp", "adv"), required=True)
@@ -272,58 +275,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("attack", help="run attacks against a checkpoint")
-    p.add_argument("--ckpt", required=True)
+    p = sub.add_parser("attack", help="run attacks against a checkpoint",
+                       parents=[run_args])
     p.add_argument("--family", choices=("pgd", "cw", "square", "suite"), required=True)
     p.add_argument("--norm", choices=("l2", "linf"), default="linf")
     p.add_argument("--eps", required=True, help="comma list of strengths")
     p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--timestep", type=int, default=None)
     p.add_argument("--query-budget", type=int, default=5000)
-    p.add_argument("--data", default=None)
-    p.add_argument("--cifar-variant", choices=("cifar10", "cifar100"), default="cifar10")
-    p.add_argument("--subset", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_attack)
 
-    p = sub.add_parser("corrupt", help="severity sweep of natural corruptions")
-    p.add_argument("--ckpt", required=True)
+    p = sub.add_parser("corrupt", help="severity sweep of natural corruptions",
+                       parents=[run_args])
     p.add_argument("--kinds", default="")
     p.add_argument("--severities", default="1,2,3,4,5")
-    p.add_argument("--timestep", type=int, default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--cifar-variant", choices=("cifar10", "cifar100"), default="cifar10")
-    p.add_argument("--subset", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_corrupt)
 
-    p = sub.add_parser("eval", help="clean accuracy of a checkpoint")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", default=None)
-    p.add_argument("--cifar-variant", choices=("cifar10", "cifar100"), default="cifar10")
-    p.add_argument("--subset", type=int, default=None)
-    p.add_argument("--timestep", type=int, default=None)
+    p = sub.add_parser("eval", help="clean accuracy of a checkpoint", parents=[ckpt_args])
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("uncertainty", help="disagreement curve and exponent fit")
-    p.add_argument("--ckpt", required=True)
+    p = sub.add_parser("uncertainty", help="disagreement curve and exponent fit",
+                       parents=[run_args])
     p.add_argument("--eps-grid", required=True, help="comma list, strictly increasing")
     p.add_argument("--samples", type=int, default=32)
     p.add_argument("--norm", choices=("l2", "linf"), default="l2")
-    p.add_argument("--timestep", type=int, default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--cifar-variant", choices=("cifar10", "cifar100"), default="cifar10")
-    p.add_argument("--subset", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_uncertainty)
 
     p = sub.add_parser("report", help="aggregate result files")

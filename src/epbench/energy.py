@@ -18,9 +18,10 @@ drive, bias, adjoint at fixed pool routes, weight gradient and (w, b) in
 Params are written once here; the unrolled reverse pass, the EP rules and
 the backprop twin reuse them.
 
-All dynamics run in float64 regardless of parameter dtype. Functions accept
-either a single example (x of rank 3) or a batch (rank 4) and return matching
-structure.
+All dynamics run in float64 regardless of parameter dtype. Every input,
+state and result carries a leading batch axis: x is [B, C, H, W], each state
+layer [B, ...], logits [B, K]; an input without it is rejected with
+ops.ShapeError.
 """
 
 from __future__ import annotations
@@ -33,37 +34,33 @@ from .model import ModelSpec, NetworkState, Params, zero_state
 _F = np.float64
 
 
-def _as_batch_x(x, spec: ModelSpec):
+def _as_batch_x(x, spec: ModelSpec) -> np.ndarray:
+    """x as float64, checked to be [B, C, H, W] with the model's (C, H, W)."""
     x = np.asarray(x, dtype=_F)
-    if x.shape == spec.input_shape:
-        return x[None], False
-    if x.ndim == 4 and x.shape[1:] == spec.input_shape:
-        return x, True
-    raise ops.ShapeError(
-        f"input shape {x.shape} does not match model input {spec.input_shape}"
-    )
+    if x.ndim != 4 or x.shape[1:] != spec.input_shape:
+        raise ops.ShapeError(
+            f"input shape {x.shape} is not [B, C, H, W] with (C, H, W) = "
+            f"{spec.input_shape}"
+        )
+    return x
 
 
 def _flat(s: np.ndarray) -> np.ndarray:
     return s.reshape(s.shape[0], -1)
 
 
-def _layers64(state: NetworkState, spec: ModelSpec) -> tuple[list[np.ndarray], bool]:
-    """Cast state layers to float64 with a batch axis; report if one was added."""
+def _layers64(state: NetworkState, spec: ModelSpec) -> list[np.ndarray]:
+    """State layers as float64, each checked to be [B] + its layer shape."""
     shapes = spec.state_shapes()
     layers = [np.asarray(s, dtype=_F) for s in state.layers]
     if len(layers) != len(shapes):
         raise ops.ShapeError(
             f"state has {len(layers)} layers, model has {len(shapes)}"
         )
-    batched = layers[0].ndim == len(shapes[0]) + 1
     for n, (s, shp) in enumerate(zip(layers, shapes)):
-        want = s.shape[1:] if batched else s.shape
-        if want != shp:
-            raise ops.ShapeError(f"layer {n} state shape {s.shape} != {shp}")
-    if not batched:
-        layers = [s[None] for s in layers]
-    return layers, batched
+        if s.shape[1:] != shp:
+            raise ops.ShapeError(f"layer {n} state shape {s.shape} != [B] + {shp}")
+    return layers
 
 
 def _connection(params: Params, spec: ModelSpec, i: int):
@@ -165,27 +162,24 @@ def _add_top_down(pre, layers, params: Params, spec: ModelSpec, routes):
 
 
 def phi(x, state: NetworkState, params: Params, spec: ModelSpec):
-    """Scalar energy; a vector of per-example energies for batched input."""
-    xb, batched = _as_batch_x(x, spec)
+    """Per-example energies [B]."""
+    xb = _as_batch_x(x, spec)
     params = params.map(np.asarray, dtype=_F)
-    layers, _ = _layers64(state, spec)
+    layers = _layers64(state, spec)
     pre, _ = _bottom_up(xb, layers, params, spec)
     total = np.zeros(xb.shape[0], dtype=_F)
     for s, p in zip(layers, pre):
         total += np.einsum("bi,bi->b", _flat(s), _flat(p), dtype=_F)
-    return total if batched else float(total[0])
+    return total
 
 
 def phi_grad_state(x, state: NetworkState, params: Params, spec: ModelSpec):
     """dPhi/ds^n for every layer: bottom-up drive plus feedback from above."""
-    xb, batched = _as_batch_x(x, spec)
+    xb = _as_batch_x(x, spec)
     params = params.map(np.asarray, dtype=_F)
-    layers, _ = _layers64(state, spec)
+    layers = _layers64(state, spec)
     pre, idx = _bottom_up(xb, layers, params, spec)
-    pre = _add_top_down(pre, layers, params, spec, idx)
-    if batched:
-        return pre
-    return [p[0] for p in pre]
+    return _add_top_down(pre, layers, params, spec, idx)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -209,14 +203,12 @@ def cross_entropy_grad(logits: np.ndarray, y) -> np.ndarray:
 
 
 def readout(state: NetworkState, params: Params) -> np.ndarray:
-    """Logits from the flattened top state; batched in, batched out."""
-    top = np.asarray(state.layers[-1], dtype=_F)
+    """Logits [B, K] from the flattened top state [B, ...]."""
+    top = ops._as_batch(np.asarray(state.layers[-1], dtype=_F), "top state",
+                        "B, D" if params.fc_w else "B, C, H, W")
     w = np.asarray(params.readout_w, dtype=_F)
     b = np.asarray(params.readout_b, dtype=_F)
-    rank = 1 if params.fc_w else 3  # an fc top layer is a vector, a conv top C x H x W
-    if top.ndim not in (rank, rank + 1):
-        raise ops.ShapeError(f"top state rank {top.ndim}; one example has rank {rank}")
-    return ops.affine(_flat(top) if top.ndim > rank else top.reshape(-1), w, b)
+    return ops.affine(_flat(top), w, b)
 
 
 def _nudge_force(state_layers, params: Params, spec: ModelSpec, y, beta_signed: float):
@@ -252,13 +244,13 @@ def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
     Applies up to t dynamics steps to the batched float64 `layers` (None
     starts from the all-zero state) and stops early once the largest
     infinity-norm step difference across layers drops below tol (tol <= 0
-    runs all t steps). Returns (state, routes, masks): the state is shaped
-    like x, and with record set routes[k] and masks[k] are the pool routes
-    and clamp masks used by step k (both lists stay empty otherwise).
+    runs all t steps). Returns (state, routes, masks): with record set
+    routes[k] and masks[k] are the pool routes and clamp masks used by step k
+    (both lists stay empty otherwise).
     """
     if t < 1:
         raise ValueError(f"a relaxation needs t >= 1, got t={t}")
-    xb, batched = _as_batch_x(x, spec)
+    xb = _as_batch_x(x, spec)
     params = params.map(np.asarray, dtype=_F)
     if layers is None:
         layers = zero_state(spec, xb.shape[0]).layers
@@ -273,8 +265,6 @@ def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
         layers = new
         if done:
             break
-    if not batched:
-        layers, idx = [s[0] for s in layers], [i[0] for i in idx]
     return NetworkState(layers=layers, pool_idx=idx, steps=steps), routes, masks
 
 
@@ -297,28 +287,22 @@ def nudged_phase(x, params: Params, spec: ModelSpec, s_star: NetworkState, y,
     beta_signed = 0 reproduces plain free-phase continuation bit for bit.
     """
     t = spec.t_nudge if t is None else t
-    layers, _ = _layers64(s_star, spec)
-    state, _, _ = _relax(x, layers, params, spec, t, 0.0,
-                         y=np.atleast_1d(np.asarray(y)), beta_signed=beta_signed)
+    state, _, _ = _relax(x, _layers64(s_star, spec), params, spec, t, 0.0,
+                         y=y, beta_signed=beta_signed)
     state.steps += s_star.steps
     return state
 
 
 def logits_at(x, params: Params, spec: ModelSpec, t: int) -> np.ndarray:
-    """Readout logits after exactly t free-phase steps (no early exit)."""
-    xb, batched = _as_batch_x(x, spec)
-    state = free_phase(xb, params, spec, t=t, fp_tol=0.0)
-    z = readout(state, params)
-    return z if batched else z[0]
+    """Readout logits [B, K] after exactly t free-phase steps (no early exit)."""
+    return readout(free_phase(x, params, spec, t=t, fp_tol=0.0), params)
 
 
 def predict_at(x, params: Params, spec: ModelSpec, t: int):
-    """(label, logits) after exactly t free-phase steps; ties -> lowest index."""
+    """(labels [B], logits [B, K]) after exactly t free-phase steps; ties go
+    to the lowest index, as argmax takes the first."""
     z = logits_at(x, params, spec, t)
-    label = np.argmax(z, axis=-1)  # argmax takes the first (lowest) index on ties
-    if z.ndim == 1:
-        return int(label), z
-    return label, z
+    return np.argmax(z, axis=-1), z
 
 
 def convergence_step(x, params: Params, spec: ModelSpec, t: int | None = None,

@@ -21,9 +21,9 @@ _F = np.float64
 
 @dataclass(frozen=True)
 class ModelHandle:
-    """logits(xs) -> [B,K]; logits_vjp(xs) -> (logits, pullback from logit to
-    pixel space). Cross-entropy gradients (loss_grad) and labels (predict)
-    derive from these two.
+    """logits(xs) -> [B,K] for images xs [B,C,H,W]; logits_vjp(xs) -> (logits,
+    pullback from logit to pixel space). Cross-entropy gradients (loss_grad)
+    and labels (predict) derive from these two.
 
     timestep is the free-phase step a dynamics model is read at; None for
     feedforward models.
@@ -53,7 +53,8 @@ def for_params(params: Params, spec: ModelSpec, kind: str, timestep: int | None,
     if normalize is None:
         mean, std = _F(0.0), _F(1.0)
     else:
-        mean, std = (np.asarray(a, dtype=_F).reshape(1, -1, 1, 1) for a in normalize)
+        # [C, 1, 1] keeps the rank of xs, so the model rejects unbatched images
+        mean, std = (np.asarray(a, dtype=_F).reshape(-1, 1, 1) for a in normalize)
 
     def to_model(xs):
         return (np.asarray(xs, dtype=_F) - mean) / std

@@ -3,8 +3,9 @@
 Tensors are plain row-major numpy arrays of real floats. Spatial convolution
 uses the cross-correlation convention (no kernel flip) with stride fixed at 1;
 ``conv2d_transpose`` is its exact adjoint, and ``unpool2`` is the adjoint of
-``maxpool2`` for a fixed set of argmax indices. Inputs may carry an optional
-leading batch axis; outputs match the rank of the input.
+``maxpool2`` for a fixed set of argmax indices. Every operand carries a
+leading batch axis: images and feature maps are [B, C, H, W], affine inputs
+[B, D]; an operand without it is rejected with ShapeError.
 
 All functions are pure (inputs never mutated) and deterministic: accumulation
 happens in float64 via ``np.einsum`` with a fixed contraction order, so
@@ -50,14 +51,12 @@ class ConvSpec:
         return out
 
 
-def _as_batch(x: np.ndarray, rank: int, what: str):
-    """Return (batched array, had_batch_axis). `rank` is the unbatched rank."""
+def _as_batch(x: np.ndarray, what: str, axes: str = "B, C, H, W") -> np.ndarray:
+    """x as an array, checked to have one axis per name in `axes`."""
     x = np.asarray(x)
-    if x.ndim == rank:
-        return x[None], False
-    if x.ndim == rank + 1:
-        return x, True
-    raise ShapeError(f"{what}: expected rank {rank} or {rank + 1}, got rank {x.ndim}")
+    if x.ndim != axes.count(",") + 1:
+        raise ShapeError(f"{what}: expected [{axes}], got shape {x.shape}")
+    return x
 
 
 def _einsum(subscripts, *operands, dtype):
@@ -67,11 +66,11 @@ def _einsum(subscripts, *operands, dtype):
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlate x[C_in,H,W] (or [B,C_in,H,W]) with w[C_out,C_in,k,k].
+    """Cross-correlate x[B,C_in,H,W] with w[C_out,C_in,k,k].
 
-    y[o,i,j] = sum_{c,a,b} w[o,c,a,b] * x_padded[c,i+a,j+b]
+    y[n,o,i,j] = sum_{c,a,b} w[o,c,a,b] * x_padded[n,c,i+a,j+b]
     """
-    xb, batched = _as_batch(x, 3, "conv2d input")
+    xb = _as_batch(x, "conv2d input")
     w = np.asarray(w)
     if w.ndim != 4:
         raise ShapeError(f"conv2d kernel: expected rank 4, got rank {w.ndim}")
@@ -92,13 +91,12 @@ def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
         xb = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
     win = sliding_window_view(xb, (spec.kernel, spec.kernel), axis=(2, 3))
     dtype = np.result_type(x, w)
-    y = _einsum("ocab,ncijab->noij", w, win, dtype=dtype)
-    return y if batched else y[0]
+    return _einsum("ocab,ncijab->noij", w, win, dtype=dtype)
 
 
 def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Exact adjoint of conv2d: <conv2d(x,w), g> == <x, conv2d_transpose(g,w)>."""
-    gb, batched = _as_batch(g, 3, "conv2d_transpose input")
+    gb = _as_batch(g, "conv2d_transpose input")
     w = np.asarray(w)
     if gb.shape[1] != spec.out_channels:
         raise ShapeError(
@@ -119,8 +117,7 @@ def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray
         q = 0
     wt = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
     tspec = ConvSpec(spec.out_channels, spec.in_channels, spec.kernel, q)
-    y = conv2d(gb, wt, tspec)
-    return y if batched else np.asarray(y)
+    return conv2d(gb, wt, tspec)
 
 
 def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -128,8 +125,8 @@ def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarr
 
     u must be shaped like the conv2d output for x under spec.
     """
-    xb, _ = _as_batch(x, 3, "conv2d_weight_grad input")
-    ub, _ = _as_batch(u, 3, "conv2d_weight_grad upstream")
+    xb = _as_batch(x, "conv2d_weight_grad input")
+    ub = _as_batch(u, "conv2d_weight_grad upstream")
     if ub.shape[0] != xb.shape[0]:
         raise ShapeError("conv2d_weight_grad: batch axes differ")
     p = spec.padding
@@ -143,10 +140,10 @@ def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarr
 def maxpool2(x: np.ndarray):
     """2x2 stride-2 max pooling. Returns (pooled, indices).
 
-    indices[...,i,j] is the flat row-major index into the [H,W] plane of the
+    indices[n,c,i,j] is the flat row-major index into the [H,W] plane of the
     argmax of window (i,j); ties break toward the lowest flat index.
     """
-    xb, batched = _as_batch(x, 3, "maxpool2 input")
+    xb = _as_batch(x, "maxpool2 input")
     B, C, H, W = xb.shape
     if H % 2 or W % 2:
         raise ShapeError(
@@ -162,16 +159,13 @@ def maxpool2(x: np.ndarray):
     pooled = np.take_along_axis(cand, slot[..., None], axis=-1)[..., 0]
     rows = np.arange(0, H, 2)[:, None] + slot // 2
     cols = np.arange(0, W, 2)[None, :] + slot % 2
-    idx = rows * W + cols
-    if not batched:
-        return pooled[0], idx[0]
-    return pooled, idx
+    return pooled, rows * W + cols
 
 
 def unpool2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Adjoint of maxpool2 for fixed indices: scatter g to its argmax cells."""
-    gb, batched = _as_batch(g, 3, "unpool2 input")
-    ib, _ = _as_batch(idx, 3, "unpool2 indices")
+    gb = _as_batch(g, "unpool2 input")
+    ib = _as_batch(idx, "unpool2 indices")
     if gb.shape != ib.shape:
         raise ShapeError(f"unpool2: value shape {gb.shape} != index shape {ib.shape}")
     B, C, h, w = gb.shape
@@ -184,8 +178,7 @@ def unpool2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
         )
     out = np.zeros((B, C, H * W), dtype=gb.dtype)
     np.put_along_axis(out, flat_idx, gb.reshape(B, C, h * w), axis=2)
-    out = out.reshape(B, C, H, W)
-    return out if batched else out[0]
+    return out.reshape(B, C, H, W)
 
 
 def pool_gather(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -193,18 +186,17 @@ def pool_gather(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
     Equivalent to routing y through the pooling pattern that produced idx.
     """
-    yb, batched = _as_batch(y, 3, "pool_gather input")
-    ib, _ = _as_batch(idx, 3, "pool_gather indices")
+    yb = _as_batch(y, "pool_gather input")
+    ib = _as_batch(idx, "pool_gather indices")
     B, C, H, W = yb.shape
     h, w = ib.shape[2], ib.shape[3]
     picked = np.take_along_axis(yb.reshape(B, C, H * W), ib.reshape(B, C, h * w), axis=2)
-    out = picked.reshape(B, C, h, w)
-    return out if batched else out[0]
+    return picked.reshape(B, C, h, w)
 
 
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y = w @ x + b for x[D] or batched x[B,D]."""
-    xb, batched = _as_batch(x, 1, "affine input")
+    """y[n] = w @ x[n] + b for x[B,D]."""
+    xb = _as_batch(x, "affine input", "B, D")
     w = np.asarray(w)
     b = np.asarray(b)
     if w.ndim != 2:
@@ -216,8 +208,7 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape != (w.shape[0],):
         raise ShapeError(f"affine: bias shape {b.shape} != ({w.shape[0]},)")
     dtype = np.result_type(x, w, b)
-    y = _einsum("kd,bd->bk", w, xb, dtype=dtype) + b
-    return y if batched else y[0]
+    return _einsum("kd,bd->bk", w, xb, dtype=dtype) + b
 
 
 def hard_clamp(x: np.ndarray) -> np.ndarray:

@@ -72,15 +72,15 @@ class TrainConfig:
 
 def phi_grad_params(x, state: NetworkState, params: Params,
                     spec: ModelSpec) -> Params:
-    """dPhi/dtheta at the given state (batch mean for batched input).
+    """dPhi/dtheta at the given state, the mean over the batch.
 
     Conv weights: correlation between the unpool-routed post-synaptic state
     and the pre-synaptic state; fc weights: outer products; biases: summed
     post-synaptic states. Readout slots stay zero (outside the energy).
     """
-    xb, batched = _as_batch_x(x, spec)
+    xb = _as_batch_x(x, spec)
     p64 = params.map(np.asarray, dtype=_F)
-    layers, _ = _layers64(state, spec)
+    layers = _layers64(state, spec)
     n = xb.shape[0]
     est = params.map(np.zeros_like, dtype=_F)
     for i, (src, s) in enumerate(zip([xb] + layers[:-1], layers)):
@@ -113,21 +113,19 @@ def _ep_estimate(x, y, params: Params, spec: ModelSpec, cfg: TrainConfig, rule: 
     beta = cfg.beta if cfg.beta is not None else spec.beta
     if rule == "symmetric" and beta == 0:
         raise ValueError("symmetric update needs beta != 0")
-    xb, _ = _as_batch_x(x, spec)
-    yb = np.atleast_1d(np.asarray(y))
     if s_star is None:
-        s_star = free_phase(xb, params, spec)
+        s_star = free_phase(x, params, spec)
     if rule == "one_sided":
-        s_plus = nudged_phase(xb, params, spec, s_star, yb, beta)
-        lo = phi_grad_params(xb, s_star, params, spec)
-        hi = phi_grad_params(xb, s_plus, params, spec)
+        s_plus = nudged_phase(x, params, spec, s_star, y, beta)
+        lo = phi_grad_params(x, s_star, params, spec)
+        hi = phi_grad_params(x, s_plus, params, spec)
         a, b = 1.0 / beta, -1.0 / beta
     else:
         mag = abs(beta)
-        s_plus = nudged_phase(xb, params, spec, s_star, yb, +mag)
-        s_minus = nudged_phase(xb, params, spec, s_star, yb, -mag)
-        hi = phi_grad_params(xb, s_plus, params, spec)
-        lo = phi_grad_params(xb, s_minus, params, spec)
+        s_plus = nudged_phase(x, params, spec, s_star, y, +mag)
+        s_minus = nudged_phase(x, params, spec, s_star, y, -mag)
+        hi = phi_grad_params(x, s_plus, params, spec)
+        lo = phi_grad_params(x, s_minus, params, spec)
         a, b = 1.0 / (2.0 * beta), -1.0 / (2.0 * beta)
     return lo.map(lambda u, v: a * u + b * v, hi)
 

@@ -8,9 +8,11 @@ clamp subgradient 1 on [0,1] (boundary included) and 0 outside. Because the
 clamped input x feeds the first connection at every step, its gradient
 accumulates across all t steps.
 
-Everything here is per-example exact and bit-identical between batched and
-single-example calls. Each step's reverse pass is built from the connection
-drives and their adjoints in `energy`, the same ones the forward dynamics use.
+Inputs are batched ([B, C, H, W]; logit gradients [B, K]). Everything here
+is per-example exact, and an example's result is bit-identical whatever
+batch it is computed in. Each step's reverse pass is built from the
+connection drives and their adjoints in `energy`, the same ones the forward
+dynamics use.
 """
 
 from __future__ import annotations
@@ -49,19 +51,19 @@ class UnrolledTape:
 
 def record_free_phase(x, params: Params, spec: ModelSpec, t: int) -> UnrolledTape:
     """Run exactly t steps (no early exit), keeping each step's routes and masks."""
-    xb, _ = _as_batch_x(x, spec)
-    state, routes, masks = _relax(xb, None, params, spec, t, 0.0, record=True)
+    state, routes, masks = _relax(x, None, params, spec, t, 0.0, record=True)
     return UnrolledTape(steps=state.steps, pool_idx=routes, masks=masks,
                         final=state.layers)
 
 
 def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
                    g_logits: np.ndarray) -> np.ndarray:
-    """Pull a logit-space gradient back through readout and unrolled dynamics."""
-    xb, batched = _as_batch_x(x, spec)
+    """Pull a logit-space gradient [B, K] back through readout and unrolled
+    dynamics to the input [B, C, H, W]."""
+    xb = _as_batch_x(x, spec)
     params = params.map(np.asarray, dtype=_F)
 
-    g_logits = np.atleast_2d(np.asarray(g_logits, dtype=_F))
+    g_logits = np.asarray(g_logits, dtype=_F)
     g_layers = [np.zeros_like(s) for s in tape.final]
     g_layers[-1] = _adjoint(spec.n_layers, g_logits, params, spec).reshape(
         tape.final[-1].shape)
@@ -82,17 +84,13 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
                 fwd, _ = _drive(i, g_pre[i - 1], params, spec, route)
                 g_new[i] += fwd.reshape(g_new[i].shape)
         g_layers = g_new
-    return g_x if batched else g_x[0]
+    return g_x
 
 
 def loss_and_grad_batch(xs, ys, params: Params, spec: ModelSpec, t: int):
-    """Per-example cross-entropy losses at step t and their input gradients."""
-    ys = np.atleast_1d(np.asarray(ys))
+    """Per-example cross-entropy losses [B] at step t and their input gradients."""
     logits, vjp = logits_and_vjp(xs, params, spec, t)
-    losses, grads = cross_entropy(logits, ys), vjp(cross_entropy_grad(logits, ys))
-    if np.ndim(xs) == 4:
-        return losses, grads
-    return float(losses[0]), grads[0]
+    return cross_entropy(logits, ys), vjp(cross_entropy_grad(logits, ys))
 
 
 def input_grad(x, y, params: Params, spec: ModelSpec, t: int) -> np.ndarray:
@@ -108,7 +106,7 @@ def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):
     every input gradient of a dynamics model, cross-entropy included, is a
     pullback through it.
     """
-    xb, _ = _as_batch_x(xs, spec)
+    xb = _as_batch_x(xs, spec)
     tape = record_free_phase(xb, params, spec, t)
     logits = _logits(tape.final[-1], params.map(np.asarray, dtype=_F), spec)
 

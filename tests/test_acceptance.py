@@ -102,9 +102,9 @@ def test_c03_exact_input_gradients():
     worst = 0.0
     while passed < 100 and tried < 250:
         tried += 1
-        x = rng.uniform(0.05, 0.95, spec.input_shape)
-        y = int(rng.integers(0, 3))
-        v = rng.standard_normal(spec.input_shape)
+        x = rng.uniform(0.05, 0.95, spec.input_shape)[None]
+        y = np.array([int(rng.integers(0, 3))])
+        v = rng.standard_normal(spec.input_shape)[None]
         v /= np.linalg.norm(v)
         tapes = [unrolled.record_free_phase(z, params, spec, t)
                  for z in (x, x + h * v, x - h * v)]
@@ -122,7 +122,7 @@ def test_c03_exact_input_gradients():
         g = unrolled.input_grad(x, y, params, spec, t=t)
         lp, _ = unrolled.loss_and_grad_batch(x + h * v, y, params, spec, t)
         lm, _ = unrolled.loss_and_grad_batch(x - h * v, y, params, spec, t)
-        rel = abs((lp - lm) / (2 * h) - np.vdot(g, v)) / max(abs(np.vdot(g, v)), 1e-12)
+        rel = abs((lp[0] - lm[0]) / (2 * h) - np.vdot(g, v)) / max(abs(np.vdot(g, v)), 1e-12)
         worst = max(worst, rel)
         passed += 1
     ok = passed >= 100 and worst < 1e-3
@@ -305,9 +305,9 @@ def test_c09_corruption_sweep(trained_ep, desk_data):
         for sev in (1, 3, 5):
             out = corruptions.corrupt_batch(test.images[:32], kind, sev, seed=0)
             in_range &= bool(out.min() >= 0.0 and out.max() <= 1.0)
-    grid = corruptions.corruption_sweep(test, model_eval,
-                                        kinds=corruptions.NOISE_KINDS,
-                                        severities=(1, 2, 3, 4, 5), seed=0)
+    grid, _ = corruptions.corruption_sweep(test, model_eval,
+                                           kinds=corruptions.NOISE_KINDS,
+                                           severities=(1, 2, 3, 4, 5), seed=0)
     monotone = True
     for kind in corruptions.NOISE_KINDS:
         for sev in range(2, 6):

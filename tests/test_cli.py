@@ -181,6 +181,19 @@ class TestEndToEnd:
         kinds = {r.attack for r in records}
         assert "gaussian_noise" in kinds and "contrast" in kinds and "clean" in kinds
 
+    def test_corrupt_times_each_cell(self, ep_ckpt, workdir):
+        out = workdir / "corrupt_wall.csv"
+        rc = cli.main(["corrupt", "--ckpt", str(ep_ckpt),
+                       "--kinds", "gaussian_noise,pixelate",
+                       "--severities", "1,2", "--subset", "32", "--out", str(out)])
+        assert rc == 0
+        records = bench.read_results(out)
+        walls = [r.wall_ms for r in records if r.severity > 0]
+        assert len(walls) == 4 and min(walls) > 0
+        assert len(set(walls)) > 1
+        # the clean cell is measured once and shared by each kind's severity-0 row
+        assert len({r.wall_ms for r in records if r.severity == 0}) == 1
+
     def test_uncertainty_cli(self, ep_ckpt, workdir):
         out = workdir / "unc.csv"
         rc = cli.main(["uncertainty", "--ckpt", str(ep_ckpt),

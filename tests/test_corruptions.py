@@ -97,8 +97,8 @@ class TestSweep:
         def random_model(xs):
             return rng.integers(0, 2, size=len(xs))
 
-        grid = cor.corruption_sweep(test.subset(128), random_model,
-                                    kinds=("gaussian_noise",), severities=(1, 3))
+        grid, _ = cor.corruption_sweep(test.subset(128), random_model,
+                                       kinds=("gaussian_noise",), severities=(1, 3))
         for acc in grid.values():
             assert abs(acc - 0.5) < 3 * np.sqrt(0.25 / 128)
 
@@ -113,8 +113,8 @@ class TestSweep:
             return labels
 
         sub = test.subset(96)
-        grid = cor.corruption_sweep(sub, model_eval, kinds=("contrast",),
-                                    severities=(1,))
+        grid, _ = cor.corruption_sweep(sub, model_eval, kinds=("contrast",),
+                                       severities=(1,))
         direct = np.mean(model_eval(sub.images) == sub.labels)
         assert grid[("contrast", 0)] == pytest.approx(float(direct))
 
@@ -128,7 +128,7 @@ class TestSweep:
                                           params, spec, t=5)
             return labels
 
-        grid = cor.corruption_sweep(test, model_eval, kinds=cor.NOISE_KINDS,
-                                    severities=(1, 5))
+        grid, _ = cor.corruption_sweep(test, model_eval, kinds=cor.NOISE_KINDS,
+                                       severities=(1, 5))
         for kind in cor.NOISE_KINDS:
             assert grid[(kind, 5)] <= grid[(kind, 1)] + 0.02

@@ -22,9 +22,9 @@ def random_state(spec, rng, batch=1):
 class TestPhi:
     def test_zero_state_zero_energy(self):
         spec, params = tiny_model(np.random.default_rng(1))
-        x = rng_global.uniform(0, 1, spec.input_shape)
+        x = rng_global.uniform(0, 1, spec.input_shape)[None]
         st = zero_state(spec, 1)
-        assert energy.phi(x, st, params, spec) == 0.0
+        assert energy.phi(x, st, params, spec)[0] == 0.0
 
     def test_single_fc_hand_value(self):
         # one fc connection 1->1: phi = s1 * w * s0, with s0 = flattened input
@@ -40,8 +40,8 @@ class TestPhi:
         st = zero_state(spec, 1)
         st.layers[0][:] = 3.0   # pre-synaptic state s^1 (scalar "image" 1x1x1)
         st.layers[1][:] = 1.0   # post-synaptic state s^2
-        x = np.zeros(spec.input_shape)
-        assert energy.phi(x, st, params, spec) == pytest.approx(6.0)
+        x = np.zeros(spec.input_shape)[None]
+        assert energy.phi(x, st, params, spec)[0] == pytest.approx(6.0)
 
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(2)
@@ -56,7 +56,7 @@ class TestPhi:
             pre, _ = ops.maxpool2(ops.conv2d(srcs[i], params.conv_w[i], cs))
             pre = pre + params.conv_b[i][:, None, None]
             total += float(np.sum(st.layers[i] * pre))
-        got = energy.phi(x, st, params, spec)
+        got = energy.phi(x[None], st, params, spec)[0]
         assert got == pytest.approx(total, rel=1e-5)
 
 
@@ -65,7 +65,7 @@ class TestPhiGradState:
         spec, params = tiny_model(np.random.default_rng(3))
         for _, t in params.tensors():
             t[:] = 0.0
-        x = rng_global.uniform(0, 1, spec.input_shape)
+        x = rng_global.uniform(0, 1, spec.input_shape)[None]
         st = random_state(spec, np.random.default_rng(4))
         grads = energy.phi_grad_state(x, st, params, spec)
         assert all(np.count_nonzero(g) == 0 for g in grads)
@@ -81,7 +81,7 @@ class TestPhiGradState:
         params.conv_b[0][:] = 0.0
         params.fc_w[0][:] = 3.0
         params.fc_b[0][:] = 0.0
-        x = np.full(spec.input_shape, 1.0)
+        x = np.full(spec.input_shape, 1.0)[None]
         st = zero_state(spec, 1)
         st.layers[0][:] = 0.5
         st.layers[1][:] = 0.25
@@ -93,7 +93,7 @@ class TestPhiGradState:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         spec, params = tiny_model(rng, scale=0.8)
-        x = rng.uniform(0, 1, spec.input_shape)
+        x = rng.uniform(0, 1, spec.input_shape)[None]
         st = random_state(spec, rng)
         grads = energy.phi_grad_state(x, st, params, spec)
         h = 1e-6
@@ -105,8 +105,8 @@ class TestPhiGradState:
                 dn = NetworkState([s.copy() for s in st.layers])
                 up.layers[n].reshape(-1)[j] += h
                 dn.layers[n].reshape(-1)[j] -= h
-                fd = (energy.phi(x, up, params, spec)
-                      - energy.phi(x, dn, params, spec)) / (2 * h)
+                fd = (energy.phi(x, up, params, spec)[0]
+                      - energy.phi(x, dn, params, spec)[0]) / (2 * h)
                 an = grads[n].reshape(-1)[j]
                 if abs(an) > 1e-9:
                     assert abs(fd - an) / abs(an) < 1e-4
@@ -119,7 +119,7 @@ class TestFreePhase:
         spec, params = tiny_model(np.random.default_rng(6))
         for _, t in params.tensors():
             t[:] = 0.0
-        x = rng_global.uniform(0, 1, spec.input_shape)
+        x = rng_global.uniform(0, 1, spec.input_shape)[None]
         st = energy.free_phase(x, params, spec)
         assert st.steps == 1
         assert all(np.count_nonzero(s) == 0 for s in st.layers)
@@ -132,7 +132,7 @@ class TestFreePhase:
         params = init_params(spec, np.random.default_rng(0), dtype=np.float64)
         params.conv_w[0][:] = 0.5
         params.conv_b[0][:] = 0.0
-        x = np.ones(spec.input_shape)
+        x = np.ones(spec.input_shape)[None]
         st = energy.free_phase(x, params, spec)
         assert np.allclose(st.layers[0], 0.5)
 
@@ -149,7 +149,7 @@ class TestFreePhase:
     def test_states_bounded_every_step(self):
         rng = np.random.default_rng(8)
         spec, params = tiny_model(rng, scale=2.0)
-        x = rng.uniform(0, 1, spec.input_shape)
+        x = rng.uniform(0, 1, spec.input_shape)[None]
         for t in range(1, 21):
             st = energy.free_phase(x, params, spec, t=t, fp_tol=0.0)
             assert st.steps == t
@@ -236,10 +236,10 @@ class TestReadoutPredict:
         spec, params = tiny_model(np.random.default_rng(13))
         params.readout_w[:] = 0.0
         params.readout_b[:] = 0.0
-        x = rng_global.uniform(0, 1, spec.input_shape)
+        x = rng_global.uniform(0, 1, spec.input_shape)[None]
         label, logits = energy.predict_at(x, params, spec, t=5)
         assert np.count_nonzero(logits) == 0
-        assert label == 0  # lowest-index tie break
+        assert label[0] == 0  # lowest-index tie break
 
     def test_identity_readout(self):
         spec = ModelSpec(input_shape=(1, 2, 2), conv=(ConvSpec(1, 1, 1, 0),),
@@ -260,17 +260,18 @@ class TestReadoutPredict:
         ref = params.readout_w.astype(np.float64) @ flat + params.readout_b
         assert np.max(np.abs(z - ref)) < 1e-6
 
-    def test_unbatched_one_channel_conv_top(self):
+    def test_one_channel_conv_top(self):
         # a 1x4x4 top state: one channel holds as many elements as the readout
-        # reads, so an element count cannot tell whether axis 0 is the batch
+        # reads, so only the rank tells a batch of one from a single example
         spec = ModelSpec(input_shape=(1, 8, 8), conv=(ConvSpec(1, 1, 3, 1),),
                          readout_dim=3, t_free=10)
         params = init_params(spec, np.random.default_rng(16), dtype=np.float64)
         x = np.random.default_rng(17).uniform(0, 1, spec.input_shape)
-        z = energy.readout(energy.free_phase(x, params, spec), params)
-        zb = energy.readout(energy.free_phase(x[None], params, spec), params)
-        assert z.shape == (3,)
-        assert np.array_equal(z, zb[0])
+        st = energy.free_phase(x[None], params, spec)
+        assert energy.readout(st, params).shape == (1, 3)
+        st.layers[-1] = st.layers[-1][0]
+        with pytest.raises(ops.ShapeError, match=r"\[B, C, H, W\]"):
+            energy.readout(st, params)
 
     def test_shallow_t_gives_chance(self):
         # before information reaches the top layer the logits cannot depend
@@ -278,8 +279,8 @@ class TestReadoutPredict:
         # zero-state readout
         rng = np.random.default_rng(15)
         spec, params = tiny_model(rng, channels=(3, 4))
-        xa = rng.uniform(0, 1, spec.input_shape)
-        xb = rng.uniform(0, 1, spec.input_shape)
+        xa = rng.uniform(0, 1, spec.input_shape)[None]
+        xb = rng.uniform(0, 1, spec.input_shape)[None]
         _, za = energy.predict_at(xa, params, spec, t=1)
         _, zb = energy.predict_at(xb, params, spec, t=1)
         assert np.array_equal(za, zb)
@@ -292,7 +293,7 @@ class TestReadoutPredict:
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(16)
         spec, params = tiny_model(rng)
-        x = rng.uniform(0, 1, spec.input_shape)
+        x = rng.uniform(0, 1, spec.input_shape)[None]
         _, z1 = energy.predict_at(x, params, spec, t=9)
         _, z2 = energy.predict_at(x, params, spec, t=9)
         assert np.array_equal(z1, z2)

@@ -1,13 +1,14 @@
 """The raw-pixel model handle: per-channel normalization chained into input
-gradients, and checkpoints that reproduce a handle's logits bit for bit."""
+gradients, checkpoints that reproduce a handle's logits bit for bit, and the
+batch axis every model entry point requires."""
 
 import numpy as np
 import pytest
 
-from epbench import baseline, energy, unrolled
+from epbench import attacks, baseline, energy, ops, unrolled
 from epbench.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from epbench.handle import for_params, from_checkpoint
-from epbench.model import tiny_model
+from epbench.model import tiny_model, zero_state
 
 MEAN = np.array([0.4, 0.5, 0.6])
 STD = np.array([0.2, 0.5, 2.0])
@@ -73,3 +74,31 @@ def test_ep_needs_a_timestep_and_kinds_are_checked():
         for_params(params, spec, "ep", None)
     with pytest.raises(ValueError, match="kind"):
         for_params(params, spec, "svm", None)
+
+
+def _handle(params, spec, normalize=None):
+    return for_params(params, spec, "ep", T, normalize=normalize)
+
+
+UNBATCHED_CALLS = {
+    "ops.conv2d": lambda x, p, s: ops.conv2d(x, p.conv_w[0], s.conv[0]),
+    "energy.free_phase": lambda x, p, s: energy.free_phase(x, p, s),
+    "energy.logits_at": lambda x, p, s: energy.logits_at(x, p, s, T),
+    "energy.phi": lambda x, p, s: energy.phi(x, zero_state(s, 1), p, s),
+    "unrolled.loss_and_grad_batch":
+        lambda x, p, s: unrolled.loss_and_grad_batch(x, np.array([1]), p, s, T),
+    "baseline.bp_forward": lambda x, p, s: baseline.bp_forward(x, p, s),
+    "attacks.project": lambda x, p, s: attacks.project(x, x, "l2", 0.1),
+    "handle.logits": lambda x, p, s: _handle(p, s).logits(x),
+    "handle.logits-normalized": lambda x, p, s: _handle(p, s, (MEAN, STD)).logits(x),
+    "handle.loss_grad": lambda x, p, s: _handle(p, s).loss_grad(x, np.array([1])),
+    "handle.loss_grad-normalized":
+        lambda x, p, s: _handle(p, s, (MEAN, STD)).loss_grad(x, np.array([1])),
+}
+
+
+@pytest.mark.parametrize("call", UNBATCHED_CALLS.values(), ids=UNBATCHED_CALLS.keys())
+def test_unbatched_image_rejected(call):
+    spec, params, xs, _ = three_channel_case()
+    with pytest.raises(ops.ShapeError, match=r"\[B, C, H, W\]"):
+        call(xs[0], params, spec)

@@ -29,15 +29,15 @@ def conv2d_reference(x, w, padding):
 
 class TestConv2d:
     def test_identity_kernel(self):
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 3, 3))[None]
         w = np.ones((1, 1, 1, 1))
         y = ops.conv2d(x, w, ConvSpec(1, 1, 1, 0))
         assert np.array_equal(y, x)
 
     def test_sum_kernel(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])[None]
         w = np.ones((1, 1, 2, 2))
-        y = ops.conv2d(x, w, ConvSpec(1, 1, 2, 0))
+        y = ops.conv2d(x, w, ConvSpec(1, 1, 2, 0))[0]
         assert y.shape == (1, 1, 1)
         assert y[0, 0, 0] == 10.0
 
@@ -45,7 +45,7 @@ class TestConv2d:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 8, 8))
         w = rng.standard_normal((4, 2, 3, 3))
-        y = ops.conv2d(x, w, ConvSpec(2, 4, 3, 1))
+        y = ops.conv2d(x[None], w, ConvSpec(2, 4, 3, 1))[0]
         ref = conv2d_reference(x, w, 1)
         assert np.max(np.abs(y - ref)) < 1e-6
 
@@ -53,8 +53,8 @@ class TestConv2d:
         rng = np.random.default_rng(1)
         spec = ConvSpec(2, 3, 3, 1)
         w = rng.standard_normal((3, 2, 3, 3))
-        x1 = rng.standard_normal((2, 6, 6))
-        x2 = rng.standard_normal((2, 6, 6))
+        x1 = rng.standard_normal((2, 6, 6))[None]
+        x2 = rng.standard_normal((2, 6, 6))[None]
         left = ops.conv2d(2.0 * x1 - 0.5 * x2, w, spec)
         right = 2.0 * ops.conv2d(x1, w, spec) - 0.5 * ops.conv2d(x2, w, spec)
         assert np.max(np.abs(left - right)) < 1e-5
@@ -62,7 +62,7 @@ class TestConv2d:
     def test_linearity_in_kernel(self):
         rng = np.random.default_rng(11)
         spec = ConvSpec(2, 3, 3, 1)
-        x = rng.standard_normal((2, 6, 6))
+        x = rng.standard_normal((2, 6, 6))[None]
         w1 = rng.standard_normal((3, 2, 3, 3))
         w2 = rng.standard_normal((3, 2, 3, 3))
         left = ops.conv2d(x, 1.5 * w1 + 0.25 * w2, spec)
@@ -73,13 +73,13 @@ class TestConv2d:
         spec = ConvSpec(2, 3, 3, 1)
         w = np.zeros((3, 2, 3, 3))
         with pytest.raises(ShapeError, match="channel"):
-            ops.conv2d(np.zeros((1, 6, 6)), w, spec)
+            ops.conv2d(np.zeros((1, 6, 6))[None], w, spec)
         with pytest.raises(ShapeError, match="kernel"):
-            ops.conv2d(np.zeros((2, 6, 6)), np.zeros((3, 2, 2, 2)), spec)
+            ops.conv2d(np.zeros((2, 6, 6))[None], np.zeros((3, 2, 2, 2)), spec)
 
     def test_pure_and_deterministic(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((2, 6, 6))
+        x = rng.standard_normal((2, 6, 6))[None]
         w = rng.standard_normal((3, 2, 3, 3))
         x0 = x.copy()
         a = ops.conv2d(x, w, ConvSpec(2, 3, 3, 1))
@@ -92,13 +92,13 @@ class TestConv2dTranspose:
     def test_zeros(self):
         spec = ConvSpec(2, 3, 3, 1)
         w = np.random.default_rng(0).standard_normal((3, 2, 3, 3))
-        g = np.zeros((3, 6, 6))
+        g = np.zeros((3, 6, 6))[None]
         assert np.count_nonzero(ops.conv2d_transpose(g, w, spec)) == 0
 
     def test_scalar_kernel_adjoint(self):
         spec = ConvSpec(1, 1, 1, 0)
         w = np.full((1, 1, 1, 1), 2.0)
-        g = np.random.default_rng(0).standard_normal((1, 4, 4))
+        g = np.random.default_rng(0).standard_normal((1, 4, 4))[None]
         assert np.allclose(ops.conv2d_transpose(g, w, spec), 2.0 * g)
 
     def test_adjoint_identity_100_draws(self):
@@ -109,7 +109,7 @@ class TestConv2dTranspose:
             p = int(rng.integers(0, 3))
             H = int(rng.integers(max(k, 2 * p + 1), 9))
             spec = ConvSpec(ci, co, k, p)
-            x = rng.standard_normal((ci, H, H))
+            x = rng.standard_normal((ci, H, H))[None]
             w = rng.standard_normal((co, ci, k, k))
             y = ops.conv2d(x, w, spec)
             g = rng.standard_normal(y.shape)
@@ -120,22 +120,23 @@ class TestConv2dTranspose:
 
 class TestMaxPool:
     def test_constant_input_tie_break(self):
-        x = np.full((1, 4, 4), 7.0)
+        x = np.full((1, 4, 4), 7.0)[None]
         pooled, idx = ops.maxpool2(x)
         assert np.all(pooled == 7.0)
         # first cell of each window, in flat [H,W] coordinates
-        assert np.array_equal(idx[0], np.array([[0, 2], [8, 10]]))
+        assert np.array_equal(idx[0, 0], np.array([[0, 2], [8, 10]]))
 
     def test_single_window(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])[None]
         pooled, idx = ops.maxpool2(x)
-        assert pooled[0, 0, 0] == 4.0
-        assert idx[0, 0, 0] == 3  # (1,1) flat
+        assert pooled[0, 0, 0, 0] == 4.0
+        assert idx[0, 0, 0, 0] == 3  # (1,1) flat
 
     def test_matches_window_loop(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 8, 8))
-        pooled, idx = ops.maxpool2(x)
+        pooled, idx = ops.maxpool2(x[None])
+        pooled, idx = pooled[0], idx[0]
         for c in range(3):
             for i in range(4):
                 for j in range(4):
@@ -150,8 +151,9 @@ class TestMaxPool:
         for _ in range(25):
             C = int(rng.integers(1, 4))
             H = 2 * int(rng.integers(1, 5))
-            x = rng.standard_normal((C, H, H))
+            x = rng.standard_normal((C, H, H))[None]
             _, idx = ops.maxpool2(x)
+            idx = idx[0]
             for c in range(C):
                 for i in range(H // 2):
                     for j in range(H // 2):
@@ -160,10 +162,10 @@ class TestMaxPool:
 
     def test_odd_extent_rejected(self):
         with pytest.raises(ShapeError, match="pad"):
-            ops.maxpool2(np.zeros((1, 3, 4)))
+            ops.maxpool2(np.zeros((1, 3, 4))[None])
 
     def test_tie_break_reproducible(self):
-        x = np.zeros((1, 4, 4))
+        x = np.zeros((1, 4, 4))[None]
         _, a = ops.maxpool2(x)
         _, b = ops.maxpool2(x)
         assert np.array_equal(a, b)
@@ -171,14 +173,14 @@ class TestMaxPool:
 
 class TestUnpool:
     def test_zeros(self):
-        _, idx = ops.maxpool2(np.random.default_rng(0).standard_normal((2, 4, 4)))
-        out = ops.unpool2(np.zeros((2, 2, 2)), idx)
+        _, idx = ops.maxpool2(np.random.default_rng(0).standard_normal((2, 4, 4))[None])
+        out = ops.unpool2(np.zeros((2, 2, 2))[None], idx)
         assert np.count_nonzero(out) == 0
 
     def test_single_window_scatter(self):
-        x = np.array([[[0.0, 0.0], [9.0, 0.0]]])
+        x = np.array([[[0.0, 0.0], [9.0, 0.0]]])[None]
         _, idx = ops.maxpool2(x)
-        out = ops.unpool2(np.array([[[5.0]]]), idx)
+        out = ops.unpool2(np.array([[[5.0]]])[None], idx)[0]
         assert np.array_equal(out, np.array([[[0.0, 0.0], [5.0, 0.0]]]))
 
     def test_adjoint_with_pooling_indices(self):
@@ -186,7 +188,7 @@ class TestUnpool:
         for _ in range(100):
             C = int(rng.integers(1, 4))
             H = 2 * int(rng.integers(1, 5))
-            x = rng.standard_normal((C, H, H))
+            x = rng.standard_normal((C, H, H))[None]
             pooled, idx = ops.maxpool2(x)
             g = rng.standard_normal(pooled.shape)
             lhs = np.vdot(pooled, g)
@@ -194,18 +196,18 @@ class TestUnpool:
             assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
     def test_corrupted_indices_rejected(self):
-        g = np.ones((1, 2, 2))
-        idx = np.zeros((1, 2, 2), dtype=int)
-        idx[0, 0, 0] = 99
+        g = np.ones((1, 2, 2))[None]
+        idx = np.zeros((1, 2, 2), dtype=int)[None]
+        idx[0, 0, 0, 0] = 99
         with pytest.raises(ValueError, match="corrupt"):
             ops.unpool2(g, idx)
 
     def test_pool_gather_is_unpool_adjoint(self):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 6, 6))
+        x = rng.standard_normal((2, 6, 6))[None]
         _, idx = ops.maxpool2(x)
-        g = rng.standard_normal((2, 3, 3))
-        v = rng.standard_normal((2, 6, 6))
+        g = rng.standard_normal((2, 3, 3))[None]
+        v = rng.standard_normal((2, 6, 6))[None]
         lhs = np.vdot(ops.unpool2(g, idx), v)
         rhs = np.vdot(g, ops.pool_gather(v, idx))
         assert abs(lhs - rhs) < 1e-10
@@ -213,11 +215,11 @@ class TestUnpool:
 
 class TestAffine:
     def test_identity(self):
-        x = np.array([3.0, -1.0])
+        x = np.array([3.0, -1.0])[None]
         assert np.array_equal(ops.affine(x, np.eye(2), np.zeros(2)), x)
 
     def test_hand_arithmetic(self):
-        y = ops.affine(np.array([1.0, 2.0]), np.array([[3.0, 4.0]]), np.array([1.0]))
+        y = ops.affine(np.array([1.0, 2.0])[None], np.array([[3.0, 4.0]]), np.array([1.0]))[0]
         assert y.shape == (1,)
         assert y[0] == 12.0
 
@@ -226,13 +228,13 @@ class TestAffine:
         x = rng.standard_normal(7)
         w = rng.standard_normal((4, 7))
         b = rng.standard_normal(4)
-        y = ops.affine(x, w, b)
+        y = ops.affine(x[None], w, b)[0]
         ref = np.array([sum(w[k, d] * x[d] for d in range(7)) + b[k] for k in range(4)])
         assert np.max(np.abs(y - ref)) < 1e-6
 
     def test_shape_error(self):
         with pytest.raises(ShapeError, match="extent"):
-            ops.affine(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+            ops.affine(np.zeros(3)[None], np.zeros((2, 4)), np.zeros(2))
 
 
 class TestHardClamp:
@@ -253,11 +255,11 @@ class TestHardClamp:
 
 def test_all_outputs_finite_on_finite_inputs():
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((2, 6, 6)) * 100
+    x = rng.standard_normal((2, 6, 6))[None] * 100
     w = rng.standard_normal((3, 2, 3, 3)) * 100
     spec = ConvSpec(2, 3, 3, 1)
     y = ops.conv2d(x, w, spec)
     assert np.isfinite(y).all()
-    pooled, idx = ops.maxpool2(y.reshape(3, 6, 6))
+    pooled, idx = ops.maxpool2(y.reshape(1, 3, 6, 6))
     assert np.isfinite(pooled).all()
     assert np.isfinite(ops.conv2d_transpose(y, w, spec)).all()

@@ -2,6 +2,11 @@
 antisymmetry, locality) and the training loops (determinism, divergence,
 desk-scale accuracy)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +21,7 @@ from conftest import (conv_fc_model, desk_spec, desk_train_config, fd_param_grad
 class TestPhiGradParams:
     def test_zero_state_zero_estimate(self):
         spec, params = tiny_model(np.random.default_rng(0))
-        x = np.random.default_rng(1).uniform(0, 1, spec.input_shape)
+        x = np.random.default_rng(1).uniform(0, 1, spec.input_shape)[None]
         st = NetworkState([np.zeros((1,) + s) for s in spec.state_shapes()])
         est = training.phi_grad_params(x, st, params, spec)
         assert all(np.count_nonzero(t) == 0 for _, t in est.tensors())
@@ -26,7 +31,7 @@ class TestPhiGradParams:
                          fc=((1, 1),), readout_dim=2, t_free=10)
         params = init_params(spec, np.random.default_rng(0), dtype=np.float64)
         st = NetworkState([np.full((1, 1, 1, 1), 2.0), np.full((1, 1), 3.0)])
-        x = np.zeros(spec.input_shape)
+        x = np.zeros(spec.input_shape)[None]
         est = training.phi_grad_params(x, st, params, spec)
         assert est.fc_w[0][0, 0] == pytest.approx(6.0)
         assert est.fc_b[0][0] == pytest.approx(3.0)
@@ -260,3 +265,34 @@ class TestBPGradients:
         fd = (lp - lm) / (2 * h)
         an = float(np.vdot(gx, v)) / 2  # per-example grads, mean loss
         assert abs(fd - an) / abs(an) < 1e-4
+
+
+# one fixed batch through a free phase, the unrolled input gradients and an EP
+# step; the raw bytes of every result go to stdout
+THREAD_PROBE = """
+import sys
+import numpy as np
+from epbench import energy, training, unrolled
+from epbench.model import tiny_model
+
+spec, params = tiny_model(np.random.default_rng(3), scale=0.9, t_free=40, t_nudge=10)
+xs = np.random.default_rng(4).uniform(0, 1, (6,) + spec.input_shape)
+ys = np.array([0, 1, 2, 0, 1, 2])
+cfg = training.TrainConfig(learning_rates=(0.1, 0.1, 0.1), beta=0.4)
+out = energy.free_phase(xs, params, spec).layers
+out += unrolled.loss_and_grad_batch(xs, ys, params, spec, 12)
+out += [t for _, t in training._ep_batch_grads(params, spec, cfg, xs, ys).tensors()]
+sys.stdout.buffer.write(b"".join(np.ascontiguousarray(a).tobytes() for a in out))
+"""
+
+
+def test_bit_identical_across_thread_counts():
+    src = str(Path(training.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs.append(subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                                   capture_output=True, check=True).stdout)
+    assert len(runs[0]) > 0
+    assert runs[0] == runs[1]

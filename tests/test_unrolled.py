@@ -15,8 +15,8 @@ class TestInputGrad:
         spec, params = tiny_model(np.random.default_rng(0))
         for name, t in params.tensors():
             t[:] = 0.0
-        x = np.random.default_rng(1).uniform(0, 1, spec.input_shape)
-        g = unrolled.input_grad(x, 1, params, spec, t=5)
+        x = np.random.default_rng(1).uniform(0, 1, spec.input_shape)[None]
+        g = unrolled.input_grad(x, np.array([1]), params, spec, t=5)
         assert np.count_nonzero(g) == 0
 
     def test_single_step_closed_form(self):
@@ -26,9 +26,9 @@ class TestInputGrad:
                          readout_dim=2, t_free=10)
         rng = np.random.default_rng(2)
         params = init_params(spec, rng, dtype=np.float64, scale=0.6)
-        x = rng.uniform(0.1, 0.9, spec.input_shape)
+        x = rng.uniform(0.1, 0.9, spec.input_shape)[None]
         y = 1
-        got = unrolled.input_grad(x, y, params, spec, t=1)
+        got = unrolled.input_grad(x, np.array([y]), params, spec, t=1)
 
         conv = ops.conv2d(x, params.conv_w[0], spec.conv[0])
         pooled, idx = ops.maxpool2(conv)
@@ -47,8 +47,8 @@ class TestInputGrad:
     def test_matches_finite_differences_per_pixel(self):
         rng = np.random.default_rng(3)
         spec, params = tiny_model(np.random.default_rng(7), scale=0.8)
-        x = rng.uniform(0.05, 0.95, spec.input_shape)
-        y = 2
+        x = rng.uniform(0.05, 0.95, spec.input_shape)[None]
+        y = np.array([2])
         t = 20
         g = unrolled.input_grad(x, y, params, spec, t=t)
         tape0 = unrolled.record_free_phase(x, params, spec, t)
@@ -71,7 +71,7 @@ class TestInputGrad:
                 continue
             lp, _ = unrolled.loss_and_grad_batch(xp, y, params, spec, t)
             lm, _ = unrolled.loss_and_grad_batch(xm, y, params, spec, t)
-            fd = (lp - lm) / (2 * h)
+            fd = (lp[0] - lm[0]) / (2 * h)
             an = g.reshape(-1)[j]
             if abs(an) > 1e-10:
                 assert abs(fd - an) / abs(an) < 1e-3
@@ -82,11 +82,11 @@ class TestInputGrad:
         rng = np.random.default_rng(4)
         for trial in range(3):
             spec, params = tiny_model(np.random.default_rng(50 + trial), scale=0.8)
-            x = rng.uniform(0, 1, spec.input_shape)
-            T = energy.convergence_step(x[None], params, spec)
-            gT = unrolled.input_grad(x, 0, params, spec, t=T)
+            x = rng.uniform(0, 1, spec.input_shape)[None]
+            T = energy.convergence_step(x, params, spec)
+            gT = unrolled.input_grad(x, np.array([0]), params, spec, t=T)
             for k in (10, 20):
-                gk = unrolled.input_grad(x, 0, params, spec, t=T + k)
+                gk = unrolled.input_grad(x, np.array([0]), params, spec, t=T + k)
                 rel = np.linalg.norm(gk - gT) / np.linalg.norm(gT)
                 assert rel < 1e-3
 
@@ -100,9 +100,9 @@ class TestInputGrad:
         passed = tried = 0
         while passed < 100 and tried < 200:
             tried += 1
-            x = rng.uniform(0.05, 0.95, spec.input_shape)
-            y = int(rng.integers(0, 3))
-            v = rng.standard_normal(spec.input_shape)
+            x = rng.uniform(0.05, 0.95, spec.input_shape)[None]
+            y = np.array([int(rng.integers(0, 3))])
+            v = rng.standard_normal(spec.input_shape)[None]
             v /= np.linalg.norm(v)
             tape0 = unrolled.record_free_phase(x, params, spec, t)
             tp = unrolled.record_free_phase(x + h * v, params, spec, t)
@@ -121,7 +121,7 @@ class TestInputGrad:
             g = unrolled.input_grad(x, y, params, spec, t=t)
             lp, _ = unrolled.loss_and_grad_batch(x + h * v, y, params, spec, t)
             lm, _ = unrolled.loss_and_grad_batch(x - h * v, y, params, spec, t)
-            fd = (lp - lm) / (2 * h)
+            fd = (lp[0] - lm[0]) / (2 * h)
             an = float(np.vdot(g, v))
             assert abs(fd - an) / max(abs(an), 1e-12) < 1e-3
             passed += 1
@@ -129,14 +129,17 @@ class TestInputGrad:
 
 
 class TestBatching:
-    def test_batch_of_one_equals_single(self):
+    def test_batch_of_one_equals_row_of_larger_batch(self):
         rng = np.random.default_rng(6)
         spec, params = tiny_model(np.random.default_rng(13))
-        x = rng.uniform(0, 1, spec.input_shape)
-        l1, g1 = unrolled.loss_and_grad_batch(x, 1, params, spec, 10)
-        lb, gb = unrolled.loss_and_grad_batch(x[None], np.array([1]), params, spec, 10)
-        assert l1 == lb[0]
-        assert np.array_equal(g1, gb[0])
+        x = rng.uniform(0, 1, spec.input_shape)[None]
+        l1, g1 = unrolled.loss_and_grad_batch(x, np.array([1]), params, spec, 10)
+        k = 2  # x sits in row k of a batch of four
+        others = rng.uniform(0, 1, (3,) + spec.input_shape)
+        xs = np.concatenate([others[:k], x, others[k:]])
+        lb, gb = unrolled.loss_and_grad_batch(xs, np.array([0, 2, 1, 0]), params, spec, 10)
+        assert l1[0] == lb[k]
+        assert np.array_equal(g1[0], gb[k])
 
     def test_duplicated_examples_identical_grads(self):
         rng = np.random.default_rng(7)
@@ -156,15 +159,15 @@ class TestBatching:
         ys = np.array([0, 1, 2, 0, 1])
         losses, grads = unrolled.loss_and_grad_batch(xs, ys, params, spec, 12)
         for i in range(5):
-            li, gi = unrolled.loss_and_grad_batch(xs[i], ys[i], params, spec, 12)
-            assert li == losses[i]
-            assert np.array_equal(gi, grads[i])
+            li, gi = unrolled.loss_and_grad_batch(xs[i:i + 1], ys[i:i + 1], params, spec, 12)
+            assert li[0] == losses[i]
+            assert np.array_equal(gi[0], grads[i])
 
 
 class TestTape:
     def test_length_matches_steps(self):
         spec, params = tiny_model(np.random.default_rng(23))
-        x = np.random.default_rng(9).uniform(0, 1, spec.input_shape)
+        x = np.random.default_rng(9).uniform(0, 1, spec.input_shape)[None]
         tape = unrolled.record_free_phase(x, params, spec, 17)
         assert tape.steps == 17
         assert len(tape.pool_idx) == 17
@@ -172,7 +175,7 @@ class TestTape:
 
     def test_memory_grows_linearly_in_steps(self):
         spec, params = tiny_model(np.random.default_rng(29))
-        x = np.random.default_rng(10).uniform(0, 1, spec.input_shape)
+        x = np.random.default_rng(10).uniform(0, 1, spec.input_shape)[None]
         small = unrolled.record_free_phase(x, params, spec, 10).nbytes()
         big = unrolled.record_free_phase(x, params, spec, 20).nbytes()
         ratio = big / small
