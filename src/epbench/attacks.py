@@ -35,8 +35,6 @@ class AttackConfig:
     norm: str = "linf"
     epsilon: float = 0.0
     steps: int = 20
-    step_size: float | None = None  # defaults to epsilon / 8
-    random_start: bool = True
     cw_constant: float = 0.1
     cw_lr: float = 0.01
     cw_steps: int = 100
@@ -52,18 +50,12 @@ class AttackConfig:
             raise ValueError("epsilon must be >= 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.family == "pgd" and self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
         if self.family == "square" and self.norm != "linf":
             raise ValueError("square attack is defined for the linf norm")
         if self.cw_steps < 1 or self.cw_lr <= 0:
             raise ValueError("cw_steps must be >= 1 and cw_lr > 0")
         if self.query_budget < 1:
             raise ValueError("query_budget must be >= 1")
-
-    @property
-    def alpha(self) -> float:
-        return self.epsilon / 8.0 if self.step_size is None else self.step_size
 
 
 @dataclass
@@ -135,20 +127,20 @@ def uniform_ball(rng: np.random.Generator, shape, norm: str, epsilon: float) -> 
 
 
 def pgd_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
-    """Iterated ascent-then-project on the handle's cross-entropy gradients."""
+    """PGD on the handle's cross-entropy gradients: uniform start, step epsilon / 8."""
     if cfg.family != "pgd":
         raise ValueError("cfg.family must be 'pgd'")
     xs = np.asarray(xs, dtype=_F)
     ys = np.asarray(ys)
     rng = np.random.default_rng(cfg.seed)
     x = xs.copy()
-    if cfg.random_start and cfg.epsilon > 0:
+    if cfg.epsilon > 0:
         x = project(xs, xs + uniform_ball(rng, xs.shape, cfg.norm, cfg.epsilon),
                     cfg.norm, cfg.epsilon)
     losses = np.zeros(len(xs))
     for _ in range(cfg.steps):
         losses, grads = model.loss_grad(x, ys)
-        x = project(xs, x + cfg.alpha * steepest_ascent(grads, cfg.norm),
+        x = project(xs, x + cfg.epsilon / 8.0 * steepest_ascent(grads, cfg.norm),
                     cfg.norm, cfg.epsilon)
     preds = model.predict(x)
     return AttackResult(

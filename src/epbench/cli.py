@@ -31,6 +31,13 @@ def _split_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {n}")
+    return n
+
+
 def _synth_from_snapshot(snap: dict, split: str) -> Dataset:
     kind = snap.get("synth_kind", "blobs")
     shape = tuple(snap.get("input_shape", (1, 8, 8)))
@@ -98,7 +105,7 @@ def cmd_train(args) -> int:
     conv_step = 0
     if args.model == "ep":
         probe = np.asarray(norm_train.images[:64], dtype=np.float64)
-        conv_step = energy.convergence_step(probe, params, spec)
+        conv_step = energy.free_phase(probe, params, spec).steps
     ckpt = Checkpoint(spec=spec, params=params, model_kind=args.model,
                       seed=cfg.seed, train_config=snapshot,
                       norm_mean=[float(v) for v in mean],
@@ -206,9 +213,8 @@ def cmd_eval(args) -> int:
 def cmd_uncertainty(args) -> int:
     _, ds, model, model_id = _open_checkpoint(args)
     curve = uncertainty.disagreement_curve(
-        lambda xs, _t: model.predict(xs), ds.images, args.norm,
-        _split_floats(args.eps_grid), samples_per_eps=args.samples,
-        t=model.timestep, seed=args.seed,
+        model.predict, ds.images, args.norm, _split_floats(args.eps_grid),
+        samples_per_eps=args.samples, seed=args.seed,
     )
     records = []
     for eps, rate, n in zip(curve.eps, curve.rate, curve.samples):
@@ -258,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_args.add_argument("--data", default=None)
     ckpt_args.add_argument("--cifar-variant", choices=("cifar10", "cifar100"),
                            default="cifar10")
-    ckpt_args.add_argument("--subset", type=int, default=None)
+    ckpt_args.add_argument("--subset", type=_count, default=None)
     ckpt_args.add_argument("--format", choices=("csv", "json"), default="csv")
     run_args = argparse.ArgumentParser(add_help=False, parents=[ckpt_args])
     run_args.add_argument("--seed", type=int, default=0)
@@ -291,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_corrupt)
 
     p = sub.add_parser("eval", help="clean accuracy of a checkpoint", parents=[ckpt_args])
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=_count, default=256)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("uncertainty", help="disagreement curve and exponent fit",
                        parents=[run_args])
     p.add_argument("--eps-grid", required=True, help="comma list, strictly increasing")
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_count, default=32)
     p.add_argument("--norm", choices=("l2", "linf"), default="l2")
     p.set_defaults(fn=cmd_uncertainty)
 

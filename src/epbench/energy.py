@@ -188,27 +188,39 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example softmax cross-entropy."""
+def _labels(logits: np.ndarray, y) -> np.ndarray:
+    """y checked to be [B] integer labels in [0, K) for logits [B, K]."""
+    y = np.asarray(y)
+    if y.shape != logits.shape[:1] or not np.issubdtype(y.dtype, np.integer):
+        raise ops.ShapeError(f"labels: expected [B] integers with B = {len(logits)}, "
+                             f"got shape {y.shape} of {y.dtype}")
+    bad = (y < 0) | (y >= logits.shape[-1])
+    if bad.any():
+        raise ValueError(f"label {y[bad][0]} is outside [0, {logits.shape[-1]})")
+    return y
+
+
+def cross_entropy(logits: np.ndarray, y) -> np.ndarray:
+    """Per-example softmax cross-entropy of logits [B, K] at labels y [B]."""
+    y = _labels(logits, y)
     z = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))
-    return lse - np.take_along_axis(z, np.asarray(y)[..., None], axis=-1)[..., 0]
+    return lse - np.take_along_axis(z, y[:, None], axis=-1)[:, 0]
 
 
 def cross_entropy_grad(logits: np.ndarray, y) -> np.ndarray:
     """d cross_entropy / d logits per example: softmax(logits) - onehot(y)."""
+    y = _labels(logits, y)
     g = softmax(logits)
     g[np.arange(len(g)), y] -= 1.0
     return g
 
 
-def readout(state: NetworkState, params: Params) -> np.ndarray:
+def readout(state: NetworkState, params: Params, spec: ModelSpec) -> np.ndarray:
     """Logits [B, K] from the flattened top state [B, ...]."""
     top = ops._as_batch(np.asarray(state.layers[-1], dtype=_F), "top state",
-                        "B, D" if params.fc_w else "B, C, H, W")
-    w = np.asarray(params.readout_w, dtype=_F)
-    b = np.asarray(params.readout_b, dtype=_F)
-    return ops.affine(_flat(top), w, b)
+                        "B, D" if spec.fc else "B, C, H, W")
+    return _logits(top, params, spec)
 
 
 def _nudge_force(state_layers, params: Params, spec: ModelSpec, y, beta_signed: float):
@@ -295,18 +307,4 @@ def nudged_phase(x, params: Params, spec: ModelSpec, s_star: NetworkState, y,
 
 def logits_at(x, params: Params, spec: ModelSpec, t: int) -> np.ndarray:
     """Readout logits [B, K] after exactly t free-phase steps (no early exit)."""
-    return readout(free_phase(x, params, spec, t=t, fp_tol=0.0), params)
-
-
-def predict_at(x, params: Params, spec: ModelSpec, t: int):
-    """(labels [B], logits [B, K]) after exactly t free-phase steps; ties go
-    to the lowest index, as argmax takes the first."""
-    z = logits_at(x, params, spec, t)
-    return np.argmax(z, axis=-1), z
-
-
-def convergence_step(x, params: Params, spec: ModelSpec, t: int | None = None,
-                     fp_tol: float | None = None) -> int:
-    """Free-phase steps until the fixed-point tolerance is met on this batch."""
-    state = free_phase(x, params, spec, t=t, fp_tol=fp_tol)
-    return state.steps
+    return readout(free_phase(x, params, spec, t=t, fp_tol=0.0), params, spec)

@@ -23,15 +23,12 @@ _F = np.float64
 class ModelHandle:
     """logits(xs) -> [B,K] for images xs [B,C,H,W]; logits_vjp(xs) -> (logits,
     pullback from logit to pixel space). Cross-entropy gradients (loss_grad)
-    and labels (predict) derive from these two.
-
-    timestep is the free-phase step a dynamics model is read at; None for
-    feedforward models.
+    and labels (predict) derive from these two. A dynamics model's free-phase
+    timestep is fixed inside both when the handle is made.
     """
 
     logits: Callable
     logits_vjp: Callable
-    timestep: int | None = None
 
     def predict(self, xs) -> np.ndarray:
         """Top-1 labels; ties go to the lowest index."""
@@ -69,8 +66,6 @@ def for_params(params: Params, spec: ModelSpec, kind: str, timestep: int | None,
         def model_logits_vjp(xm):
             return unrolled.logits_and_vjp(xm, params, spec, timestep)
     elif kind in ("bp", "adv"):
-        timestep = None
-
         def logits(xs):
             return baseline.bp_forward(to_model(xs), params, spec)
 
@@ -83,7 +78,7 @@ def for_params(params: Params, spec: ModelSpec, kind: str, timestep: int | None,
         z, vjp = model_logits_vjp(to_model(xs))
         return z, lambda gz: vjp(gz) / std
 
-    return ModelHandle(logits, logits_vjp, timestep)
+    return ModelHandle(logits, logits_vjp)
 
 
 def from_checkpoint(ckpt, timestep: int | None = None) -> ModelHandle:

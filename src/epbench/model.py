@@ -204,24 +204,6 @@ def zero_state(spec: ModelSpec, batch: int, dtype=np.float64) -> NetworkState:
     )
 
 
-def tiny_model(rng: np.random.Generator, *, in_shape=(1, 8, 8), channels=(4, 8),
-               classes: int = 3, t_free: int = 250, t_nudge: int = 30,
-               beta: float = 0.5, fp_tol: float = 1e-6, scale: float = 1.0,
-               dtype=np.float64):
-    """Small random conv model used throughout the test oracles."""
-    c = in_shape[0]
-    conv = []
-    for ch in channels:
-        conv.append(ConvSpec(c, ch, kernel=3, padding=1))
-        c = ch
-    spec = ModelSpec(
-        input_shape=in_shape, conv=tuple(conv), readout_dim=classes,
-        t_free=t_free, t_nudge=t_nudge, beta=beta, fp_tol=fp_tol,
-    )
-    params = init_params(spec, rng, dtype=dtype, scale=scale)
-    return spec, params
-
-
 def spec_to_dict(spec: ModelSpec) -> dict:
     return {
         "input_shape": list(spec.input_shape),

@@ -1,11 +1,11 @@
-"""Dense tensor primitives: convolution, pooling, affine maps, and their adjoints.
+"""Dense tensor primitives: convolution and pooling with their adjoints, and the clamp.
 
 Tensors are plain row-major numpy arrays of real floats. Spatial convolution
 uses the cross-correlation convention (no kernel flip) with stride fixed at 1;
 ``conv2d_transpose`` is its exact adjoint, and ``unpool2`` is the adjoint of
 ``maxpool2`` for a fixed set of argmax indices. Every operand carries a
-leading batch axis: images and feature maps are [B, C, H, W], affine inputs
-[B, D]; an operand without it is rejected with ShapeError.
+leading batch axis: images and feature maps are [B, C, H, W]; an operand
+without it is rejected with ShapeError.
 
 All functions are pure (inputs never mutated) and deterministic: accumulation
 happens in float64 via ``np.einsum`` with a fixed contraction order, so
@@ -192,23 +192,6 @@ def pool_gather(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
     h, w = ib.shape[2], ib.shape[3]
     picked = np.take_along_axis(yb.reshape(B, C, H * W), ib.reshape(B, C, h * w), axis=2)
     return picked.reshape(B, C, h, w)
-
-
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y[n] = w @ x[n] + b for x[B,D]."""
-    xb = _as_batch(x, "affine input", "B, D")
-    w = np.asarray(w)
-    b = np.asarray(b)
-    if w.ndim != 2:
-        raise ShapeError(f"affine weight: expected rank 2, got rank {w.ndim}")
-    if xb.shape[1] != w.shape[1]:
-        raise ShapeError(
-            f"affine: input axis has extent {xb.shape[1]}, weight expects {w.shape[1]}"
-        )
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"affine: bias shape {b.shape} != ({w.shape[0]},)")
-    dtype = np.result_type(x, w, b)
-    return _einsum("kd,bd->bk", w, xb, dtype=dtype) + b
 
 
 def hard_clamp(x: np.ndarray) -> np.ndarray:

@@ -90,32 +90,21 @@ def phi_grad_params(x, state: NetworkState, params: Params,
     return est
 
 
-def ep_update_one_sided(x, y, params: Params, spec: ModelSpec,
-                        cfg: TrainConfig) -> Params:
-    """Loss-gradient estimate (G(s_*) - G(s^beta)) / beta from one nudged phase."""
-    return _ep_estimate(x, y, params, spec, cfg, "one_sided")
+def ep_estimate(x, y, params: Params, spec: ModelSpec, cfg: TrainConfig,
+                s_star: NetworkState | None = None) -> Params:
+    """Contrastive loss-gradient estimate under cfg.update_rule; s_star is the
+    free fixed point of x when the caller already has it.
 
-
-def ep_update_symmetric(x, y, params: Params, spec: ModelSpec,
-                        cfg: TrainConfig) -> Params:
-    """Centered loss-gradient estimate from +|beta| and -|beta| nudged phases.
-
-    The evaluation points are anchored at +/-|beta| with the signed prefactor
+    one_sided is (G(s_*) - G(s^beta)) / beta from one nudged phase. symmetric
+    anchors its two nudged phases at +/-|beta| with the signed prefactor
     1/(2*beta), which makes the estimate an exactly odd function of beta.
     """
-    return _ep_estimate(x, y, params, spec, cfg, "symmetric")
-
-
-def _ep_estimate(x, y, params: Params, spec: ModelSpec, cfg: TrainConfig, rule: str,
-                 s_star: NetworkState | None = None) -> Params:
-    """The contrastive estimate of `rule`; s_star is the free fixed point of x
-    when the caller already has it."""
     beta = cfg.beta if cfg.beta is not None else spec.beta
-    if rule == "symmetric" and beta == 0:
+    if cfg.update_rule == "symmetric" and beta == 0:
         raise ValueError("symmetric update needs beta != 0")
     if s_star is None:
         s_star = free_phase(x, params, spec)
-    if rule == "one_sided":
+    if cfg.update_rule == "one_sided":
         s_plus = nudged_phase(x, params, spec, s_star, y, beta)
         lo = phi_grad_params(x, s_star, params, spec)
         hi = phi_grad_params(x, s_plus, params, spec)
@@ -144,7 +133,7 @@ def sgd_momentum_step(params: Params, grads: Params, velocity: Params,
 
 def _ep_batch_grads(params, spec, cfg, xs, ys):
     s_star = free_phase(xs, params, spec)
-    est = _ep_estimate(xs, ys, params, spec, cfg, cfg.update_rule, s_star)
+    est = ep_estimate(xs, ys, params, spec, cfg, s_star)
     # the readout learns by the delta rule at the free fixed point
     p64, top, n = params.map(np.asarray, dtype=_F), s_star.layers[-1], spec.n_layers
     err = cross_entropy_grad(_logits(top, p64, spec), ys)
@@ -155,7 +144,7 @@ def _ep_batch_grads(params, spec, cfg, xs, ys):
 
 def _ep_predict(params, spec, xs):
     state = free_phase(xs, params, spec)
-    return np.argmax(readout(state, params), axis=-1)
+    return np.argmax(readout(state, params, spec), axis=-1)
 
 
 def run_training(dataset, spec: ModelSpec, cfg: TrainConfig, grad_fn, predict_fn,

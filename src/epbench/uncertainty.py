@@ -40,26 +40,27 @@ class ExponentFit:
 
 
 def disagreement_curve(model_eval, xs, norm: str, eps_grid, samples_per_eps: int,
-                       t: int | None = None, seed: int = 0) -> DisagreementCurve:
+                       seed: int = 0) -> DisagreementCurve:
     """Fraction of ball samples whose prediction differs from the center's.
 
-    model_eval(images, t) -> labels (t is forwarded verbatim and may be None
-    for models without a timestep notion). Deterministic for a fixed seed.
+    model_eval(images) -> labels. Deterministic for a fixed seed.
     """
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     if eps_grid.ndim != 1 or len(eps_grid) == 0:
         raise ValueError("eps_grid must be a non-empty 1-d sequence")
     if np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) <= 0):
         raise ValueError("eps_grid must be strictly increasing and positive")
+    if samples_per_eps < 1:
+        raise ValueError(f"samples_per_eps must be >= 1, got {samples_per_eps}")
     xs = np.asarray(xs, dtype=np.float64)
-    base = np.asarray(model_eval(xs, t))
+    base = np.asarray(model_eval(xs))
     flips = np.zeros(len(eps_grid), dtype=np.int64)
     total = np.zeros(len(eps_grid), dtype=np.int64)
     for e_i, eps in enumerate(eps_grid):
         rng = np.random.default_rng((seed, e_i))
         for s in range(samples_per_eps):
             pert = uniform_ball(rng, xs.shape, norm, float(eps))
-            pred = np.asarray(model_eval(xs + pert, t))
+            pred = np.asarray(model_eval(xs + pert))
             flips[e_i] += int(np.sum(pred != base))
             total[e_i] += len(xs)
     return DisagreementCurve(eps=eps_grid, rate=flips / np.maximum(total, 1),

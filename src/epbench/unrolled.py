@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (_adjoint, _as_batch_x, _drive, _logits, _relax, _route, _unpool,
-                     cross_entropy, cross_entropy_grad)
+from .energy import _adjoint, _as_batch_x, _drive, _logits, _relax, _route, _unpool
 from .model import ModelSpec, Params
 
 _F = np.float64
@@ -85,18 +84,6 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
                 g_new[i] += fwd.reshape(g_new[i].shape)
         g_layers = g_new
     return g_x
-
-
-def loss_and_grad_batch(xs, ys, params: Params, spec: ModelSpec, t: int):
-    """Per-example cross-entropy losses [B] at step t and their input gradients."""
-    logits, vjp = logits_and_vjp(xs, params, spec, t)
-    return cross_entropy(logits, ys), vjp(cross_entropy_grad(logits, ys))
-
-
-def input_grad(x, y, params: Params, spec: ModelSpec, t: int) -> np.ndarray:
-    """Exact gradient of the step-t cross-entropy loss with respect to x."""
-    _, grad = loss_and_grad_batch(x, y, params, spec, t)
-    return grad
 
 
 def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):

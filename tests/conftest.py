@@ -9,11 +9,29 @@ import numpy as np
 import pytest
 
 from epbench import baseline, data, energy, training
-from epbench.model import ModelSpec, init_params, tiny_model
+from epbench.model import ModelSpec, init_params
 from epbench.ops import ConvSpec
 
 DESK_NOISE = 0.5
 DESK_SHAPE = (1, 8, 8)
+
+
+def tiny_model(rng: np.random.Generator, *, in_shape=(1, 8, 8), channels=(4, 8),
+               classes: int = 3, t_free: int = 250, t_nudge: int = 30,
+               beta: float = 0.5, fp_tol: float = 1e-6, scale: float = 1.0,
+               dtype=np.float64):
+    """Small random conv model used throughout the test oracles."""
+    c = in_shape[0]
+    conv = []
+    for ch in channels:
+        conv.append(ConvSpec(c, ch, kernel=3, padding=1))
+        c = ch
+    spec = ModelSpec(
+        input_shape=in_shape, conv=tuple(conv), readout_dim=classes,
+        t_free=t_free, t_nudge=t_nudge, beta=beta, fp_tol=fp_tol,
+    )
+    params = init_params(spec, rng, dtype=dtype, scale=scale)
+    return spec, params
 
 
 def oracle_model(seed, **kw):
@@ -25,7 +43,7 @@ def oracle_model(seed, **kw):
 
 def fixed_point_loss(x, y, params, spec):
     st = energy.free_phase(x, params, spec)
-    return float(np.mean(energy.cross_entropy(energy.readout(st, params), y)))
+    return float(np.mean(energy.cross_entropy(energy.readout(st, params, spec), y)))
 
 
 def fd_param_grads(x, y, params, spec, h=1e-4, skip_readout=True):

@@ -50,20 +50,20 @@ def test_c01_ep_gradient_oracle():
         ref = fd_param_grads(x, y, params, spec)
 
         def estimate(rule, beta):
-            cfg = TrainConfig(learning_rates=(0.1,) * 3, beta=beta)
-            return dict(rule(x, y, params, spec, cfg).tensors())
+            cfg = TrainConfig(update_rule=rule, learning_rates=(0.1,) * 3, beta=beta)
+            return dict(training.ep_estimate(x, y, params, spec, cfg).tensors())
 
-        sym = estimate(training.ep_update_symmetric, 0.01)
+        sym = estimate("symmetric", 0.01)
         for name, fd in ref.items():
             g = sym[name]
             cos = np.vdot(g, fd) / (np.linalg.norm(g) * np.linalg.norm(fd))
             worst_cos = min(worst_cos, cos)
         one_ratios.append(float(
-            l2_all(estimate(training.ep_update_one_sided, 0.01), ref)
-            / l2_all(estimate(training.ep_update_one_sided, 0.005), ref)))
+            l2_all(estimate("one_sided", 0.01), ref)
+            / l2_all(estimate("one_sided", 0.005), ref)))
         sym_ratios.append(float(
             l2_all(sym, ref)
-            / l2_all(estimate(training.ep_update_symmetric, 0.005), ref)))
+            / l2_all(estimate("symmetric", 0.005), ref)))
     wall = time.perf_counter() - t0
     ok = (worst_cos >= 0.99
           and all(1.7 <= r <= 2.3 for r in one_ratios)
@@ -119,9 +119,9 @@ def test_c03_exact_input_gradients():
         )
         if not stable:  # pooling ties and clamp-kink crossings excluded
             continue
-        g = unrolled.input_grad(x, y, params, spec, t=t)
-        lp, _ = unrolled.loss_and_grad_batch(x + h * v, y, params, spec, t)
-        lm, _ = unrolled.loss_and_grad_batch(x - h * v, y, params, spec, t)
+        g = for_params(params, spec, "ep", t).loss_grad(x, y)[1]
+        lp, _ = for_params(params, spec, "ep", t).loss_grad(x + h * v, y)
+        lm, _ = for_params(params, spec, "ep", t).loss_grad(x - h * v, y)
         rel = abs((lp[0] - lm[0]) / (2 * h) - np.vdot(g, v)) / max(abs(np.vdot(g, v)), 1e-12)
         worst = max(worst, rel)
         passed += 1
@@ -133,7 +133,7 @@ def test_c03_exact_input_gradients():
 def test_c04_attack_timestep_saturation(trained_ep, eval_batch):
     spec, params, _ = trained_ep
     xs, ys = eval_batch
-    T = energy.convergence_step(xs, params, spec)
+    T = energy.free_phase(xs, params, spec).steps
     worst_gap = 0.0
     for eps in (0.02, 0.05, 0.1):
         accs = []
@@ -157,10 +157,10 @@ def test_c05_desk_scale_training(desk_data, trained_ep, trained_bp, trained_adv)
     for name, bundle in (("ep", trained_ep), ("bp", trained_bp), ("adv", trained_adv)):
         _, params, _ = bundle
         if name == "ep":
-            T = energy.convergence_step(
-                np.asarray(test.images[:64], dtype=np.float64), params, spec)
-            fn = lambda z: energy.predict_at(np.asarray(z, dtype=np.float64),
-                                             params, spec, t=T)[0]
+            T = energy.free_phase(
+                np.asarray(test.images[:64], dtype=np.float64), params, spec).steps
+            fn = lambda z: np.argmax(energy.logits_at(np.asarray(z, dtype=np.float64),
+                                                      params, spec, t=T), axis=-1)
         else:
             fn = lambda z, p=params: baseline.bp_predict(
                 np.asarray(z, dtype=np.float64), p, spec)
@@ -209,7 +209,7 @@ def test_c07_attack_invariants(trained_ep, eval_batch):
     spec, params, _ = trained_ep
     xs, ys = eval_batch
     xs, ys = xs[:64], ys[:64]
-    T = energy.convergence_step(xs, params, spec)
+    T = energy.free_phase(xs, params, spec).steps
     model = for_params(params, spec, "ep", T)
 
     # ball/box containment for every family on the trained model
@@ -244,8 +244,7 @@ def test_c07_attack_invariants(trained_ep, eval_batch):
 
     eps = 0.05
     thresh = eps * np.abs(w[0] - w[1]).sum()
-    cfg = AttackConfig(family="pgd", norm="linf", epsilon=eps, steps=40,
-                       step_size=eps / 8, seed=1)
+    cfg = AttackConfig(family="pgd", norm="linf", epsilon=eps, steps=40, seed=1)
     res = attacks.pgd_attack(xs_l, ys_l, linear, cfg)
     clear = np.abs(margins - thresh) > 0.02 * thresh
     pgd_ok = bool(np.all(res.success[clear] == (margins < thresh)[clear]))
@@ -273,13 +272,13 @@ def test_c08_black_box_contract(trained_ep, eval_batch, monkeypatch):
     spec, params, _ = trained_ep
     xs, ys = eval_batch
     xs, ys = xs[:80], ys[:80]
-    T = energy.convergence_step(xs, params, spec)
+    T = energy.free_phase(xs, params, spec).steps
     qm = lambda z: energy.logits_at(np.asarray(z, dtype=np.float64), params, spec, T)
 
     def poisoned(*a, **k):
         raise AssertionError("gradient engine reached from the black-box path")
 
-    monkeypatch.setattr(unrolled, "loss_and_grad_batch", poisoned)
+    monkeypatch.setattr(unrolled, "logits_and_vjp", poisoned)
     monkeypatch.setattr(unrolled, "backward_input", poisoned)
     cfg = AttackConfig(family="square", norm="linf", epsilon=0.1,
                        query_budget=800, seed=0)
@@ -296,9 +295,8 @@ def test_c09_corruption_sweep(trained_ep, desk_data):
     _, test = desk_data
 
     def model_eval(z):
-        labels, _ = energy.predict_at(np.asarray(z, dtype=np.float64),
-                                      params, spec, t=5)
-        return labels
+        return np.argmax(energy.logits_at(np.asarray(z, dtype=np.float64),
+                                          params, spec, t=5), axis=-1)
 
     in_range = True
     for kind in corruptions.NOISE_KINDS:
@@ -337,7 +335,7 @@ def test_c10_uncertainty_exponent():
     xs = (x0[None, :] + margins[:, None] * w[None, :]).reshape(-1, 1, 4, 4)
     eps_grid = [0.04, 0.08, 0.16, 0.32]
     curve = uncertainty.disagreement_curve(
-        lambda z, t: (np.asarray(z).reshape(len(z), -1) @ w + b > 0).astype(int),
+        lambda z: (np.asarray(z).reshape(len(z), -1) @ w + b > 0).astype(int),
         xs, "l2", eps_grid, samples_per_eps=250, seed=12)
 
     def cap_fraction(a):

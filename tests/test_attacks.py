@@ -142,8 +142,7 @@ class TestPGD:
         db = b[ys] - b[1 - ys]
         margins = np.einsum("nd,nd->n", dw, xs.reshape(len(xs), -1)) + db
         flip_threshold = 0.05 * np.abs(w[0] - w[1]).sum()
-        cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.05, steps=40,
-                           step_size=0.05 / 8, random_start=True, seed=1)
+        cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.05, steps=40, seed=1)
         res = attacks.pgd_attack(xs, ys, model, cfg)
         analytic_flip = margins < flip_threshold
         # exclude hairline cases within 2% of the threshold
@@ -154,7 +153,7 @@ class TestPGD:
     def test_monotone_in_epsilon_on_trained_model(self, trained_ep, eval_batch):
         spec, params, _ = trained_ep
         xs, ys = eval_batch
-        T = energy.convergence_step(xs, params, spec)
+        T = energy.free_phase(xs, params, spec).steps
         model = for_params(params, spec, "ep", T)
         accs = []
         for eps in (0.0, 0.02, 0.05, 0.1):
@@ -167,12 +166,12 @@ class TestPGD:
     def test_more_steps_never_helps_defense(self, trained_ep, eval_batch):
         spec, params, _ = trained_ep
         xs, ys = eval_batch
-        T = energy.convergence_step(xs, params, spec)
+        T = energy.free_phase(xs, params, spec).steps
         model = for_params(params, spec, "ep", T)
         accs = []
         for steps in (5, 20, 40):
             cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.08, steps=steps,
-                               step_size=0.01, seed=0)
+                               seed=0)
             accs.append(attacks.pgd_attack(xs, ys, model, cfg)
                         .robust_accuracy())
         assert accs[1] <= accs[0] + 0.0101
@@ -206,7 +205,7 @@ class TestCW:
         spec, params, _ = trained_ep
         xs, ys = eval_batch
         xs, ys = xs[:48], ys[:48]
-        T = energy.convergence_step(xs, params, spec)
+        T = energy.free_phase(xs, params, spec).steps
         model = for_params(params, spec, "ep", T)
         rates = []
         for c in (0.005, 0.1, 2.0):
@@ -275,15 +274,15 @@ class TestSquare:
         import epbench.unrolled as unrolled
         xs, ys, w, b = make_linear_case(seed=13, n=4)
         logits_fn = linear_model(w, b).logits
-        orig = unrolled.loss_and_grad_batch
+        orig = unrolled.logits_and_vjp
         calls = []
-        unrolled.loss_and_grad_batch = lambda *a, **k: calls.append(1)
+        unrolled.logits_and_vjp = lambda *a, **k: calls.append(1)
         try:
             cfg = AttackConfig(family="square", norm="linf", epsilon=0.05,
                                query_budget=30, seed=0)
             attacks.square_attack(xs, ys, logits_fn, cfg)
         finally:
-            unrolled.loss_and_grad_batch = orig
+            unrolled.logits_and_vjp = orig
         assert calls == []
 
 
@@ -292,7 +291,7 @@ class TestContainment:
         spec, params, _ = trained_ep
         xs, ys = eval_batch
         xs, ys = xs[:32], ys[:32]
-        T = energy.convergence_step(xs, params, spec)
+        T = energy.free_phase(xs, params, spec).steps
         model = for_params(params, spec, "ep", T)
 
         def check(res, norm, eps):
@@ -324,7 +323,7 @@ class TestSuite:
         spec, params, _ = trained_ep
         xs, ys = eval_batch
         xs, ys = xs[:32], ys[:32]
-        T = energy.convergence_step(xs, params, spec)
+        T = energy.free_phase(xs, params, spec).steps
         model = for_params(params, spec, "ep", T)
         cfg = AttackConfig(family="pgd", norm="linf", epsilon=0.05, seed=0)
         alone = attacks.pgd_attack(xs, ys, model, cfg)
@@ -335,7 +334,7 @@ class TestSuite:
         spec, params, _ = trained_ep
         xs, ys = eval_batch
         xs, ys = xs[:32], ys[:32]
-        T = energy.convergence_step(xs, params, spec)
+        T = energy.free_phase(xs, params, spec).steps
         model = for_params(params, spec, "ep", T)
         cfg1 = AttackConfig(family="pgd", norm="linf", epsilon=0.05, seed=0)
         cfg2 = AttackConfig(family="pgd", norm="l2", epsilon=0.8, seed=1)

@@ -130,9 +130,8 @@ class TestEvaluate:
         sub = test.subset(100)
 
         def model_eval(xs):
-            labels, _ = energy.predict_at(np.asarray(xs, dtype=np.float64),
-                                          params, spec, t=5)
-            return labels
+            return np.argmax(energy.logits_at(np.asarray(xs, dtype=np.float64),
+                                              params, spec, t=5), axis=-1)
 
         a = bench.evaluate(model_eval, sub, batch_size=1)
         b = bench.evaluate(model_eval, sub, batch_size=64)

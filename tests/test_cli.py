@@ -228,3 +228,16 @@ class TestEndToEnd:
                        "--format", "json"])
         assert rc == 0
         assert bench.read_results(out)[0].attack == "clean"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--subset", "-250"],
+    ["uncertainty", "--samples", "0", "--eps-grid", "0.1", "--out", "u.csv"],
+    ["eval", "--batch-size", "0"],
+], ids=["subset", "samples", "batch-size"])
+def test_count_flags_below_one_rejected(argv, capsys):
+    # argparse refuses the value before the checkpoint is opened
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--ckpt", "never-read.ckpt"])
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: must be an integer >= 1" in capsys.readouterr().err

@@ -108,9 +108,8 @@ class TestSweep:
         _, test = desk_data
 
         def model_eval(xs):
-            labels, _ = energy.predict_at(np.asarray(xs, dtype=np.float64),
-                                          params, spec, t=5)
-            return labels
+            return np.argmax(energy.logits_at(np.asarray(xs, dtype=np.float64),
+                                              params, spec, t=5), axis=-1)
 
         sub = test.subset(96)
         grid, _ = cor.corruption_sweep(sub, model_eval, kinds=("contrast",),
@@ -124,9 +123,8 @@ class TestSweep:
         _, test = desk_data
 
         def model_eval(xs):
-            labels, _ = energy.predict_at(np.asarray(xs, dtype=np.float64),
-                                          params, spec, t=5)
-            return labels
+            return np.argmax(energy.logits_at(np.asarray(xs, dtype=np.float64),
+                                              params, spec, t=5), axis=-1)
 
         grid, _ = cor.corruption_sweep(test, model_eval, kinds=cor.NOISE_KINDS,
                                        severities=(1, 5))

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from epbench import energy, ops, unrolled
-from epbench.model import (ModelSpec, NetworkState, init_params, tiny_model,
-                           zero_state)
+from epbench.model import ModelSpec, NetworkState, init_params, zero_state
 from epbench.ops import ConvSpec
+
+from conftest import tiny_model
 
 
 rng_global = np.random.default_rng(0)
@@ -205,8 +206,8 @@ class TestNudgedPhase:
             y = np.array([int(rng.integers(0, 3))])
             star = energy.free_phase(x, params, spec, t=250)
             nudged = energy.nudged_phase(x, params, spec, star, y, +0.2)
-            loss_star = energy.cross_entropy(energy.readout(star, params), y)[0]
-            loss_nudged = energy.cross_entropy(energy.readout(nudged, params), y)[0]
+            loss_star = energy.cross_entropy(energy.readout(star, params, spec), y)[0]
+            loss_nudged = energy.cross_entropy(energy.readout(nudged, params, spec), y)[0]
             hits += loss_nudged <= loss_star + 1e-12
         assert hits >= 4
 
@@ -237,7 +238,8 @@ class TestReadoutPredict:
         params.readout_w[:] = 0.0
         params.readout_b[:] = 0.0
         x = rng_global.uniform(0, 1, spec.input_shape)[None]
-        label, logits = energy.predict_at(x, params, spec, t=5)
+        logits = energy.logits_at(x, params, spec, t=5)
+        label = np.argmax(logits, axis=-1)
         assert np.count_nonzero(logits) == 0
         assert label[0] == 0  # lowest-index tie break
 
@@ -249,13 +251,13 @@ class TestReadoutPredict:
         params.readout_b = np.zeros(2)
         st = zero_state(spec, 1)
         st.layers[-1][0] = [0.3, 0.9]
-        assert np.allclose(energy.readout(st, params), [0.3, 0.9])
+        assert np.allclose(energy.readout(st, params, spec), [0.3, 0.9])
 
     def test_readout_matches_loop(self):
         rng = np.random.default_rng(14)
         spec, params = tiny_model(rng)
         st = random_state(spec, rng)
-        z = energy.readout(st, params)[0]
+        z = energy.readout(st, params, spec)[0]
         flat = st.layers[-1][0].reshape(-1)
         ref = params.readout_w.astype(np.float64) @ flat + params.readout_b
         assert np.max(np.abs(z - ref)) < 1e-6
@@ -268,10 +270,10 @@ class TestReadoutPredict:
         params = init_params(spec, np.random.default_rng(16), dtype=np.float64)
         x = np.random.default_rng(17).uniform(0, 1, spec.input_shape)
         st = energy.free_phase(x[None], params, spec)
-        assert energy.readout(st, params).shape == (1, 3)
+        assert energy.readout(st, params, spec).shape == (1, 3)
         st.layers[-1] = st.layers[-1][0]
         with pytest.raises(ops.ShapeError, match=r"\[B, C, H, W\]"):
-            energy.readout(st, params)
+            energy.readout(st, params, spec)
 
     def test_shallow_t_gives_chance(self):
         # before information reaches the top layer the logits cannot depend
@@ -281,21 +283,21 @@ class TestReadoutPredict:
         spec, params = tiny_model(rng, channels=(3, 4))
         xa = rng.uniform(0, 1, spec.input_shape)[None]
         xb = rng.uniform(0, 1, spec.input_shape)[None]
-        _, za = energy.predict_at(xa, params, spec, t=1)
-        _, zb = energy.predict_at(xb, params, spec, t=1)
+        za = energy.logits_at(xa, params, spec, t=1)
+        zb = energy.logits_at(xb, params, spec, t=1)
         assert np.array_equal(za, zb)
         params.conv_b[0][:] = 0.0
         params.conv_b[1][:] = 0.0
         params.readout_b[:] = 0.0
-        _, z0 = energy.predict_at(xa, params, spec, t=1)
+        z0 = energy.logits_at(xa, params, spec, t=1)
         assert np.count_nonzero(z0) == 0
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(16)
         spec, params = tiny_model(rng)
         x = rng.uniform(0, 1, spec.input_shape)[None]
-        _, z1 = energy.predict_at(x, params, spec, t=9)
-        _, z2 = energy.predict_at(x, params, spec, t=9)
+        z1 = energy.logits_at(x, params, spec, t=9)
+        z2 = energy.logits_at(x, params, spec, t=9)
         assert np.array_equal(z1, z2)
 
 
@@ -327,8 +329,24 @@ def test_prediction_saturates_after_convergence(trained_ep, eval_batch):
     spec, params, _ = trained_ep
     xs, _ = eval_batch
     xs = xs[:32]
-    T = energy.convergence_step(xs, params, spec)
-    base, _ = energy.predict_at(xs, params, spec, t=T)
+    T = energy.free_phase(xs, params, spec).steps
+    base = np.argmax(energy.logits_at(xs, params, spec, t=T), axis=-1)
     for extra in (5, 20, 50):
-        labels, _ = energy.predict_at(xs, params, spec, t=T + extra)
+        labels = np.argmax(energy.logits_at(xs, params, spec, t=T + extra), axis=-1)
         assert np.array_equal(labels, base)
+
+
+@pytest.mark.parametrize("fn", [energy.cross_entropy, energy.cross_entropy_grad],
+                         ids=["loss", "grad"])
+@pytest.mark.parametrize("y, error, match", [
+    ([-1, 0], ValueError, "label -1"),
+    (1, ops.ShapeError, r"\[B\]"),
+    ([7, 0], ValueError, "label 7"),
+    ([0, 1, 2], ops.ShapeError, r"\[B\]"),
+    ([0.0, 1.0], ops.ShapeError, r"\[B\]"),
+], ids=["negative", "scalar", "out-of-range", "three-for-two", "float"])
+def test_bad_labels_rejected(fn, y, error, match):
+    # logits of a batch of 2 over 3 classes
+    z = np.random.default_rng(18).standard_normal((2, 3))
+    with pytest.raises(error, match=match):
+        fn(z, y)

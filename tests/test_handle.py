@@ -8,7 +8,8 @@ import pytest
 from epbench import attacks, baseline, energy, ops, unrolled
 from epbench.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from epbench.handle import for_params, from_checkpoint
-from epbench.model import tiny_model, zero_state
+from epbench.model import zero_state
+from conftest import tiny_model
 
 MEAN = np.array([0.4, 0.5, 0.6])
 STD = np.array([0.2, 0.5, 2.0])
@@ -26,7 +27,7 @@ def model_space(kind, params, spec):
     """(logits, loss_and_grad, logits_and_vjp) on already-normalized inputs."""
     if kind == "ep":
         return (lambda xm: energy.logits_at(xm, params, spec, T),
-                lambda xm, ys: unrolled.loss_and_grad_batch(xm, ys, params, spec, T),
+                lambda xm, ys: for_params(params, spec, "ep", T).loss_grad(xm, ys),
                 lambda xm: unrolled.logits_and_vjp(xm, params, spec, T))
     return (lambda xm: baseline.bp_forward(xm, params, spec),
             lambda xm, ys: baseline.bp_loss_and_input_grad(xm, ys, params, spec),
@@ -52,7 +53,6 @@ def test_gradients_are_model_space_gradients_over_std(kind):
     ref_z, ref_vjp = ref_logits_vjp(xm)
     assert np.array_equal(z, ref_z)
     assert np.array_equal(vjp(gz), ref_vjp(gz) / std)
-    assert model.timestep == (T if kind == "ep" else None)
 
 
 @pytest.mark.parametrize("kind", ["ep", "bp"])
@@ -62,7 +62,6 @@ def test_checkpoint_round_trip_keeps_logits_bit_exact(kind, tmp_path):
                     norm_std=list(STD), convergence_step=T)
     save_checkpoint(tmp_path / "m.ckpt", ck)
     loaded = from_checkpoint(load_checkpoint(tmp_path / "m.ckpt"))
-    assert loaded.timestep == (T if kind == "ep" else None)
     want = for_params(params, spec, kind, T, normalize=(MEAN, STD)).logits(xs)
     assert np.array_equal(from_checkpoint(ck).logits(xs), want)
     assert np.array_equal(loaded.logits(xs), want)
@@ -85,8 +84,7 @@ UNBATCHED_CALLS = {
     "energy.free_phase": lambda x, p, s: energy.free_phase(x, p, s),
     "energy.logits_at": lambda x, p, s: energy.logits_at(x, p, s, T),
     "energy.phi": lambda x, p, s: energy.phi(x, zero_state(s, 1), p, s),
-    "unrolled.loss_and_grad_batch":
-        lambda x, p, s: unrolled.loss_and_grad_batch(x, np.array([1]), p, s, T),
+    "unrolled.logits_and_vjp": lambda x, p, s: unrolled.logits_and_vjp(x, p, s, T),
     "baseline.bp_forward": lambda x, p, s: baseline.bp_forward(x, p, s),
     "attacks.project": lambda x, p, s: attacks.project(x, x, "l2", 0.1),
     "handle.logits": lambda x, p, s: _handle(p, s).logits(x),

@@ -213,30 +213,6 @@ class TestUnpool:
         assert abs(lhs - rhs) < 1e-10
 
 
-class TestAffine:
-    def test_identity(self):
-        x = np.array([3.0, -1.0])[None]
-        assert np.array_equal(ops.affine(x, np.eye(2), np.zeros(2)), x)
-
-    def test_hand_arithmetic(self):
-        y = ops.affine(np.array([1.0, 2.0])[None], np.array([[3.0, 4.0]]), np.array([1.0]))[0]
-        assert y.shape == (1,)
-        assert y[0] == 12.0
-
-    def test_matches_loop(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal(7)
-        w = rng.standard_normal((4, 7))
-        b = rng.standard_normal(4)
-        y = ops.affine(x[None], w, b)[0]
-        ref = np.array([sum(w[k, d] * x[d] for d in range(7)) + b[k] for k in range(4)])
-        assert np.max(np.abs(y - ref)) < 1e-6
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError, match="extent"):
-            ops.affine(np.zeros(3)[None], np.zeros((2, 4)), np.zeros(2))
-
-
 class TestHardClamp:
     def test_inside_unchanged(self):
         x = np.linspace(0, 1, 11)

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from epbench import baseline, energy, training
-from epbench.model import ModelSpec, NetworkState, init_params, tiny_model
+from epbench.model import ModelSpec, NetworkState, init_params
 from epbench.ops import ConvSpec
 from epbench.training import AdversarialBlock, DivergenceError, TrainConfig
 from conftest import (conv_fc_model, desk_spec, desk_train_config, fd_param_grads,
-                      oracle_model)
+                      oracle_model, tiny_model)
 
 
 class TestPhiGradParams:
@@ -85,8 +85,8 @@ class TestEPUpdates:
         y = np.array([1])
         cfg_p = TrainConfig(learning_rates=(0.1, 0.1, 0.1), beta=0.05)
         cfg_m = TrainConfig(learning_rates=(0.1, 0.1, 0.1), beta=-0.05)
-        plus = training.ep_update_symmetric(x, y, params, spec, cfg_p)
-        minus = training.ep_update_symmetric(x, y, params, spec, cfg_m)
+        plus = training.ep_estimate(x, y, params, spec, cfg_p)
+        minus = training.ep_estimate(x, y, params, spec, cfg_m)
         for (_, a), (_, b) in zip(plus.tensors(), minus.tensors()):
             assert np.array_equal(a, -b)
 
@@ -95,10 +95,10 @@ class TestEPUpdates:
         rng = np.random.default_rng(9)
         x = rng.uniform(0, 1, (1,) + spec.input_shape)
         y = np.array([0])
-        est_a = training.ep_update_one_sided(
-            x, y, params, spec, TrainConfig(learning_rates=(0.1,) * 3, beta=1e-3))
-        est_b = training.ep_update_one_sided(
-            x, y, params, spec, TrainConfig(learning_rates=(0.1,) * 3, beta=5e-4))
+        est_a = training.ep_estimate(x, y, params, spec, TrainConfig(
+            update_rule="one_sided", learning_rates=(0.1,) * 3, beta=1e-3))
+        est_b = training.ep_estimate(x, y, params, spec, TrainConfig(
+            update_rule="one_sided", learning_rates=(0.1,) * 3, beta=5e-4))
         # estimates differ by O(beta)
         num = np.sqrt(sum(np.sum((a - b) ** 2)
                           for (_, a), (_, b) in zip(est_a.tensors(), est_b.tensors())))
@@ -110,7 +110,7 @@ class TestEPUpdates:
         rng = np.random.default_rng(11)
         x = rng.uniform(0, 1, (1,) + spec.input_shape)
         y = np.array([2])
-        est = training.ep_update_symmetric(
+        est = training.ep_estimate(
             x, y, params, spec, TrainConfig(learning_rates=(0.1,) * 3, beta=0.01))
         ref = fd_param_grads(x, y, params, spec)
         got = dict(est.tensors())
@@ -127,13 +127,13 @@ class TestEPUpdates:
         rng = np.random.default_rng(13)
         x = rng.uniform(0, 1, (1,) + spec.input_shape)
         star = energy.free_phase(x, params, spec)
-        label, _ = int(np.argmax(energy.readout(star, params))), None
+        label, _ = int(np.argmax(energy.readout(star, params, spec))), None
         params.readout_w *= 100.0  # temperature -> saturated softmax
         params.readout_b *= 100.0
         cfg = TrainConfig(learning_rates=(0.1,) * 3, beta=0.05)
-        est = training.ep_update_symmetric(x, np.array([label]), params, spec, cfg)
+        est = training.ep_estimate(x, np.array([label]), params, spec, cfg)
         scale = np.sqrt(sum(np.sum(t ** 2) for _, t in est.tensors()))
-        wrong = training.ep_update_symmetric(
+        wrong = training.ep_estimate(
             x, np.array([(label + 1) % 3]), params, spec, cfg)
         wrong_scale = np.sqrt(sum(np.sum(t ** 2) for _, t in wrong.tensors()))
         assert scale < 1e-3 * wrong_scale
@@ -146,13 +146,13 @@ class TestEPUpdates:
         ref = fd_param_grads(x, y, params, spec)
 
         def err(rule, beta):
-            est = rule(x, y, params, spec,
-                       TrainConfig(learning_rates=(0.1,) * 3, beta=beta))
+            est = training.ep_estimate(x, y, params, spec, TrainConfig(
+                update_rule=rule, learning_rates=(0.1,) * 3, beta=beta))
             got = dict(est.tensors())
             return np.sqrt(sum(np.sum((got[n] - ref[n]) ** 2) for n in ref))
 
-        one = err(training.ep_update_one_sided, 0.01) / err(training.ep_update_one_sided, 0.005)
-        sym = err(training.ep_update_symmetric, 0.01) / err(training.ep_update_symmetric, 0.005)
+        one = err("one_sided", 0.01) / err("one_sided", 0.005)
+        sym = err("symmetric", 0.01) / err("symmetric", 0.005)
         assert 1.7 <= one <= 2.3
         assert 3.4 <= sym <= 4.6
 
@@ -272,15 +272,16 @@ class TestBPGradients:
 THREAD_PROBE = """
 import sys
 import numpy as np
-from epbench import energy, training, unrolled
-from epbench.model import tiny_model
+from conftest import tiny_model
+from epbench import energy, training
+from epbench.handle import for_params
 
 spec, params = tiny_model(np.random.default_rng(3), scale=0.9, t_free=40, t_nudge=10)
 xs = np.random.default_rng(4).uniform(0, 1, (6,) + spec.input_shape)
 ys = np.array([0, 1, 2, 0, 1, 2])
 cfg = training.TrainConfig(learning_rates=(0.1, 0.1, 0.1), beta=0.4)
 out = energy.free_phase(xs, params, spec).layers
-out += unrolled.loss_and_grad_batch(xs, ys, params, spec, 12)
+out += for_params(params, spec, "ep", 12).loss_grad(xs, ys)
 out += [t for _, t in training._ep_batch_grads(params, spec, cfg, xs, ys).tensors()]
 sys.stdout.buffer.write(b"".join(np.ascontiguousarray(a).tobytes() for a in out))
 """
@@ -291,7 +292,8 @@ def test_bit_identical_across_thread_counts():
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+                   PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent),
+                                               os.environ.get("PYTHONPATH", "")]))
         runs.append(subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
                                    capture_output=True, check=True).stdout)
     assert len(runs[0]) > 0

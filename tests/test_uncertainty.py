@@ -51,7 +51,7 @@ class TestFitExponent:
 
 class TestDisagreementCurve:
     def _linear_eval(self, w, b):
-        def model_eval(xs, t):
+        def model_eval(xs):
             flat = np.asarray(xs).reshape(len(xs), -1)
             return (flat @ w + b > 0).astype(int)
         return model_eval
@@ -68,15 +68,20 @@ class TestDisagreementCurve:
 
     def test_constant_model_never_disagrees(self):
         xs = np.random.default_rng(2).uniform(0, 1, (5, 1, 4, 4))
-        curve = disagreement_curve(lambda z, t: np.zeros(len(z), dtype=int), xs,
+        curve = disagreement_curve(lambda z: np.zeros(len(z), dtype=int), xs,
                                    "linf", [0.01, 0.1, 0.5], 40, seed=3)
         assert np.all(curve.rate == 0.0)
 
     def test_grid_validation(self):
         xs = np.zeros((1, 1, 4, 4))
         with pytest.raises(ValueError, match="increasing"):
-            disagreement_curve(lambda z, t: np.zeros(len(z)), xs, "l2",
+            disagreement_curve(lambda z: np.zeros(len(z)), xs, "l2",
                                [0.2, 0.1], 5)
+
+    def test_samples_per_eps_below_one_rejected(self):
+        xs = np.zeros((1, 1, 4, 4))
+        with pytest.raises(ValueError, match="samples_per_eps"):
+            disagreement_curve(lambda z: np.zeros(len(z)), xs, "l2", [0.1], 0)
 
     def test_matches_analytic_ball_cap_within_ci(self):
         d = 16
@@ -125,7 +130,7 @@ class TestBootstrap:
         xs = (x0[None, :] + margins[:, None] * w[None, :]).reshape(-1, 1, 4, 4)
         eps_grid = [0.04, 0.08, 0.16, 0.32]
         curve = disagreement_curve(
-            lambda z, t: (np.asarray(z).reshape(len(z), -1) @ w + b > 0).astype(int),
+            lambda z: (np.asarray(z).reshape(len(z), -1) @ w + b > 0).astype(int),
             xs, "l2", eps_grid, samples_per_eps=250, seed=9)
         # the analytic curve for these margins, through the same fit
         analytic_rates = [float(np.mean(cap_fraction(margins / e, d)))

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from epbench import energy, ops, unrolled
-from epbench.model import ModelSpec, init_params, tiny_model
+from epbench.handle import for_params
+from epbench.model import ModelSpec, init_params
 from epbench.ops import ConvSpec
-from conftest import conv_fc_model
+from conftest import conv_fc_model, tiny_model
 
 
 class TestInputGrad:
@@ -16,7 +17,7 @@ class TestInputGrad:
         for name, t in params.tensors():
             t[:] = 0.0
         x = np.random.default_rng(1).uniform(0, 1, spec.input_shape)[None]
-        g = unrolled.input_grad(x, np.array([1]), params, spec, t=5)
+        g = for_params(params, spec, "ep", 5).loss_grad(x, np.array([1]))[1]
         assert np.count_nonzero(g) == 0
 
     def test_single_step_closed_form(self):
@@ -28,7 +29,7 @@ class TestInputGrad:
         params = init_params(spec, rng, dtype=np.float64, scale=0.6)
         x = rng.uniform(0.1, 0.9, spec.input_shape)[None]
         y = 1
-        got = unrolled.input_grad(x, np.array([y]), params, spec, t=1)
+        got = for_params(params, spec, "ep", 1).loss_grad(x, np.array([y]))[1]
 
         conv = ops.conv2d(x, params.conv_w[0], spec.conv[0])
         pooled, idx = ops.maxpool2(conv)
@@ -50,7 +51,7 @@ class TestInputGrad:
         x = rng.uniform(0.05, 0.95, spec.input_shape)[None]
         y = np.array([2])
         t = 20
-        g = unrolled.input_grad(x, y, params, spec, t=t)
+        g = for_params(params, spec, "ep", t).loss_grad(x, y)[1]
         tape0 = unrolled.record_free_phase(x, params, spec, t)
         h = 1e-5
         checked = 0
@@ -69,8 +70,8 @@ class TestInputGrad:
             )
             if not stable:
                 continue
-            lp, _ = unrolled.loss_and_grad_batch(xp, y, params, spec, t)
-            lm, _ = unrolled.loss_and_grad_batch(xm, y, params, spec, t)
+            lp, _ = for_params(params, spec, "ep", t).loss_grad(xp, y)
+            lm, _ = for_params(params, spec, "ep", t).loss_grad(xm, y)
             fd = (lp[0] - lm[0]) / (2 * h)
             an = g.reshape(-1)[j]
             if abs(an) > 1e-10:
@@ -83,10 +84,10 @@ class TestInputGrad:
         for trial in range(3):
             spec, params = tiny_model(np.random.default_rng(50 + trial), scale=0.8)
             x = rng.uniform(0, 1, spec.input_shape)[None]
-            T = energy.convergence_step(x, params, spec)
-            gT = unrolled.input_grad(x, np.array([0]), params, spec, t=T)
+            T = energy.free_phase(x, params, spec).steps
+            gT = for_params(params, spec, "ep", T).loss_grad(x, np.array([0]))[1]
             for k in (10, 20):
-                gk = unrolled.input_grad(x, np.array([0]), params, spec, t=T + k)
+                gk = for_params(params, spec, "ep", T + k).loss_grad(x, np.array([0]))[1]
                 rel = np.linalg.norm(gk - gT) / np.linalg.norm(gT)
                 assert rel < 1e-3
 
@@ -118,9 +119,9 @@ class TestInputGrad:
             )
             if not stable:  # pooling ties and clamp kinks are non-smooth
                 continue
-            g = unrolled.input_grad(x, y, params, spec, t=t)
-            lp, _ = unrolled.loss_and_grad_batch(x + h * v, y, params, spec, t)
-            lm, _ = unrolled.loss_and_grad_batch(x - h * v, y, params, spec, t)
+            g = for_params(params, spec, "ep", t).loss_grad(x, y)[1]
+            lp, _ = for_params(params, spec, "ep", t).loss_grad(x + h * v, y)
+            lm, _ = for_params(params, spec, "ep", t).loss_grad(x - h * v, y)
             fd = (lp[0] - lm[0]) / (2 * h)
             an = float(np.vdot(g, v))
             assert abs(fd - an) / max(abs(an), 1e-12) < 1e-3
@@ -133,11 +134,11 @@ class TestBatching:
         rng = np.random.default_rng(6)
         spec, params = tiny_model(np.random.default_rng(13))
         x = rng.uniform(0, 1, spec.input_shape)[None]
-        l1, g1 = unrolled.loss_and_grad_batch(x, np.array([1]), params, spec, 10)
+        l1, g1 = for_params(params, spec, "ep", 10).loss_grad(x, np.array([1]))
         k = 2  # x sits in row k of a batch of four
         others = rng.uniform(0, 1, (3,) + spec.input_shape)
         xs = np.concatenate([others[:k], x, others[k:]])
-        lb, gb = unrolled.loss_and_grad_batch(xs, np.array([0, 2, 1, 0]), params, spec, 10)
+        lb, gb = for_params(params, spec, "ep", 10).loss_grad(xs, np.array([0, 2, 1, 0]))
         assert l1[0] == lb[k]
         assert np.array_equal(g1[0], gb[k])
 
@@ -147,7 +148,7 @@ class TestBatching:
         x = rng.uniform(0, 1, spec.input_shape)
         xs = np.stack([x, x, x])
         ys = np.array([2, 2, 2])
-        losses, grads = unrolled.loss_and_grad_batch(xs, ys, params, spec, 8)
+        losses, grads = for_params(params, spec, "ep", 8).loss_grad(xs, ys)
         assert losses[0] == losses[1] == losses[2]
         assert np.array_equal(grads[0], grads[1])
         assert np.array_equal(grads[0], grads[2])
@@ -157,9 +158,9 @@ class TestBatching:
         spec, params = tiny_model(np.random.default_rng(19))
         xs = rng.uniform(0, 1, (5,) + spec.input_shape)
         ys = np.array([0, 1, 2, 0, 1])
-        losses, grads = unrolled.loss_and_grad_batch(xs, ys, params, spec, 12)
+        losses, grads = for_params(params, spec, "ep", 12).loss_grad(xs, ys)
         for i in range(5):
-            li, gi = unrolled.loss_and_grad_batch(xs[i:i + 1], ys[i:i + 1], params, spec, 12)
+            li, gi = for_params(params, spec, "ep", 12).loss_grad(xs[i:i + 1], ys[i:i + 1])
             assert li[0] == losses[i]
             assert np.array_equal(gi[0], grads[i])
 
