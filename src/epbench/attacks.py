@@ -3,7 +3,8 @@
 PGD and C&W take a ModelHandle (see epbench.handle) and consume its exact
 input gradients; the Square attack is strictly query-based, touching nothing
 but a logits callable. All attacks operate on raw pixels in [0,1]; every
-emitted example satisfies the norm-ball and box constraints.
+emitted example satisfies the norm-ball and box constraints. An attack is set
+by one strength, AttackConfig.epsilon (C&W's constant c), and one step count.
 """
 
 from __future__ import annotations
@@ -31,29 +32,33 @@ SQUARE_P_SCHEDULE = (
 
 @dataclass
 class AttackConfig:
+    """epsilon: ball radius (PGD, Square) or constant c (C&W). steps: PGD or
+    C&W iterations; None means 20 for PGD and 100 for C&W. Square spends
+    query_budget queries instead."""
+
     family: str = "pgd"
     norm: str = "linf"
     epsilon: float = 0.0
-    steps: int = 20
-    cw_constant: float = 0.1
+    steps: int | None = None
     cw_lr: float = 0.01
-    cw_steps: int = 100
     query_budget: int = 5000
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES and self.family != "suite":
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown attack family {self.family!r}")
         if self.norm not in NORMS:
             raise ValueError(f"unknown norm {self.norm!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        if self.steps is None:
+            self.steps = 100 if self.family == "cw" else 20
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.family == "square" and self.norm != "linf":
             raise ValueError("square attack is defined for the linf norm")
-        if self.cw_steps < 1 or self.cw_lr <= 0:
-            raise ValueError("cw_steps must be >= 1 and cw_lr > 0")
+        if self.cw_lr <= 0:
+            raise ValueError("cw_lr must be > 0")
         if self.query_budget < 1:
             raise ValueError("query_budget must be >= 1")
 
@@ -163,7 +168,8 @@ def _margin(logits: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def cw_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
     """l2 norm-minimizing attack with margin hinge under a tanh box change
-    of variables; plain gradient descent with a single fixed constant.
+    of variables; cfg.steps of plain gradient descent with the single fixed
+    constant c = cfg.epsilon.
 
     Returns the smallest-norm successful iterate per example (final iterate
     when none succeeded). No epsilon ball applies; the box always does.
@@ -179,14 +185,14 @@ def cw_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
     succeeded = np.zeros(len(xs), dtype=bool)
     last_obj = np.zeros(len(xs))
     x_adv = xs.copy()
-    for _ in range(cfg.cw_steps):
+    for _ in range(cfg.steps):
         x_adv = 0.5 * (np.tanh(w) + 1.0)
         logits, vjp = model.logits_vjp(x_adv)
         margin = _margin(logits, ys)
         delta = x_adv - xs
         l2sq = (delta.reshape(len(xs), -1) ** 2).sum(axis=1)
         hinge = np.maximum(margin, 0.0)  # kappa = 0
-        last_obj = l2sq + cfg.cw_constant * hinge
+        last_obj = l2sq + cfg.epsilon * hinge
         # track the best (smallest) successful perturbation
         newly = (margin < 0) & (np.sqrt(l2sq) < best_norm)
         best[newly] = x_adv[newly]
@@ -199,8 +205,8 @@ def cw_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
             masked[np.arange(len(ys)), ys] = -np.inf
             runner = masked.argmax(axis=1)
             rows = np.where(active)[0]
-            g_logits[rows, ys[rows]] = cfg.cw_constant
-            g_logits[rows, runner[rows]] = -cfg.cw_constant
+            g_logits[rows, ys[rows]] = cfg.epsilon
+            g_logits[rows, runner[rows]] = -cfg.epsilon
         g_x = 2.0 * delta + vjp(g_logits)
         g_w = g_x * 2.0 * x_adv * (1.0 - x_adv)  # d x'/d w for x' = (tanh w + 1)/2
         w = w - cfg.cw_lr * g_w
@@ -209,7 +215,7 @@ def cw_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
         adversarial=out,
         success=succeeded.copy(),
         final_loss=last_obj,
-        queries=np.full(len(xs), cfg.cw_steps),
+        queries=np.full(len(xs), cfg.steps),
         norms=_batch_norms(out - xs, "l2"),
     )
 
@@ -319,10 +325,9 @@ def random_noise_baseline(xs, ys, query_model, cfg: AttackConfig) -> AttackResul
 
 @dataclass
 class SuiteResult:
-    results: dict[str, AttackResult]
+    results: list[AttackResult]  # one per config, in the configs' order
     worst_case_accuracy: float
-    survived: np.ndarray  # per example: correct under every attack
-    wall_ms: dict[str, float]  # per results key: time spent in that attack
+    wall_ms: list[float]  # per config: time spent in that attack
 
 
 def attack_suite(xs, ys, model, configs: list[AttackConfig]) -> SuiteResult:
@@ -332,23 +337,19 @@ def attack_suite(xs, ys, model, configs: list[AttackConfig]) -> SuiteResult:
     """
     xs = np.asarray(xs, dtype=_F)
     ys = np.asarray(ys)
-    results: dict[str, AttackResult] = {}
-    wall_ms: dict[str, float] = {}
-    survived = np.ones(len(xs), dtype=bool)
+    results: list[AttackResult] = []
+    wall_ms: list[float] = []
+    robust = np.ones(len(xs), dtype=bool)
     for cfg in configs:
         t0 = time.perf_counter()
         if cfg.family == "pgd":
             res = pgd_attack(xs, ys, model, cfg)
         elif cfg.family == "cw":
             res = cw_attack(xs, ys, model, cfg)
-        elif cfg.family == "square":
+        else:  # square; AttackConfig admits no other family
             res = square_attack(xs, ys, model.logits, cfg)
-        else:
-            raise ValueError(f"suite cannot run family {cfg.family!r}")
-        key = f"{cfg.family}-{cfg.norm}-{cfg.epsilon:g}"
-        wall_ms[key] = (time.perf_counter() - t0) * 1000
-        results[key] = res
-        survived &= ~res.success
+        wall_ms.append((time.perf_counter() - t0) * 1000)
+        results.append(res)
+        robust &= ~res.success
     return SuiteResult(results=results,
-                       worst_case_accuracy=float(np.mean(survived)),
-                       survived=survived, wall_ms=wall_ms)
+                       worst_case_accuracy=float(np.mean(robust)), wall_ms=wall_ms)

@@ -12,11 +12,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 import numpy as np
-
-CSV_COLUMNS = ("model", "attack", "norm", "strength", "severity", "accuracy",
-               "n", "seed", "wall_ms")
 
 
 @dataclass
@@ -30,6 +28,10 @@ class RunRecord:
     n: int = 0
     seed: int = 0
     wall_ms: float = 0.0
+
+
+_FIELD_TYPES = get_type_hints(RunRecord)  # field name -> str, float or int
+CSV_COLUMNS = tuple(_FIELD_TYPES)
 
 
 def evaluate(model_eval, dataset, batch_size: int = 256) -> float:
@@ -77,12 +79,5 @@ def read_results(path) -> list[RunRecord]:
     else:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-    records = []
-    for row in rows:
-        records.append(RunRecord(
-            model=row["model"], attack=row["attack"], norm=row["norm"],
-            strength=float(row["strength"]), severity=int(row["severity"]),
-            accuracy=float(row["accuracy"]), n=int(row["n"]),
-            seed=int(row["seed"]), wall_ms=float(row["wall_ms"]),
-        ))
-    return records
+    return [RunRecord(**{name: kind(row[name]) for name, kind in _FIELD_TYPES.items()})
+            for row in rows]

@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .model import ModelSpec, Params, spec_from_dict, spec_to_dict
+from .model import ModelSpec, Params, spec_from_dict
 
 MAGIC = b"EPBN"
 VERSION = 1
@@ -50,7 +50,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     tensors = [(name, np.ascontiguousarray(t, dtype="<f4"))
                for name, t in ckpt.params.tensors()]
     header = {
-        "spec": spec_to_dict(ckpt.spec),
+        "spec": asdict(ckpt.spec),  # tuples serialize as JSON lists
         "model_kind": ckpt.model_kind,
         "seed": ckpt.seed,
         "train_config": ckpt.train_config,

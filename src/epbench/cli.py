@@ -17,18 +17,10 @@ import numpy as np
 
 from . import attacks, baseline, bench, corruptions, energy, training, uncertainty
 from .bench import RunRecord
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import load_config
+from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .config import _floats, _ints, load_config
 from .data import Dataset, channel_stats, load_cifar_binary, normalize_images, synth_dataset
 from .handle import from_checkpoint
-
-
-def _split_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _split_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def _count(text: str) -> int:
@@ -39,16 +31,14 @@ def _count(text: str) -> int:
 
 
 def _synth_from_snapshot(snap: dict, split: str) -> Dataset:
-    kind = snap.get("synth_kind", "blobs")
-    shape = tuple(snap.get("input_shape", (1, 8, 8)))
-    classes = int(snap.get("classes", 2))
-    seed = int(snap.get("seed", 0))
-    noise = float(snap.get("synth_noise", 0.5))
-    if split == "train":
-        return synth_dataset(kind, int(snap.get("n_train", 512)), shape, classes,
-                             seed=seed, noise=noise, split="train")
-    return synth_dataset(kind, int(snap.get("n_test", 256)), shape, classes,
-                         seed=seed + 1, noise=noise, split="test")
+    """The train or test split of a recorded synthetic recipe (test draws seed + 1)."""
+    try:
+        n, seed = snap[f"n_{split}"], snap["seed"] + (1 if split == "test" else 0)
+        return synth_dataset(snap["synth_kind"], n, tuple(snap["input_shape"]),
+                             snap["classes"], seed=seed, noise=snap["synth_noise"],
+                             split=split)
+    except KeyError as exc:
+        raise CheckpointError(f"training-config field {exc.args[0]!r} missing") from None
 
 
 def _open_checkpoint(args):
@@ -148,23 +138,21 @@ def cmd_attack(args) -> int:
         return attacks.AttackConfig(
             family=family, norm=norm,
             epsilon=strength, steps=args.steps,
-            cw_constant=strength if family == "cw" else 0.1,
             query_budget=args.query_budget, seed=args.seed,
         )
 
-    for strength in _split_floats(args.eps):
+    for strength in _floats(args.eps):
         families = ["pgd", "cw", "square"] if args.family == "suite" else [args.family]
+        configs = [make_cfg(f, strength) for f in families]
         t0 = time.perf_counter()
-        suite = attacks.attack_suite(xs, ys, model,
-                                     [make_cfg(f, strength) for f in families])
+        suite = attacks.attack_suite(xs, ys, model, configs)
         wall = (time.perf_counter() - t0) * 1000
-        for key, res in suite.results.items():
-            family, norm, _ = key.split("-")
+        for cfg, res, ms in zip(configs, suite.results, suite.wall_ms):
             acc = res.robust_accuracy()
-            records.append(RunRecord(model=model_id, attack=family, norm=norm,
+            records.append(RunRecord(model=model_id, attack=cfg.family, norm=cfg.norm,
                                      strength=strength, accuracy=acc, n=len(ys),
-                                     seed=args.seed, wall_ms=suite.wall_ms[key]))
-            print(f"{family:6s} {norm} strength {strength:g}: "
+                                     seed=args.seed, wall_ms=ms))
+            print(f"{cfg.family:6s} {cfg.norm} strength {strength:g}: "
                   f"robust accuracy {acc:.4f}")
         if args.family == "suite":
             records.append(RunRecord(model=model_id, attack="suite", norm=args.norm,
@@ -183,7 +171,7 @@ def cmd_corrupt(args) -> int:
     kinds = args.kinds.split(",") if args.kinds else list(corruptions.KINDS)
     records = []
     grid, wall_ms = corruptions.corruption_sweep(
-        ds, model.predict, kinds=kinds, severities=_split_ints(args.severities),
+        ds, model.predict, kinds=kinds, severities=_ints(args.severities),
         seed=args.seed)
     for (kind, sev), acc in sorted(grid.items()):
         name = "clean" if sev == 0 else kind
@@ -213,7 +201,7 @@ def cmd_eval(args) -> int:
 def cmd_uncertainty(args) -> int:
     _, ds, model, model_id = _open_checkpoint(args)
     curve = uncertainty.disagreement_curve(
-        model.predict, ds.images, args.norm, _split_floats(args.eps_grid),
+        model.predict, ds.images, args.norm, _floats(args.eps_grid),
         samples_per_eps=args.samples, seed=args.seed,
     )
     records = []
@@ -260,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     # and a required result file
     ckpt_args = argparse.ArgumentParser(add_help=False)
     ckpt_args.add_argument("--ckpt", required=True)
-    ckpt_args.add_argument("--timestep", type=int, default=None)
+    ckpt_args.add_argument("--timestep", type=_count, default=None)
     ckpt_args.add_argument("--data", default=None)
     ckpt_args.add_argument("--cifar-variant", choices=("cifar10", "cifar100"),
                            default="cifar10")
@@ -276,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default="synth", help="'synth' or CIFAR binary path")
     p.add_argument("--cifar-variant", choices=("cifar10", "cifar100"), default="cifar10")
     p.add_argument("--synth-kind", choices=("blobs", "stripes"), default="blobs")
-    p.add_argument("--synth-n", type=int, default=512)
+    p.add_argument("--synth-n", type=_count, default=512)
     p.add_argument("--synth-noise", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
@@ -286,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("pgd", "cw", "square", "suite"), required=True)
     p.add_argument("--norm", choices=("l2", "linf"), default="linf")
     p.add_argument("--eps", required=True, help="comma list of strengths")
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--query-budget", type=int, default=5000)
+    p.add_argument("--steps", type=_count, default=None)
+    p.add_argument("--query-budget", type=_count, default=5000)
     p.set_defaults(fn=cmd_attack)
 
     p = sub.add_parser("corrupt", help="severity sweep of natural corruptions",

@@ -1,12 +1,16 @@
 """Plain key=value config files for the CLI.
 
 One ``key = value`` pair per line, ``#`` comments allowed. Keys map onto
-ModelSpec and TrainConfig fields (see README for the full table); unknown
-keys are hard errors so typos cannot silently change an experiment.
+ModelSpec, TrainConfig and AdversarialBlock fields (see README for the full
+table). Each key has one parser below; a key left out of the file is not
+passed on, so the dataclass's own default applies. Unknown keys, duplicate
+keys and values that fail to parse raise ConfigError naming the line; a
+value the dataclasses reject raises ConfigError naming the file.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 from .model import ModelSpec
@@ -18,14 +22,34 @@ class ConfigError(ValueError):
     pass
 
 
-MODEL_KEYS = ("input_shape", "conv_channels", "conv_kernels", "conv_paddings",
-              "fc_dims", "readout_dim", "t_free", "t_nudge", "beta", "fp_tol")
-TRAIN_KEYS = ("epochs", "batch_size", "learning_rates", "momentum",
-              "update_rule", "seed", "adv_norm", "adv_epsilon", "adv_steps")
+def _ints(value: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in value.split(",") if v.strip())
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
+def _floats(value: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in value.split(",") if v.strip())
+
+
+def _shape(value: str) -> tuple[int, int, int]:
+    c, h, w = _ints(value.replace("x", ","))
+    return c, h, w
+
+
+# one parser per key, grouped by the dataclass whose same-named field the key
+# sets (the adv_ keys set AdversarialBlock's fields without the prefix)
+_SPEC_KEYS = {"readout_dim": int, "t_free": int, "t_nudge": int, "beta": float,
+              "fp_tol": float}
+_TRAIN_KEYS = {"epochs": int, "batch_size": int, "momentum": float,
+               "update_rule": str, "seed": int}
+_ADV_KEYS = {"adv_norm": str, "adv_epsilon": float, "adv_steps": int}
+_PARSERS = {"input_shape": _shape, "conv_channels": _ints, "conv_kernels": _ints,
+            "conv_paddings": _ints, "fc_dims": _ints, "learning_rates": _floats,
+            **_SPEC_KEYS, **_TRAIN_KEYS, **_ADV_KEYS}
+
+
+def parse_config_text(text: str) -> dict[str, object]:
+    """{key: parsed value} for the keys the text sets."""
+    pairs: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -35,74 +59,43 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in MODEL_KEYS and key not in TRAIN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        pairs[key] = value
+        try:
+            pairs[key] = _PARSERS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return pairs
 
 
-def _ints(value: str) -> list[int]:
-    value = value.strip()
-    return [int(v) for v in value.split(",") if v.strip()] if value else []
-
-
-def _floats(value: str) -> list[float]:
-    value = value.strip()
-    return [float(v) for v in value.split(",") if v.strip()] if value else []
+def _given(pairs: dict, keys, prefix: str = "") -> dict:
+    return {k.removeprefix(prefix): pairs[k] for k in keys if k in pairs}
 
 
 def load_config(path) -> tuple[ModelSpec, TrainConfig]:
-    pairs = parse_config_text(Path(path).read_text())
     try:
-        shape = tuple(int(v) for v in pairs["input_shape"].replace("x", ",").split(","))
-        channels = _ints(pairs["conv_channels"])
-        kernels = _ints(pairs.get("conv_kernels", ",".join(["3"] * len(channels))))
-        paddings = _ints(pairs.get("conv_paddings", ",".join(["1"] * len(channels))))
-    except KeyError as exc:
-        raise ConfigError(f"missing required key {exc.args[0]!r}") from None
-    if not (len(channels) == len(kernels) == len(paddings)):
-        raise ConfigError("conv_channels, conv_kernels, conv_paddings lengths differ")
-    conv = []
-    c = shape[0]
-    for ch, k, p in zip(channels, kernels, paddings):
-        conv.append(ConvSpec(c, ch, k, p))
-        c = ch
+        pairs = parse_config_text(Path(path).read_text())
+        shape, channels = pairs["input_shape"], pairs["conv_channels"]
+        kernels = pairs.get("conv_kernels", (3,) * len(channels))
+        paddings = pairs.get("conv_paddings", (1,) * len(channels))
+        if not (len(channels) == len(kernels) == len(paddings)):
+            raise ConfigError("conv_channels, conv_kernels, conv_paddings lengths differ")
+        # each connection's input is the previous one's output
+        ins = (shape[0],) + channels[:-1]
+        conv = tuple(map(ConvSpec, ins, channels, kernels, paddings))
+        spec = ModelSpec(input_shape=shape, conv=conv, **_given(pairs, _SPEC_KEYS))
+        dims = pairs.get("fc_dims", ())
+        spec = replace(spec, fc=tuple(zip((spec.top_dim,) + dims[:-1], dims)))
 
-    fc_dims = _ints(pairs.get("fc_dims", ""))
-    # chain fc in-dims from the flattened conv top
-    probe = ModelSpec(input_shape=shape, conv=tuple(conv),
-                      readout_dim=int(pairs.get("readout_dim", 10)),
-                      t_free=int(pairs.get("t_free", 250)),
-                      t_nudge=int(pairs.get("t_nudge", 30)),
-                      beta=float(pairs.get("beta", 0.5)),
-                      fp_tol=float(pairs.get("fp_tol", 1e-6)))
-    fc = []
-    d = probe.top_dim
-    for dim in fc_dims:
-        fc.append((d, dim))
-        d = dim
-    spec = ModelSpec(input_shape=shape, conv=tuple(conv), fc=tuple(fc),
-                     readout_dim=probe.readout_dim, t_free=probe.t_free,
-                     t_nudge=probe.t_nudge, beta=probe.beta, fp_tol=probe.fp_tol)
-
-    adv = None
-    if any(k in pairs for k in ("adv_norm", "adv_epsilon", "adv_steps")):
-        adv = AdversarialBlock(
-            norm=pairs.get("adv_norm", "l2"),
-            epsilon=float(pairs.get("adv_epsilon", 0.5)),
-            steps=int(pairs.get("adv_steps", 10)),
+        adv = _given(pairs, _ADV_KEYS, prefix="adv_")
+        cfg = TrainConfig(
+            learning_rates=pairs.get("learning_rates") or (0.05,) * (spec.n_layers + 1),
+            adversarial=AdversarialBlock(**adv) if adv else None,
+            **_given(pairs, _TRAIN_KEYS),
         )
-    n_rates = spec.n_layers + 1
-    cfg = TrainConfig(
-        epochs=int(pairs.get("epochs", 20)),
-        batch_size=int(pairs.get("batch_size", 64)),
-        learning_rates=tuple(_floats(pairs.get("learning_rates", ""))
-                             or [0.05] * n_rates),
-        beta=spec.beta,
-        momentum=float(pairs.get("momentum", 0.9)),
-        update_rule=pairs.get("update_rule", "symmetric"),
-        seed=int(pairs.get("seed", 0)),
-        adversarial=adv,
-    )
-    cfg.validate_for(spec)
+        cfg.validate_for(spec)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing required key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return spec, cfg

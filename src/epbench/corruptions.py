@@ -121,7 +121,7 @@ def corrupt_batch(xs: np.ndarray, kind: str, severity: int, seed: int = 0) -> np
 
 
 def corruption_sweep(dataset, model_eval, kinds=KINDS, severities=(1, 2, 3, 4, 5),
-                     seed: int = 0, batch_size: int = 256):
+                     seed: int = 0):
     """Accuracy per (kind, severity) plus the clean column (severity 0).
 
     model_eval(images) -> predicted labels. Returns ({(kind, severity): acc},
@@ -133,7 +133,7 @@ def corruption_sweep(dataset, model_eval, kinds=KINDS, severities=(1, 2, 3, 4, 5
     grid: dict[tuple[str, int], float] = {}
     wall_ms: dict[tuple[str, int], float] = {}
     t0 = time.perf_counter()
-    clean = bench.evaluate(model_eval, dataset, batch_size)
+    clean = bench.evaluate(model_eval, dataset)
     clean_ms = (time.perf_counter() - t0) * 1000
     for kind in kinds:
         grid[(kind, 0)] = clean
@@ -141,6 +141,6 @@ def corruption_sweep(dataset, model_eval, kinds=KINDS, severities=(1, 2, 3, 4, 5
         for sev in severities:
             t0 = time.perf_counter()
             corrupted = replace(dataset, images=corrupt_batch(xs, kind, sev, seed=seed))
-            grid[(kind, sev)] = bench.evaluate(model_eval, corrupted, batch_size)
+            grid[(kind, sev)] = bench.evaluate(model_eval, corrupted)
             wall_ms[(kind, sev)] = (time.perf_counter() - t0) * 1000
     return grid, wall_ms

@@ -277,7 +277,7 @@ def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
         layers = new
         if done:
             break
-    return NetworkState(layers=layers, pool_idx=idx, steps=steps), routes, masks
+    return NetworkState(layers=layers, steps=steps), routes, masks
 
 
 def free_phase(x, params: Params, spec: ModelSpec, t: int | None = None,

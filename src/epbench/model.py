@@ -8,7 +8,7 @@ the dynamics. States s^1..s^N live in [0,1]; s^0 is the clamped input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -186,42 +186,21 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, dtype=np.float32,
 
 @dataclass
 class NetworkState:
-    """Layer states s^1..s^N (batched [B, ...]) plus the last pooling routes.
-
-    pool_idx[i] holds the argmax indices of the bottom-up pooling of conv
-    connection i computed at the most recent dynamics step; steps counts the
-    dynamics steps applied to produce this state.
-    """
+    """Layer states s^1..s^N (batched [B, ...]); steps counts the dynamics
+    steps applied to produce this state."""
 
     layers: list[np.ndarray]
-    pool_idx: list[np.ndarray] = field(default_factory=list)
     steps: int = 0
 
 
-def zero_state(spec: ModelSpec, batch: int, dtype=np.float64) -> NetworkState:
+def zero_state(spec: ModelSpec, batch: int) -> NetworkState:
     return NetworkState(
-        layers=[np.zeros((batch,) + s, dtype=dtype) for s in spec.state_shapes()]
+        layers=[np.zeros((batch,) + s, dtype=np.float64) for s in spec.state_shapes()]
     )
 
 
-def spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "input_shape": list(spec.input_shape),
-        "conv": [
-            {"in_channels": c.in_channels, "out_channels": c.out_channels,
-             "kernel": c.kernel, "padding": c.padding}
-            for c in spec.conv
-        ],
-        "fc": [list(p) for p in spec.fc],
-        "readout_dim": spec.readout_dim,
-        "t_free": spec.t_free,
-        "t_nudge": spec.t_nudge,
-        "beta": spec.beta,
-        "fp_tol": spec.fp_tol,
-    }
-
-
 def spec_from_dict(d: dict) -> ModelSpec:
+    """Inverse of asdict(spec) after JSON; a missing field raises KeyError naming it."""
     return ModelSpec(
         input_shape=tuple(d["input_shape"]),
         conv=tuple(ConvSpec(**c) for c in d["conv"]),

@@ -51,8 +51,7 @@ class UnrolledTape:
 def record_free_phase(x, params: Params, spec: ModelSpec, t: int) -> UnrolledTape:
     """Run exactly t steps (no early exit), keeping each step's routes and masks."""
     state, routes, masks = _relax(x, None, params, spec, t, 0.0, record=True)
-    return UnrolledTape(steps=state.steps, pool_idx=routes, masks=masks,
-                        final=state.layers)
+    return UnrolledTape(state.steps, routes, masks, state.layers)
 
 
 def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,

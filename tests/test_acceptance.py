@@ -222,7 +222,7 @@ def test_c07_attack_invariants(trained_ep, eval_batch):
     qm = lambda z: energy.logits_at(np.asarray(z, dtype=np.float64), params, spec, T)
     cfg = AttackConfig(family="square", norm="linf", epsilon=0.1, query_budget=300, seed=0)
     runs.append(("linf", 0.1, attacks.square_attack(xs, ys, qm, cfg)))
-    cfg = AttackConfig(family="cw", cw_constant=0.5, cw_steps=50)
+    cfg = AttackConfig(family="cw", epsilon=0.5, steps=50)
     runs.append((None, None, attacks.cw_attack(xs, ys, model, cfg)))
     for norm, eps, res in runs:
         if res.adversarial.min() < -1e-6 or res.adversarial.max() > 1 + 1e-6:
@@ -249,7 +249,7 @@ def test_c07_attack_invariants(trained_ep, eval_batch):
     clear = np.abs(margins - thresh) > 0.02 * thresh
     pgd_ok = bool(np.all(res.success[clear] == (margins < thresh)[clear]))
 
-    cfg = AttackConfig(family="cw", cw_constant=5.0, cw_steps=400, cw_lr=0.02)
+    cfg = AttackConfig(family="cw", epsilon=5.0, steps=400, cw_lr=0.02)
     res_cw = attacks.cw_attack(xs_l, ys_l, linear, cfg)
     dist = margins / np.linalg.norm(w[0] - w[1])
     cw_ok = bool(res_cw.success.all()

@@ -182,7 +182,7 @@ class TestCW:
     def test_c_zero_pure_norm_minimization(self):
         xs, ys, w, b = make_linear_case(seed=7, n=20)
         model = linear_model(w, b)
-        cfg = AttackConfig(family="cw", cw_constant=0.0, cw_steps=60, cw_lr=0.05)
+        cfg = AttackConfig(family="cw", epsilon=0.0, steps=60, cw_lr=0.05)
         res = attacks.cw_attack(xs, ys, model, cfg)
         assert not res.success.any()
         assert np.max(res.norms) < 0.02
@@ -194,12 +194,28 @@ class TestCW:
         db = b[ys] - b[1 - ys]
         margins = np.einsum("nd,nd->n", dw, xs.reshape(len(xs), -1)) + db
         dist = margins / np.linalg.norm(w[0] - w[1])
-        cfg = AttackConfig(family="cw", cw_constant=5.0, cw_steps=400, cw_lr=0.02)
+        cfg = AttackConfig(family="cw", epsilon=5.0, steps=400, cw_lr=0.02)
         res = attacks.cw_attack(xs, ys, model, cfg)
         assert res.success.all()
         rel = np.abs(res.norms - dist) / dist
         assert np.median(rel) < 0.10
         assert (rel < 0.10).mean() >= 0.8
+
+    def test_steps_counts_iterations(self):
+        xs, ys, w, b = make_linear_case(seed=7, n=4)
+        model = linear_model(w, b)
+        calls = []
+
+        def counted_vjp(x):
+            calls.append(len(x))
+            return model.logits_vjp(x)
+
+        cfg = AttackConfig(family="cw", epsilon=0.5, steps=3)
+        res = attacks.cw_attack(xs, ys, ModelHandle(model.logits, counted_vjp), cfg)
+        assert len(calls) == 3
+        assert (res.queries == 3).all()
+        assert AttackConfig(family="cw").steps == 100
+        assert AttackConfig(family="pgd").steps == 20
 
     def test_success_rate_non_decreasing_in_c(self, trained_ep, eval_batch):
         spec, params, _ = trained_ep
@@ -209,7 +225,7 @@ class TestCW:
         model = for_params(params, spec, "ep", T)
         rates = []
         for c in (0.005, 0.1, 2.0):
-            cfg = AttackConfig(family="cw", cw_constant=c, cw_steps=60, cw_lr=0.02)
+            cfg = AttackConfig(family="cw", epsilon=c, steps=60, cw_lr=0.02)
             res = attacks.cw_attack(xs, ys, model, cfg)
             rates.append(res.success.mean())
         assert rates[1] >= rates[0] - 1e-9
@@ -312,7 +328,7 @@ class TestContainment:
                            query_budget=200, seed=0)
         qm = lambda z: energy.logits_at(np.asarray(z, dtype=np.float64), params, spec, T)
         check(attacks.square_attack(xs, ys, qm, cfg), "linf", 0.1)
-        cfg = AttackConfig(family="cw", cw_constant=0.5, cw_steps=40)
+        cfg = AttackConfig(family="cw", epsilon=0.5, steps=40)
         res = attacks.cw_attack(xs, ys, model, cfg)
         assert res.adversarial.min() >= -1e-6
         assert res.adversarial.max() <= 1 + 1e-6
@@ -340,6 +356,6 @@ class TestSuite:
         cfg2 = AttackConfig(family="pgd", norm="l2", epsilon=0.8, seed=1)
         small = attacks.attack_suite(xs, ys, model, [cfg1])
         big = attacks.attack_suite(xs, ys, model, [cfg1, cfg2])
-        mins = min(r.robust_accuracy() for r in big.results.values())
+        mins = min(r.robust_accuracy() for r in big.results)
         assert big.worst_case_accuracy <= mins + 1e-12
         assert big.worst_case_accuracy <= small.worst_case_accuracy + 1e-12

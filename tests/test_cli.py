@@ -2,12 +2,16 @@
 corrupt -> uncertainty -> report, plus config-file validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from conftest import desk_spec
 
 from epbench import bench, cli
+from epbench.checkpoint import Checkpoint, CheckpointError, save_checkpoint
 from epbench.config import ConfigError, load_config
+from epbench.model import init_params
 
 FAST_CONFIG = """
 # desk-scale energy model
@@ -82,6 +86,36 @@ class TestConfig:
         spec, cfg = load_config(root / "cifar10_full.cfg")
         assert spec.state_shapes()[-1] == (512, 1, 1)
         assert len(cfg.learning_rates) == 5
+
+
+@pytest.mark.parametrize("line, located_by, message", [
+    ("epochs = two", "line", "bad value for 'epochs'"),
+    ("t_free = 1.5", "line", "bad value for 't_free'"),
+    ("input_shape = 1,8", "line", "bad value for 'input_shape'"),
+    ("beta = -1", "file", "beta must be > 0"),
+    ("adv_norm = l3", "file", "unknown norm 'l3'"),
+], ids=["epochs", "t_free", "input_shape", "beta", "adv_norm"])
+def test_malformed_value_names_its_location(tmp_path, line, located_by, message):
+    # a value that does not parse names its line; one the dataclasses reject
+    # names the file and keeps their message
+    key = line.split("=")[0].strip()
+    kept = [k for k in FAST_CONFIG.splitlines() if k.split("=")[0].strip() != key]
+    p = tmp_path / "bad.cfg"
+    p.write_text("\n".join(kept + [line]) + "\n")
+    at = f"line {len(kept) + 1}" if located_by == "line" else re.escape(str(p))
+    with pytest.raises(ConfigError, match=f"{at}: {message}"):
+        load_config(p)
+
+
+def test_missing_synthetic_recipe_field_is_named(tmp_path):
+    spec = desk_spec()
+    recipe = {"data": "synth", "synth_kind": "blobs", "input_shape": [1, 8, 8],
+              "classes": 2, "n_train": 16, "n_test": 8, "seed": 0}
+    p = tmp_path / "ep.ckpt"
+    save_checkpoint(p, Checkpoint(spec=spec, train_config=recipe, params=init_params(
+        spec, np.random.default_rng(0))))
+    with pytest.raises(CheckpointError, match="'synth_noise' missing"):
+        cli.main(["eval", "--ckpt", str(p), "--out", str(tmp_path / "e.csv")])
 
 
 CIFAR_CONFIG = """
@@ -222,6 +256,15 @@ class TestEndToEnd:
         assert len(set(walls)) == 3
         assert suite_wall >= sum(walls)
 
+    def test_tiny_strength_row(self, ep_ckpt, workdir):
+        out = workdir / "tiny.csv"
+        rc = cli.main(["attack", "--ckpt", str(ep_ckpt), "--family", "pgd",
+                       "--eps", "1e-5", "--steps", "1", "--subset", "4",
+                       "--out", str(out)])
+        assert rc == 0
+        rows = [r for r in bench.read_results(out) if r.attack == "pgd"]
+        assert len(rows) == 1 and rows[0].strength == 1e-05
+
     def test_json_mirror(self, ep_ckpt, workdir):
         out = workdir / "eval.json"
         rc = cli.main(["eval", "--ckpt", str(ep_ckpt), "--out", str(out),
@@ -234,7 +277,12 @@ class TestEndToEnd:
     ["eval", "--subset", "-250"],
     ["uncertainty", "--samples", "0", "--eps-grid", "0.1", "--out", "u.csv"],
     ["eval", "--batch-size", "0"],
-], ids=["subset", "samples", "batch-size"])
+    ["attack", "--steps", "0", "--family", "pgd", "--eps", "0.1", "--out", "a.csv"],
+    ["attack", "--query-budget", "-3", "--family", "square", "--eps", "0.1",
+     "--out", "a.csv"],
+    ["train", "--synth-n", "0", "--model", "ep", "--config", "c.cfg", "--out", "m.ckpt"],
+    ["eval", "--timestep", "0"],
+], ids=["subset", "samples", "batch-size", "steps", "query-budget", "synth-n", "timestep"])
 def test_count_flags_below_one_rejected(argv, capsys):
     # argparse refuses the value before the checkpoint is opened
     with pytest.raises(SystemExit) as exc:
