@@ -43,10 +43,14 @@ def _synth_from_snapshot(snap: dict, split: str) -> Dataset:
 
 def _open_checkpoint(args):
     """(checkpoint, evaluation data, handle, model id) for --ckpt. The data is
-    --data, else the test split of the recipe the checkpoint was trained on;
-    the handle reads an ep model at --timestep."""
+    --data, else the test split of the synthetic recipe the checkpoint was
+    trained on; the handle reads an ep model at --timestep."""
     ckpt = load_checkpoint(args.ckpt)
     source = args.data or ckpt.train_config.get("data", "synth")
+    if args.data is None and source != "synth":
+        # a CIFAR-trained checkpoint records only its training file
+        args.error(f"--data is required: {args.ckpt} was trained on {source}, "
+                   "not on a synthetic recipe with a held-out split")
     if source == "synth":
         ds = _synth_from_snapshot(ckpt.train_config, split="test")
     else:
@@ -276,25 +280,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="comma list of strengths")
     p.add_argument("--steps", type=_count, default=None)
     p.add_argument("--query-budget", type=_count, default=5000)
-    p.set_defaults(fn=cmd_attack)
+    p.set_defaults(fn=cmd_attack, error=p.error)
 
     p = sub.add_parser("corrupt", help="severity sweep of natural corruptions",
                        parents=[run_args])
     p.add_argument("--kinds", default="")
     p.add_argument("--severities", default="1,2,3,4,5")
-    p.set_defaults(fn=cmd_corrupt)
+    p.set_defaults(fn=cmd_corrupt, error=p.error)
 
     p = sub.add_parser("eval", help="clean accuracy of a checkpoint", parents=[ckpt_args])
     p.add_argument("--batch-size", type=_count, default=256)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn=cmd_eval, error=p.error)
 
     p = sub.add_parser("uncertainty", help="disagreement curve and exponent fit",
                        parents=[run_args])
     p.add_argument("--eps-grid", required=True, help="comma list, strictly increasing")
     p.add_argument("--samples", type=_count, default=32)
     p.add_argument("--norm", choices=("l2", "linf"), default="l2")
-    p.set_defaults(fn=cmd_uncertainty)
+    p.set_defaults(fn=cmd_uncertainty, error=p.error)
 
     p = sub.add_parser("report", help="aggregate result files")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)

@@ -39,11 +39,11 @@ def _shape(value: str) -> tuple[int, int, int]:
 # sets (the adv_ keys set AdversarialBlock's fields without the prefix)
 _SPEC_KEYS = {"readout_dim": int, "t_free": int, "t_nudge": int, "beta": float,
               "fp_tol": float}
-_TRAIN_KEYS = {"epochs": int, "batch_size": int, "momentum": float,
-               "update_rule": str, "seed": int}
+_TRAIN_KEYS = {"epochs": int, "batch_size": int, "learning_rates": _floats,
+               "momentum": float, "update_rule": str, "seed": int}
 _ADV_KEYS = {"adv_norm": str, "adv_epsilon": float, "adv_steps": int}
 _PARSERS = {"input_shape": _shape, "conv_channels": _ints, "conv_kernels": _ints,
-            "conv_paddings": _ints, "fc_dims": _ints, "learning_rates": _floats,
+            "conv_paddings": _ints, "fc_dims": _ints,
             **_SPEC_KEYS, **_TRAIN_KEYS, **_ADV_KEYS}
 
 
@@ -88,11 +88,8 @@ def load_config(path) -> tuple[ModelSpec, TrainConfig]:
         spec = replace(spec, fc=tuple(zip((spec.top_dim,) + dims[:-1], dims)))
 
         adv = _given(pairs, _ADV_KEYS, prefix="adv_")
-        cfg = TrainConfig(
-            learning_rates=pairs.get("learning_rates") or (0.05,) * (spec.n_layers + 1),
-            adversarial=AdversarialBlock(**adv) if adv else None,
-            **_given(pairs, _TRAIN_KEYS),
-        )
+        cfg = TrainConfig(adversarial=AdversarialBlock(**adv) if adv else None,
+                          **_given(pairs, _TRAIN_KEYS))
         cfg.validate_for(spec)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing required key {exc.args[0]!r}") from None

@@ -7,9 +7,13 @@ uses the cross-correlation convention (no kernel flip) with stride fixed at 1;
 leading batch axis: images and feature maps are [B, C, H, W]; an operand
 without it is rejected with ShapeError.
 
-All functions are pure (inputs never mutated) and deterministic: accumulation
-happens in float64 via ``np.einsum`` with a fixed contraction order, so
-identical inputs give bit-identical outputs regardless of batch size.
+All functions are pure (inputs never mutated) and deterministic. The three
+convolution primitives unfold the padded input into a float64 column matrix
+per example (im2col) and issue one BLAS dgemm per example through a stacked
+``np.matmul``, so an example's output bits depend only on that example, not
+on its batch-mates or on the BLAS thread count. The weight gradient sums the
+per-example products over the batch in index order. Results are cast back to
+the operands' dtype.
 """
 
 from __future__ import annotations
@@ -59,10 +63,13 @@ def _as_batch(x: np.ndarray, what: str, axes: str = "B, C, H, W") -> np.ndarray:
     return x
 
 
-def _einsum(subscripts, *operands, dtype):
-    # float64 accumulation, cast back to the carrier dtype
-    out = np.einsum(subscripts, *operands, dtype=np.float64)
-    return out.astype(dtype, copy=False)
+def _im2col(xb: np.ndarray, k: int) -> np.ndarray:
+    """Padded [B, C, H, W] -> float64 [B, C*k*k, Ho*Wo]; row (c, a, b) of example
+    n holds x[n, c, i+a, j+b] over the output positions (i, j) in row-major order."""
+    B, C, H, W = xb.shape
+    win = sliding_window_view(xb, (k, k), axis=(2, 3))  # [B, C, Ho, Wo, k, k]
+    cols = np.array(win.transpose(0, 1, 4, 5, 2, 3), dtype=np.float64, order="C")
+    return cols.reshape(B, C * k * k, (H - k + 1) * (W - k + 1))
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -89,9 +96,13 @@ def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     p = spec.padding
     if p:
         xb = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xb, (spec.kernel, spec.kernel), axis=(2, 3))
-    dtype = np.result_type(x, w)
-    return _einsum("ocab,ncijab->noij", w, win, dtype=dtype)
+    B, _, H, W = xb.shape
+    k = spec.kernel
+    w2 = w.reshape(spec.out_channels, -1).astype(np.float64, copy=False)
+    # [O, C*k*k] @ [B, C*k*k, Ho*Wo]: one dgemm per example
+    y = np.matmul(w2, _im2col(xb, k))
+    return y.reshape(B, spec.out_channels, H - k + 1, W - k + 1).astype(
+        np.result_type(x, w), copy=False)
 
 
 def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -132,9 +143,14 @@ def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarr
     p = spec.padding
     if p:
         xb = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xb, (spec.kernel, spec.kernel), axis=(2, 3))
-    dtype = np.result_type(x, u)
-    return _einsum("noij,ncijab->ocab", ub, win, dtype=dtype)
+    B, C = xb.shape[:2]
+    k = spec.kernel
+    u3 = ub.reshape(B, ub.shape[1], -1).astype(np.float64, copy=False)
+    # [B, O, Ho*Wo] @ [B, Ho*Wo, C*k*k]: one dgemm per example, then a sum
+    # over the batch axis in index order
+    per_example = np.matmul(u3, _im2col(xb, k).transpose(0, 2, 1))
+    g = np.add.reduce(per_example, axis=0)
+    return g.reshape(ub.shape[1], C, k, k).astype(np.result_type(x, u), copy=False)
 
 
 def maxpool2(x: np.ndarray):

@@ -46,7 +46,7 @@ class AdversarialBlock:
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 64
-    learning_rates: tuple[float, ...] = (0.05,)
+    learning_rates: tuple[float, ...] = ()  # empty: 0.05 for every connection
     beta: float | None = None  # falls back to ModelSpec.beta
     momentum: float = 0.9
     update_rule: str = "symmetric"
@@ -63,7 +63,7 @@ class TrainConfig:
 
     def validate_for(self, spec: ModelSpec) -> None:
         want = spec.n_layers + 1  # one per connection incl. readout
-        if len(self.learning_rates) != want:
+        if self.learning_rates and len(self.learning_rates) != want:
             raise ValueError(
                 f"need {want} learning rates (one per connection incl. readout), "
                 f"got {len(self.learning_rates)}"
@@ -128,7 +128,8 @@ def sgd_momentum_step(params: Params, grads: Params, velocity: Params,
     )):
         v *= cfg.momentum
         v += g
-        p -= np.asarray(cfg.learning_rates[k // 2] * v, dtype=p.dtype)
+        lr = cfg.learning_rates[k // 2] if cfg.learning_rates else 0.05
+        p -= np.asarray(lr * v, dtype=p.dtype)
 
 
 def _ep_batch_grads(params, spec, cfg, xs, ys):

@@ -130,25 +130,61 @@ learning_rates = 0.05, 0.05
 """
 
 
-def test_cifar_training_reports_no_validation_accuracy(tmp_path, capsys):
-    # one CIFAR file carries no held-out split, so the history must not call
-    # an accuracy on the training images a validation accuracy
+def _train_on_cifar_fixture(d):
+    """Write a 6-record CIFAR-10 file and train an ep checkpoint on it."""
     rng = np.random.default_rng(0)
     labels = np.arange(6, dtype=np.uint8)[:, None]
     pixels = rng.integers(0, 256, (6, 3072), dtype=np.uint8)
-    fixture = tmp_path / "data_batch.bin"
+    fixture = d / "data_batch.bin"
     fixture.write_bytes(np.concatenate([labels, pixels], axis=1).tobytes())
-    cfg = tmp_path / "cifar.cfg"
+    cfg = d / "cifar.cfg"
     cfg.write_text(CIFAR_CONFIG)
-    out = tmp_path / "ep.ckpt"
+    out = d / "ep.ckpt"
     rc = cli.main(["train", "--model", "ep", "--config", str(cfg),
                    "--data", str(fixture), "--out", str(out)])
     assert rc == 0
+    return fixture, out
+
+
+def test_cifar_training_reports_no_validation_accuracy(tmp_path, capsys):
+    # one CIFAR file carries no held-out split, so the history must not call
+    # an accuracy on the training images a validation accuracy
+    _train_on_cifar_fixture(tmp_path)
     history = json.loads((tmp_path / "ep.ckpt.history.json").read_text())
     assert len(history) == 1
     assert "train_acc" in history[0]
     assert "val_acc" not in history[0]
     assert "val_acc" not in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def cifar_ckpt(tmp_path_factory):
+    return _train_on_cifar_fixture(tmp_path_factory.mktemp("cifar"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval"],
+    ["attack", "--family", "pgd", "--eps", "0.1"],
+    ["corrupt"],
+    ["uncertainty", "--eps-grid", "0.1,0.2"],
+], ids=lambda argv: argv[0])
+def test_cifar_checkpoint_needs_data_flag(argv, cifar_ckpt, tmp_path, capsys):
+    # the checkpoint records only its training file, which is no test set
+    _, ckpt = cifar_ckpt
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--ckpt", str(ckpt), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--data is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cifar_checkpoint_evaluates_on_given_data(cifar_ckpt, tmp_path, capsys):
+    fixture, ckpt = cifar_ckpt
+    rc = cli.main(["eval", "--ckpt", str(ckpt), "--data", str(fixture),
+                   "--out", str(tmp_path / "e.csv")])
+    assert rc == 0
+    assert "on 6 examples" in capsys.readouterr().out
 
 
 class TestEndToEnd:

@@ -86,6 +86,16 @@ class TestConv2d:
         b = ops.conv2d(x, w, ConvSpec(2, 3, 3, 1))
         assert np.array_equal(a, b)
         assert np.array_equal(x, x0)
+        # mid shape, large enough for BLAS to split one example's product
+        # across threads: each row of the batch equals its solo call, bitwise
+        spec = ConvSpec(32, 64, 3, 1)
+        x = rng.uniform(0, 1, (8, 32, 16, 16))
+        w = rng.standard_normal((64, 32, 3, 3)) * 0.1
+        y = ops.conv2d(x, w, spec)
+        g = ops.conv2d_transpose(y, w, spec)
+        for i in range(len(x)):
+            assert np.array_equal(ops.conv2d(x[i:i + 1], w, spec)[0], y[i])
+            assert np.array_equal(ops.conv2d_transpose(y[i:i + 1], w, spec)[0], g[i])
 
 
 class TestConv2dTranspose:
@@ -116,6 +126,42 @@ class TestConv2dTranspose:
             lhs = np.vdot(y, g)
             rhs = np.vdot(x, ops.conv2d_transpose(g, w, spec))
             assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
+
+
+class TestConv2dWeightGrad:
+    def test_adjoint_identity_in_kernel(self):
+        # <conv2d_weight_grad(x, u), v> == <u, conv2d(x, v)>
+        rng = np.random.default_rng(12)
+        for p in (0, 1):
+            for _ in range(50):
+                ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+                k = int(rng.integers(1, 4))
+                B = int(rng.integers(2, 5))
+                H = int(rng.integers(max(k, 2 * p + 1), 9))
+                spec = ConvSpec(ci, co, k, p)
+                x = rng.standard_normal((B, ci, H, H))
+                v = rng.standard_normal((co, ci, k, k))
+                y = ops.conv2d(x, v, spec)
+                u = rng.standard_normal(y.shape)
+                lhs = np.vdot(ops.conv2d_weight_grad(x, u, spec), v)
+                rhs = np.vdot(u, y)
+                assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("ci, co, H, B", [(2, 3, 6, 5), (32, 64, 16, 8)])
+    def test_batch_is_index_ordered_sum_of_examples(self, ci, co, H, B):
+        rng = np.random.default_rng(13)
+        spec = ConvSpec(ci, co, 3, 1)
+        x = rng.uniform(0, 1, (B, ci, H, H))
+        u = rng.standard_normal((B, co, H, H))
+        total = ops.conv2d_weight_grad(x[:1], u[:1], spec)
+        for i in range(1, B):
+            total = total + ops.conv2d_weight_grad(x[i:i + 1], u[i:i + 1], spec)
+        assert np.array_equal(ops.conv2d_weight_grad(x, u, spec), total)
+
+    def test_batch_axes_must_agree(self):
+        with pytest.raises(ShapeError, match="batch"):
+            ops.conv2d_weight_grad(np.zeros((2, 1, 4, 4)), np.zeros((3, 1, 4, 4)),
+                                   ConvSpec(1, 1, 1, 0))
 
 
 class TestMaxPool:

@@ -186,6 +186,23 @@ class TestTrainLoops:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="epoch 0"):
             training.train_ep(train, spec, cfg)
 
+    def test_default_learning_rates_fit_any_model(self):
+        # an empty learning_rates means 0.05 for every connection
+        rng = np.random.default_rng(0)
+        for spec, params in (tiny_model(rng, channels=(4,)), tiny_model(rng),
+                             conv_fc_model(rng)):
+            TrainConfig().validate_for(spec)
+            grads = params.map(lambda t: rng.standard_normal(t.shape))
+            explicit = TrainConfig(learning_rates=(0.05,) * (spec.n_layers + 1))
+            stepped = []
+            for cfg in (TrainConfig(), explicit):
+                p = params.map(np.copy)
+                training.sgd_momentum_step(p, grads, params.map(np.zeros_like), cfg)
+                stepped.append(p)
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in
+                       zip(stepped[0].tensors(), stepped[1].tensors()))
+            assert not np.array_equal(stepped[0].conv_w[0], params.conv_w[0])
+
     def test_lr_count_validated(self, desk_data):
         train, _ = desk_data
         spec = desk_spec()
@@ -273,7 +290,7 @@ THREAD_PROBE = """
 import sys
 import numpy as np
 from conftest import tiny_model
-from epbench import energy, training
+from epbench import energy, ops, training
 from epbench.handle import for_params
 
 spec, params = tiny_model(np.random.default_rng(3), scale=0.9, t_free=40, t_nudge=10)
@@ -283,6 +300,12 @@ cfg = training.TrainConfig(learning_rates=(0.1, 0.1, 0.1), beta=0.4)
 out = energy.free_phase(xs, params, spec).layers
 out += for_params(params, spec, "ep", 12).loss_grad(xs, ys)
 out += [t for _, t in training._ep_batch_grads(params, spec, cfg, xs, ys).tensors()]
+# mid shape: each example's product is large enough for BLAS to use threads
+conv = ops.ConvSpec(32, 64, 3, 1)
+rng = np.random.default_rng(5)
+x, w = rng.uniform(0, 1, (8, 32, 16, 16)), rng.standard_normal((64, 32, 3, 3)) * 0.1
+y = ops.conv2d(x, w, conv)
+out += [y, ops.conv2d_transpose(y, w, conv), ops.conv2d_weight_grad(x, y, conv)]
 sys.stdout.buffer.write(b"".join(np.ascontiguousarray(a).tobytes() for a in out))
 """
 
