@@ -16,9 +16,8 @@ import numpy as np
 
 from . import ops
 from .attacks import project, steepest_ascent, uniform_ball
-from .energy import (_add_bias, _adjoint, _as_batch_x, _drive, _logits,
-                     _set_connection, _unpool, _weight_grad, cross_entropy,
-                     cross_entropy_grad)
+from .energy import (_add_bias, _adjoint, _as_batch_x, _drive, _logits, _unpool,
+                     _weight_grad, cross_entropy, cross_entropy_grad)
 from .model import ModelSpec, Params
 from .training import TrainConfig, run_training
 
@@ -46,16 +45,15 @@ def bp_forward(xs, params: Params, spec: ModelSpec, collect: bool = False):
 def bp_backward(cache, params: Params, spec: ModelSpec, g_logits):
     """Parameter gradients (summed over the batch) and the input gradient."""
     p64 = params.map(np.asarray, dtype=_F)
-    grads = params.map(np.zeros_like, dtype=_F)
     n, top = spec.n_layers, cache["top"]
-    _set_connection(grads, spec, n, *_weight_grad(n, top, g_logits, p64, spec))
+    grads = Params([None] * (n + 1), [None] * (n + 1))  # every connection is set below
+    grads.w[n], grads.b[n] = _weight_grad(n, top, g_logits, p64, spec)
     g = _adjoint(n, g_logits, p64, spec).reshape(top.shape)
     for i in reversed(range(n)):
         layer = cache["layers"][i]
         g_pre = g.reshape(layer["mask"].shape) * layer["mask"]
         u = _unpool(g_pre, layer["route"])  # shared by both gradients: one unpool
-        _set_connection(grads, spec, i,
-                        *_weight_grad(i, layer["src"], g_pre, p64, spec, u))
+        grads.w[i], grads.b[i] = _weight_grad(i, layer["src"], g_pre, p64, spec, u)
         g = _adjoint(i, u, p64, spec).reshape(layer["src"].shape)
     return grads, g
 

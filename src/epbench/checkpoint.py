@@ -5,7 +5,8 @@ uint64 JSON header length, the UTF-8 JSON header, then the named parameter
 tensors as raw little-endian float32 in manifest order. The header carries
 the architecture descriptor, model kind (ep/bp/adv), training-config
 snapshot, RNG seed, normalization stats, the recorded free-phase convergence
-step, and the tensor manifest (name + shape). Round trips are bit-exact.
+step, and the tensor manifest (name + shape), which must equal
+model.param_shapes(spec). Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .model import ModelSpec, Params, spec_from_dict
+from .model import ModelSpec, Params, param_shapes, spec_from_dict
 
 MAGIC = b"EPBN"
 VERSION = 1
+MODEL_KINDS = ("ep", "bp", "adv")
 
 
 class CheckpointError(ValueError):
@@ -69,6 +71,10 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             fh.write(t.tobytes())
 
 
+def _listing(manifest) -> str:
+    return ", ".join(f"{name}{list(shape)}" for name, shape in manifest)
+
+
 def _unpack(blob: bytes, offset: int, fmt: str, name: str) -> int:
     if len(blob) < offset + struct.calcsize(fmt):
         raise CheckpointError(f"truncated {name} field at byte offset {offset}")
@@ -109,32 +115,24 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"header field {exc.args[0]!r} missing") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad header field: {exc}") from None
-    arrays = {}
+    if meta["model_kind"] not in MODEL_KINDS:
+        raise CheckpointError(f"header field 'model_kind' is {meta['model_kind']!r}, "
+                              f"expected one of {', '.join(MODEL_KINDS)}")
+    expected = param_shapes(spec)
+    if manifest != expected:
+        raise CheckpointError("tensor manifest does not match the spec: expected "
+                              f"{_listing(expected)}; found {_listing(manifest)}")
+    tensors = []
     for name, shape in manifest:
-        if min(shape, default=0) < 0:
-            raise CheckpointError(f"tensor {name} has a negative extent in {shape}")
         count = math.prod(shape)
         if offset + 4 * count > len(blob):
             raise CheckpointError(f"truncated tensor {name} at byte offset {offset}")
-        arrays[name] = np.frombuffer(blob, dtype="<f4", count=count,
-                                     offset=offset).reshape(shape).copy()
+        t = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(t).all():
+            raise CheckpointError(f"tensor {name} at byte offset {offset} holds a "
+                                  "non-finite value")
+        tensors.append(t.copy())
         offset += 4 * count
     if offset != len(blob):
         raise CheckpointError(f"trailing bytes after the last tensor at byte offset {offset}")
-    n_conv = sum(1 for k in arrays if k.startswith("conv_w"))
-    n_fc = sum(1 for k in arrays if k.startswith("fc_w"))
-    try:
-        params = Params(
-            conv_w=[arrays[f"conv_w{i}"] for i in range(n_conv)],
-            conv_b=[arrays[f"conv_b{i}"] for i in range(n_conv)],
-            fc_w=[arrays[f"fc_w{j}"] for j in range(n_fc)],
-            fc_b=[arrays[f"fc_b{j}"] for j in range(n_fc)],
-            readout_w=arrays["readout_w"],
-            readout_b=arrays["readout_b"],
-        )
-        params.validate(spec)
-    except KeyError as exc:
-        raise CheckpointError(f"tensor {exc.args[0]!r} missing from the manifest") from None
-    except ValueError as exc:
-        raise CheckpointError(f"tensor manifest does not match the spec: {exc}") from None
-    return Checkpoint(spec=spec, params=params, **meta)
+    return Checkpoint(spec=spec, params=Params(tensors[0::2], tensors[1::2]), **meta)

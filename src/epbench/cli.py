@@ -17,7 +17,8 @@ import numpy as np
 
 from . import attacks, baseline, bench, corruptions, energy, training, uncertainty
 from .bench import RunRecord
-from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import (MODEL_KINDS, Checkpoint, CheckpointError, load_checkpoint,
+                         save_checkpoint)
 from .config import _floats, _ints, load_config
 from .data import Dataset, channel_stats, load_cifar_binary, normalize_images, synth_dataset
 from .handle import from_checkpoint
@@ -46,11 +47,13 @@ def _open_checkpoint(args):
     --data, else the test split of the synthetic recipe the checkpoint was
     trained on; the handle reads an ep model at --timestep."""
     ckpt = load_checkpoint(args.ckpt)
-    source = args.data or ckpt.train_config.get("data", "synth")
-    if args.data is None and source != "synth":
+    trained_on = ckpt.train_config.get("data", "synth")
+    if trained_on != "synth" and args.data in (None, "synth"):
         # a CIFAR-trained checkpoint records only its training file
-        args.error(f"--data is required: {args.ckpt} was trained on {source}, "
-                   "not on a synthetic recipe with a held-out split")
+        flag = "--data is required" if args.data is None else "--data synth cannot be used"
+        args.error(f"{flag}: {args.ckpt} was trained on {trained_on} and has no "
+                   "synthetic recipe with a held-out split")
+    source = args.data or "synth"
     if source == "synth":
         ds = _synth_from_snapshot(ckpt.train_config, split="test")
     else:
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_args.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
-    p.add_argument("--model", choices=("ep", "bp", "adv"), required=True)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--data", default="synth", help="'synth' or CIFAR binary path")
     p.add_argument("--cifar-variant", choices=("cifar10", "cifar100"), default="cifar10")

@@ -13,10 +13,10 @@ nudged phase injects -beta * dL/ds^N through it, where L is softmax
 cross-entropy. Free, nudged and recorded runs all go through one loop,
 `_relax`.
 
-Connections are numbered conv first, then fc, then the readout. Each one's
-drive, bias, adjoint at fixed pool routes, weight gradient and (w, b) in
-Params are written once here; the unrolled reverse pass, the EP rules and
-the backprop twin reuse them.
+Connections are numbered conv first, then fc, then the readout; connection
+i reads its weight and bias as Params.w[i] and Params.b[i]. Each one's drive,
+bias, adjoint at fixed pool routes and weight gradient are written once here;
+the unrolled reverse pass, the EP rules and the backprop twin reuse them.
 
 All dynamics run in float64 regardless of parameter dtype. Every input,
 state and result carries a leading batch axis: x is [B, C, H, W], each state
@@ -63,22 +63,6 @@ def _layers64(state: NetworkState, spec: ModelSpec) -> list[np.ndarray]:
     return layers
 
 
-def _connection(params: Params, spec: ModelSpec, i: int):
-    """(w, b) of connection i: conv i, then fc i - n_conv, then the readout
-    at i = n_layers."""
-    if i < spec.n_conv:
-        return params.conv_w[i], params.conv_b[i]
-    if i < spec.n_layers:
-        return params.fc_w[i - spec.n_conv], params.fc_b[i - spec.n_conv]
-    return params.readout_w, params.readout_b
-
-
-def _set_connection(params: Params, spec: ModelSpec, i: int, w, b) -> None:
-    """Copy (w, b) into connection i of params (numbering as in _connection)."""
-    for dst, src in zip(_connection(params, spec, i), (w, b)):
-        dst[...] = src
-
-
 def _drive(i, src, params: Params, spec: ModelSpec, route=None):
     """Connection i's drive on the batched src, bias excluded: (drive, route).
 
@@ -86,7 +70,7 @@ def _drive(i, src, params: Params, spec: ModelSpec, route=None):
     route is None and gathered along the given route otherwise; an fc
     connection or the readout gives w flat(src) and route None.
     """
-    w, _ = _connection(params, spec, i)
+    w = params.w[i]
     if i >= spec.n_conv:
         # einsum (fixed reduction order) instead of BLAS `@` keeps results
         # bit-identical across batch sizes
@@ -97,7 +81,7 @@ def _drive(i, src, params: Params, spec: ModelSpec, route=None):
 
 def _add_bias(i, drive, params: Params, spec: ModelSpec):
     """drive + b_i, the bias broadcast over a conv drive's spatial axes."""
-    b = _connection(params, spec, i)[1]
+    b = params.b[i]
     return drive + b.reshape(b.shape + (1,) * (drive.ndim - 2))
 
 
@@ -110,7 +94,7 @@ def _unpool(g, route):
 def _adjoint(i, u, params: Params, spec: ModelSpec):
     """Transpose of connection i's linear map applied to u = _unpool(g, route);
     with the pooling routes held fixed this is the adjoint of the drive."""
-    w, _ = _connection(params, spec, i)
+    w = params.w[i]
     if i < spec.n_conv:
         return ops.conv2d_transpose(u, w, spec.conv[i])
     return np.einsum("kd,bk->bd", w, u, dtype=_F)

@@ -4,11 +4,17 @@ The network is a chain of convolutional connections (each followed by 2x2
 stride-2 max pooling) and optional fully connected connections, all inside the
 energy, plus a linear readout on the flattened top state that stays outside
 the dynamics. States s^1..s^N live in [0,1]; s^0 is the clamped input.
+
+Connections are numbered conv first, then fc, then the readout at
+i = n_layers. Params holds connection i's weight and bias as w[i] and b[i];
+param_shapes is the one place that derives tensor names and shapes from a
+spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,6 +88,8 @@ class ModelSpec:
         for j, (din, dout) in enumerate(self.fc):
             if din != dim:
                 raise ValueError(f"fc {j}: in_dim {din} != incoming dim {dim}")
+            if dout < 1:
+                raise ValueError(f"fc {j}: out_dim must be >= 1, got {dout}")
             dim = dout
             shapes.append((dim,))
         return shapes
@@ -91,97 +99,71 @@ class ModelSpec:
         return int(np.prod(self.state_shapes()[-1]))
 
 
+def param_shapes(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter tensor, weight then bias per connection
+    in connection order: conv_w0, conv_b0, ..., fc_w0, fc_b0, ..., readout_w,
+    readout_b. These are the checkpoint manifest's names and shapes."""
+    w_shapes = [(cs.out_channels, cs.in_channels, cs.kernel, cs.kernel) for cs in spec.conv]
+    w_shapes += [(dout, din) for din, dout in spec.fc]
+    w_shapes.append((spec.readout_dim, spec.top_dim))
+    shapes = [shape for w in w_shapes for shape in (w, w[:1])]
+    return list(zip(_tensor_names(spec.n_conv, spec.n_layers), shapes))
+
+
+def _tensor_names(n_conv: int, n_layers: int) -> list[str]:
+    """The names param_shapes gives a model of n_conv conv connections among
+    n_layers energy connections; Params.tensors() uses them too."""
+    names = [(f"conv_w{i}", f"conv_b{i}") for i in range(n_conv)]
+    names += [(f"fc_w{j}", f"fc_b{j}") for j in range(n_layers - n_conv)]
+    names.append(("readout_w", "readout_b"))
+    return [name for pair in names for name in pair]
+
+
 @dataclass
 class Params:
-    """Weight set: energy connections plus the readout. Gradient estimates and
-    optimizer velocities use the same container, holding float64 arrays.
+    """Weights and biases by connection: w[i] and b[i] belong to connection i,
+    numbered conv first, then fc, then the readout at i = n_layers. Gradient
+    estimates and optimizer velocities use the same container, holding
+    float64 arrays.
 
-    conv_w[i]: [out,in,k,k]; conv_b[i]: [out]; fc_w[j]: [out,in]; fc_b[j]: [out];
-    readout_w: [readout_dim, top_dim]; readout_b: [readout_dim].
+    A conv weight is [out, in, k, k], an fc weight [out, in], the readout
+    weight [readout_dim, top_dim]; each bias is [out].
     """
 
-    conv_w: list[np.ndarray]
-    conv_b: list[np.ndarray]
-    fc_w: list[np.ndarray]
-    fc_b: list[np.ndarray]
-    readout_w: np.ndarray
-    readout_b: np.ndarray
+    w: list[np.ndarray]
+    b: list[np.ndarray]
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        named = []
-        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b)):
-            named += [(f"conv_w{i}", w), (f"conv_b{i}", b)]
-        for j, (w, b) in enumerate(zip(self.fc_w, self.fc_b)):
-            named += [(f"fc_w{j}", w), (f"fc_b{j}", b)]
-        named += [("readout_w", self.readout_w), ("readout_b", self.readout_b)]
-        return named
+        """(name, tensor) pairs named and ordered as param_shapes lists them."""
+        n_conv = sum(w.ndim == 4 for w in self.w)
+        names = _tensor_names(n_conv, len(self.w) - 1)
+        return list(zip(names, [t for wb in zip(self.w, self.b) for t in wb]))
 
     def map(self, fn, *others: "Params", **kwargs) -> "Params":
-        """Params of fn(tensor, *same-named tensors of others, **kwargs).
+        """Params of fn(tensor, *the same connection's tensors of others, **kwargs).
 
         params.map(np.asarray, dtype=np.float64) casts; params.map(np.zeros_like,
         dtype=np.float64) starts a gradient estimate; g.map(f, h) combines two.
         """
-        out = {}
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), [getattr(o, f.name) for o in others]
-            out[f.name] = ([fn(*ts, **kwargs) for ts in zip(mine, *theirs)]
-                           if isinstance(mine, list) else fn(mine, *theirs, **kwargs))
-        return Params(**out)
+        w = [fn(*ts, **kwargs) for ts in zip(self.w, *(o.w for o in others))]
+        b = [fn(*ts, **kwargs) for ts in zip(self.b, *(o.b for o in others))]
+        return Params(w, b)
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(t).all() for _, t in self.tensors())
-
-    def validate(self, spec: ModelSpec) -> None:
-        shapes = spec.state_shapes()
-        if len(self.conv_w) != spec.n_conv or len(self.fc_w) != len(spec.fc):
-            raise ValueError("parameter list lengths do not match the spec")
-        c = spec.input_shape[0]
-        for i, cs in enumerate(spec.conv):
-            want = (cs.out_channels, cs.in_channels, cs.kernel, cs.kernel)
-            if self.conv_w[i].shape != want:
-                raise ValueError(f"conv_w{i} shape {self.conv_w[i].shape} != {want}")
-            if self.conv_b[i].shape != (cs.out_channels,):
-                raise ValueError(f"conv_b{i} shape mismatch")
-            c = cs.out_channels
-        for j, (din, dout) in enumerate(spec.fc):
-            if self.fc_w[j].shape != (dout, din):
-                raise ValueError(f"fc_w{j} shape {self.fc_w[j].shape} != {(dout, din)}")
-            if self.fc_b[j].shape != (dout,):
-                raise ValueError(f"fc_b{j} shape mismatch")
-        if self.readout_w.shape != (spec.readout_dim, spec.top_dim):
-            raise ValueError(
-                f"readout_w shape {self.readout_w.shape} != "
-                f"{(spec.readout_dim, spec.top_dim)}"
-            )
-        if self.readout_b.shape != (spec.readout_dim,):
-            raise ValueError("readout_b shape mismatch")
-        if not self.all_finite():
-            raise ValueError("parameters contain non-finite values")
+        return all(np.isfinite(t).all() for t in self.w + self.b)
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator, dtype=np.float32,
                 scale: float = 1.0) -> Params:
-    """Uniform fan-in initialization: U(-s/sqrt(fan_in), s/sqrt(fan_in))."""
-
-    def uni(shape, fan_in):
-        bound = scale / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-    conv_w, conv_b, fc_w, fc_b = [], [], [], []
-    for cs in spec.conv:
-        fan = cs.in_channels * cs.kernel * cs.kernel
-        conv_w.append(uni((cs.out_channels, cs.in_channels, cs.kernel, cs.kernel), fan))
-        conv_b.append(uni((cs.out_channels,), fan))
-    for din, dout in spec.fc:
-        fc_w.append(uni((dout, din), din))
-        fc_b.append(uni((dout,), din))
-    d = spec.top_dim
-    return Params(
-        conv_w=conv_w, conv_b=conv_b, fc_w=fc_w, fc_b=fc_b,
-        readout_w=uni((spec.readout_dim, d), d),
-        readout_b=uni((spec.readout_dim,), d),
-    )
+    """Uniform fan-in initialization, U(-s/sqrt(fan_in), s/sqrt(fan_in)) with
+    fan_in = prod(w.shape[1:]), drawn weight then bias per connection."""
+    shapes = [shape for _, shape in param_shapes(spec)]
+    w, b = [], []
+    for w_shape, b_shape in zip(shapes[0::2], shapes[1::2]):
+        bound = scale / np.sqrt(math.prod(w_shape[1:]))
+        w.append(rng.uniform(-bound, bound, size=w_shape).astype(dtype))
+        b.append(rng.uniform(-bound, bound, size=b_shape).astype(dtype))
+    return Params(w, b)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import bench
-from .energy import (_as_batch_x, _layers64, _logits, _set_connection, _weight_grad,
+from .energy import (_as_batch_x, _layers64, _logits, _weight_grad,
                      cross_entropy_grad, free_phase, nudged_phase, readout)
 from .model import ModelSpec, NetworkState, Params, init_params
 
@@ -86,7 +86,7 @@ def phi_grad_params(x, state: NetworkState, params: Params,
     for i, (src, s) in enumerate(zip([xb] + layers[:-1], layers)):
         # conv weights use the pooling routes of the bottom-up pass at this state
         dw, db = _weight_grad(i, src, s, p64, spec)
-        _set_connection(est, spec, i, dw / n, db / n)
+        est.w[i], est.b[i] = dw / n, db / n
     return est
 
 
@@ -121,14 +121,13 @@ def ep_estimate(x, y, params: Params, spec: ModelSpec, cfg: TrainConfig,
 
 def sgd_momentum_step(params: Params, grads: Params, velocity: Params,
                       cfg: TrainConfig) -> None:
-    """In-place: v <- mu*v + g; theta <- theta - lr * v, where tensor k of
-    Params.tensors() (weight and bias in turn) takes rate k // 2 of its connection."""
-    for k, ((_, p), (_, g), (_, v)) in enumerate(zip(
-        params.tensors(), grads.tensors(), velocity.tensors()
-    )):
+    """In-place: v <- mu*v + g; theta <- theta - lr * v, where connection i's
+    weight and bias take rate i."""
+    rates = cfg.learning_rates or (0.05,) * len(params.w)
+    for p, g, v, lr in zip(params.w + params.b, grads.w + grads.b,
+                           velocity.w + velocity.b, rates * 2, strict=True):
         v *= cfg.momentum
         v += g
-        lr = cfg.learning_rates[k // 2] if cfg.learning_rates else 0.05
         p -= np.asarray(lr * v, dtype=p.dtype)
 
 
@@ -139,7 +138,7 @@ def _ep_batch_grads(params, spec, cfg, xs, ys):
     p64, top, n = params.map(np.asarray, dtype=_F), s_star.layers[-1], spec.n_layers
     err = cross_entropy_grad(_logits(top, p64, spec), ys)
     gw, gb = _weight_grad(n, top, err, p64, spec)
-    _set_connection(est, spec, n, gw / len(ys), gb / len(ys))
+    est.w[n], est.b[n] = gw / len(ys), gb / len(ys)
     return est
 
 

@@ -24,11 +24,6 @@ class DisagreementCurve:
     samples: np.ndarray    # draws per radius
     norm: str = "l2"
 
-    def sigma(self) -> np.ndarray:
-        """Binomial standard error per cell."""
-        p = np.clip(self.rate, 1e-12, 1 - 1e-12)
-        return np.sqrt(p * (1 - p) / self.samples)
-
 
 @dataclass
 class ExponentFit:

@@ -3,6 +3,7 @@ robustness, result files, and checkpoint round trips."""
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,14 @@ class TestCheckpoint:
         logits_b = from_checkpoint(loaded).logits
         assert np.array_equal(logits_a(xs[:16]), logits_b(xs[:16]))
 
+    def test_committed_checkpoint_round_trips_byte_for_byte(self, tmp_path):
+        # tensor names and order are derived from the spec, so the committed
+        # file pins the format: same names, order and bytes
+        committed = Path(__file__).resolve().parents[1] / "perfbench" / "desk_ep.ckpt"
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, load_checkpoint(committed))
+        assert again.read_bytes() == committed.read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -246,6 +255,14 @@ class TestCheckpoint:
         ("bad JSON", "not JSON at byte offset 25"),
         ("header missing spec", "field 'spec' missing"),
         ("header length 2^62", f"header length {2 ** 62} at byte offset 8"),
+        ("extra tensor", r"expected conv_w0.*readout_b\[2\]; found .*readout_b\[2\], junk\[3\]$"),
+        ("duplicated name", r"found conv_w0\[8, 1, 3, 3\], conv_b0\[8\], conv_b0\[8\], readout_w"),
+        ("reordered manifest", r"expected conv_w0\[8, 1, 3, 3\], conv_b0\[8\], .*"
+                               r"; found conv_b0\[8\], conv_w0\[8, 1, 3, 3\], "),
+        ("wrong shape", r"expected conv_w0.*conv_b0\[8\].*; found conv_w0.*conv_b0\[4, 2\]"),
+        ("non-finite payload", "tensor conv_w0 at byte offset .* non-finite"),
+        ("unknown model_kind", "field 'model_kind' is 'zz'"),
+        ("negative fc out_dim", "fc 0: out_dim must be >= 1"),
     ])
     def test_malformed_file_names_offset_or_field(self, tmp_path, case, where):
         spec = desk_spec()
@@ -255,14 +272,29 @@ class TestCheckpoint:
         good = p.read_bytes()
         (hlen,) = struct.unpack_from("<Q", good, 8)
         header, payload = json.loads(good[16:16 + hlen]), good[16 + hlen:]
-        del header["spec"]
+        manifest = header["tensors"]
+        no_spec = {k: v for k, v in header.items() if k != "spec"}
+
+        def edited(more_payload=b"", **fields):
+            return self._framed(json.dumps({**header, **fields}).encode(),
+                                payload + more_payload)
+
         blob = {
             "truncated version field": good[:6],
             "truncated header-length field": good[:12],
             "non-UTF-8 header": self._framed(b'{"spec": "\xff"}', payload),
             "bad JSON": self._framed(b'{"spec": }', payload),
-            "header missing spec": self._framed(json.dumps(header).encode(), payload),
+            "header missing spec": self._framed(json.dumps(no_spec).encode(), payload),
             "header length 2^62": good[:8] + struct.pack("<Q", 2 ** 62) + good[16:],
+            "extra tensor": edited(bytes(12), tensors=manifest + [{"name": "junk",
+                                                                   "shape": [3]}]),
+            "duplicated name": edited(bytes(32), tensors=manifest[:2] + manifest[1:]),
+            "reordered manifest": edited(tensors=[manifest[1], manifest[0]] + manifest[2:]),
+            "wrong shape": edited(tensors=[manifest[0], {"name": "conv_b0", "shape": [4, 2]}]
+                                  + manifest[2:]),
+            "non-finite payload": good[:16 + hlen] + struct.pack("<f", np.nan) + payload[4:],
+            "unknown model_kind": edited(model_kind="zz"),
+            "negative fc out_dim": edited(spec={**header["spec"], "fc": [[128, -1]]}),
         }[case]
         p.write_bytes(blob)
         with pytest.raises(CheckpointError, match=where):

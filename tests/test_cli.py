@@ -167,15 +167,21 @@ def cifar_ckpt(tmp_path_factory):
     ["attack", "--family", "pgd", "--eps", "0.1"],
     ["corrupt"],
     ["uncertainty", "--eps-grid", "0.1,0.2"],
-], ids=lambda argv: argv[0])
+    ["eval", "--data", "synth"],
+    ["attack", "--family", "pgd", "--eps", "0.1", "--data", "synth"],
+    ["corrupt", "--data", "synth"],
+    ["uncertainty", "--eps-grid", "0.1,0.2", "--data", "synth"],
+], ids=lambda argv: argv[0] + ("-synth" if "synth" in argv else ""))
 def test_cifar_checkpoint_needs_data_flag(argv, cifar_ckpt, tmp_path, capsys):
-    # the checkpoint records only its training file, which is no test set
+    # the checkpoint records only its training file, which is no test set,
+    # and it has no synthetic recipe for --data synth to regenerate
     _, ckpt = cifar_ckpt
     out = tmp_path / "r.csv"
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--ckpt", str(ckpt), "--out", str(out)])
     assert exc.value.code == 2
-    assert "--data is required" in capsys.readouterr().err
+    expected = "--data synth cannot be used" if "synth" in argv else "--data is required"
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -34,10 +34,10 @@ class TestPhi:
                          fc=((1, 1),), readout_dim=2, t_free=10)
         params = init_params(spec, np.random.default_rng(0), dtype=np.float64)
         # silence everything except the fc connection under test
-        params.conv_w[0][:] = 0.0
-        params.conv_b[0][:] = 0.0
-        params.fc_b[0][:] = 0.0
-        params.fc_w[0][:] = 2.0
+        params.w[0][:] = 0.0
+        params.b[0][:] = 0.0
+        params.b[1][:] = 0.0
+        params.w[1][:] = 2.0
         st = zero_state(spec, 1)
         st.layers[0][:] = 3.0   # pre-synaptic state s^1 (scalar "image" 1x1x1)
         st.layers[1][:] = 1.0   # post-synaptic state s^2
@@ -54,8 +54,8 @@ class TestPhi:
         total = 0.0
         srcs = [x[None]] + st.layers[:-1]
         for i, cs in enumerate(spec.conv):
-            pre, _ = ops.maxpool2(ops.conv2d(srcs[i], params.conv_w[i], cs))
-            pre = pre + params.conv_b[i][:, None, None]
+            pre, _ = ops.maxpool2(ops.conv2d(srcs[i], params.w[i], cs))
+            pre = pre + params.b[i][:, None, None]
             total += float(np.sum(st.layers[i] * pre))
         got = energy.phi(x[None], st, params, spec)[0]
         assert got == pytest.approx(total, rel=1e-5)
@@ -78,10 +78,10 @@ class TestPhiGradState:
                          conv=(ConvSpec(1, 1, 1, 0),),
                          fc=((1, 1),), readout_dim=2, t_free=10)
         params = init_params(spec, np.random.default_rng(0), dtype=np.float64)
-        params.conv_w[0][:] = 2.0   # 1x1 conv of a 1-pixel map acts as w1
-        params.conv_b[0][:] = 0.0
-        params.fc_w[0][:] = 3.0
-        params.fc_b[0][:] = 0.0
+        params.w[0][:] = 2.0   # 1x1 conv of a 1-pixel map acts as w1
+        params.b[0][:] = 0.0
+        params.w[1][:] = 3.0
+        params.b[1][:] = 0.0
         x = np.full(spec.input_shape, 1.0)[None]
         st = zero_state(spec, 1)
         st.layers[0][:] = 0.5
@@ -131,8 +131,8 @@ class TestFreePhase:
         spec = ModelSpec(input_shape=(1, 2, 2), conv=(ConvSpec(1, 1, 1, 0),),
                          readout_dim=2, t_free=10, fp_tol=1e-9)
         params = init_params(spec, np.random.default_rng(0), dtype=np.float64)
-        params.conv_w[0][:] = 0.5
-        params.conv_b[0][:] = 0.0
+        params.w[0][:] = 0.5
+        params.b[0][:] = 0.0
         x = np.ones(spec.input_shape)[None]
         st = energy.free_phase(x, params, spec)
         assert np.allclose(st.layers[0], 0.5)
@@ -235,8 +235,8 @@ class TestNudgedPhase:
 class TestReadoutPredict:
     def test_zero_weights_chance_logits(self):
         spec, params = tiny_model(np.random.default_rng(13))
-        params.readout_w[:] = 0.0
-        params.readout_b[:] = 0.0
+        params.w[-1][:] = 0.0
+        params.b[-1][:] = 0.0
         x = rng_global.uniform(0, 1, spec.input_shape)[None]
         logits = energy.logits_at(x, params, spec, t=5)
         label = np.argmax(logits, axis=-1)
@@ -247,8 +247,8 @@ class TestReadoutPredict:
         spec = ModelSpec(input_shape=(1, 2, 2), conv=(ConvSpec(1, 1, 1, 0),),
                          fc=((1, 2),), readout_dim=2, t_free=10)
         params = init_params(spec, np.random.default_rng(0), dtype=np.float64)
-        params.readout_w = np.eye(2)
-        params.readout_b = np.zeros(2)
+        params.w[-1] = np.eye(2)
+        params.b[-1] = np.zeros(2)
         st = zero_state(spec, 1)
         st.layers[-1][0] = [0.3, 0.9]
         assert np.allclose(energy.readout(st, params, spec), [0.3, 0.9])
@@ -259,7 +259,7 @@ class TestReadoutPredict:
         st = random_state(spec, rng)
         z = energy.readout(st, params, spec)[0]
         flat = st.layers[-1][0].reshape(-1)
-        ref = params.readout_w.astype(np.float64) @ flat + params.readout_b
+        ref = params.w[-1].astype(np.float64) @ flat + params.b[-1]
         assert np.max(np.abs(z - ref)) < 1e-6
 
     def test_one_channel_conv_top(self):
@@ -286,9 +286,9 @@ class TestReadoutPredict:
         za = energy.logits_at(xa, params, spec, t=1)
         zb = energy.logits_at(xb, params, spec, t=1)
         assert np.array_equal(za, zb)
-        params.conv_b[0][:] = 0.0
-        params.conv_b[1][:] = 0.0
-        params.readout_b[:] = 0.0
+        params.b[0][:] = 0.0
+        params.b[1][:] = 0.0
+        params.b[-1][:] = 0.0
         z0 = energy.logits_at(xa, params, spec, t=1)
         assert np.count_nonzero(z0) == 0
 

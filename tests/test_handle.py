@@ -80,7 +80,7 @@ def _handle(params, spec, normalize=None):
 
 
 UNBATCHED_CALLS = {
-    "ops.conv2d": lambda x, p, s: ops.conv2d(x, p.conv_w[0], s.conv[0]),
+    "ops.conv2d": lambda x, p, s: ops.conv2d(x, p.w[0], s.conv[0]),
     "energy.free_phase": lambda x, p, s: energy.free_phase(x, p, s),
     "energy.logits_at": lambda x, p, s: energy.logits_at(x, p, s, T),
     "energy.phi": lambda x, p, s: energy.phi(x, zero_state(s, 1), p, s),

@@ -1,8 +1,9 @@
 """The public API of src/epbench carries no code that only tests call.
 
-Every public module-level function or class must be referenced somewhere in
-the package besides its own definition; the few that exist for the tests'
-oracles or as reference baselines are listed with the reason they stay.
+Every public module-level function or class, and every public method of a
+class, must be referenced by name somewhere in the package besides its own
+definition; the few that exist for the tests' oracles or as reference
+baselines are listed with the reason they stay.
 """
 
 import ast
@@ -31,10 +32,14 @@ def test_every_public_definition_has_a_caller_in_src():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    unreferenced = {
-        f"{mod}.{node.name}"
-        for mod, tree in trees.items() for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_") and node.name not in used
-    }
+    defs = {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{mod}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{mod}.{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, ast.FunctionDef))
+    unreferenced = {qual for qual, name in defs.items()
+                    if not name.startswith("_") and name not in used}
     assert unreferenced == set(UNREFERENCED_BY_DESIGN)

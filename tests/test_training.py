@@ -33,8 +33,8 @@ class TestPhiGradParams:
         st = NetworkState([np.full((1, 1, 1, 1), 2.0), np.full((1, 1), 3.0)])
         x = np.zeros(spec.input_shape)[None]
         est = training.phi_grad_params(x, st, params, spec)
-        assert est.fc_w[0][0, 0] == pytest.approx(6.0)
-        assert est.fc_b[0][0] == pytest.approx(3.0)
+        assert est.w[1][0, 0] == pytest.approx(6.0)
+        assert est.b[1][0] == pytest.approx(3.0)
 
     def test_matches_phi_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -73,8 +73,8 @@ class TestPhiGradParams:
         poisoned = NetworkState([s.copy() for s in st.layers])
         poisoned.layers[2][:] = 1e6  # far above any sane state
         est = training.phi_grad_params(x, poisoned, params, spec)
-        assert np.array_equal(est.conv_w[0], base.conv_w[0])
-        assert np.array_equal(est.conv_b[0], base.conv_b[0])
+        assert np.array_equal(est.w[0], base.w[0])
+        assert np.array_equal(est.b[0], base.b[0])
 
 
 class TestEPUpdates:
@@ -128,8 +128,8 @@ class TestEPUpdates:
         x = rng.uniform(0, 1, (1,) + spec.input_shape)
         star = energy.free_phase(x, params, spec)
         label, _ = int(np.argmax(energy.readout(star, params, spec))), None
-        params.readout_w *= 100.0  # temperature -> saturated softmax
-        params.readout_b *= 100.0
+        params.w[-1] *= 100.0  # temperature -> saturated softmax
+        params.b[-1] *= 100.0
         cfg = TrainConfig(learning_rates=(0.1,) * 3, beta=0.05)
         est = training.ep_estimate(x, np.array([label]), params, spec, cfg)
         scale = np.sqrt(sum(np.sum(t ** 2) for _, t in est.tensors()))
@@ -201,7 +201,7 @@ class TestTrainLoops:
                 stepped.append(p)
             assert all(np.array_equal(a, b) for (_, a), (_, b) in
                        zip(stepped[0].tensors(), stepped[1].tensors()))
-            assert not np.array_equal(stepped[0].conv_w[0], params.conv_w[0])
+            assert not np.array_equal(stepped[0].w[0], params.w[0])
 
     def test_lr_count_validated(self, desk_data):
         train, _ = desk_data

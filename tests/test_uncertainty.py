@@ -96,9 +96,11 @@ class TestDisagreementCurve:
         eps_grid = [0.05, 0.1, 0.2, 0.4]
         curve = disagreement_curve(eval_fn, xs, "l2", eps_grid,
                                    samples_per_eps=300, seed=5)
+        rate = np.clip(curve.rate, 1e-12, 1 - 1e-12)
+        binomial_se = np.sqrt(rate * (1 - rate) / curve.samples)
         for e_i, eps in enumerate(eps_grid):
             analytic = float(np.mean(cap_fraction(margins / eps, d)))
-            sigma = max(curve.sigma()[e_i], 1e-6)
+            sigma = max(binomial_se[e_i], 1e-6)
             assert abs(curve.rate[e_i] - analytic) < 4 * sigma + 1e-9
 
     def test_monotone_in_eps_within_noise(self):
@@ -112,7 +114,8 @@ class TestDisagreementCurve:
         xs = (x0[None, :] + margins[:, None] * w[None, :]).reshape(-1, 1, 4, 4)
         curve = disagreement_curve(self._linear_eval(w, b), xs, "l2",
                                    [0.05, 0.1, 0.2, 0.4], 200, seed=7)
-        sig = curve.sigma()
+        rate = np.clip(curve.rate, 1e-12, 1 - 1e-12)
+        sig = np.sqrt(rate * (1 - rate) / curve.samples)  # binomial standard error
         for k in range(1, len(curve.eps)):
             assert curve.rate[k] >= curve.rate[k - 1] - 2 * (sig[k] + sig[k - 1])
 

@@ -31,18 +31,18 @@ class TestInputGrad:
         y = 1
         got = for_params(params, spec, "ep", 1).loss_grad(x, np.array([y]))[1]
 
-        conv = ops.conv2d(x, params.conv_w[0], spec.conv[0])
+        conv = ops.conv2d(x, params.w[0], spec.conv[0])
         pooled, idx = ops.maxpool2(conv)
-        pre = pooled + params.conv_b[0][:, None, None]
+        pre = pooled + params.b[0][:, None, None]
         s1 = ops.hard_clamp(pre)
-        logits = params.readout_w @ s1.reshape(-1) + params.readout_b
+        logits = params.w[-1] @ s1.reshape(-1) + params.b[-1]
         p = energy.softmax(logits)
         glog = p.copy()
         glog[y] -= 1.0
-        g_s1 = (glog @ params.readout_w).reshape(s1.shape)
+        g_s1 = (glog @ params.w[-1]).reshape(s1.shape)
         g_pre = g_s1 * ((pre >= 0) & (pre <= 1))
         expected = ops.conv2d_transpose(ops.unpool2(g_pre, idx),
-                                        params.conv_w[0], spec.conv[0])
+                                        params.w[0], spec.conv[0])
         assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_matches_finite_differences_per_pixel(self):
