@@ -23,6 +23,7 @@ from .model import ModelSpec, Params, param_shapes, spec_from_dict
 MAGIC = b"EPBN"
 VERSION = 1
 MODEL_KINDS = ("ep", "bp", "adv")
+_INT_SPEC_FIELDS = ("input_shape", "conv", "fc", "readout_dim", "t_free", "t_nudge")
 
 
 class CheckpointError(ValueError):
@@ -81,6 +82,16 @@ def _unpack(blob: bytes, offset: int, fmt: str, name: str) -> int:
     return struct.unpack_from(fmt, blob, offset)[0]
 
 
+def _require_ints(value, field: str) -> None:
+    """TypeError naming the first number in nested JSON lists and objects that
+    is not an integer (a float or a bool)."""
+    if isinstance(value, (dict, list)):
+        for k, v in (value.items() if isinstance(value, dict) else enumerate(value)):
+            _require_ints(v, f"{field}.{k}")
+    elif type(value) is not int:
+        raise TypeError(f"{field} is {value!r}, not an integer")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint; any malformed content raises CheckpointError naming
     the byte offset or header field at fault."""
@@ -106,9 +117,11 @@ def load_checkpoint(path) -> Checkpoint:
         at = 16 + len(text[:exc.pos].encode("utf-8"))
         raise CheckpointError(f"header is not JSON at byte offset {at}: {exc.msg}") from None
     try:
+        _require_ints({k: header["spec"][k] for k in _INT_SPEC_FIELDS}, "spec")
         spec = spec_from_dict(header["spec"])
-        manifest = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
-                    for e in header["tensors"]]
+        for i, e in enumerate(header["tensors"]):
+            _require_ints(e["shape"], f"tensors.{i}.shape")
+        manifest = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
         meta = {k: header[k] for k in ("model_kind", "seed", "train_config", "norm_mean",
                                        "norm_std", "convergence_step")}
     except KeyError as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attacks, baseline, bench, corruptions, energy, training, uncertainty
+from . import attacks, bench, corruptions, energy, training, uncertainty
 from .bench import RunRecord
 from .checkpoint import (MODEL_KINDS, Checkpoint, CheckpointError, load_checkpoint,
                          save_checkpoint)
@@ -88,15 +88,9 @@ def cmd_train(args) -> int:
     norm_test = None if test is None else normalized(test)
 
     t0 = time.perf_counter()
-    if args.model == "ep":
-        params, history = training.train_ep(norm_train, spec, cfg, val_dataset=norm_test)
-    elif args.model == "bp":
-        params, history = baseline.train_bp(norm_train, spec, cfg, val_dataset=norm_test)
-    else:
-        if cfg.adversarial is None:
-            cfg.adversarial = training.AdversarialBlock()
-        # adv_epsilon is interpreted in model-input (normalized) space
-        params, history = baseline.train_adv(norm_train, spec, cfg, val_dataset=norm_test)
+    # adv_epsilon is interpreted in model-input (normalized) space
+    params, history = training.train(args.model, norm_train, spec, cfg,
+                                     val_dataset=norm_test)
     wall = time.perf_counter() - t0
 
     conv_step = 0
@@ -133,7 +127,7 @@ def cmd_attack(args) -> int:
 
     records: list[RunRecord] = []
     t0 = time.perf_counter()
-    clean_acc = float(np.mean(model.predict(xs) == ys))
+    clean_acc = bench.evaluate(model.predict, ds)
     records.append(RunRecord(model=model_id, attack="clean", accuracy=clean_acc,
                              n=len(ys), seed=args.seed,
                              wall_ms=(time.perf_counter() - t0) * 1000))

@@ -87,9 +87,8 @@ def load_config(path) -> tuple[ModelSpec, TrainConfig]:
         dims = pairs.get("fc_dims", ())
         spec = replace(spec, fc=tuple(zip((spec.top_dim,) + dims[:-1], dims)))
 
-        adv = _given(pairs, _ADV_KEYS, prefix="adv_")
-        cfg = TrainConfig(adversarial=AdversarialBlock(**adv) if adv else None,
-                          **_given(pairs, _TRAIN_KEYS))
+        adv = AdversarialBlock(**_given(pairs, _ADV_KEYS, prefix="adv_"))
+        cfg = TrainConfig(adversarial=adv, **_given(pairs, _TRAIN_KEYS))
         cfg.validate_for(spec)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing required key {exc.args[0]!r}") from None

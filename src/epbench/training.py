@@ -1,23 +1,29 @@
-"""Parameter estimation: contrastive fixed-point updates and the training loop.
+"""Parameter estimation and the one training loop for ep, bp and adv models.
 
 The energy-weight gradients come from differences of dPhi/dtheta between
 nudged and free fixed points (one-sided or symmetric rule); the readout is
 trained by the delta rule at the free fixed point and stays outside the
-energy. Optimization is plain SGD with momentum and one learning rate per
-connection (its weight and bias share it). The per-connection gradient math
-is energy's, shared with the dynamics.
+energy. The bp and adv models are the feedforward twin in `baseline`,
+trained by backprop; adv replaces each minibatch with PGD examples crafted
+against the current model first. Optimization is plain SGD with momentum and
+one learning rate per connection (its weight and bias share it). The
+per-connection gradient math is energy's, shared with the dynamics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from . import bench
+from .attacks import project, steepest_ascent, uniform_ball
+from .baseline import _bp_batch_grads
+from .checkpoint import MODEL_KINDS
 from .energy import (_as_batch_x, _layers64, _logits, _weight_grad,
                      cross_entropy_grad, free_phase, nudged_phase, readout)
+from .handle import for_params
 from .model import ModelSpec, NetworkState, Params, init_params
 
 _F = np.float64
@@ -51,7 +57,7 @@ class TrainConfig:
     momentum: float = 0.9
     update_rule: str = "symmetric"
     seed: int = 0
-    adversarial: AdversarialBlock | None = None
+    adversarial: AdversarialBlock = field(default_factory=AdversarialBlock)  # adv only
 
     def __post_init__(self):
         if self.update_rule not in ("one_sided", "symmetric"):
@@ -147,42 +153,50 @@ def _ep_predict(params, spec, xs):
     return np.argmax(readout(state, params, spec), axis=-1)
 
 
-def run_training(dataset, spec: ModelSpec, cfg: TrainConfig, grad_fn, predict_fn,
-                 val_dataset=None):
-    """Shared minibatch SGD loop; returns (Params, per-epoch history)."""
+def _craft_train_batch(xs, ys, params, spec, adv, rng):
+    """PGD examples against the current model (random start, alpha=2.5 eps/steps)."""
+    loss_grad = for_params(params, spec, "bp", None).loss_grad
+    x = project(xs, xs + uniform_ball(rng, xs.shape, adv.norm, adv.epsilon),
+                adv.norm, adv.epsilon)
+    alpha = 2.5 * adv.epsilon / adv.steps
+    for _ in range(adv.steps):
+        _, g = loss_grad(x, ys)
+        x = project(xs, x + alpha * steepest_ascent(g, adv.norm), adv.norm, adv.epsilon)
+    return x
+
+
+def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=None):
+    """Minibatch SGD of an ep, bp or adv model; returns (Params, per-epoch history).
+
+    adv crafts each minibatch with PGD under cfg.adversarial before the bp
+    step; epsilon = 0 skips crafting, reproducing bp bit for bit.
+    """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
     cfg.validate_for(spec)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(spec, rng, dtype=np.float32)
     velocity = params.map(np.zeros_like, dtype=_F)
-    n = len(dataset.labels)
-    if n == 0:
-        raise ValueError("dataset is empty")
     history = []
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for b0 in range(0, n, cfg.batch_size):
+        # an empty dataset runs no batch; bench.evaluate then rejects it
+        order = rng.permutation(len(dataset.labels))
+        for b0 in range(0, len(order), cfg.batch_size):
             take = order[b0:b0 + cfg.batch_size]
             xs = np.asarray(dataset.images[take], dtype=_F)
             ys = dataset.labels[take]
-            grads = grad_fn(params, xs, ys, rng)
+            if kind == "adv" and cfg.adversarial.epsilon > 0:
+                xs = _craft_train_batch(xs, ys, params, spec, cfg.adversarial, rng)
+            grads = (_ep_batch_grads(params, spec, cfg, xs, ys) if kind == "ep"
+                     else _bp_batch_grads(params, spec, xs, ys))
             sgd_momentum_step(params, grads, velocity, cfg)
             if not params.all_finite():
-                raise DivergenceError(
-                    f"non-finite parameter at epoch {epoch}, batch {b0 // cfg.batch_size}"
-                )
-        predict = partial(predict_fn, params)
+                raise DivergenceError(f"non-finite parameter at epoch {epoch}, "
+                                      f"batch {b0 // cfg.batch_size}")
+        predict = (partial(_ep_predict, params, spec) if kind == "ep"
+                   else for_params(params, spec, kind, None).predict)
         entry = {"epoch": epoch, "train_acc": bench.evaluate(predict, dataset)}
         if val_dataset is not None:
             entry["val_acc"] = bench.evaluate(predict, val_dataset)
         history.append(entry)
     return params, history
-
-
-def train_ep(dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=None):
-    """Train the energy model with the configured contrastive rule."""
-    return run_training(
-        dataset, spec, cfg,
-        grad_fn=lambda p, xs, ys, rng: _ep_batch_grads(p, spec, cfg, xs, ys),
-        predict_fn=lambda p, xs: _ep_predict(p, spec, xs),
-        val_dataset=val_dataset,
-    )

@@ -62,13 +62,9 @@ def disagreement_curve(model_eval, xs, norm: str, eps_grid, samples_per_eps: int
                              flips=flips, samples=total, norm=norm)
 
 
-def _interior(curve: DisagreementCurve) -> np.ndarray:
-    return (curve.rate > 0.0) & (curve.rate < 1.0)
-
-
 def fit_exponent(curve: DisagreementCurve) -> ExponentFit:
     """Least-squares slope of log(rate) vs log(eps) over interior cells."""
-    keep = _interior(curve)
+    keep = (curve.rate > 0.0) & (curve.rate < 1.0)
     if int(keep.sum()) < 3:
         raise ValueError(
             "need at least 3 disagreement rates strictly inside (0,1) to fit; "

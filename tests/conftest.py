@@ -8,7 +8,7 @@ the reference desk-scale setup for the acceptance gate.
 import numpy as np
 import pytest
 
-from epbench import baseline, data, energy, training
+from epbench import data, energy, training
 from epbench.model import ModelSpec, init_params
 from epbench.ops import ConvSpec
 
@@ -101,8 +101,8 @@ def desk_data():
 def trained_ep(desk_data):
     train, test = desk_data
     spec = desk_spec()
-    params, history = training.train_ep(train, spec, desk_train_config(),
-                                        val_dataset=test)
+    params, history = training.train("ep", train, spec, desk_train_config(),
+                                     val_dataset=test)
     return spec, params, history
 
 
@@ -111,7 +111,7 @@ def trained_bp(desk_data):
     train, test = desk_data
     spec = desk_spec()
     cfg = desk_train_config(epochs=15)
-    params, history = baseline.train_bp(train, spec, cfg, val_dataset=test)
+    params, history = training.train("bp", train, spec, cfg, val_dataset=test)
     return spec, params, history
 
 
@@ -121,7 +121,7 @@ def trained_adv(desk_data):
     spec = desk_spec()
     cfg = desk_train_config(
         epochs=15, adversarial=training.AdversarialBlock("l2", 0.5, 10))
-    params, history = baseline.train_adv(train, spec, cfg, val_dataset=test)
+    params, history = training.train("adv", train, spec, cfg, val_dataset=test)
     return spec, params, history
 
 

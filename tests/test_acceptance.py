@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from epbench import (attacks, baseline, bench, cli, corruptions, data, energy,
+from epbench import (attacks, bench, cli, corruptions, data, energy,
                      training, uncertainty, unrolled)
 from epbench.attacks import AttackConfig
 from epbench.bench import RunRecord
@@ -152,7 +152,7 @@ def test_c05_desk_scale_training(desk_data, trained_ep, trained_bp, trained_adv)
     spec = desk_spec()
     accs = {}
     t0 = time.perf_counter()
-    params_ep2, hist_ep2 = training.train_ep(train, spec, desk_train_config())
+    params_ep2, hist_ep2 = training.train("ep", train, spec, desk_train_config())
     ep_wall = time.perf_counter() - t0
     for name, bundle in (("ep", trained_ep), ("bp", trained_bp), ("adv", trained_adv)):
         _, params, _ = bundle
@@ -162,8 +162,7 @@ def test_c05_desk_scale_training(desk_data, trained_ep, trained_bp, trained_adv)
             fn = lambda z: np.argmax(energy.logits_at(np.asarray(z, dtype=np.float64),
                                                       params, spec, t=T), axis=-1)
         else:
-            fn = lambda z, p=params: baseline.bp_predict(
-                np.asarray(z, dtype=np.float64), p, spec)
+            fn = for_params(params, spec, name, None).predict
         accs[name] = bench.evaluate(fn, test)
     deterministic = all(
         np.array_equal(a, b)
@@ -184,9 +183,9 @@ def test_c06_robustness_ordering(desk_data):
     holds = 0
     rows = []
     for seed in range(5):
-        bp, _ = baseline.train_bp(train, spec, desk_train_config(seed=seed, epochs=15))
-        adv, _ = baseline.train_adv(
-            train, spec,
+        bp, _ = training.train("bp", train, spec, desk_train_config(seed=seed, epochs=15))
+        adv, _ = training.train(
+            "adv", train, spec,
             desk_train_config(seed=seed, epochs=15,
                               adversarial=training.AdversarialBlock("l2", eps_train, 10)))
         out = {}

@@ -263,6 +263,10 @@ class TestCheckpoint:
         ("non-finite payload", "tensor conv_w0 at byte offset .* non-finite"),
         ("unknown model_kind", "field 'model_kind' is 'zz'"),
         ("negative fc out_dim", "fc 0: out_dim must be >= 1"),
+        ("fractional manifest extent", "tensors.1.shape.0 is 4.7, not an integer"),
+        ("float manifest extent", "tensors.1.shape.0 is 8.0, not an integer"),
+        ("float readout_dim", "spec.readout_dim is 2.0, not an integer"),
+        ("bool conv kernel", "spec.conv.0.kernel is True, not an integer"),
     ])
     def test_malformed_file_names_offset_or_field(self, tmp_path, case, where):
         spec = desk_spec()
@@ -295,6 +299,13 @@ class TestCheckpoint:
             "non-finite payload": good[:16 + hlen] + struct.pack("<f", np.nan) + payload[4:],
             "unknown model_kind": edited(model_kind="zz"),
             "negative fc out_dim": edited(spec={**header["spec"], "fc": [[128, -1]]}),
+            "fractional manifest extent": edited(
+                tensors=[manifest[0], {"name": "conv_b0", "shape": [4.7]}] + manifest[2:]),
+            "float manifest extent": edited(
+                tensors=[manifest[0], {"name": "conv_b0", "shape": [8.0]}] + manifest[2:]),
+            "float readout_dim": edited(spec={**header["spec"], "readout_dim": 2.0}),
+            "bool conv kernel": edited(spec={**header["spec"], "conv": [
+                {**header["spec"]["conv"][0], "kernel": True}]}),
         }[case]
         p.write_bytes(blob)
         with pytest.raises(CheckpointError, match=where):

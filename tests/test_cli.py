@@ -12,6 +12,7 @@ from epbench import bench, cli
 from epbench.checkpoint import Checkpoint, CheckpointError, save_checkpoint
 from epbench.config import ConfigError, load_config
 from epbench.model import init_params
+from epbench.training import AdversarialBlock
 
 FAST_CONFIG = """
 # desk-scale energy model
@@ -75,8 +76,7 @@ class TestConfig:
         p = tmp_path / "adv.cfg"
         p.write_text(FAST_CONFIG + "\nadv_norm = l2\nadv_epsilon = 0.4\nadv_steps = 5\n")
         _, cfg = load_config(p)
-        assert cfg.adversarial is not None
-        assert cfg.adversarial.epsilon == 0.4
+        assert cfg.adversarial == AdversarialBlock("l2", 0.4, 5)
 
     def test_shipped_configs_parse(self):
         from pathlib import Path

@@ -30,7 +30,7 @@ def model_space(kind, params, spec):
                 lambda xm, ys: for_params(params, spec, "ep", T).loss_grad(xm, ys),
                 lambda xm: unrolled.logits_and_vjp(xm, params, spec, T))
     return (lambda xm: baseline.bp_forward(xm, params, spec),
-            lambda xm, ys: baseline.bp_loss_and_input_grad(xm, ys, params, spec),
+            lambda xm, ys: for_params(params, spec, "bp", None).loss_grad(xm, ys),
             lambda xm: baseline.bp_logits_and_vjp(xm, params, spec))
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from epbench import baseline, energy, training
+from epbench.handle import for_params
 from epbench.model import ModelSpec, NetworkState, init_params
 from epbench.ops import ConvSpec
 from epbench.training import AdversarialBlock, DivergenceError, TrainConfig
@@ -162,7 +163,7 @@ class TestTrainLoops:
         train, _ = desk_data
         spec = desk_spec()
         cfg = desk_train_config(epochs=1, learning_rates=(0.0, 0.0))
-        params, _ = training.train_ep(train, spec, cfg)
+        params, _ = training.train("ep", train, spec, cfg)
         fresh = init_params(spec, np.random.default_rng(cfg.seed), dtype=np.float32)
         for (_, a), (_, b) in zip(params.tensors(), fresh.tensors()):
             assert np.array_equal(a, b)
@@ -171,8 +172,8 @@ class TestTrainLoops:
         train, _ = desk_data
         spec = desk_spec()
         cfg = desk_train_config(epochs=2)
-        p1, h1 = training.train_ep(train, spec, cfg)
-        p2, h2 = training.train_ep(train, spec, cfg)
+        p1, h1 = training.train("ep", train, spec, cfg)
+        p2, h2 = training.train("ep", train, spec, cfg)
         assert h1 == h2
         for (_, a), (_, b) in zip(p1.tensors(), p2.tensors()):
             assert np.array_equal(a, b)
@@ -184,7 +185,7 @@ class TestTrainLoops:
         spec = desk_spec()
         cfg = desk_train_config(epochs=1, learning_rates=(1e38, 1e38))
         with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="epoch 0"):
-            training.train_ep(train, spec, cfg)
+            training.train("ep", train, spec, cfg)
 
     def test_default_learning_rates_fit_any_model(self):
         # an empty learning_rates means 0.05 for every connection
@@ -208,7 +209,7 @@ class TestTrainLoops:
         spec = desk_spec()
         cfg = desk_train_config(learning_rates=(0.1,))
         with pytest.raises(ValueError, match="learning rates"):
-            training.train_ep(train, spec, cfg)
+            training.train("ep", train, spec, cfg)
 
     def test_ep_reaches_95_train_accuracy(self, trained_ep):
         _, _, history = trained_ep
@@ -224,16 +225,25 @@ class TestTrainLoops:
         cfg_a = desk_train_config(epochs=2,
                                   adversarial=AdversarialBlock("l2", 0.0, 5))
         cfg_b = desk_train_config(epochs=2)
-        pa, ha = baseline.train_adv(train, spec, cfg_a)
-        pb, hb = baseline.train_bp(train, spec, cfg_b)
+        pa, ha = training.train("adv", train, spec, cfg_a)
+        pb, hb = training.train("bp", train, spec, cfg_b)
         assert ha == hb
         for (_, a), (_, b) in zip(pa.tensors(), pb.tensors()):
             assert np.array_equal(a, b)
 
-    def test_train_adv_requires_block(self, desk_data):
+    def test_unknown_kind_named(self, desk_data):
         train, _ = desk_data
-        with pytest.raises(ValueError, match="adversarial"):
-            baseline.train_adv(train, desk_spec(), desk_train_config())
+        with pytest.raises(ValueError, match="'svm'"):
+            training.train("svm", train, desk_spec(), desk_train_config())
+
+    @pytest.mark.parametrize("kind", ["ep", "bp", "adv"])
+    def test_empty_dataset_rejected(self, desk_data, kind):
+        train, _ = desk_data
+        with pytest.raises(ValueError, match="empty dataset"):
+            training.train(kind, train.subset(0), desk_spec(), desk_train_config())
+
+    def test_adversarial_block_defaults(self):
+        assert TrainConfig().adversarial == AdversarialBlock()
 
 
 class TestBPGradients:
@@ -273,7 +283,7 @@ class TestBPGradients:
         spec, params = make_model(np.random.default_rng(19))
         xs = rng.uniform(0.1, 0.9, (2,) + spec.input_shape)
         ys = np.array([1, 0])
-        _, gx = baseline.bp_loss_and_input_grad(xs, ys, params, spec)
+        _, gx = for_params(params, spec, "bp", None).loss_grad(xs, ys)
         v = rng.standard_normal(xs.shape)
         v /= np.linalg.norm(v)
         h = 1e-5
