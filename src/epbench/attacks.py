@@ -131,26 +131,31 @@ def uniform_ball(rng: np.random.Generator, shape, norm: str, epsilon: float) -> 
     return (direction * radius).reshape(shape)
 
 
+def _pgd(loss_grad, xs, ys, norm, epsilon, steps, alpha, rng):
+    """PGD ascent on loss_grad(x, ys) -> (losses, grads): a uniform start in the
+    epsilon-ball (none at epsilon 0), then `steps` projected moves of alpha along
+    steepest_ascent. Returns the last iterate and the last call's losses."""
+    x = xs.copy()
+    if epsilon > 0:
+        x = project(xs, xs + uniform_ball(rng, xs.shape, norm, epsilon), norm, epsilon)
+    losses = np.zeros(len(xs))
+    for _ in range(steps):
+        losses, grads = loss_grad(x, ys)
+        x = project(xs, x + alpha * steepest_ascent(grads, norm), norm, epsilon)
+    return x, losses
+
+
 def pgd_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
     """PGD on the handle's cross-entropy gradients: uniform start, step epsilon / 8."""
     if cfg.family != "pgd":
         raise ValueError("cfg.family must be 'pgd'")
     xs = np.asarray(xs, dtype=_F)
     ys = np.asarray(ys)
-    rng = np.random.default_rng(cfg.seed)
-    x = xs.copy()
-    if cfg.epsilon > 0:
-        x = project(xs, xs + uniform_ball(rng, xs.shape, cfg.norm, cfg.epsilon),
-                    cfg.norm, cfg.epsilon)
-    losses = np.zeros(len(xs))
-    for _ in range(cfg.steps):
-        losses, grads = model.loss_grad(x, ys)
-        x = project(xs, x + cfg.epsilon / 8.0 * steepest_ascent(grads, cfg.norm),
-                    cfg.norm, cfg.epsilon)
-    preds = model.predict(x)
+    x, losses = _pgd(model.loss_grad, xs, ys, cfg.norm, cfg.epsilon, cfg.steps,
+                     cfg.epsilon / 8.0, np.random.default_rng(cfg.seed))
     return AttackResult(
         adversarial=x,
-        success=preds != ys,
+        success=model.predict(x) != ys,
         final_loss=np.asarray(losses, dtype=_F),
         queries=np.full(len(xs), cfg.steps + 1),
         norms=_batch_norms(x - xs, cfg.norm),

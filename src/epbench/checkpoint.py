@@ -50,8 +50,14 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write ckpt to path; raises CheckpointError, writing nothing, on a
+    manifest or a non-finite tensor that load_checkpoint would reject."""
     tensors = [(name, np.ascontiguousarray(t, dtype="<f4"))
                for name, t in ckpt.params.tensors()]
+    _require_manifest([(name, t.shape) for name, t in tensors], ckpt.spec)
+    for name, t in tensors:
+        if not np.isfinite(t).all():
+            raise CheckpointError(f"tensor {name} holds a non-finite value")
     header = {
         "spec": asdict(ckpt.spec),  # tuples serialize as JSON lists
         "model_kind": ckpt.model_kind,
@@ -74,6 +80,13 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def _listing(manifest) -> str:
     return ", ".join(f"{name}{list(shape)}" for name, shape in manifest)
+
+
+def _require_manifest(manifest, spec: ModelSpec) -> None:
+    expected = param_shapes(spec)
+    if manifest != expected:
+        raise CheckpointError("tensor manifest does not match the spec: expected "
+                              f"{_listing(expected)}; found {_listing(manifest)}")
 
 
 def _unpack(blob: bytes, offset: int, fmt: str, name: str) -> int:
@@ -131,10 +144,7 @@ def load_checkpoint(path) -> Checkpoint:
     if meta["model_kind"] not in MODEL_KINDS:
         raise CheckpointError(f"header field 'model_kind' is {meta['model_kind']!r}, "
                               f"expected one of {', '.join(MODEL_KINDS)}")
-    expected = param_shapes(spec)
-    if manifest != expected:
-        raise CheckpointError("tensor manifest does not match the spec: expected "
-                              f"{_listing(expected)}; found {_listing(manifest)}")
+    _require_manifest(manifest, spec)
     tensors = []
     for name, shape in manifest:
         count = math.prod(shape)

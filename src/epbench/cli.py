@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run attacks against a checkpoint",
                        parents=[run_args])
     p.add_argument("--family", choices=("pgd", "cw", "square", "suite"), required=True)
-    p.add_argument("--norm", choices=("l2", "linf"), default="linf")
+    p.add_argument("--norm", choices=attacks.NORMS, default="linf")
     p.add_argument("--eps", required=True, help="comma list of strengths")
     p.add_argument("--steps", type=_count, default=None)
     p.add_argument("--query-budget", type=_count, default=5000)
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[run_args])
     p.add_argument("--eps-grid", required=True, help="comma list, strictly increasing")
     p.add_argument("--samples", type=_count, default=32)
-    p.add_argument("--norm", choices=("l2", "linf"), default="l2")
+    p.add_argument("--norm", choices=attacks.NORMS, default="l2")
     p.set_defaults(fn=cmd_uncertainty, error=p.error)
 
     p = sub.add_parser("report", help="aggregate result files")

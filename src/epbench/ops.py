@@ -63,9 +63,12 @@ def _as_batch(x: np.ndarray, what: str, axes: str = "B, C, H, W") -> np.ndarray:
     return x
 
 
-def _im2col(xb: np.ndarray, k: int) -> np.ndarray:
-    """Padded [B, C, H, W] -> float64 [B, C*k*k, Ho*Wo]; row (c, a, b) of example
-    n holds x[n, c, i+a, j+b] over the output positions (i, j) in row-major order."""
+def _im2col(xb: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """[B, C, H, W] -> float64 [B, C*k*k, Ho*Wo]; row (c, a, b) of example n holds
+    x_padded[n, c, i+a, j+b] over the output positions (i, j) in row-major order."""
+    p, k = spec.padding, spec.kernel
+    if p:
+        xb = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
     B, C, H, W = xb.shape
     win = sliding_window_view(xb, (k, k), axis=(2, 3))  # [B, C, Ho, Wo, k, k]
     cols = np.array(win.transpose(0, 1, 4, 5, 2, 3), dtype=np.float64, order="C")
@@ -90,18 +93,11 @@ def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
         raise ShapeError(
             f"conv2d input channel axis has extent {xb.shape[1]}, spec expects {spec.in_channels}"
         )
-    spec.out_extent(xb.shape[2])
-    spec.out_extent(xb.shape[3])
-
-    p = spec.padding
-    if p:
-        xb = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
-    B, _, H, W = xb.shape
-    k = spec.kernel
+    ho, wo = spec.out_extent(xb.shape[2]), spec.out_extent(xb.shape[3])
     w2 = w.reshape(spec.out_channels, -1).astype(np.float64, copy=False)
     # [O, C*k*k] @ [B, C*k*k, Ho*Wo]: one dgemm per example
-    y = np.matmul(w2, _im2col(xb, k))
-    return y.reshape(B, spec.out_channels, H - k + 1, W - k + 1).astype(
+    y = np.matmul(w2, _im2col(xb, spec))
+    return y.reshape(xb.shape[0], spec.out_channels, ho, wo).astype(
         np.result_type(x, w), copy=False)
 
 
@@ -140,15 +136,12 @@ def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarr
     ub = _as_batch(u, "conv2d_weight_grad upstream")
     if ub.shape[0] != xb.shape[0]:
         raise ShapeError("conv2d_weight_grad: batch axes differ")
-    p = spec.padding
-    if p:
-        xb = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
     B, C = xb.shape[:2]
     k = spec.kernel
     u3 = ub.reshape(B, ub.shape[1], -1).astype(np.float64, copy=False)
     # [B, O, Ho*Wo] @ [B, Ho*Wo, C*k*k]: one dgemm per example, then a sum
     # over the batch axis in index order
-    per_example = np.matmul(u3, _im2col(xb, k).transpose(0, 2, 1))
+    per_example = np.matmul(u3, _im2col(xb, spec).transpose(0, 2, 1))
     g = np.add.reduce(per_example, axis=0)
     return g.reshape(ub.shape[1], C, k, k).astype(np.result_type(x, u), copy=False)
 

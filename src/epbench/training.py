@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import bench
-from .attacks import project, steepest_ascent, uniform_ball
+from .attacks import NORMS, _pgd
 from .baseline import _bp_batch_grads
 from .checkpoint import MODEL_KINDS
 from .energy import (_as_batch_x, _layers64, _logits, _weight_grad,
@@ -42,7 +42,7 @@ class AdversarialBlock:
     steps: int = 10
 
     def __post_init__(self):
-        if self.norm not in ("l2", "linf"):
+        if self.norm not in NORMS:
             raise ValueError(f"unknown norm {self.norm!r}")
         if self.epsilon < 0 or self.steps < 1:
             raise ValueError("adversarial block needs epsilon >= 0 and steps >= 1")
@@ -153,18 +153,6 @@ def _ep_predict(params, spec, xs):
     return np.argmax(readout(state, params, spec), axis=-1)
 
 
-def _craft_train_batch(xs, ys, params, spec, adv, rng):
-    """PGD examples against the current model (random start, alpha=2.5 eps/steps)."""
-    loss_grad = for_params(params, spec, "bp", None).loss_grad
-    x = project(xs, xs + uniform_ball(rng, xs.shape, adv.norm, adv.epsilon),
-                adv.norm, adv.epsilon)
-    alpha = 2.5 * adv.epsilon / adv.steps
-    for _ in range(adv.steps):
-        _, g = loss_grad(x, ys)
-        x = project(xs, x + alpha * steepest_ascent(g, adv.norm), adv.norm, adv.epsilon)
-    return x
-
-
 def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=None):
     """Minibatch SGD of an ep, bp or adv model; returns (Params, per-epoch history).
 
@@ -174,6 +162,7 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     cfg.validate_for(spec)
+    adv = cfg.adversarial
     rng = np.random.default_rng(cfg.seed)
     params = init_params(spec, rng, dtype=np.float32)
     velocity = params.map(np.zeros_like, dtype=_F)
@@ -185,8 +174,9 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
             take = order[b0:b0 + cfg.batch_size]
             xs = np.asarray(dataset.images[take], dtype=_F)
             ys = dataset.labels[take]
-            if kind == "adv" and cfg.adversarial.epsilon > 0:
-                xs = _craft_train_batch(xs, ys, params, spec, cfg.adversarial, rng)
+            if kind == "adv" and adv.epsilon > 0:
+                xs, _ = _pgd(for_params(params, spec, "bp", None).loss_grad, xs, ys,
+                             adv.norm, adv.epsilon, adv.steps, 2.5 * adv.epsilon / adv.steps, rng)
             grads = (_ep_batch_grads(params, spec, cfg, xs, ys) if kind == "ep"
                      else _bp_batch_grads(params, spec, xs, ys))
             sgd_momentum_step(params, grads, velocity, cfg)

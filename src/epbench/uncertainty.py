@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import uniform_ball
+from .attacks import NORMS, uniform_ball
 
 
 @dataclass
@@ -40,6 +40,8 @@ def disagreement_curve(model_eval, xs, norm: str, eps_grid, samples_per_eps: int
 
     model_eval(images) -> labels. Deterministic for a fixed seed.
     """
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}")
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     if eps_grid.ndim != 1 or len(eps_grid) == 0:
         raise ValueError("eps_grid must be a non-empty 1-d sequence")
@@ -50,14 +52,13 @@ def disagreement_curve(model_eval, xs, norm: str, eps_grid, samples_per_eps: int
     xs = np.asarray(xs, dtype=np.float64)
     base = np.asarray(model_eval(xs))
     flips = np.zeros(len(eps_grid), dtype=np.int64)
-    total = np.zeros(len(eps_grid), dtype=np.int64)
+    total = np.full(len(eps_grid), samples_per_eps * len(xs), dtype=np.int64)
     for e_i, eps in enumerate(eps_grid):
         rng = np.random.default_rng((seed, e_i))
         for s in range(samples_per_eps):
             pert = uniform_ball(rng, xs.shape, norm, float(eps))
             pred = np.asarray(model_eval(xs + pert))
             flips[e_i] += int(np.sum(pred != base))
-            total[e_i] += len(xs)
     return DisagreementCurve(eps=eps_grid, rate=flips / np.maximum(total, 1),
                              flips=flips, samples=total, norm=norm)
 

@@ -310,3 +310,20 @@ class TestCheckpoint:
         p.write_bytes(blob)
         with pytest.raises(CheckpointError, match=where):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("case, where", [
+        ("wrong bias shape", r"expected conv_w0\[8, 1, 3, 3\], conv_b0\[8\], .*"
+                             r"; found conv_w0\[8, 1, 3, 3\], conv_b0\[5\], "),
+        ("NaN weight", r"^tensor readout_w holds a non-finite value$"),
+    ])
+    def test_save_refuses_what_load_rejects(self, tmp_path, case, where):
+        spec = desk_spec()
+        params = init_params(spec, np.random.default_rng(2), dtype=np.float32)
+        if case == "wrong bias shape":
+            params.b[0] = np.zeros(5, dtype=np.float32)
+        else:
+            params.w[-1][0, 0] = np.nan
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError, match=where):
+            save_checkpoint(p, Checkpoint(spec=spec, params=params))
+        assert not p.exists()

@@ -231,6 +231,32 @@ class TestTrainLoops:
         for (_, a), (_, b) in zip(pa.tensors(), pb.tensors()):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("norm, epsilon", [("l2", 0.5), ("linf", 0.1)])
+    def test_adv_crafts_batches_in_the_ball_and_box(self, desk_data, monkeypatch,
+                                                    norm, epsilon):
+        # an epoch draws its batch order before crafting any batch, so a
+        # one-epoch bp run steps on the clean batches that adv crafts from
+        train, _ = desk_data
+        seen, step = [], training._bp_batch_grads
+
+        def recording(params, spec, xs, ys):
+            seen.append(xs.copy())
+            return step(params, spec, xs, ys)
+
+        monkeypatch.setattr(training, "_bp_batch_grads", recording)
+        cfg = desk_train_config(epochs=1, adversarial=AdversarialBlock(norm, epsilon, 3))
+        training.train("bp", train, desk_spec(), cfg)
+        clean = list(seen)
+        seen.clear()
+        training.train("adv", train, desk_spec(), cfg)
+        assert len(seen) == len(clean) == 8
+        for x0, x in zip(clean, seen):
+            delta = (x - x0).reshape(len(x0), -1)
+            size = (np.abs(delta).max(axis=1) if norm == "linf"
+                    else np.linalg.norm(delta, axis=1))
+            assert np.all(size <= epsilon * (1 + 1e-12)) and size.max() > 0
+            assert x.min() >= 0.0 and x.max() <= 1.0
+
     def test_unknown_kind_named(self, desk_data):
         train, _ = desk_data
         with pytest.raises(ValueError, match="'svm'"):

@@ -83,6 +83,11 @@ class TestDisagreementCurve:
         with pytest.raises(ValueError, match="samples_per_eps"):
             disagreement_curve(lambda z: np.zeros(len(z)), xs, "l2", [0.1], 0)
 
+    def test_unknown_norm_rejected(self):
+        xs = np.zeros((1, 1, 4, 4))
+        with pytest.raises(ValueError, match="unknown norm 'Linf'"):
+            disagreement_curve(lambda z: np.zeros(len(z)), xs, "Linf", [0.1], 5)
+
     def test_matches_analytic_ball_cap_within_ci(self):
         d = 16
         rng = np.random.default_rng(4)
