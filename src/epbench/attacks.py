@@ -1,10 +1,12 @@
 """White-box and black-box attacks plus the composite suite runner.
 
 PGD and C&W take a ModelHandle (see epbench.handle) and consume its exact
-input gradients; the Square attack is strictly query-based, touching nothing
-but a logits callable. All attacks operate on raw pixels in [0,1]; every
-emitted example satisfies the norm-ball and box constraints. An attack is set
-by one strength, AttackConfig.epsilon (C&W's constant c), and one step count.
+input gradients; the Square attack and its random-noise baseline are strictly
+query-based, touching nothing but a logits callable, and send the rows still
+unbroken to it as one batch per iteration. All attacks operate on raw pixels
+in [0,1]; every emitted example satisfies the norm-ball and box constraints.
+An attack is set by one strength, AttackConfig.epsilon (C&W's constant c),
+and one step count.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class AttackConfig:
 class AttackResult:
     adversarial: np.ndarray
     success: np.ndarray      # misclassified after the attack
-    final_loss: np.ndarray
     queries: np.ndarray
     norms: np.ndarray        # achieved perturbation size under the attack norm
 
@@ -134,15 +135,14 @@ def uniform_ball(rng: np.random.Generator, shape, norm: str, epsilon: float) -> 
 def _pgd(loss_grad, xs, ys, norm, epsilon, steps, alpha, rng):
     """PGD ascent on loss_grad(x, ys) -> (losses, grads): a uniform start in the
     epsilon-ball (none at epsilon 0), then `steps` projected moves of alpha along
-    steepest_ascent. Returns the last iterate and the last call's losses."""
+    steepest_ascent. Returns the last iterate."""
     x = xs.copy()
     if epsilon > 0:
         x = project(xs, xs + uniform_ball(rng, xs.shape, norm, epsilon), norm, epsilon)
-    losses = np.zeros(len(xs))
     for _ in range(steps):
-        losses, grads = loss_grad(x, ys)
+        _, grads = loss_grad(x, ys)
         x = project(xs, x + alpha * steepest_ascent(grads, norm), norm, epsilon)
-    return x, losses
+    return x
 
 
 def pgd_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
@@ -151,12 +151,11 @@ def pgd_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
         raise ValueError("cfg.family must be 'pgd'")
     xs = np.asarray(xs, dtype=_F)
     ys = np.asarray(ys)
-    x, losses = _pgd(model.loss_grad, xs, ys, cfg.norm, cfg.epsilon, cfg.steps,
-                     cfg.epsilon / 8.0, np.random.default_rng(cfg.seed))
+    x = _pgd(model.loss_grad, xs, ys, cfg.norm, cfg.epsilon, cfg.steps,
+             cfg.epsilon / 8.0, np.random.default_rng(cfg.seed))
     return AttackResult(
         adversarial=x,
         success=model.predict(x) != ys,
-        final_loss=np.asarray(losses, dtype=_F),
         queries=np.full(len(xs), cfg.steps + 1),
         norms=_batch_norms(x - xs, cfg.norm),
     )
@@ -188,7 +187,6 @@ def cw_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
     best = xs.copy()
     best_norm = np.full(len(xs), np.inf)
     succeeded = np.zeros(len(xs), dtype=bool)
-    last_obj = np.zeros(len(xs))
     x_adv = xs.copy()
     for _ in range(cfg.steps):
         x_adv = 0.5 * (np.tanh(w) + 1.0)
@@ -196,8 +194,6 @@ def cw_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
         margin = _margin(logits, ys)
         delta = x_adv - xs
         l2sq = (delta.reshape(len(xs), -1) ** 2).sum(axis=1)
-        hinge = np.maximum(margin, 0.0)  # kappa = 0
-        last_obj = l2sq + cfg.epsilon * hinge
         # track the best (smallest) successful perturbation
         newly = (margin < 0) & (np.sqrt(l2sq) < best_norm)
         best[newly] = x_adv[newly]
@@ -219,7 +215,6 @@ def cw_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
     return AttackResult(
         adversarial=out,
         success=succeeded.copy(),
-        final_loss=last_obj,
         queries=np.full(len(xs), cfg.steps),
         norms=_batch_norms(out - xs, "l2"),
     )
@@ -241,8 +236,10 @@ def square_attack(xs, ys, query_model, cfg: AttackConfig) -> AttackResult:
     """linf Square attack: random vertical-stripe start, then square patch
     proposals accepted only on strict margin-loss decrease.
 
-    query_model(xs) -> logits is the only access to the model; the per-example
-    query counters count its invocations exactly.
+    query_model(xs) -> logits is the only access to the model. Each iteration
+    sends the proposals of every still-unbroken example as one batch; example
+    i draws from its own stream default_rng([seed, i]), and the per-example
+    counters count the images each example submitted.
     """
     if cfg.family != "square":
         raise ValueError("cfg.family must be 'square'")
@@ -251,81 +248,75 @@ def square_attack(xs, ys, query_model, cfg: AttackConfig) -> AttackResult:
     n, C, H, W = xs.shape
     eps = cfg.epsilon
     p_init = 0.8
-
-    def attack_one(i):
-        rng = np.random.default_rng([cfg.seed, i])
-        x0 = xs[i:i + 1]
-        if eps == 0.0:
-            loss = _margin(query_model(x0), ys[i:i + 1])[0]
-            return x0, loss < 0, 1, loss
-        stripes = eps * rng.choice([-1.0, 1.0], size=(1, C, 1, W))
-        x_best = np.clip(x0 + stripes, 0.0, 1.0)
-        loss_best = _margin(query_model(x_best), ys[i:i + 1])[0]
-        q = 1
-        it = 0
-        while q < cfg.query_budget and loss_best >= 0:
-            it_scaled = int(it / max(cfg.query_budget, 1) * 10000)
-            side = _square_patch_side(it_scaled, p_init, C * H * W, C, min(H, W))
+    rngs = [np.random.default_rng([cfg.seed, i]) for i in range(n)]
+    x_best = xs.copy()
+    if eps > 0:
+        for i, rng in enumerate(rngs):
+            stripes = eps * rng.choice([-1.0, 1.0], size=(C, 1, W))
+            x_best[i] = np.clip(xs[i] + stripes, 0.0, 1.0)
+    margin = _margin(query_model(x_best), ys) if n else np.zeros(0)
+    queries = np.ones(n, dtype=int)
+    active = np.flatnonzero(margin >= 0) if eps > 0 else np.zeros(0, dtype=int)
+    # every active example has spent it + 1 queries, so one schedule serves all
+    it = 0
+    while len(active) and it + 1 < cfg.query_budget:
+        it_scaled = int(it / cfg.query_budget * 10000)
+        side = _square_patch_side(it_scaled, p_init, C * H * W, C, min(H, W))
+        proposals = np.empty((len(active), C, H, W))
+        for k, i in enumerate(active):
+            rng = rngs[i]
             r = int(rng.integers(0, H - side + 1))
             c = int(rng.integers(0, W - side + 1))
-            delta = x_best - x0
+            delta = x_best[i] - xs[i]
             # resample patch signs until the proposal actually moves the image
-            x_new = x_best
             for _ in range(20):
-                patch = 2.0 * eps * rng.choice([-1.0, 1.0], size=(1, C, 1, 1))
                 new_delta = delta.copy()
-                new_delta[:, :, r:r + side, c:c + side] = (
-                    delta[:, :, r:r + side, c:c + side] + patch
-                )
-                x_new = np.clip(x0 + np.clip(new_delta, -eps, eps), 0.0, 1.0)
-                if np.any(np.abs(x_new - x_best) > 1e-12):
+                new_delta[:, r:r + side, c:c + side] += (
+                    2.0 * eps * rng.choice([-1.0, 1.0], size=(C, 1, 1)))
+                proposals[k] = np.clip(xs[i] + np.clip(new_delta, -eps, eps), 0.0, 1.0)
+                if np.any(np.abs(proposals[k] - x_best[i]) > 1e-12):
                     break
-            loss_new = _margin(query_model(x_new), ys[i:i + 1])[0]
-            q += 1
-            it += 1
-            if loss_new < loss_best:  # strict decrease only
-                loss_best = loss_new
-                x_best = x_new
-        return x_best, loss_best < 0, q, loss_best
-
-    rows = [attack_one(i) for i in range(n)]
-    adv = np.concatenate([r[0] for r in rows]) if rows else xs.copy()
+        m_new = _margin(query_model(proposals), ys[active])
+        queries[active] += 1
+        it += 1
+        better = m_new < margin[active]  # strict decrease only
+        margin[active[better]] = m_new[better]
+        x_best[active[better]] = proposals[better]
+        active = active[margin[active] >= 0]
     return AttackResult(
-        adversarial=adv,
-        success=np.array([r[1] for r in rows], dtype=bool),
-        final_loss=np.array([r[3] for r in rows], dtype=_F),
-        queries=np.array([r[2] for r in rows], dtype=int),
-        norms=_batch_norms(adv - xs, "linf"),
+        adversarial=x_best,
+        success=margin < 0,
+        queries=queries,
+        norms=_batch_norms(x_best - xs, "linf"),
     )
 
 
 def random_noise_baseline(xs, ys, query_model, cfg: AttackConfig) -> AttackResult:
-    """Sanity baseline: uniform +/-epsilon corner draws under the same budget."""
+    """Sanity baseline: uniform +/-epsilon corner draws under the same budget,
+    one batched query per draw over the examples not yet broken; example i
+    draws from default_rng([seed, i, 1])."""
     xs = np.asarray(xs, dtype=_F)
     ys = np.asarray(ys)
     n = len(xs)
+    rngs = [np.random.default_rng([cfg.seed, i, 1]) for i in range(n)]
     adv = xs.copy()
-    success = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
     queries = np.zeros(n, dtype=int)
-    final_loss = np.zeros(n)
-    for i in range(n):
-        rng = np.random.default_rng([cfg.seed, i, 1])
-        x0 = xs[i:i + 1]
-        best = np.inf
-        for q in range(cfg.query_budget):
-            noise = cfg.epsilon * rng.choice([-1.0, 1.0], size=x0.shape)
-            x_try = np.clip(x0 + noise, 0.0, 1.0)
-            m = _margin(query_model(x_try), ys[i:i + 1])[0]
-            queries[i] += 1
-            if m < best:
-                best = m
-                adv[i:i + 1] = x_try
-            if m < 0:
-                success[i] = True
-                break
-        final_loss[i] = best
-    return AttackResult(adversarial=adv, success=success, final_loss=final_loss,
-                        queries=queries, norms=_batch_norms(adv - xs, "linf"))
+    active = np.arange(n)
+    for _ in range(cfg.query_budget):
+        if not len(active):
+            break
+        noise = cfg.epsilon * np.stack([rngs[i].choice([-1.0, 1.0], size=xs.shape[1:])
+                                        for i in active])
+        x_try = np.clip(xs[active] + noise, 0.0, 1.0)
+        m = _margin(query_model(x_try), ys[active])
+        queries[active] += 1
+        better = m < best[active]
+        best[active[better]] = m[better]
+        adv[active[better]] = x_try[better]
+        active = active[~(m < 0)]
+    return AttackResult(adversarial=adv, success=best < 0, queries=queries,
+                        norms=_batch_norms(adv - xs, "linf"))
 
 
 @dataclass

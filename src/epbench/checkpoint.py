@@ -50,11 +50,11 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write ckpt to path; raises CheckpointError, writing nothing, on a
-    manifest or a non-finite tensor that load_checkpoint would reject."""
+    """Write ckpt to path; raises CheckpointError, writing nothing, on a model
+    kind, manifest or non-finite tensor that load_checkpoint would reject."""
     tensors = [(name, np.ascontiguousarray(t, dtype="<f4"))
                for name, t in ckpt.params.tensors()]
-    _require_manifest([(name, t.shape) for name, t in tensors], ckpt.spec)
+    _require_valid(ckpt.model_kind, [(name, t.shape) for name, t in tensors], ckpt.spec)
     for name, t in tensors:
         if not np.isfinite(t).all():
             raise CheckpointError(f"tensor {name} holds a non-finite value")
@@ -82,7 +82,11 @@ def _listing(manifest) -> str:
     return ", ".join(f"{name}{list(shape)}" for name, shape in manifest)
 
 
-def _require_manifest(manifest, spec: ModelSpec) -> None:
+def _require_valid(model_kind, manifest, spec: ModelSpec) -> None:
+    """The header checks that save_checkpoint and load_checkpoint share."""
+    if model_kind not in MODEL_KINDS:
+        raise CheckpointError(f"header field 'model_kind' is {model_kind!r}, "
+                              f"expected one of {', '.join(MODEL_KINDS)}")
     expected = param_shapes(spec)
     if manifest != expected:
         raise CheckpointError("tensor manifest does not match the spec: expected "
@@ -141,10 +145,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"header field {exc.args[0]!r} missing") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad header field: {exc}") from None
-    if meta["model_kind"] not in MODEL_KINDS:
-        raise CheckpointError(f"header field 'model_kind' is {meta['model_kind']!r}, "
-                              f"expected one of {', '.join(MODEL_KINDS)}")
-    _require_manifest(manifest, spec)
+    _require_valid(meta["model_kind"], manifest, spec)
     tensors = []
     for name, shape in manifest:
         count = math.prod(shape)

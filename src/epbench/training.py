@@ -175,8 +175,8 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
             xs = np.asarray(dataset.images[take], dtype=_F)
             ys = dataset.labels[take]
             if kind == "adv" and adv.epsilon > 0:
-                xs, _ = _pgd(for_params(params, spec, "bp", None).loss_grad, xs, ys,
-                             adv.norm, adv.epsilon, adv.steps, 2.5 * adv.epsilon / adv.steps, rng)
+                xs = _pgd(for_params(params, spec, "bp", None).loss_grad, xs, ys,
+                          adv.norm, adv.epsilon, adv.steps, 2.5 * adv.epsilon / adv.steps, rng)
             grads = (_ep_batch_grads(params, spec, cfg, xs, ys) if kind == "ep"
                      else _bp_batch_grads(params, spec, xs, ys))
             sgd_momentum_step(params, grads, velocity, cfg)

@@ -245,16 +245,18 @@ class TestSquare:
     def test_query_counter_counts_model_calls_exactly(self):
         xs, ys, w, b = make_linear_case(seed=10, n=6)
         logits_fn = linear_model(w, b).logits
-        calls = [0]
+        calls, rows = [0], [0]
 
         def counting(z):
             calls[0] += 1
+            rows[0] += len(z)
             return logits_fn(z)
 
         cfg = AttackConfig(family="square", norm="linf", epsilon=0.03,
                            query_budget=40, seed=0)
         res = attacks.square_attack(xs, ys, counting, cfg)
-        assert calls[0] == int(res.queries.sum())
+        assert rows[0] == int(res.queries.sum())
+        assert calls[0] <= cfg.query_budget  # one batched call per iteration
 
     def test_deterministic_given_seed(self):
         xs, ys, w, b = make_linear_case(seed=11, n=8)
@@ -300,6 +302,22 @@ class TestSquare:
         finally:
             unrolled.logits_and_vjp = orig
         assert calls == []
+
+
+@pytest.mark.parametrize("attack", [attacks.square_attack, attacks.random_noise_baseline])
+def test_black_box_rows_do_not_depend_on_their_batch_mates(attack):
+    # a moderate budget breaks some examples and leaves others standing, so
+    # the batch shrinks at different iterations in the full and prefix runs
+    xs, ys, w, b = make_linear_case(seed=14, n=12)
+    logits_fn = linear_model(w, b).logits
+    cfg = AttackConfig(family="square", norm="linf", epsilon=0.02,
+                       query_budget=60, seed=5)
+    full = attack(xs, ys, logits_fn, cfg)
+    assert 0 < full.success.sum() < len(xs)
+    for k in (1, 5, 11):
+        part = attack(xs[:k], ys[:k], logits_fn, cfg)
+        for name in ("adversarial", "success", "queries", "norms"):
+            assert getattr(part, name).tobytes() == getattr(full, name)[:k].tobytes(), (k, name)
 
 
 class TestContainment:

@@ -315,15 +315,19 @@ class TestCheckpoint:
         ("wrong bias shape", r"expected conv_w0\[8, 1, 3, 3\], conv_b0\[8\], .*"
                              r"; found conv_w0\[8, 1, 3, 3\], conv_b0\[5\], "),
         ("NaN weight", r"^tensor readout_w holds a non-finite value$"),
+        ("bad model kind", r"^header field 'model_kind' is 'zz', expected one of ep, bp, adv$"),
     ])
     def test_save_refuses_what_load_rejects(self, tmp_path, case, where):
         spec = desk_spec()
         params = init_params(spec, np.random.default_rng(2), dtype=np.float32)
+        kind = "ep"
         if case == "wrong bias shape":
             params.b[0] = np.zeros(5, dtype=np.float32)
-        else:
+        elif case == "NaN weight":
             params.w[-1][0, 0] = np.nan
+        else:
+            kind = "zz"
         p = tmp_path / "m.ckpt"
         with pytest.raises(CheckpointError, match=where):
-            save_checkpoint(p, Checkpoint(spec=spec, params=params))
+            save_checkpoint(p, Checkpoint(spec=spec, params=params, model_kind=kind))
         assert not p.exists()

@@ -9,9 +9,12 @@ The configs are ``configs/desk.cfg`` at ``epochs = 2``, a 2-conv (4, 8)
 config that trains adv under linf PGD (epsilon 0.1, 3 steps), and a conv 8 +
 fc 16 config without ``adv_*`` keys, so that adv trains on the
 ``AdversarialBlock`` defaults. Each trains ep, bp and adv models on 256
-synthetic examples; every checkpoint then runs the attack suite, PGD l2, PGD
-linf at epsilon 0 and 0.05, the corruption sweep, eval and the uncertainty
-curve, and the ep checkpoint also runs PGD at ``--timestep 3``.
+synthetic examples; every checkpoint then runs the attack suite, Square
+alone at epsilon 0.3 (30 queries, 16 examples: strong enough that it breaks
+some examples, and so the walkthrough depends on its acceptance and query
+bookkeeping), PGD l2, PGD linf at epsilon 0 and 0.05, the corruption sweep,
+eval and the uncertainty curve, and the ep checkpoint also runs PGD at
+``--timestep 3``.
 
 Digests cover checkpoints and training histories byte for byte, result CSVs
 with the ``wall_ms`` column dropped, and each command's stdout with wall
@@ -72,6 +75,8 @@ def commands(kind: str) -> list[tuple[str, list[str]]]:
     runs = [
         ("suite", ["attack", *ck, "--family", "suite", "--eps", "0.05", "--subset", "16",
                    "--steps", "10", "--query-budget", "100"]),
+        ("square", ["attack", *ck, "--family", "square", "--eps", "0.3", "--subset", "16",
+                    "--query-budget", "30"]),
         ("pgd_l2", ["attack", *ck, "--family", "pgd", "--norm", "l2", "--eps", "0.5", *sub]),
         ("pgd_linf", ["attack", *ck, "--family", "pgd", "--norm", "linf",
                       "--eps", "0,0.05", *sub]),
