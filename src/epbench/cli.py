@@ -19,7 +19,7 @@ from . import attacks, bench, corruptions, energy, training, uncertainty
 from .bench import RunRecord
 from .checkpoint import (MODEL_KINDS, Checkpoint, CheckpointError, load_checkpoint,
                          save_checkpoint)
-from .config import _floats, _ints, load_config
+from .config import load_config
 from .data import Dataset, channel_stats, load_cifar_binary, normalize_images, synth_dataset
 from .handle import from_checkpoint
 
@@ -29,6 +29,33 @@ def _count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {n}")
     return n
+
+
+def _comma_list(parse, ok, rule: str):
+    """An argparse type: a non-empty comma list whose entries all parse and,
+    as a list, satisfy ok."""
+    def convert(text: str) -> list:
+        try:
+            values = [parse(v) for v in text.split(",")]
+            if ok(values):
+                return values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be a comma list of {rule}, got {text!r}")
+    return convert
+
+
+def _distinct(values) -> bool:
+    return len(set(values)) == len(values)
+
+
+_strengths = _comma_list(float, lambda v: all(e >= 0 for e in v), "strengths >= 0")
+_eps_grid = _comma_list(float, lambda v: v[0] > 0 and all(a < b for a, b in zip(v, v[1:])),
+                        "positive, strictly increasing radii")
+_kinds = _comma_list(str.strip, lambda v: _distinct(v) and set(v) <= set(corruptions.KINDS),
+                     f"distinct corruption kinds from {', '.join(corruptions.KINDS)}")
+_severities = _comma_list(int, lambda v: _distinct(v) and all(s in range(1, 6) for s in v),
+                          "distinct severities from 1-5")
 
 
 def _synth_from_snapshot(snap: dict, split: str) -> Dataset:
@@ -142,7 +169,7 @@ def cmd_attack(args) -> int:
             query_budget=args.query_budget, seed=args.seed,
         )
 
-    for strength in _floats(args.eps):
+    for strength in args.eps:
         families = ["pgd", "cw", "square"] if args.family == "suite" else [args.family]
         configs = [make_cfg(f, strength) for f in families]
         t0 = time.perf_counter()
@@ -169,11 +196,9 @@ def cmd_attack(args) -> int:
 
 def cmd_corrupt(args) -> int:
     _, ds, model, model_id = _open_checkpoint(args)
-    kinds = args.kinds.split(",") if args.kinds else list(corruptions.KINDS)
     records = []
     grid, wall_ms = corruptions.corruption_sweep(
-        ds, model.predict, kinds=kinds, severities=_ints(args.severities),
-        seed=args.seed)
+        ds, model.predict, kinds=args.kinds, severities=args.severities, seed=args.seed)
     for (kind, sev), acc in sorted(grid.items()):
         name = "clean" if sev == 0 else kind
         records.append(RunRecord(model=model_id, attack=name, severity=sev,
@@ -202,7 +227,7 @@ def cmd_eval(args) -> int:
 def cmd_uncertainty(args) -> int:
     _, ds, model, model_id = _open_checkpoint(args)
     curve = uncertainty.disagreement_curve(
-        model.predict, ds.images, args.norm, _floats(args.eps_grid),
+        model.predict, ds.images, args.norm, args.eps_grid,
         samples_per_eps=args.samples, seed=args.seed,
     )
     records = []
@@ -274,15 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[run_args])
     p.add_argument("--family", choices=("pgd", "cw", "square", "suite"), required=True)
     p.add_argument("--norm", choices=attacks.NORMS, default="linf")
-    p.add_argument("--eps", required=True, help="comma list of strengths")
+    p.add_argument("--eps", type=_strengths, required=True, help="comma list of strengths")
     p.add_argument("--steps", type=_count, default=None)
     p.add_argument("--query-budget", type=_count, default=5000)
     p.set_defaults(fn=cmd_attack, error=p.error)
 
     p = sub.add_parser("corrupt", help="severity sweep of natural corruptions",
                        parents=[run_args])
-    p.add_argument("--kinds", default="")
-    p.add_argument("--severities", default="1,2,3,4,5")
+    p.add_argument("--kinds", type=_kinds, default=corruptions.KINDS)
+    p.add_argument("--severities", type=_severities, default="1,2,3,4,5")
     p.set_defaults(fn=cmd_corrupt, error=p.error)
 
     p = sub.add_parser("eval", help="clean accuracy of a checkpoint", parents=[ckpt_args])
@@ -292,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uncertainty", help="disagreement curve and exponent fit",
                        parents=[run_args])
-    p.add_argument("--eps-grid", required=True, help="comma list, strictly increasing")
+    p.add_argument("--eps-grid", type=_eps_grid, required=True,
+                   help="comma list, strictly increasing")
     p.add_argument("--samples", type=_count, default=32)
     p.add_argument("--norm", choices=attacks.NORMS, default="l2")
     p.set_defaults(fn=cmd_uncertainty, error=p.error)

@@ -1,73 +1,39 @@
 """Severity-parameterized natural corruptions for robustness sweeps.
 
-Seven kinds spanning the noise / blur / digital families. Every kind reads
-its per-severity parameter from a plain-text table shipped with the package
-(see corruption_severities.txt; format ``kind.severity = value``), applies
-the distortion to a [0,1] image, clips back to [0,1], and is deterministic
-for a fixed seed.
+Seven kinds spanning the noise / blur / digital families. ``SEVERITIES``
+holds each kind's parameter at severities 1-5, strictly monotone in
+distortion: the noise kinds act on unit-range pixels, the blur sigma is in
+pixels, and contrast, brightness and pixelate take a multiplicative factor,
+an additive offset and a resolution-scale factor. ``corrupt_batch`` applies
+one (kind, severity) to a [B,C,H,W] batch in [0,1], clips back to [0,1],
+and is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 from scipy import ndimage
 
 from . import bench
 
-KINDS = ("gaussian_noise", "shot_noise", "impulse_noise", "gaussian_blur",
-         "contrast", "brightness", "pixelate")
+SEVERITIES = {
+    "gaussian_noise": (0.04, 0.06, 0.08, 0.09, 0.10),
+    "shot_noise": (500.0, 250.0, 125.0, 90.0, 60.0),
+    "impulse_noise": (0.01, 0.02, 0.04, 0.065, 0.10),
+    "gaussian_blur": (0.4, 0.6, 0.8, 1.0, 1.3),
+    "contrast": (0.75, 0.60, 0.45, 0.30, 0.20),
+    "brightness": (0.05, 0.10, 0.15, 0.20, 0.30),
+    "pixelate": (0.75, 0.60, 0.50, 0.40, 0.30),
+}
+KINDS = tuple(SEVERITIES)
 NOISE_KINDS = ("gaussian_noise", "shot_noise", "impulse_noise")
-
-_TABLE_PATH = Path(__file__).parent / "corruption_severities.txt"
-_table_cache: dict | None = None
 
 
 class CorruptionError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CorruptionSpec:
-    kind: str
-    severity: int
-    seed: int | tuple = 0  # anything np.random.default_rng accepts
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise CorruptionError(f"unknown corruption kind {self.kind!r}")
-        if not 1 <= self.severity <= 5:
-            raise CorruptionError(f"severity must be in [1,5], got {self.severity}")
-
-
-def load_severity_table(path=None) -> dict[tuple[str, int], float]:
-    """Parse the ``kind.severity = value`` table."""
-    path = _TABLE_PATH if path is None else Path(path)
-    table: dict[tuple[str, int], float] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            key, value = (part.strip() for part in line.split("=", 1))
-            kind, sev = key.rsplit(".", 1)
-            table[(kind, int(sev))] = float(value)
-        except ValueError as exc:
-            raise CorruptionError(f"bad severity table line {lineno}: {line!r}") from exc
-    return table
-
-
-def severity_param(kind: str, severity: int) -> float:
-    global _table_cache
-    if _table_cache is None:
-        _table_cache = load_severity_table()
-    try:
-        return _table_cache[(kind, severity)]
-    except KeyError:
-        raise CorruptionError(f"no table entry for {kind}.{severity}") from None
 
 
 def _pixelate(img: np.ndarray, factor: float) -> np.ndarray:
@@ -83,29 +49,24 @@ def _pixelate(img: np.ndarray, factor: float) -> np.ndarray:
     return small[:, ru][:, :, cu]
 
 
-def corrupt(x: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
-    """Apply one corruption to an image [C,H,W] in [0,1] (float result in [0,1])."""
-    img = np.asarray(x, dtype=np.float64)
-    if img.ndim != 3:
-        raise CorruptionError(f"corrupt expects a [C,H,W] image, got shape {img.shape}")
-    p = severity_param(spec.kind, spec.severity)
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "gaussian_noise":
+def _corrupt(img: np.ndarray, kind: str, p: float, rng) -> np.ndarray:
+    """One float64 image [C,H,W] in [0,1] under parameter p, clipped to [0,1]."""
+    if kind == "gaussian_noise":
         out = img + p * rng.standard_normal(img.shape)
-    elif spec.kind == "shot_noise":
+    elif kind == "shot_noise":
         out = rng.poisson(np.clip(img, 0, 1) * p) / p
-    elif spec.kind == "impulse_noise":
+    elif kind == "impulse_noise":
         out = img.copy()
         hits = rng.random(img.shape) < p
         salt = rng.random(img.shape) < 0.5
         out[hits & salt] = 1.0
         out[hits & ~salt] = 0.0
-    elif spec.kind == "gaussian_blur":
+    elif kind == "gaussian_blur":
         out = ndimage.gaussian_filter(img, sigma=(0, p, p), mode="reflect")
-    elif spec.kind == "contrast":
+    elif kind == "contrast":
         mean = img.mean()
         out = (img - mean) * p + mean
-    elif spec.kind == "brightness":
+    elif kind == "brightness":
         out = img + p
     else:  # pixelate
         out = _pixelate(img, p)
@@ -113,10 +74,21 @@ def corrupt(x: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
 
 
 def corrupt_batch(xs: np.ndarray, kind: str, severity: int, seed: int = 0) -> np.ndarray:
-    """Per-image corruption with per-image derived seeds."""
-    out = np.empty_like(np.asarray(xs, dtype=np.float64))
+    """Corrupt each image of a [B,C,H,W] batch in [0,1] (float64 result in [0,1]).
+
+    Image k draws from its own stream, default_rng((seed, k)).
+    """
+    if kind not in SEVERITIES:
+        raise CorruptionError(f"unknown corruption kind {kind!r}")
+    if severity not in range(1, 6):
+        raise CorruptionError(f"severity must be in [1,5], got {severity}")
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 4:
+        raise CorruptionError(f"corrupt_batch expects a [B,C,H,W] batch, got shape {xs.shape}")
+    p = SEVERITIES[kind][int(severity) - 1]
+    out = np.empty_like(xs)
     for k in range(len(xs)):
-        out[k] = corrupt(xs[k], CorruptionSpec(kind, severity, seed=(seed, k)))
+        out[k] = _corrupt(xs[k], kind, p, np.random.default_rng((seed, k)))
     return out
 
 

@@ -20,7 +20,6 @@ from .attacks import NORMS, uniform_ball
 class DisagreementCurve:
     eps: np.ndarray        # strictly increasing radii
     rate: np.ndarray       # disagreement fraction per radius
-    flips: np.ndarray      # raw flip counts
     samples: np.ndarray    # draws per radius
     norm: str = "l2"
 
@@ -30,7 +29,6 @@ class ExponentFit:
     alpha: float
     intercept: float
     residual: float              # rms of log-log fit residuals
-    fit_range: tuple[float, float]
     n_cells: int
 
 
@@ -60,7 +58,7 @@ def disagreement_curve(model_eval, xs, norm: str, eps_grid, samples_per_eps: int
             pred = np.asarray(model_eval(xs + pert))
             flips[e_i] += int(np.sum(pred != base))
     return DisagreementCurve(eps=eps_grid, rate=flips / np.maximum(total, 1),
-                             flips=flips, samples=total, norm=norm)
+                             samples=total, norm=norm)
 
 
 def fit_exponent(curve: DisagreementCurve) -> ExponentFit:
@@ -80,7 +78,6 @@ def fit_exponent(curve: DisagreementCurve) -> ExponentFit:
         alpha=float(coef[0]),
         intercept=float(coef[1]),
         residual=float(np.sqrt(np.mean(resid ** 2))),
-        fit_range=(float(curve.eps[keep].min()), float(curve.eps[keep].max())),
         n_cells=int(keep.sum()),
     )
 
@@ -93,7 +90,7 @@ def bootstrap_exponent(curve: DisagreementCurve, n_boot: int = 200,
     for _ in range(n_boot):
         flips = rng.binomial(curve.samples, np.clip(curve.rate, 0, 1))
         boot = DisagreementCurve(eps=curve.eps, rate=flips / np.maximum(curve.samples, 1),
-                                 flips=flips, samples=curve.samples, norm=curve.norm)
+                                 samples=curve.samples, norm=curve.norm)
         try:
             alphas.append(fit_exponent(boot).alpha)
         except ValueError:

@@ -321,7 +321,7 @@ def test_c10_uncertainty_exponent():
     eps = np.geomspace(0.01, 0.3, 8)
     n = np.full(len(eps), 10 ** 9, dtype=np.int64)
     exact = uncertainty.DisagreementCurve(
-        eps=eps, rate=eps ** 2, flips=(eps ** 2 * n).astype(np.int64), samples=n)
+        eps=eps, rate=eps ** 2, samples=n)
     fit2 = uncertainty.fit_exponent(exact)
 
     d = 16
@@ -344,8 +344,7 @@ def test_c10_uncertainty_exponent():
     analytic = [float(np.mean(cap_fraction(margins / e))) for e in eps_grid]
     nn = np.full(4, 10 ** 9, dtype=np.int64)
     analytic_alpha = uncertainty.fit_exponent(uncertainty.DisagreementCurve(
-        eps=np.asarray(eps_grid), rate=np.asarray(analytic),
-        flips=(np.asarray(analytic) * nn).astype(np.int64), samples=nn)).alpha
+        eps=np.asarray(eps_grid), rate=np.asarray(analytic), samples=nn)).alpha
     alphas = uncertainty.bootstrap_exponent(curve, n_boot=300, seed=13)
     lo, hi = np.percentile(alphas, [1.0, 99.0])
     ok = abs(fit2.alpha - 2.0) < 1e-6 and lo <= analytic_alpha <= hi

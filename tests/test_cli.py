@@ -331,3 +331,23 @@ def test_count_flags_below_one_rejected(argv, capsys):
         cli.main(argv + ["--ckpt", "never-read.ckpt"])
     assert exc.value.code == 2
     assert f"argument {argv[1]}: must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--family", "pgd", "--eps", "x"],
+    ["attack", "--family", "pgd", "--eps", "-1"],
+    ["attack", "--family", "pgd", "--eps", ","],
+    ["uncertainty", "--eps-grid", "0.2,0.1"],
+    ["corrupt", "--kinds", "fog"],
+    ["corrupt", "--severities", "0,6"],
+    ["corrupt", "--severities", ","],
+    ["corrupt", "--severities", "1,1"],
+], ids=["eps-unparsed", "eps-negative", "eps-empty", "eps-grid-decreasing",
+        "kinds-unknown", "severities-out-of-range", "severities-empty",
+        "severities-repeated"])
+def test_malformed_list_flags_rejected(argv, capsys):
+    # argparse refuses the list before the checkpoint is opened
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--ckpt", "never-read.ckpt", "--out", "never-written.csv"])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be a comma list of" in capsys.readouterr().err

@@ -13,8 +13,7 @@ def synthetic_curve(eps, rates):
     eps = np.asarray(eps, dtype=float)
     rates = np.asarray(rates, dtype=float)
     n = np.full(len(eps), 10 ** 9, dtype=np.int64)
-    return DisagreementCurve(eps=eps, rate=rates,
-                             flips=(rates * n).astype(np.int64), samples=n)
+    return DisagreementCurve(eps=eps, rate=rates, samples=n)
 
 
 def cap_fraction(a, d):

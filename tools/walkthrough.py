@@ -12,8 +12,10 @@ fc 16 config without ``adv_*`` keys, so that adv trains on the
 synthetic examples; every checkpoint then runs the attack suite, Square
 alone at epsilon 0.3 (30 queries, 16 examples: strong enough that it breaks
 some examples, and so the walkthrough depends on its acceptance and query
-bookkeeping), PGD l2, PGD linf at epsilon 0 and 0.05, the corruption sweep,
-eval and the uncertainty curve, and the ep checkpoint also runs PGD at
+bookkeeping), PGD l2, PGD linf at epsilon 0 and 0.05, the corruption sweep
+at severities 1 and 3, eval and the uncertainty curve. The ep checkpoint
+sweeps all five severities instead, so every entry of
+``corruptions.SEVERITIES`` reaches a digest, and also runs PGD at
 ``--timestep 3``.
 
 Digests cover checkpoints and training histories byte for byte, result CSVs
@@ -72,6 +74,7 @@ def commands(kind: str) -> list[tuple[str, list[str]]]:
     """(name, argv) of every command run on the checkpoint of one model kind."""
     ck = ["--ckpt", f"{kind}.ckpt"]
     sub = ["--subset", "32"]
+    severities = "1,2,3,4,5" if kind == "ep" else "1,3"
     runs = [
         ("suite", ["attack", *ck, "--family", "suite", "--eps", "0.05", "--subset", "16",
                    "--steps", "10", "--query-budget", "100"]),
@@ -80,7 +83,7 @@ def commands(kind: str) -> list[tuple[str, list[str]]]:
         ("pgd_l2", ["attack", *ck, "--family", "pgd", "--norm", "l2", "--eps", "0.5", *sub]),
         ("pgd_linf", ["attack", *ck, "--family", "pgd", "--norm", "linf",
                       "--eps", "0,0.05", *sub]),
-        ("corrupt", ["corrupt", *ck, "--severities", "1,3", *sub]),
+        ("corrupt", ["corrupt", *ck, "--severities", severities, *sub]),
         ("eval", ["eval", *ck]),
         ("uncertainty", ["uncertainty", *ck, "--eps-grid", "0.05,0.1,0.2,0.4",
                          "--samples", "8", *sub]),
