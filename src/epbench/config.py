@@ -22,12 +22,19 @@ class ConfigError(ValueError):
     pass
 
 
+def _items(value: str, kind) -> tuple:
+    items = [v.strip() for v in value.split(",")]
+    if "" in items:
+        raise ValueError(f"blank item in list {value!r}")
+    return tuple(map(kind, items))
+
+
 def _ints(value: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in value.split(",") if v.strip())
+    return _items(value, int)
 
 
 def _floats(value: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in value.split(",") if v.strip())
+    return _items(value, float)
 
 
 def _shape(value: str) -> tuple[int, int, int]:

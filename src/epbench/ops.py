@@ -8,12 +8,14 @@ leading batch axis: images and feature maps are [B, C, H, W]; an operand
 without it is rejected with ShapeError.
 
 All functions are pure (inputs never mutated) and deterministic. The three
-convolution primitives unfold the padded input into a float64 column matrix
-per example (im2col) and issue one BLAS dgemm per example through a stacked
-``np.matmul``, so an example's output bits depend only on that example, not
-on its batch-mates or on the BLAS thread count. The weight gradient sums the
-per-example products over the batch in index order. Results are cast back to
-the operands' dtype.
+convolution primitives copy the input into a zero-filled float64 buffer of
+the padded shape and copy one strided view of its k x k windows into a column
+matrix per example (im2col). They issue one BLAS dgemm per example through a
+stacked ``np.matmul``, so an example's output bits depend only on that
+example, not on its batch-mates or on the BLAS thread count. The weight
+gradient sums the per-example products over the batch in index order.
+Results are cast back to the operands' dtype. Pooling routes are int64 flat
+indices into each [H, W] plane, checked for shape and range before use.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -67,12 +68,14 @@ def _im2col(xb: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """[B, C, H, W] -> float64 [B, C*k*k, Ho*Wo]; row (c, a, b) of example n holds
     x_padded[n, c, i+a, j+b] over the output positions (i, j) in row-major order."""
     p, k = spec.padding, spec.kernel
-    if p:
-        xb = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
     B, C, H, W = xb.shape
-    win = sliding_window_view(xb, (k, k), axis=(2, 3))  # [B, C, Ho, Wo, k, k]
-    cols = np.array(win.transpose(0, 1, 4, 5, 2, 3), dtype=np.float64, order="C")
-    return cols.reshape(B, C * k * k, (H - k + 1) * (W - k + 1))
+    xp = np.zeros((B, C, H + 2 * p, W + 2 * p))
+    xp[:, :, p:p + H, p:p + W] = xb
+    ho, wo = H + 2 * p - k + 1, W + 2 * p - k + 1
+    # [B, C, k, k, Ho, Wo] windows, copied out in C order: a bare reshape can
+    # return an overlapping view, which matmul multiplies with other bits
+    win = np.ndarray((B, C, k, k, ho, wo), np.float64, xp, 0, xp.strides + xp.strides[2:])
+    return np.ascontiguousarray(win).reshape(B, C * k * k, ho * wo)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -150,7 +153,8 @@ def maxpool2(x: np.ndarray):
     """2x2 stride-2 max pooling. Returns (pooled, indices).
 
     indices[n,c,i,j] is the flat row-major index into the [H,W] plane of the
-    argmax of window (i,j); ties break toward the lowest flat index.
+    argmax of window (i,j); ties break toward the lowest flat index, and a
+    window holding a NaN pools to NaN and routes to its first NaN.
     """
     xb = _as_batch(x, "maxpool2 input")
     B, C, H, W = xb.shape
@@ -158,17 +162,34 @@ def maxpool2(x: np.ndarray):
         raise ShapeError(
             f"maxpool2 needs even spatial extents, got {H}x{W}; pad the input first"
         )
-    # candidate order (0,0),(0,1),(1,0),(1,1) == ascending flat index per window
-    cand = np.stack(
-        [xb[:, :, 0::2, 0::2], xb[:, :, 0::2, 1::2],
-         xb[:, :, 1::2, 0::2], xb[:, :, 1::2, 1::2]],
-        axis=-1,
-    )
-    slot = np.argmax(cand, axis=-1)
-    pooled = np.take_along_axis(cand, slot[..., None], axis=-1)[..., 0]
-    rows = np.arange(0, H, 2)[:, None] + slot // 2
-    cols = np.arange(0, W, 2)[None, :] + slot % 2
-    return pooled, rows * W + cols
+    # each window's cells in ascending flat-index order
+    a, b = xb[:, :, 0::2, 0::2], xb[:, :, 0::2, 1::2]
+    c, d = xb[:, :, 1::2, 0::2], xb[:, :, 1::2, 1::2]
+    # np.maximum returns its second operand on a tie, so the earlier cell's
+    # bits (-0.0 against 0.0) are kept
+    m = np.maximum(np.maximum(d, c), np.maximum(b, a))
+    # a cell is passed over when it is not the maximum and not a NaN; the
+    # route is the first cell not passed over: offset 0, 1, W or W+1
+    na = (a != m) & (a == a)
+    nab = na & (b != m) & (b == b)
+    nabc = nab & (c != m) & (c == c)
+    idx = nab * (W - 1)
+    idx += np.arange(H * W).reshape(H, W)[0::2, 0::2]  # each window's first cell
+    idx += na
+    idx += nabc
+    return m, idx
+
+
+def _route(idx: np.ndarray, plane: int, what: str) -> np.ndarray:
+    """Route idx [B, C, h, w] as indices into its B*C stacked planes of `plane`
+    cells, each checked to lie in [0, plane), inside its own plane."""
+    rows = idx.reshape(-1, idx.shape[2] * idx.shape[3])
+    if rows.size and (rows.min() < 0 or rows.max() >= plane):
+        raise ValueError(
+            f"{what}: corrupted pool indices outside [0, {plane}) "
+            f"(min {rows.min()}, max {rows.max()})"
+        )
+    return rows + np.arange(0, len(rows) * plane, plane)[:, None]
 
 
 def unpool2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -178,16 +199,9 @@ def unpool2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if gb.shape != ib.shape:
         raise ShapeError(f"unpool2: value shape {gb.shape} != index shape {ib.shape}")
     B, C, h, w = gb.shape
-    H, W = 2 * h, 2 * w
-    flat_idx = ib.reshape(B, C, h * w)
-    if flat_idx.size and (flat_idx.min() < 0 or flat_idx.max() >= H * W):
-        raise ValueError(
-            f"unpool2: corrupted pool indices outside [0, {H * W}) "
-            f"(min {flat_idx.min()}, max {flat_idx.max()})"
-        )
-    out = np.zeros((B, C, H * W), dtype=gb.dtype)
-    np.put_along_axis(out, flat_idx, gb.reshape(B, C, h * w), axis=2)
-    return out.reshape(B, C, H, W)
+    out = np.zeros(B * C * 4 * h * w, dtype=gb.dtype)
+    out[_route(ib, 4 * h * w, "unpool2")] = gb.reshape(B * C, h * w)
+    return out.reshape(B, C, 2 * h, 2 * w)
 
 
 def pool_gather(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -197,10 +211,12 @@ def pool_gather(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """
     yb = _as_batch(y, "pool_gather input")
     ib = _as_batch(idx, "pool_gather indices")
-    B, C, H, W = yb.shape
-    h, w = ib.shape[2], ib.shape[3]
-    picked = np.take_along_axis(yb.reshape(B, C, H * W), ib.reshape(B, C, h * w), axis=2)
-    return picked.reshape(B, C, h, w)
+    B, C, h, w = ib.shape
+    if yb.shape != (B, C, 2 * h, 2 * w):
+        raise ShapeError(
+            f"pool_gather: index shape {ib.shape} is not the pooled shape of input {yb.shape}"
+        )
+    return yb.reshape(-1)[_route(ib, 4 * h * w, "pool_gather")].reshape(B, C, h, w)
 
 
 def hard_clamp(x: np.ndarray) -> np.ndarray:

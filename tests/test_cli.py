@@ -92,9 +92,14 @@ class TestConfig:
     ("epochs = two", "line", "bad value for 'epochs'"),
     ("t_free = 1.5", "line", "bad value for 't_free'"),
     ("input_shape = 1,8", "line", "bad value for 'input_shape'"),
+    # a blank list item is an error, not a dropped entry
+    ("conv_channels = 8,", "line", "bad value for 'conv_channels': blank item"),
+    ("learning_rates = 0.1,, 0.05", "line", "bad value for 'learning_rates': blank item"),
+    ("input_shape = 1,,8,8", "line", "bad value for 'input_shape': blank item"),
     ("beta = -1", "file", "beta must be > 0"),
     ("adv_norm = l3", "file", "unknown norm 'l3'"),
-], ids=["epochs", "t_free", "input_shape", "beta", "adv_norm"])
+], ids=["epochs", "t_free", "input_shape", "trailing_comma", "double_comma",
+        "blank_shape_item", "beta", "adv_norm"])
 def test_malformed_value_names_its_location(tmp_path, line, located_by, message):
     # a value that does not parse names its line; one the dataclasses reject
     # names the file and keeps their message

@@ -27,6 +27,51 @@ def conv2d_reference(x, w, padding):
     return y
 
 
+def im2col_reference(x, k, padding):
+    """Columns of the np.pad-ded float64 input: row (c, a, b) of example n holds
+    x_padded[n, c, i+a, j+b] over the output positions (i, j)."""
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    B, C, H, W = xp.shape
+    ho, wo = H - k + 1, W - k + 1
+    cols = np.empty((B, C * k * k, ho * wo))
+    for c in range(C):
+        for a in range(k):
+            for b in range(k):
+                cols[:, (c * k + a) * k + b] = xp[:, c, a:a + ho, b:b + wo].reshape(B, -1)
+    return cols
+
+
+def maxpool_oracle(x):
+    """np.stack + argmax over each window's cells in flat-index order: the
+    first maximum wins, and a NaN counts as the maximum."""
+    B, C, H, W = x.shape
+    cand = np.stack([x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2],
+                     x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]], axis=-1)
+    slot = np.argmax(cand, axis=-1)
+    pooled = np.take_along_axis(cand, slot[..., None], axis=-1)[..., 0]
+    rows = np.arange(0, H, 2)[:, None] + slot // 2
+    cols = np.arange(0, W, 2)[None, :] + slot % 2
+    return pooled, rows * W + cols
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # one channel of 3x2 at k = 2: the windows span whole padded rows, so the
+    # column matrix could alias the padded buffer; it must still be a C-order copy
+    @pytest.mark.parametrize("shape", [(3, 2, 5, 6), (2, 1, 3, 2)])
+    def test_matches_pad_reference(self, padding, dtype, shape):
+        rng = np.random.default_rng(20 + padding)
+        for k in range(1, min(shape[2:]) + 2 * padding + 1):
+            x = rng.standard_normal(shape).astype(dtype)
+            x0 = x.copy()
+            cols = ops._im2col(x, ConvSpec(shape[1], 1, k, padding))
+            ref = im2col_reference(x, k, padding)
+            assert cols.dtype == np.float64 and cols.flags.c_contiguous
+            assert cols.tobytes() == ref.tobytes()
+            assert x.tobytes() == x0.tobytes()
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = np.ones((1, 3, 3))[None]
@@ -48,6 +93,46 @@ class TestConv2d:
         y = ops.conv2d(x[None], w, ConvSpec(2, 4, 3, 1))[0]
         ref = conv2d_reference(x, w, 1)
         assert np.max(np.abs(y - ref)) < 1e-6
+
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_matches_loop_reference_at_padding(self, padding):
+        rng = np.random.default_rng(30 + padding)
+        x = rng.standard_normal((2, 5, 7))
+        w = rng.standard_normal((3, 2, 3, 3))
+        y = ops.conv2d(x[None], w, ConvSpec(2, 3, 3, padding))[0]
+        assert y.shape == (3, 5 + 2 * padding - 2, 7 + 2 * padding - 2)
+        assert np.max(np.abs(y - conv2d_reference(x, w, padding))) < 1e-12
+
+    def test_float32_operands_round_the_float64_result(self):
+        rng = np.random.default_rng(32)
+        spec = ConvSpec(2, 3, 3, 1)
+        x = rng.standard_normal((4, 2, 6, 6)).astype(np.float32)
+        w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+        y = ops.conv2d(x, w, spec)
+        ref = ops.conv2d(x.astype(np.float64), w.astype(np.float64), spec)
+        assert y.dtype == np.float32
+        assert y.tobytes() == ref.astype(np.float32).tobytes()
+        g = ops.conv2d_transpose(y, w, spec)
+        ref = ops.conv2d_transpose(y.astype(np.float64), w.astype(np.float64), spec)
+        assert g.dtype == np.float32
+        assert g.tobytes() == ref.astype(np.float32).tobytes()
+
+    def test_non_contiguous_input_matches_its_copy(self):
+        rng = np.random.default_rng(33)
+        spec = ConvSpec(3, 4, 3, 1)
+        x = rng.standard_normal((2, 3, 6, 6))
+        w = rng.standard_normal((4, 3, 3, 3))
+        u = rng.standard_normal((2, 4, 6, 6))
+        for view in (x[:, :, ::-1, :], x.transpose(0, 1, 3, 2), x[::-1]):
+            x0 = view.copy()
+            copy = np.ascontiguousarray(view)
+            assert ops.conv2d(view, w, spec).tobytes() == ops.conv2d(copy, w, spec).tobytes()
+            assert (ops.conv2d_weight_grad(view, u, spec).tobytes()
+                    == ops.conv2d_weight_grad(copy, u, spec).tobytes())
+            assert np.array_equal(view, x0)
+        g = u[:, :, ::-1, ::-1]
+        assert (ops.conv2d_transpose(g, w, spec).tobytes()
+                == ops.conv2d_transpose(np.ascontiguousarray(g), w, spec).tobytes())
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(1)
@@ -210,6 +295,36 @@ class TestMaxPool:
         with pytest.raises(ShapeError, match="pad"):
             ops.maxpool2(np.zeros((1, 3, 4))[None])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 8), (1, 5, 4, 4), (3, 1, 2, 2), (2, 7, 8, 2)])
+    def test_matches_argmax_oracle(self, dtype, shape):
+        rng = np.random.default_rng(sum(shape))
+        # values rounded to thirds: many ties within a window, +0.0 against -0.0 among them
+        ties = np.round(rng.standard_normal(shape) * 3) / 3
+        nans = rng.standard_normal(shape)
+        nans[rng.random(shape) < 0.3] = np.nan
+        for x in (ties.astype(dtype), nans.astype(dtype)):
+            x0 = x.copy()
+            pooled, idx = ops.maxpool2(x)
+            ref_pooled, ref_idx = maxpool_oracle(x)
+            assert pooled.dtype == x.dtype and idx.dtype == np.int64
+            assert pooled.tobytes() == ref_pooled.tobytes()
+            assert np.array_equal(idx, ref_idx)
+            assert x.tobytes() == x0.tobytes()
+
+    def test_nan_and_signed_zero_windows(self):
+        # NaN routes to the first NaN; among tied zeros the first one's sign is kept
+        for win, first in (([[1.0, np.nan], [np.nan, 4.0]], 1),
+                           ([[np.nan, 5.0], [np.nan, 1.0]], 0),
+                           ([[2.0, 3.0], [7.0, np.nan]], 3),
+                           ([[-0.0, 0.0], [0.0, 0.0]], 0),
+                           ([[0.0, -0.0], [-0.0, -0.0]], 0),
+                           ([[-1.0, -0.0], [0.0, 0.0]], 1)):
+            x = np.array(win)[None, None]
+            pooled, idx = ops.maxpool2(x)
+            assert idx[0, 0, 0, 0] == first
+            assert pooled.tobytes() == x[0, 0].flat[first:first + 1].tobytes()
+
     def test_tie_break_reproducible(self):
         x = np.zeros((1, 4, 4))[None]
         _, a = ops.maxpool2(x)
@@ -247,6 +362,28 @@ class TestUnpool:
         idx[0, 0, 0, 0] = 99
         with pytest.raises(ValueError, match="corrupt"):
             ops.unpool2(g, idx)
+
+    def test_pool_gather_rejects_corrupted_indices(self):
+        y = np.arange(16.0).reshape(1, 1, 4, 4)
+        for bad in (-1, 16):
+            idx = np.array([[0, 2], [8, 10]])[None, None]
+            idx[0, 0, 1, 1] = bad
+            with pytest.raises(ValueError, match="corrupted pool indices"):
+                ops.pool_gather(y, idx)
+
+    def test_pool_gather_rejects_route_of_wrong_shape(self):
+        y = np.zeros((2, 3, 4, 4))
+        for shape in ((2, 3, 3, 3), (2, 3, 2, 1), (1, 3, 2, 2), (2, 2, 2, 2)):
+            with pytest.raises(ShapeError, match="pool_gather"):
+                ops.pool_gather(y, np.zeros(shape, dtype=np.int64))
+        with pytest.raises(ShapeError, match="pool_gather"):
+            ops.pool_gather(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 2, 2), dtype=np.int64))
+
+    def test_pool_gather_reads_routed_cells(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, 2, 6, 4))
+        pooled, idx = ops.maxpool2(x)
+        assert pooled.tobytes() == ops.pool_gather(x, idx).tobytes()
 
     def test_pool_gather_is_unpool_adjoint(self):
         rng = np.random.default_rng(7)
