@@ -8,10 +8,11 @@ The scalar energy over input x and states s^1..s^N is
 with * cross-correlation, P 2x2 stride-2 max pooling, and s^0 = x. The state
 update is s_{t+1} = clamp(dPhi/ds_t) applied synchronously to every layer,
 with pooling argmax routes refreshed from the current bottom-up pass at each
-step. The readout (logits on the flattened top state) stays outside Phi; the
-nudged phase injects -beta * dL/ds^N through it, where L is softmax
-cross-entropy. Free, nudged and recorded runs all go through one loop,
-`_relax`.
+step. Connection 0's drive and route depend only on the clamped x, so a
+relaxation computes them once, before its first step. The readout (logits on
+the flattened top state) stays outside Phi; the nudged phase injects
+-beta * dL/ds^N through it, where L is softmax cross-entropy. Free, nudged and
+recorded runs all go through one loop, `_relax`.
 
 Connections are numbered conv first, then fc, then the readout; connection
 i reads its weight and bias as Params.w[i] and Params.b[i]. Each one's drive,
@@ -126,11 +127,24 @@ def _logits(top, params: Params, spec: ModelSpec):
     return _add_bias(n, _drive(n, top, params, spec)[0], params, spec)
 
 
-def _bottom_up(x, layers, params: Params, spec: ModelSpec):
-    """P(w_i * s^{i-1}) + b_i for every connection; also the conv pool routes."""
-    pre, routes = [], []
-    for i, src in enumerate([x] + layers[:-1]):
-        drive, route = _drive(i, src, params, spec)
+def _input_drive(x, params: Params, spec: ModelSpec):
+    """Connection 0's biased drive on the clamped x and its pool route
+    (None when connection 0 is fc): (pre0, route0). Callers only read it."""
+    drive, route = _drive(0, x, params, spec)
+    return _add_bias(0, drive, params, spec), route
+
+
+def _bottom_up(x, layers, params: Params, spec: ModelSpec, x_drive=None):
+    """P(w_i * s^{i-1}) + b_i for every connection; also the conv pool routes.
+
+    x_drive is _input_drive(x, ...) if the caller has it; it is computed here
+    otherwise.
+    """
+    pre0, route0 = _input_drive(x, params, spec) if x_drive is None else x_drive
+    pre = [pre0]
+    routes = [] if route0 is None else [route0]
+    for i in range(1, spec.n_layers):
+        drive, route = _drive(i, layers[i - 1], params, spec)
         pre.append(_add_bias(i, drive, params, spec))
         if route is not None:
             routes.append(route)
@@ -138,11 +152,20 @@ def _bottom_up(x, layers, params: Params, spec: ModelSpec):
 
 
 def _add_top_down(pre, layers, params: Params, spec: ModelSpec, routes):
-    """Add the feedback term from connection i into layer i-1 (top layer gets none)."""
+    """Add the feedback term from connection i into layer i-1 (top layer gets none).
+
+    Each sum is a new array, so a cached input drive in pre[0] is never written.
+    """
     for i in range(1, spec.n_layers):
         td = _adjoint(i, _unpool(layers[i], _route(routes, i)), params, spec)
         pre[i - 1] = pre[i - 1] + td.reshape(pre[i - 1].shape)
     return pre
+
+
+def _grad_state(x, layers, params: Params, spec: ModelSpec, x_drive=None):
+    """(dPhi/ds^n for every layer, conv pool routes of the bottom-up pass)."""
+    pre, routes = _bottom_up(x, layers, params, spec, x_drive)
+    return _add_top_down(pre, layers, params, spec, routes), routes
 
 
 def phi(x, state: NetworkState, params: Params, spec: ModelSpec):
@@ -161,9 +184,7 @@ def phi_grad_state(x, state: NetworkState, params: Params, spec: ModelSpec):
     """dPhi/ds^n for every layer: bottom-up drive plus feedback from above."""
     xb = _as_batch_x(x, spec)
     params = params.map(np.asarray, dtype=_F)
-    layers = _layers64(state, spec)
-    pre, idx = _bottom_up(xb, layers, params, spec)
-    return _add_top_down(pre, layers, params, spec, idx)
+    return _grad_state(xb, _layers64(state, spec), params, spec)[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -216,14 +237,14 @@ def _nudge_force(state_layers, params: Params, spec: ModelSpec, y, beta_signed: 
 
 
 def dynamics_step(x, layers, params: Params, spec: ModelSpec, *, y=None,
-                  beta_signed: float = 0.0, collect: bool = False):
+                  beta_signed: float = 0.0, collect: bool = False, x_drive=None):
     """One synchronous update of all layers. Returns (new_layers, idx, masks).
 
     masks (clamp pass-through, boundary counted as pass) are only built when
-    collect is set.
+    collect is set. x_drive is connection 0's (pre0, route0) on x, as
+    _input_drive returns it; None computes it in this step.
     """
-    pre, idx = _bottom_up(x, layers, params, spec)
-    pre = _add_top_down(pre, layers, params, spec, idx)
+    pre, idx = _grad_state(x, layers, params, spec, x_drive)
     if beta_signed != 0.0:
         pre[-1] = pre[-1] + _nudge_force(layers, params, spec, y, beta_signed)
     masks = None
@@ -242,7 +263,8 @@ def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
     infinity-norm step difference across layers drops below tol (tol <= 0
     runs all t steps). Returns (state, routes, masks): with record set
     routes[k] and masks[k] are the pool routes and clamp masks used by step k
-    (both lists stay empty otherwise).
+    (both lists stay empty otherwise). A conv connection 0 has one route,
+    computed with its drive before the first step and shared by every step.
     """
     if t < 1:
         raise ValueError(f"a relaxation needs t >= 1, got t={t}")
@@ -250,10 +272,12 @@ def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
     params = params.map(np.asarray, dtype=_F)
     if layers is None:
         layers = zero_state(spec, xb.shape[0]).layers
+    x_drive = _input_drive(xb, params, spec)
     routes, masks = [], []
     for steps in range(1, t + 1):
         new, idx, mask = dynamics_step(xb, layers, params, spec, y=y,
-                                       beta_signed=beta_signed, collect=record)
+                                       beta_signed=beta_signed, collect=record,
+                                       x_drive=x_drive)
         if record:
             routes.append(idx)
             masks.append(mask)

@@ -133,20 +133,31 @@ def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray
 def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Gradient of <u, conv2d(x, w)> with respect to w, summed over the batch.
 
-    u must be shaped like the conv2d output for x under spec.
+    u must be shaped like the conv2d output for x under spec; an empty batch
+    gives zeros of the kernel shape.
     """
     xb = _as_batch(x, "conv2d_weight_grad input")
     ub = _as_batch(u, "conv2d_weight_grad upstream")
-    if ub.shape[0] != xb.shape[0]:
-        raise ShapeError("conv2d_weight_grad: batch axes differ")
-    B, C = xb.shape[:2]
+    B, C, H, W = xb.shape
+    if C != spec.in_channels:
+        raise ShapeError(
+            f"conv2d_weight_grad input channel axis has extent {C}, spec expects "
+            f"{spec.in_channels}"
+        )
+    out = (B, spec.out_channels, spec.out_extent(H), spec.out_extent(W))
+    for axis, got, want in zip(("batch", "channel", "height", "width"), ub.shape, out):
+        if got != want:
+            raise ShapeError(
+                f"conv2d_weight_grad upstream {axis} axis has extent {got}, the "
+                f"conv2d output for this input has {want}"
+            )
     k = spec.kernel
-    u3 = ub.reshape(B, ub.shape[1], -1).astype(np.float64, copy=False)
+    u3 = ub.reshape(B, out[1], out[2] * out[3]).astype(np.float64, copy=False)
     # [B, O, Ho*Wo] @ [B, Ho*Wo, C*k*k]: one dgemm per example, then a sum
     # over the batch axis in index order
     per_example = np.matmul(u3, _im2col(xb, spec).transpose(0, 2, 1))
     g = np.add.reduce(per_example, axis=0)
-    return g.reshape(ub.shape[1], C, k, k).astype(np.result_type(x, u), copy=False)
+    return g.reshape(out[1], C, k, k).astype(np.result_type(x, u), copy=False)
 
 
 def maxpool2(x: np.ndarray):

@@ -6,7 +6,8 @@ intermediate states are kept. The backward pass walks the tape in
 reverse, treating pooling routes as constants of the forward pass and using
 clamp subgradient 1 on [0,1] (boundary included) and 0 outside. Because the
 clamped input x feeds the first connection at every step, its gradient
-accumulates across all t steps.
+accumulates across all t steps. Connection 0's pool route depends only on x,
+so every step of a tape shares one route 0 array.
 
 Inputs are batched ([B, C, H, W]; logit gradients [B, K]). Everything here
 is per-example exact, and an example's result is bit-identical whatever
@@ -32,7 +33,8 @@ class UnrolledTape:
     """Recorded free-phase trajectory of length `steps`.
 
     pool_idx[t] and masks[t] are the routes and clamp masks used by step t;
-    final is the batched state after the last step.
+    a conv connection 0's route, pool_idx[t][0], is one array shared by every
+    step. final is the batched state after the last step.
     """
 
     steps: int
@@ -41,6 +43,10 @@ class UnrolledTape:
     final: list[np.ndarray]
 
     def nbytes(self) -> int:
+        """Bytes of the tape as if each step held its own arrays: every step's
+        routes and masks plus the final state. The shared route 0 counts once
+        per step, so the size stays linear in steps; the memory actually held
+        is smaller by steps - 1 copies of route 0."""
         total = sum(s.nbytes for s in self.final)
         for t in range(self.steps):
             total += sum(a.nbytes for a in self.pool_idx[t])

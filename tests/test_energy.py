@@ -8,7 +8,7 @@ from epbench import energy, ops, unrolled
 from epbench.model import ModelSpec, NetworkState, init_params, zero_state
 from epbench.ops import ConvSpec
 
-from conftest import tiny_model
+from conftest import conv_fc_model, tiny_model
 
 
 rng_global = np.random.default_rng(0)
@@ -230,6 +230,115 @@ class TestNudgedPhase:
         g1, g2 = gap(0.02), gap(0.01)
         # quadratic shrink: halving beta cuts the midpoint gap ~4x
         assert g1 / max(g2, 1e-300) == pytest.approx(4.0, rel=0.35)
+
+
+def _fc_only_model(rng):
+    spec = ModelSpec(input_shape=(1, 8, 8), conv=(), fc=((64, 6), (6, 5)),
+                     readout_dim=3)
+    return spec, init_params(spec, rng, dtype=np.float64)
+
+
+HOIST_MODELS = {
+    "2-conv": lambda rng: tiny_model(rng, scale=0.9),
+    # one layer: the nudge lands on the layer whose input drive is cached
+    "1-conv": lambda rng: tiny_model(rng, channels=(4,), scale=0.9),
+    "conv+fc": conv_fc_model,
+    "fc-only": _fc_only_model,  # connection 0 has no pool route
+}
+
+
+def _step_loop(x, layers, params, spec, t, tol, **kw):
+    """t dynamics_step calls that each compute the input drive themselves,
+    stopping as a relaxation does: (layers, steps, routes, masks)."""
+    routes, masks = [], []
+    for steps in range(1, t + 1):
+        new, idx, mask = energy.dynamics_step(x, layers, params, spec,
+                                              collect=True, **kw)
+        routes.append(idx)
+        masks.append(mask)
+        done = tol > 0 and max(np.max(np.abs(n - o)) for n, o in zip(new, layers)) < tol
+        layers = new
+        if done:
+            break
+    return layers, steps, routes, masks
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(
+        u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+        for u, v in zip(a, b))
+
+
+@pytest.mark.parametrize("model", list(HOIST_MODELS))
+class TestInputDriveHoist:
+    """Relaxations compute connection 0's drive once; their results equal a
+    loop of steps that recompute it, bit for bit, and leave x and the params
+    untouched."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(41)
+
+    def _model(self, model):
+        spec, params = HOIST_MODELS[model](self.rng)
+        x = self.rng.uniform(0, 1, (3,) + spec.input_shape)
+        return spec, params, x, x.copy(), [a.copy() for _, a in params.tensors()]
+
+    def _untouched(self, params, x, x0, p0):
+        assert x.tobytes() == x0.tobytes()
+        assert _same([a for _, a in params.tensors()], p0)
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.0], ids=["early exit", "all steps"])
+    def test_free_phase(self, model, tol):
+        spec, params, x, x0, p0 = self._model(model)
+        st = energy.free_phase(x, params, spec, t=100, fp_tol=tol)
+        self._untouched(params, x, x0, p0)
+        layers, steps, _, _ = _step_loop(x, zero_state(spec, 3).layers, params, spec,
+                                         100, tol)
+        assert st.steps == steps
+        assert steps < 100 if tol else steps == 100
+        assert _same(st.layers, layers)
+
+    @pytest.mark.parametrize("beta", [0.5, -0.5])
+    def test_nudged_phase(self, model, beta):
+        spec, params, x, x0, p0 = self._model(model)
+        y = np.array([0, 2, 1])
+        free = energy.free_phase(x, params, spec, t=5, fp_tol=0.0)
+        st = energy.nudged_phase(x, params, spec, free, y, beta, t=6)
+        self._untouched(params, x, x0, p0)
+        layers, _, _, _ = _step_loop(x, free.layers, params, spec, 6, 0.0, y=y,
+                                     beta_signed=beta)
+        assert st.steps == 11
+        assert _same(st.layers, layers)
+
+    def test_record_free_phase(self, model):
+        spec, params, x, x0, p0 = self._model(model)
+        tape = unrolled.record_free_phase(x, params, spec, 12)
+        self._untouched(params, x, x0, p0)
+        layers, _, routes, masks = _step_loop(x, zero_state(spec, 3).layers, params,
+                                              spec, 12, 0.0)
+        assert all(_same(a, b) for a, b in zip(tape.pool_idx, routes))
+        assert all(_same(a, b) for a, b in zip(tape.masks, masks))
+        assert _same(tape.final, layers)
+        if spec.n_conv:  # one route 0, shared by every step
+            assert all(r[0] is tape.pool_idx[0][0] for r in tape.pool_idx)
+
+
+def test_free_phase_computes_the_input_drive_once(monkeypatch):
+    # per step of a 2-conv model: connection 1's drive (one conv2d, one
+    # maxpool2) and its feedback (one conv2d inside conv2d_transpose);
+    # connection 0's conv2d and maxpool2 run once before the first step
+    spec, params = tiny_model(np.random.default_rng(43))
+    x = np.random.default_rng(44).uniform(0, 1, (2,) + spec.input_shape)
+    calls = {"conv2d": 0, "maxpool2": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(ops, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(ops, name, counted)
+    for t in (1, 7):
+        calls.update(conv2d=0, maxpool2=0)
+        energy.free_phase(x, params, spec, t=t, fp_tol=0.0)
+        assert calls == {"conv2d": 1 + 2 * t, "maxpool2": 1 + t}
 
 
 class TestReadoutPredict:

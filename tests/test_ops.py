@@ -248,6 +248,22 @@ class TestConv2dWeightGrad:
             ops.conv2d_weight_grad(np.zeros((2, 1, 4, 4)), np.zeros((3, 1, 4, 4)),
                                    ConvSpec(1, 1, 1, 0))
 
+    @pytest.mark.parametrize("x_shape, u_shape, match", [
+        ((2, 1, 8, 8), (2, 5, 8, 8), "upstream channel axis has extent 5"),
+        ((2, 3, 8, 8), (2, 4, 8, 8), "input channel axis has extent 3"),
+        ((2, 1, 8, 8), (2, 4, 7, 7), "upstream height axis has extent 7"),
+    ], ids=["upstream channels", "input channels", "upstream extent"])
+    def test_operands_must_fit_the_spec(self, x_shape, u_shape, match):
+        with pytest.raises(ShapeError, match=match):
+            ops.conv2d_weight_grad(np.zeros(x_shape), np.zeros(u_shape),
+                                   ConvSpec(1, 4, 3, 1))
+
+    def test_empty_batch_gives_zeros_of_the_kernel_shape(self):
+        g = ops.conv2d_weight_grad(np.zeros((0, 2, 8, 8)), np.zeros((0, 4, 8, 8)),
+                                   ConvSpec(2, 4, 3, 1))
+        assert g.shape == (4, 2, 3, 3) and g.dtype == np.float64
+        assert not g.any()
+
 
 class TestMaxPool:
     def test_constant_input_tie_break(self):
