@@ -122,8 +122,9 @@ def cmd_train(args) -> int:
 
     conv_step = 0
     if args.model == "ep":
-        probe = np.asarray(norm_train.images[:64], dtype=np.float64)
-        conv_step = energy.free_phase(probe, params, spec).steps
+        probe = energy.free_phase(np.asarray(norm_train.images[:64], dtype=np.float64),
+                                  params, spec)
+        conv_step = probe.steps
     ckpt = Checkpoint(spec=spec, params=params, model_kind=args.model,
                       seed=cfg.seed, train_config=snapshot,
                       norm_mean=[float(v) for v in mean],
@@ -142,7 +143,10 @@ def cmd_train(args) -> int:
         print(line)
     msg = f"trained {args.model} model in {wall:.1f}s -> {args.out}"
     if args.model == "ep":
-        msg += f" (free-phase convergence step {conv_step})"
+        msg += (f" (free-phase convergence step {conv_step}, the max over "
+                f"{len(probe.residual)} probe examples; median "
+                f"{np.median(probe.example_steps):g}, "
+                f"{np.sum(probe.residual >= spec.fp_tol)} capped)")
     print(msg)
     return 0
 

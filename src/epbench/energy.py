@@ -12,7 +12,10 @@ step. Connection 0's drive and route depend only on the clamped x, so a
 relaxation computes them once, before its first step. The readout (logits on
 the flattened top state) stays outside Phi; the nudged phase injects
 -beta * dL/ds^N through it, where L is softmax cross-entropy. Free, nudged and
-recorded runs all go through one loop, `_relax`.
+recorded runs all go through one loop, `_relax`. An early-exit relaxation
+freezes each example at its own first step below the tolerance and steps only
+the examples still moving, so an example's result never depends on its
+batch-mates.
 
 Connections are numbered conv first, then fc, then the readout; connection
 i reads its weight and bias as Params.w[i] and Params.b[i]. Each one's drive,
@@ -26,6 +29,9 @@ ops.ShapeError.
 """
 
 from __future__ import annotations
+
+import math
+from functools import reduce
 
 import numpy as np
 
@@ -47,7 +53,8 @@ def _as_batch_x(x, spec: ModelSpec) -> np.ndarray:
 
 
 def _flat(s: np.ndarray) -> np.ndarray:
-    return s.reshape(s.shape[0], -1)
+    # an explicit width: -1 cannot be inferred from an empty batch
+    return s.reshape(s.shape[0], math.prod(s.shape[1:]))
 
 
 def _layers64(state: NetworkState, spec: ModelSpec) -> list[np.ndarray]:
@@ -254,46 +261,85 @@ def dynamics_step(x, layers, params: Params, spec: ModelSpec, *, y=None,
     return new, idx, masks
 
 
+def _residual(new, old) -> np.ndarray:
+    """Per-example infinity-norm step difference across layers: [B]."""
+    gaps = (_flat(n - o) for n, o in zip(new, old))  # one temporary per layer
+    return reduce(np.maximum, (np.abs(g, out=g).max(axis=1) for g in gaps))
+
+
 def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
            y=None, beta_signed: float = 0.0, record: bool = False):
     """The one relaxation loop behind free, nudged and recorded runs.
 
     Applies up to t dynamics steps to the batched float64 `layers` (None
-    starts from the all-zero state) and stops early once the largest
-    infinity-norm step difference across layers drops below tol (tol <= 0
-    runs all t steps). Returns (state, routes, masks): with record set
-    routes[k] and masks[k] are the pool routes and clamp masks used by step k
-    (both lists stay empty otherwise). A conv connection 0 has one route,
-    computed with its drive before the first step and shared by every step.
+    starts from the all-zero state). With tol > 0 each example is frozen at
+    the first step where its own infinity-norm step difference across layers
+    drops below tol, and later steps run on the remaining rows only: x, the
+    layers, y and connection 0's drive and route are compressed together on
+    each step where some rows finish. tol <= 0 runs every row for all t steps
+    with no row bookkeeping (record needs this: its routes and masks are
+    full-batch). Returns (state, routes, masks): with record set routes[k]
+    and masks[k] are the pool routes and clamp masks used by step k (both
+    lists stay empty otherwise). A conv connection 0 has one route, computed
+    with its drive before the first step and shared by every step.
     """
     if t < 1:
         raise ValueError(f"a relaxation needs t >= 1, got t={t}")
     xb = _as_batch_x(x, spec)
     params = params.map(np.asarray, dtype=_F)
+    n = xb.shape[0]
     if layers is None:
-        layers = zero_state(spec, xb.shape[0]).layers
+        layers = zero_state(spec, n).layers
     x_drive = _input_drive(xb, params, spec)
     routes, masks = [], []
+    rows = np.arange(n)  # the output row of each row still stepping
+    example_steps, residual = np.empty(n, dtype=np.int64), np.empty(n)  # set per row
+    out = None  # full-batch result, made once rows first finish at different steps
     for steps in range(1, t + 1):
-        new, idx, mask = dynamics_step(xb, layers, params, spec, y=y,
-                                       beta_signed=beta_signed, collect=record,
-                                       x_drive=x_drive)
+        # rebinding old here frees the previous input, which after a
+        # compression still holds every row, before this step runs
+        old = layers
+        layers, idx, mask = dynamics_step(xb, old, params, spec, y=y,
+                                          beta_signed=beta_signed, collect=record,
+                                          x_drive=x_drive)
         if record:
             routes.append(idx)
             masks.append(mask)
-        done = tol > 0 and max(np.max(np.abs(n - o)) for n, o in zip(new, layers)) < tol
-        layers = new
-        if done:
+        if tol <= 0 and steps < t:
+            continue
+        res = _residual(layers, old)
+        done = res < tol
+        if steps == t or done.all():
             break
-    return NetworkState(layers=layers, steps=steps), routes, masks
+        if done.any():
+            if out is None:
+                out = [np.empty((n,) + s.shape[1:]) for s in layers]
+            fin, keep = rows[done], ~done
+            for o, s in zip(out, layers):
+                o[fin] = s[done]
+            example_steps[fin], residual[fin] = steps, res[done]
+            rows, xb = rows[keep], xb[keep]
+            layers = [s[keep] for s in layers]
+            x_drive = tuple(None if a is None else a[keep] for a in x_drive)
+            y = None if y is None else np.asarray(y)[keep]
+    example_steps[rows], residual[rows] = steps, res
+    if out is not None:
+        for o, s in zip(out, layers):
+            o[rows] = s
+        layers = out
+    state = NetworkState(layers, int(example_steps.max(initial=0)), example_steps,
+                         residual)
+    return state, routes, masks
 
 
 def free_phase(x, params: Params, spec: ModelSpec, t: int | None = None,
                fp_tol: float | None = None) -> NetworkState:
     """Relax from the all-zero state for up to t steps.
 
-    Exits early once the largest infinity-norm step difference across layers
-    drops below fp_tol (fp_tol=0 disables early exit).
+    Each example stops at the first step where its own infinity-norm step
+    difference across layers drops below fp_tol (fp_tol=0 disables early
+    exit), so its layers, example_steps and residual are the bits of its solo
+    run whatever the batch. An example converged iff residual < fp_tol.
     """
     t = spec.t_free if t is None else t
     tol = spec.fp_tol if fp_tol is None else fp_tol
@@ -305,11 +351,13 @@ def nudged_phase(x, params: Params, spec: ModelSpec, s_star: NetworkState, y,
     """Relax for t_nudge steps from s_star with the loss force -beta * dL/ds.
 
     beta_signed = 0 reproduces plain free-phase continuation bit for bit.
+    steps and example_steps count s_star's steps too.
     """
     t = spec.t_nudge if t is None else t
     state, _, _ = _relax(x, _layers64(s_star, spec), params, spec, t, 0.0,
                          y=y, beta_signed=beta_signed)
     state.steps += s_star.steps
+    state.example_steps += s_star.example_steps
     return state
 
 

@@ -168,11 +168,26 @@ def init_params(spec: ModelSpec, rng: np.random.Generator, dtype=np.float32,
 
 @dataclass
 class NetworkState:
-    """Layer states s^1..s^N (batched [B, ...]); steps counts the dynamics
-    steps applied to produce this state."""
+    """Layer states s^1..s^N (batched [B, ...]) and how they were reached.
+
+    example_steps [B] counts the dynamics steps applied to each example, and
+    steps is the most of them (0 for an empty batch). residual [B] is each
+    example's last infinity-norm step difference across layers, so an example
+    converged under a tolerance tol iff residual < tol. A state built by hand
+    gets steps for every example and an infinite residual (no step measured).
+    """
 
     layers: list[np.ndarray]
     steps: int = 0
+    example_steps: np.ndarray | None = None
+    residual: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = len(self.layers[0]) if self.layers else 0
+        if self.example_steps is None:
+            self.example_steps = np.full(n, self.steps, dtype=np.int64)
+        if self.residual is None:
+            self.residual = np.full(n, np.inf)
 
 
 def zero_state(spec: ModelSpec, batch: int) -> NetworkState:

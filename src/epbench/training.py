@@ -137,8 +137,12 @@ def sgd_momentum_step(params: Params, grads: Params, velocity: Params,
         p -= np.asarray(lr * v, dtype=p.dtype)
 
 
-def _ep_batch_grads(params, spec, cfg, xs, ys):
+def _ep_batch_grads(params, spec, cfg, xs, ys, free_log=None):
+    """EP gradient estimate of one minibatch; free_log, when given, receives
+    the free phase's per-example (example_steps, residual)."""
     s_star = free_phase(xs, params, spec)
+    if free_log is not None:
+        free_log.append((s_star.example_steps, s_star.residual))
     est = ep_estimate(xs, ys, params, spec, cfg, s_star)
     # the readout learns by the delta rule at the free fixed point
     p64, top, n = params.map(np.asarray, dtype=_F), s_star.layers[-1], spec.n_layers
@@ -157,7 +161,10 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
     """Minibatch SGD of an ep, bp or adv model; returns (Params, per-epoch history).
 
     adv crafts each minibatch with PGD under cfg.adversarial before the bp
-    step; epsilon = 0 skips crafting, reproducing bp bit for bit.
+    step; epsilon = 0 skips crafting, reproducing bp bit for bit. An ep
+    history entry also holds the mean and max of the epoch's per-example
+    free-phase steps and the fraction of examples whose free phase ended at
+    the cap unconverged.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -170,6 +177,7 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
     for epoch in range(cfg.epochs):
         # an empty dataset runs no batch; bench.evaluate then rejects it
         order = rng.permutation(len(dataset.labels))
+        free_log = []
         for b0 in range(0, len(order), cfg.batch_size):
             take = order[b0:b0 + cfg.batch_size]
             xs = np.asarray(dataset.images[take], dtype=_F)
@@ -177,7 +185,7 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
             if kind == "adv" and adv.epsilon > 0:
                 xs = _pgd(for_params(params, spec, "bp", None).loss_grad, xs, ys,
                           adv.norm, adv.epsilon, adv.steps, 2.5 * adv.epsilon / adv.steps, rng)
-            grads = (_ep_batch_grads(params, spec, cfg, xs, ys) if kind == "ep"
+            grads = (_ep_batch_grads(params, spec, cfg, xs, ys, free_log) if kind == "ep"
                      else _bp_batch_grads(params, spec, xs, ys))
             sgd_momentum_step(params, grads, velocity, cfg)
             if not params.all_finite():
@@ -188,5 +196,9 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
         entry = {"epoch": epoch, "train_acc": bench.evaluate(predict, dataset)}
         if val_dataset is not None:
             entry["val_acc"] = bench.evaluate(predict, val_dataset)
+        if kind == "ep":
+            steps, residual = (np.concatenate(a) for a in zip(*free_log))
+            entry.update(free_steps_mean=float(steps.mean()), free_steps_max=int(steps.max()),
+                         unconverged_frac=float(np.mean(residual >= spec.fp_tol)))
         history.append(entry)
     return params, history

@@ -138,6 +138,25 @@ class TestEvaluate:
         b = bench.evaluate(model_eval, sub, batch_size=64)
         assert a == b
 
+    def test_batch_size_invariance_early_exit(self, trained_ep, desk_data):
+        # the early-exit free phase freezes each example on its own residual,
+        # so its labels do not depend on the batch either
+        from epbench import training
+        spec, params, _ = trained_ep
+        sub = desk_data[1].subset(100)
+
+        def run(batch_size):
+            labels = []
+
+            def model_eval(xs):
+                labels.append(training._ep_predict(params, spec, xs))
+                return labels[-1]
+            return bench.evaluate(model_eval, sub, batch_size=batch_size), labels
+
+        (a, la), (b, lb) = run(1), run(64)
+        assert a == b
+        assert np.concatenate(la).tobytes() == np.concatenate(lb).tobytes()
+
 
 class TestMeanRobustness:
     def test_single_record(self):

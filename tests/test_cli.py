@@ -9,7 +9,8 @@ import pytest
 from conftest import desk_spec
 
 from epbench import bench, cli
-from epbench.checkpoint import Checkpoint, CheckpointError, save_checkpoint
+from epbench.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
+                                save_checkpoint)
 from epbench.config import ConfigError, load_config
 from epbench.model import init_params
 from epbench.training import AdversarialBlock
@@ -196,6 +197,30 @@ def test_cifar_checkpoint_evaluates_on_given_data(cifar_ckpt, tmp_path, capsys):
                    "--out", str(tmp_path / "e.csv")])
     assert rc == 0
     assert "on 6 examples" in capsys.readouterr().out
+
+
+def test_ep_training_reports_free_phase_steps(tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    # two convs, so the probe's examples stop at different steps
+    cfg.write_text(FAST_CONFIG.replace("epochs = 6", "epochs = 1")
+                   .replace("conv_channels = 8", "conv_channels = 4, 8")
+                   .replace("conv_kernels = 3", "conv_kernels = 3, 3")
+                   .replace("conv_paddings = 1", "conv_paddings = 1, 1")
+                   .replace("learning_rates = 0.1, 0.05",
+                            "learning_rates = 0.2, 0.1, 0.05"))
+    out = tmp_path / "ep.ckpt"
+    assert cli.main(["train", "--model", "ep", "--config", str(cfg), "--data", "synth",
+                     "--synth-n", "64", "--out", str(out)]) == 0
+    m = re.search(r"convergence step (\d+), the max over 64 probe examples; "
+                  r"median ([\d.]+), (\d+) capped\)", capsys.readouterr().out)
+    assert m is not None
+    step, median, capped = int(m[1]), float(m[2]), int(m[3])
+    assert step == load_checkpoint(out).convergence_step
+    assert 1 <= median < step <= 60 and 0 <= capped <= 64
+    assert capped == 0 or step == 60
+    history = json.loads((tmp_path / "ep.ckpt.history.json").read_text())
+    assert set(history[0]) == {"epoch", "train_acc", "val_acc", "free_steps_mean",
+                               "free_steps_max", "unconverged_frac"}
 
 
 class TestEndToEnd:

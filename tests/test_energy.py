@@ -292,10 +292,18 @@ class TestInputDriveHoist:
         spec, params, x, x0, p0 = self._model(model)
         st = energy.free_phase(x, params, spec, t=100, fp_tol=tol)
         self._untouched(params, x, x0, p0)
-        layers, steps, _, _ = _step_loop(x, zero_state(spec, 3).layers, params, spec,
+        if tol:  # each example stops on its own residual, as it does alone
+            solo = [_step_loop(x[i:i + 1], zero_state(spec, 1).layers, params, spec,
+                               100, tol) for i in range(3)]
+            layers = [np.concatenate(rows) for rows in zip(*(r[0] for r in solo))]
+            steps = [r[1] for r in solo]
+        else:
+            layers, t, _, _ = _step_loop(x, zero_state(spec, 3).layers, params, spec,
                                          100, tol)
-        assert st.steps == steps
-        assert steps < 100 if tol else steps == 100
+            steps = [t] * 3
+        assert st.example_steps.tolist() == steps
+        assert st.steps == max(steps)
+        assert max(steps) < 100 if tol else max(steps) == 100
         assert _same(st.layers, layers)
 
     @pytest.mark.parametrize("beta", [0.5, -0.5])
@@ -321,6 +329,93 @@ class TestInputDriveHoist:
         assert _same(tape.final, layers)
         if spec.n_conv:  # one route 0, shared by every step
             assert all(r[0] is tape.pool_idx[0][0] for r in tape.pool_idx)
+
+
+def _fields(st):
+    """A state's per-example arrays: its layers, example_steps and residual."""
+    return st.layers + [st.example_steps, st.residual]
+
+
+class TestPerExampleExit:
+    """An early-exit free phase freezes each example at the first step where
+    its own residual drops below fp_tol, so every per-example field holds the
+    bits of the example's solo run, whatever the batch size or order."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(51)
+        self.spec, self.params = tiny_model(rng, scale=0.9)
+        self.x = rng.uniform(0, 1, (16,) + self.spec.input_shape)
+        self.rng = rng
+
+    def _free(self, x, **kw):
+        return energy.free_phase(x, self.params, self.spec, **kw)
+
+    @pytest.mark.parametrize("batch", [1, 5, 16])
+    def test_batch_size_invariant(self, batch):
+        full = self._free(self.x)
+        for b0 in range(0, len(self.x), batch):
+            part = self._free(self.x[b0:b0 + batch])
+            assert _same([a[b0:b0 + batch] for a in _fields(full)], _fields(part))
+            assert part.steps == part.example_steps.max()
+
+    def test_order_invariant(self):
+        full = self._free(self.x)
+        perm = self.rng.permutation(len(self.x))
+        assert _same([a[perm] for a in _fields(full)], _fields(self._free(self.x[perm])))
+
+    def test_rows_finish_at_different_steps(self):
+        st = self._free(self.x)
+        assert len(set(st.example_steps.tolist())) > 1
+        assert st.steps == st.example_steps.max() < self.spec.t_free
+        assert np.all(st.residual < self.spec.fp_tol)
+        for i, k in enumerate(st.example_steps):
+            # the frozen row is the fixed-step state at its own exit step, and
+            # its residual is that step's difference
+            at = self._free(self.x[i:i + 1], t=k, fp_tol=0.0)
+            before = self._free(self.x[i:i + 1], t=k - 1, fp_tol=0.0)
+            assert _same([s[i:i + 1] for s in st.layers], at.layers)
+            assert st.residual[i] == max(np.max(np.abs(a - b))
+                                         for a, b in zip(at.layers, before.layers))
+
+    def test_all_rows_finish_on_the_same_step(self):
+        x = np.repeat(self.x[:1], 6, axis=0)
+        st, solo = self._free(x), self._free(x[:1])
+        assert st.example_steps.tolist() == [solo.steps] * 6
+        assert _same(_fields(st), [np.repeat(a, 6, axis=0) for a in _fields(solo)])
+
+    def test_no_row_finishes_before_the_cap(self):
+        st = self._free(self.x, t=5)
+        fixed = self._free(self.x, t=5, fp_tol=0.0)
+        assert st.steps == 5 and st.example_steps.tolist() == [5] * len(self.x)
+        assert np.all(st.residual >= self.spec.fp_tol)
+        assert _same(_fields(st), _fields(fixed))
+
+    def test_nudged_phase_adds_the_free_counts(self):
+        free = self._free(self.x[:4])
+        st = energy.nudged_phase(self.x[:4], self.params, self.spec, free,
+                                 np.array([0, 1, 2, 0]), 0.5, t=3)
+        assert st.example_steps.tolist() == (free.example_steps + 3).tolist()
+        assert st.steps == free.steps + 3
+
+
+class TestEmptyBatch:
+    """A batch of zero examples gives empty results, not a numpy error."""
+
+    def setup_method(self):
+        self.spec, self.params = tiny_model(np.random.default_rng(52))
+        self.x = np.zeros((0,) + self.spec.input_shape)
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.0], ids=["early exit", "all steps"])
+    def test_free_phase(self, tol):
+        st = energy.free_phase(self.x, self.params, self.spec, fp_tol=tol)
+        want = [(0,) + shape for shape in self.spec.state_shapes()]
+        assert [s.shape for s in st.layers] == want
+        assert st.steps == 0
+        assert st.example_steps.shape == st.residual.shape == (0,)
+
+    def test_logits_at(self):
+        z = energy.logits_at(self.x, self.params, self.spec, 5)
+        assert z.shape == (0, self.spec.readout_dim)
 
 
 def test_free_phase_computes_the_input_drive_once(monkeypatch):

@@ -100,3 +100,9 @@ def test_unbatched_image_rejected(call):
     spec, params, xs, _ = three_channel_case()
     with pytest.raises(ops.ShapeError, match=r"\[B, C, H, W\]"):
         call(xs[0], params, spec)
+
+
+def test_empty_batch_predicts_no_labels():
+    spec, params, xs, _ = three_channel_case()
+    labels = _handle(params, spec, (MEAN, STD)).predict(xs[:0])
+    assert labels.shape == (0,)

@@ -215,6 +215,22 @@ class TestTrainLoops:
         _, _, history = trained_ep
         assert history[-1]["train_acc"] >= 0.95
 
+    def test_ep_history_counts_free_phase_steps(self, desk_data):
+        # one minibatch holding the whole set: the epoch's free phase runs at
+        # the initial parameters, and its per-example counts ignore the order
+        train = desk_data[0].subset(64)
+        spec = ModelSpec(input_shape=(1, 8, 8),
+                         conv=(ConvSpec(1, 4, 3, 1), ConvSpec(4, 8, 3, 1)),
+                         readout_dim=2, t_free=60, t_nudge=15)
+        cfg = desk_train_config(epochs=1, batch_size=64, learning_rates=(0.2, 0.1, 0.05))
+        _, history = training.train("ep", train, spec, cfg)
+        params = init_params(spec, np.random.default_rng(0), dtype=np.float32)
+        st = energy.free_phase(np.asarray(train.images, dtype=np.float64), params, spec)
+        assert len(set(st.example_steps.tolist())) > 1
+        assert history[0]["free_steps_mean"] == st.example_steps.mean()
+        assert history[0]["free_steps_max"] == st.steps
+        assert history[0]["unconverged_frac"] == np.mean(st.residual >= spec.fp_tol)
+
     def test_bp_matches_training_contract(self, trained_bp):
         _, _, history = trained_bp
         assert history[-1]["train_acc"] >= 0.95
