@@ -39,20 +39,27 @@ def bp_forward(xs, params: Params, spec: ModelSpec, collect: bool = False):
     return logits
 
 
-def bp_backward(cache, params: Params, spec: ModelSpec, g_logits):
-    """Parameter gradients (summed over the batch) and the input gradient."""
+def bp_backward(cache, params: Params, spec: ModelSpec, g_logits, *,
+                param_grads: bool = True, input_grad: bool = True):
+    """Parameter gradients (summed over the batch) and the input gradient from
+    one backward sweep. A part the caller turns off is returned as None and
+    never computed: the pullback skips every weight gradient, a training step
+    skips connection 0's adjoint."""
     p64 = params.map(np.asarray, dtype=_F)
     n, top = spec.n_layers, cache["top"]
-    grads = Params([None] * (n + 1), [None] * (n + 1))  # every connection is set below
-    grads.w[n], grads.b[n] = _weight_grad(n, top, g_logits, p64, spec)
+    grads = Params([None] * (n + 1), [None] * (n + 1)) if param_grads else None
+    if param_grads:
+        grads.w[n], grads.b[n] = _weight_grad(n, top, g_logits, p64, spec)
     g = _adjoint(n, g_logits, p64, spec).reshape(top.shape)
     for i in reversed(range(n)):
         layer = cache["layers"][i]
         g_pre = g.reshape(layer["mask"].shape) * layer["mask"]
         u = _unpool(g_pre, layer["route"])  # shared by both gradients: one unpool
-        grads.w[i], grads.b[i] = _weight_grad(i, layer["src"], g_pre, p64, spec, u)
-        g = _adjoint(i, u, p64, spec).reshape(layer["src"].shape)
-    return grads, g
+        if param_grads:
+            grads.w[i], grads.b[i] = _weight_grad(i, layer["src"], g_pre, p64, spec, u)
+        if i or input_grad:
+            g = _adjoint(i, u, p64, spec).reshape(layer["src"].shape)
+    return grads, (g if input_grad else None)
 
 
 def bp_logits_and_vjp(xs, params: Params, spec: ModelSpec):
@@ -61,7 +68,8 @@ def bp_logits_and_vjp(xs, params: Params, spec: ModelSpec):
     logits, cache = bp_forward(xb, params, spec, collect=True)
 
     def vjp(g_logits):
-        _, g_x = bp_backward(cache, params, spec, np.asarray(g_logits, dtype=_F))
+        _, g_x = bp_backward(cache, params, spec, np.asarray(g_logits, dtype=_F),
+                             param_grads=False)
         return g_x
 
     return logits, vjp
@@ -70,5 +78,5 @@ def bp_logits_and_vjp(xs, params: Params, spec: ModelSpec):
 def _bp_batch_grads(params, spec, xs, ys):
     logits, cache = bp_forward(xs, params, spec, collect=True)
     g_logits = cross_entropy_grad(logits, ys) / len(ys)  # batch-mean loss
-    grads, _ = bp_backward(cache, params, spec, g_logits)
+    grads, _ = bp_backward(cache, params, spec, g_logits, input_grad=False)
     return grads

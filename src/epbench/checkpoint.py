@@ -24,6 +24,9 @@ MAGIC = b"EPBN"
 VERSION = 1
 MODEL_KINDS = ("ep", "bp", "adv")
 _INT_SPEC_FIELDS = ("input_shape", "conv", "fc", "readout_dim", "t_free", "t_nudge")
+# the header fields besides the spec and the tensor manifest, in Checkpoint order
+_META_FIELDS = ("model_kind", "seed", "train_config", "norm_mean", "norm_std",
+                "convergence_step")
 
 
 class CheckpointError(ValueError):
@@ -50,22 +53,20 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write ckpt to path; raises CheckpointError, writing nothing, on a model
-    kind, manifest or non-finite tensor that load_checkpoint would reject."""
+    """Write ckpt to path; raises CheckpointError, writing nothing, on a header
+    field, manifest or non-finite tensor that load_checkpoint would reject."""
     tensors = [(name, np.ascontiguousarray(t, dtype="<f4"))
                for name, t in ckpt.params.tensors()]
-    _require_valid(ckpt.model_kind, [(name, t.shape) for name, t in tensors], ckpt.spec)
+    meta = {k: getattr(ckpt, k) for k in _META_FIELDS}
+    meta.update(norm_mean=[float(v) for v in ckpt.norm_mean],
+                norm_std=[float(v) for v in ckpt.norm_std])
+    _require_valid(meta, [(name, t.shape) for name, t in tensors], ckpt.spec)
     for name, t in tensors:
         if not np.isfinite(t).all():
             raise CheckpointError(f"tensor {name} holds a non-finite value")
     header = {
         "spec": asdict(ckpt.spec),  # tuples serialize as JSON lists
-        "model_kind": ckpt.model_kind,
-        "seed": ckpt.seed,
-        "train_config": ckpt.train_config,
-        "norm_mean": [float(v) for v in ckpt.norm_mean],
-        "norm_std": [float(v) for v in ckpt.norm_std],
-        "convergence_step": ckpt.convergence_step,
+        **meta,
         "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -82,15 +83,39 @@ def _listing(manifest) -> str:
     return ", ".join(f"{name}{list(shape)}" for name, shape in manifest)
 
 
-def _require_valid(model_kind, manifest, spec: ModelSpec) -> None:
-    """The header checks that save_checkpoint and load_checkpoint share."""
-    if model_kind not in MODEL_KINDS:
-        raise CheckpointError(f"header field 'model_kind' is {model_kind!r}, "
+def _require_valid(meta: dict, manifest, spec: ModelSpec) -> None:
+    """The header checks that save_checkpoint and load_checkpoint share.
+
+    The normalization stats are both empty or both one finite value per
+    input channel, with std > 0; convergence_step is an integer in
+    [0, t_free].
+    """
+    if meta["model_kind"] not in MODEL_KINDS:
+        raise CheckpointError(f"header field 'model_kind' is {meta['model_kind']!r}, "
                               f"expected one of {', '.join(MODEL_KINDS)}")
     expected = param_shapes(spec)
     if manifest != expected:
         raise CheckpointError("tensor manifest does not match the spec: expected "
                               f"{_listing(expected)}; found {_listing(manifest)}")
+    mean, std = meta["norm_mean"], meta["norm_std"]
+    for name, v in (("norm_mean", mean), ("norm_std", std)):
+        if not (isinstance(v, list) and all(type(e) in (int, float) for e in v)):
+            raise CheckpointError(f"header field {name!r} is {v!r}, expected a list "
+                                  "of numbers")
+        if not all(math.isfinite(e) for e in v):
+            raise CheckpointError(f"header field {name!r} is {v!r}, expected finite "
+                                  "values")
+    channels = spec.input_shape[0]
+    if (len(mean), len(std)) not in ((0, 0), (channels, channels)):
+        raise CheckpointError(f"header fields 'norm_mean' and 'norm_std' hold {len(mean)} "
+                              f"and {len(std)} values, expected both 0 or both "
+                              f"{channels} (one per input channel)")
+    if any(e <= 0 for e in std):
+        raise CheckpointError(f"header field 'norm_std' is {std!r}, expected values > 0")
+    step = meta["convergence_step"]
+    if type(step) is not int or not 0 <= step <= spec.t_free:
+        raise CheckpointError(f"header field 'convergence_step' is {step!r}, expected "
+                              f"an integer in [0, {spec.t_free}] (t_free)")
 
 
 def _unpack(blob: bytes, offset: int, fmt: str, name: str) -> int:
@@ -139,13 +164,12 @@ def load_checkpoint(path) -> Checkpoint:
         for i, e in enumerate(header["tensors"]):
             _require_ints(e["shape"], f"tensors.{i}.shape")
         manifest = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
-        meta = {k: header[k] for k in ("model_kind", "seed", "train_config", "norm_mean",
-                                       "norm_std", "convergence_step")}
+        meta = {k: header[k] for k in _META_FIELDS}
     except KeyError as exc:
         raise CheckpointError(f"header field {exc.args[0]!r} missing") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad header field: {exc}") from None
-    _require_valid(meta["model_kind"], manifest, spec)
+    _require_valid(meta, manifest, spec)
     tensors = []
     for name, shape in manifest:
         count = math.prod(shape)

@@ -92,6 +92,8 @@ def synth_dataset(kind: str, n: int, image_shape=(1, 8, 8), classes: int = 2,
     """
     if n <= 0:
         raise ValueError("n must be > 0")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
     if kind not in ("blobs", "stripes"):
         raise ValueError(f"unknown synthetic kind {kind!r}")
     rng = np.random.default_rng(seed)

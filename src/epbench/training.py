@@ -7,7 +7,10 @@ energy. The bp and adv models are the feedforward twin in `baseline`,
 trained by backprop; adv replaces each minibatch with PGD examples crafted
 against the current model first. Optimization is plain SGD with momentum and
 one learning rate per connection (its weight and bias share it). The
-per-connection gradient math is energy's, shared with the dynamics.
+per-connection gradient math is energy's, shared with the dynamics. An ep
+model's last training-set evaluation also hands its per-example free-phase
+steps and residuals to the caller, which `epbench train` reads as its
+convergence probe.
 """
 
 from __future__ import annotations
@@ -152,19 +155,28 @@ def _ep_batch_grads(params, spec, cfg, xs, ys, free_log=None):
     return est
 
 
-def _ep_predict(params, spec, xs):
+def _ep_predict(params, spec, xs, free_log=None):
+    """Labels from an early-exit free phase; free_log, when given, receives
+    the phase's per-example (example_steps, residual)."""
     state = free_phase(xs, params, spec)
+    if free_log is not None:
+        free_log.append((state.example_steps, state.residual))
     return np.argmax(readout(state, params, spec), axis=-1)
 
 
-def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=None):
+def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=None,
+          eval_log=None):
     """Minibatch SGD of an ep, bp or adv model; returns (Params, per-epoch history).
 
     adv crafts each minibatch with PGD under cfg.adversarial before the bp
     step; epsilon = 0 skips crafting, reproducing bp bit for bit. An ep
     history entry also holds the mean and max of the epoch's per-example
     free-phase steps and the fraction of examples whose free phase ended at
-    the cap unconverged.
+    the cap unconverged. For an ep model, eval_log, when given, receives the
+    last epoch's training-set evaluation under the final params: one
+    per-example (example_steps, residual) pair per evaluation batch, in
+    dataset order. Each example's free phase gives its solo bits, so these
+    are the values a fresh free phase on the same rows would give.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -193,7 +205,9 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
                                       f"batch {b0 // cfg.batch_size}")
         predict = (partial(_ep_predict, params, spec) if kind == "ep"
                    else for_params(params, spec, kind, None).predict)
-        entry = {"epoch": epoch, "train_acc": bench.evaluate(predict, dataset)}
+        train_predict = (partial(predict, free_log=eval_log)
+                         if kind == "ep" and epoch == cfg.epochs - 1 else predict)
+        entry = {"epoch": epoch, "train_acc": bench.evaluate(train_predict, dataset)}
         if val_dataset is not None:
             entry["val_acc"] = bench.evaluate(predict, val_dataset)
         if kind == "ep":

@@ -84,6 +84,11 @@ class TestSynth:
             counts = np.bincount(ds.labels, minlength=2)
             assert abs(int(counts[0]) - int(counts[1])) <= 1
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.5])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="noise must be a finite number >= 0"):
+            data.synth_dataset("blobs", 8, (1, 8, 8), 2, noise=noise)
+
     def test_zero_noise_blobs_linearly_separable(self):
         ds = data.synth_dataset("blobs", 128, (1, 8, 8), 2, seed=1, noise=0.0)
         flat = ds.images.reshape(len(ds), -1).astype(np.float64)
@@ -286,6 +291,12 @@ class TestCheckpoint:
         ("float manifest extent", "tensors.1.shape.0 is 8.0, not an integer"),
         ("float readout_dim", "spec.readout_dim is 2.0, not an integer"),
         ("bool conv kernel", "spec.conv.0.kernel is True, not an integer"),
+        ("hand-edited NaN std", r"^header field 'norm_std' is \[nan\], expected finite"),
+        ("string mean", r"^header field 'norm_mean' is \['0.5'\], expected a list of "
+                        r"numbers$"),
+        ("one stat only", "'norm_mean' and 'norm_std' hold 1 and 0 values"),
+        ("float step", r"'convergence_step' is 7\.0, expected an integer in \[0, 60\]"),
+        ("step past t_free", r"'convergence_step' is 61, expected an integer in \[0, 60\]"),
     ])
     def test_malformed_file_names_offset_or_field(self, tmp_path, case, where):
         spec = desk_spec()
@@ -325,6 +336,12 @@ class TestCheckpoint:
             "float readout_dim": edited(spec={**header["spec"], "readout_dim": 2.0}),
             "bool conv kernel": edited(spec={**header["spec"], "conv": [
                 {**header["spec"]["conv"][0], "kernel": True}]}),
+            # json writes and reads NaN, so only the shared check stops it
+            "hand-edited NaN std": edited(norm_mean=[0.5], norm_std=[float("nan")]),
+            "string mean": edited(norm_mean=["0.5"], norm_std=[0.25]),
+            "one stat only": edited(norm_mean=[0.5]),
+            "float step": edited(convergence_step=7.0),
+            "step past t_free": edited(convergence_step=61),
         }[case]
         p.write_bytes(blob)
         with pytest.raises(CheckpointError, match=where):
@@ -335,18 +352,35 @@ class TestCheckpoint:
                              r"; found conv_w0\[8, 1, 3, 3\], conv_b0\[5\], "),
         ("NaN weight", r"^tensor readout_w holds a non-finite value$"),
         ("bad model kind", r"^header field 'model_kind' is 'zz', expected one of ep, bp, adv$"),
+        ("zero std", r"^header field 'norm_std' is \[0\.0\], expected values > 0$"),
+        ("NaN std", r"^header field 'norm_std' is \[nan\], expected finite values$"),
+        ("negative std", r"^header field 'norm_std' is \[-1\.0\], expected values > 0$"),
+        ("mean per channel", r"^header fields 'norm_mean' and 'norm_std' hold 2 and 1 "
+                             r"values, expected both 0 or both 1 \(one per input channel\)$"),
+        ("negative step", r"^header field 'convergence_step' is -3, expected an integer "
+                          r"in \[0, 60\] \(t_free\)$"),
+        ("step past t_free", r"^header field 'convergence_step' is 999, expected"),
     ])
     def test_save_refuses_what_load_rejects(self, tmp_path, case, where):
         spec = desk_spec()
         params = init_params(spec, np.random.default_rng(2), dtype=np.float32)
-        kind = "ep"
+        fields = {"model_kind": "ep", "norm_mean": [0.5], "norm_std": [0.25],
+                  "convergence_step": 7}
         if case == "wrong bias shape":
             params.b[0] = np.zeros(5, dtype=np.float32)
         elif case == "NaN weight":
             params.w[-1][0, 0] = np.nan
         else:
-            kind = "zz"
+            fields.update({
+                "bad model kind": {"model_kind": "zz"},
+                "zero std": {"norm_std": [0.0]},
+                "NaN std": {"norm_std": [np.nan]},
+                "negative std": {"norm_std": [-1.0]},
+                "mean per channel": {"norm_mean": [0.1, 0.2]},
+                "negative step": {"convergence_step": -3},
+                "step past t_free": {"convergence_step": 999},
+            }[case])
         p = tmp_path / "m.ckpt"
         with pytest.raises(CheckpointError, match=where):
-            save_checkpoint(p, Checkpoint(spec=spec, params=params, model_kind=kind))
+            save_checkpoint(p, Checkpoint(spec=spec, params=params, **fields))
         assert not p.exists()

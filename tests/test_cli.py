@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from conftest import desk_spec
 
-from epbench import bench, cli
+import epbench
+from epbench import bench, cli, energy
 from epbench.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
                                 save_checkpoint)
 from epbench.config import ConfigError, load_config
+from epbench.data import normalize_images
 from epbench.model import init_params
 from epbench.training import AdversarialBlock
 
@@ -223,6 +225,49 @@ def test_ep_training_reports_free_phase_steps(tmp_path, capsys):
                                "free_steps_max", "unconverged_frac"}
 
 
+@pytest.mark.parametrize("n", [32, 300])
+def test_ep_training_probe_is_the_last_training_evaluation(n, tmp_path, capsys,
+                                                           monkeypatch):
+    # the probe reuses the last epoch's training-set free phases, so training
+    # runs one free phase per training batch and per evaluation batch, no
+    # more; 32 images are fewer than the probe's 64, 300 fill two evaluation
+    # batches of 256
+    calls = []  # batch size of each free phase
+    original = energy.free_phase
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    for mod in list(vars(epbench).values()):
+        if getattr(mod, "free_phase", None) is original:
+            monkeypatch.setattr(mod, "free_phase", counted)
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(FAST_CONFIG.replace("epochs = 6", "epochs = 2"))
+    out = tmp_path / "ep.ckpt"
+    assert cli.main(["train", "--model", "ep", "--config", str(cfg), "--data", "synth",
+                     "--synth-n", str(n), "--out", str(out)]) == 0
+
+    def batches(size, step):
+        return [min(step, size - b0) for b0 in range(0, size, step)]
+
+    # per epoch: training batches, then training and val evaluation batches
+    assert calls == 2 * (batches(n, 64) + batches(n, 256) + batches(n // 2, 256))
+
+    ckpt = load_checkpoint(out)
+    train = cli._synth_from_snapshot(ckpt.train_config, split="train")
+    probe = normalize_images(train.images, ckpt.norm_mean, ckpt.norm_std)
+    probe = np.asarray(probe.astype(np.float32)[:64], dtype=np.float64)
+    fresh = original(probe, ckpt.params, ckpt.spec)
+    m = re.search(r"convergence step (\d+), the max over (\d+) probe examples; "
+                  r"median ([\d.]+), (\d+) capped\)", capsys.readouterr().out)
+    assert m is not None
+    assert ckpt.convergence_step == fresh.steps == int(m[1])
+    assert int(m[2]) == min(n, 64)
+    assert m[3] == f"{np.median(fresh.example_steps):g}"
+    assert int(m[4]) == np.sum(fresh.residual >= ckpt.spec.fp_tol)
+
+
 class TestEndToEnd:
     def test_train_writes_checkpoint(self, ep_ckpt):
         assert ep_ckpt.exists()
@@ -361,6 +406,18 @@ def test_count_flags_below_one_rejected(argv, capsys):
         cli.main(argv + ["--ckpt", "never-read.ckpt"])
     assert exc.value.code == 2
     assert f"argument {argv[1]}: must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "x"])
+def test_synth_noise_must_be_finite_and_non_negative(value, tmp_path, capsys):
+    # argparse refuses the amplitude before any data is made or config read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--model", "ep", "--config", "never-read.cfg",
+                  "--synth-noise", value, "--out", str(tmp_path / "m.ckpt")])
+    assert exc.value.code == 2
+    assert ("argument --synth-noise: must be a finite number >= 0, got "
+            f"{value!r}") in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epbench import baseline, energy, training
+from epbench import baseline, energy, ops, training
 from epbench.handle import for_params
 from epbench.model import ModelSpec, NetworkState, init_params
 from epbench.ops import ConvSpec
@@ -334,6 +334,36 @@ class TestBPGradients:
         fd = (lp - lm) / (2 * h)
         an = float(np.vdot(gx, v)) / 2  # per-example grads, mean loss
         assert abs(fd - an) / abs(an) < 1e-4
+
+    @pytest.mark.parametrize("make_model", [tiny_model, conv_fc_model],
+                             ids=["conv", "conv_fc"])
+    def test_each_caller_computes_only_its_part(self, make_model, monkeypatch):
+        # the pullback takes the input gradient without any weight gradient,
+        # a training step the parameter gradients without connection 0's
+        # adjoint; each keeps the bits of the full sweep
+        rng = np.random.default_rng(20)
+        spec, params = make_model(np.random.default_rng(21))
+        xs = rng.uniform(0, 1, (3,) + spec.input_shape)
+        ys = np.array([0, 1, 2])
+        logits, cache = baseline.bp_forward(xs, params, spec, collect=True)
+        g_logits = energy.cross_entropy_grad(logits, ys) / len(ys)
+        full_grads, full_gx = baseline.bp_backward(cache, params, spec, g_logits)
+        calls = {"conv2d_weight_grad": 0, "conv2d_transpose": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(ops, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(ops, name, counted)
+
+        _, vjp = baseline.bp_logits_and_vjp(xs, params, spec)
+        assert vjp(g_logits).tobytes() == full_gx.tobytes()
+        assert calls == {"conv2d_weight_grad": 0, "conv2d_transpose": spec.n_conv}
+        calls.update(conv2d_weight_grad=0, conv2d_transpose=0)
+        grads = baseline._bp_batch_grads(params, spec, xs, ys)
+        for (name, a), (_, b) in zip(grads.tensors(), full_grads.tensors(), strict=True):
+            assert a.tobytes() == b.tobytes(), name
+        assert calls == {"conv2d_weight_grad": spec.n_conv,
+                         "conv2d_transpose": spec.n_conv - 1}
 
 
 # one fixed batch through a free phase, the unrolled input gradients and an EP
