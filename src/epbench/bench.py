@@ -54,30 +54,32 @@ def mean_robustness(records: list[RunRecord]) -> float:
     return float(np.mean(cells))
 
 
-def emit_results(records: list[RunRecord], path, fmt: str = "csv") -> None:
-    """Write records as CSV (fixed column order) or a JSON mirror."""
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
+def _is_json(path) -> bool:
+    """A result file's format, read from its name: JSON for .json, else CSV."""
+    return str(path).endswith(".json")
+
+
+def emit_results(records: list[RunRecord], path) -> None:
+    """Write records as a JSON mirror to a .json path, else as CSV (fixed
+    column order)."""
+    with open(path, "w", newline="") as fh:
+        if _is_json(path):
+            json.dump([asdict(r) for r in records], fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        else:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
             for r in records:
                 writer.writerow(asdict(r))
-    elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump([asdict(r) for r in records], fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        raise ValueError(f"unknown result format {fmt!r}")
 
 
 def read_results(path) -> list[RunRecord]:
-    """Parse a result file written by emit_results (csv by suffix, else json)."""
-    path = str(path)
-    if path.endswith(".json"):
-        with open(path) as fh:
-            rows = json.load(fh)
-    else:
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    return [RunRecord(**{name: kind(row[name]) for name, kind in _FIELD_TYPES.items()})
-            for row in rows]
+    """Parse a result file written by emit_results; a row without one of the
+    RunRecord fields raises ValueError naming the path and the field."""
+    with open(path, newline="") as fh:
+        rows = json.load(fh) if _is_json(path) else list(csv.DictReader(fh))
+    try:
+        return [RunRecord(**{name: kind(row[name]) for name, kind in _FIELD_TYPES.items()})
+                for row in rows]
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing column {exc.args[0]!r}") from None

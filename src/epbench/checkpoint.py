@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import SYNTH_KINDS
 from .model import ModelSpec, Params, param_shapes, spec_from_dict
 
 MAGIC = b"EPBN"
@@ -83,16 +84,51 @@ def _listing(manifest) -> str:
     return ", ".join(f"{name}{list(shape)}" for name, shape in manifest)
 
 
+def _is_int(v, lo=-math.inf) -> bool:
+    return type(v) is int and v >= lo
+
+
+def _recipe_rules(spec: ModelSpec) -> list:
+    """(field, test, expectation) of each train_config field `epbench train`
+    records: the training data and, for synthetic data, its recipe."""
+    shape = list(spec.input_shape)
+    return [
+        ("data", lambda v: isinstance(v, str), "a string"),
+        ("seed", _is_int, "an integer"),
+        ("synth_kind", lambda v: v in SYNTH_KINDS, f"one of {', '.join(SYNTH_KINDS)}"),
+        ("input_shape", lambda v: isinstance(v, (list, tuple)) and list(v) == shape
+         and all(map(_is_int, v)), f"{shape}, the spec's input_shape"),
+        ("classes", lambda v: _is_int(v) and v == spec.readout_dim,
+         f"{spec.readout_dim}, the spec's readout_dim"),
+        ("n_train", lambda v: _is_int(v, 1), "an integer >= 1"),
+        ("n_test", lambda v: _is_int(v, 1), "an integer >= 1"),
+        ("synth_noise", lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0,
+         "a finite number >= 0"),
+    ]
+
+
 def _require_valid(meta: dict, manifest, spec: ModelSpec) -> None:
     """The header checks that save_checkpoint and load_checkpoint share.
 
-    The normalization stats are both empty or both one finite value per
-    input channel, with std > 0; convergence_step is an integer in
-    [0, t_free].
+    seed is an integer; train_config is an object whose recorded fields have
+    the types and ranges `epbench train` writes. The normalization stats are
+    both empty or both one finite value per input channel, with std > 0;
+    convergence_step is an integer in [0, t_free].
     """
     if meta["model_kind"] not in MODEL_KINDS:
         raise CheckpointError(f"header field 'model_kind' is {meta['model_kind']!r}, "
                               f"expected one of {', '.join(MODEL_KINDS)}")
+    if not _is_int(meta["seed"]):
+        raise CheckpointError(f"header field 'seed' is {meta['seed']!r}, expected an "
+                              "integer")
+    recipe = meta["train_config"]
+    if not isinstance(recipe, dict):
+        raise CheckpointError(f"header field 'train_config' is {recipe!r}, expected an "
+                              "object")
+    for key, ok, want in _recipe_rules(spec):
+        if key in recipe and not ok(recipe[key]):
+            raise CheckpointError(f"header field 'train_config.{key}' is "
+                                  f"{recipe[key]!r}, expected {want}")
     expected = param_shapes(spec)
     if manifest != expected:
         raise CheckpointError("tensor manifest does not match the spec: expected "

@@ -1,7 +1,8 @@
 """Command-line harness: train, attack, corrupt, eval, uncertainty, report.
 
 Every command that prints a number also writes the backing run records to a
-CSV (JSON mirror via --format json), so results are regenerable from files.
+result file, so results are regenerable from files. The file's name picks its
+format: a JSON mirror for a .json path, CSV for any other.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .bench import RunRecord
 from .checkpoint import (MODEL_KINDS, Checkpoint, CheckpointError, load_checkpoint,
                          save_checkpoint)
 from .config import load_config
-from .data import Dataset, channel_stats, load_cifar_binary, normalize_images, synth_dataset
+from .data import (SYNTH_KINDS, Dataset, channel_stats, load_cifar_binary, normalize_images,
+                   synth_dataset)
 from .handle import from_checkpoint
 
 
@@ -206,7 +208,7 @@ def cmd_attack(args) -> int:
                                      seed=args.seed, wall_ms=wall))
             print(f"suite  {args.norm} strength {strength:g}: "
                   f"worst-case accuracy {suite.worst_case_accuracy:.4f}")
-    bench.emit_results(records, args.out, fmt=args.format)
+    bench.emit_results(records, args.out)
     print(f"wrote {len(records)} records -> {args.out}")
     return 0
 
@@ -222,7 +224,7 @@ def cmd_corrupt(args) -> int:
                                  accuracy=acc, n=len(ds.labels), seed=args.seed,
                                  wall_ms=wall_ms[(kind, sev)]))
         print(f"{kind:15s} severity {sev}: accuracy {acc:.4f}")
-    bench.emit_results(records, args.out, fmt=args.format)
+    bench.emit_results(records, args.out)
     print(f"wrote {len(records)} records -> {args.out}")
     return 0
 
@@ -236,7 +238,7 @@ def cmd_eval(args) -> int:
     out = args.out or (str(Path(args.ckpt).with_suffix("")) + "_eval.csv")
     bench.emit_results([RunRecord(model=model_id, attack="clean",
                                   accuracy=acc, n=len(ds.labels), seed=ckpt.seed,
-                                  wall_ms=wall)], out, fmt=args.format)
+                                  wall_ms=wall)], out)
     print(f"wrote 1 record -> {out}")
     return 0
 
@@ -262,15 +264,16 @@ def cmd_uncertainty(args) -> int:
                                  seed=args.seed))
     except ValueError as exc:
         print(f"exponent fit skipped: {exc}")
-    bench.emit_results(records, args.out, fmt=args.format)
+    bench.emit_results(records, args.out)
     print(f"wrote {len(records)} records -> {args.out}")
     return 0
 
 
 def cmd_report(args) -> int:
-    records = []
-    for path in args.inputs:
-        records.extend(bench.read_results(path))
+    try:
+        records = [r for path in args.inputs for r in bench.read_results(path)]
+    except ValueError as exc:
+        args.error(str(exc))
     by_family: dict[str, list[float]] = {}
     for r in records:
         if r.attack != "clean":
@@ -278,7 +281,10 @@ def cmd_report(args) -> int:
     for family, cells in sorted(by_family.items()):
         print(f"{family:15s} mean accuracy {np.mean(cells):.4f} over {len(cells)} cells")
     if args.mean_robustness:
-        score = bench.mean_robustness(records)
+        try:
+            score = bench.mean_robustness(records)
+        except ValueError:
+            args.error("--mean-robustness needs at least one non-clean record")
         print(f"mean robustness: {score:.4f}")
     return 0
 
@@ -296,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_args.add_argument("--cifar-variant", choices=("cifar10", "cifar100"),
                            default="cifar10")
     ckpt_args.add_argument("--subset", type=_count, default=None)
-    ckpt_args.add_argument("--format", choices=("csv", "json"), default="csv")
     run_args = argparse.ArgumentParser(add_help=False, parents=[ckpt_args])
     run_args.add_argument("--seed", type=int, default=0)
     run_args.add_argument("--out", required=True)
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", default="synth", help="'synth' or CIFAR binary path")
     p.add_argument("--cifar-variant", choices=("cifar10", "cifar100"), default="cifar10")
-    p.add_argument("--synth-kind", choices=("blobs", "stripes"), default="blobs")
+    p.add_argument("--synth-kind", choices=SYNTH_KINDS, default="blobs")
     p.add_argument("--synth-n", type=_count, default=512)
     p.add_argument("--synth-noise", type=_noise, default=0.5)
     p.add_argument("--out", required=True)
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="aggregate result files")
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
     p.add_argument("--mean-robustness", action="store_true")
-    p.set_defaults(fn=cmd_report)
+    p.set_defaults(fn=cmd_report, error=p.error)
     return ap
 
 

@@ -1,7 +1,8 @@
 """Plain key=value config files for the CLI.
 
-One ``key = value`` pair per line, ``#`` comments allowed. Keys map onto
-ModelSpec, TrainConfig and AdversarialBlock fields (see README for the full
+One ``key = value`` pair per line, ``#`` comments allowed. Each key sets the
+ModelSpec or TrainConfig field of the same name, apart from the architecture
+keys that build ModelSpec's conv and fc chains (see README for the full
 table). Each key has one parser below; a key left out of the file is not
 passed on, so the dataclass's own default applies. Unknown keys, duplicate
 keys and values that fail to parse raise ConfigError naming the line; a
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .model import ModelSpec
 from .ops import ConvSpec
-from .training import AdversarialBlock, TrainConfig
+from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -43,15 +44,15 @@ def _shape(value: str) -> tuple[int, int, int]:
 
 
 # one parser per key, grouped by the dataclass whose same-named field the key
-# sets (the adv_ keys set AdversarialBlock's fields without the prefix)
+# sets
 _SPEC_KEYS = {"readout_dim": int, "t_free": int, "t_nudge": int, "beta": float,
               "fp_tol": float}
 _TRAIN_KEYS = {"epochs": int, "batch_size": int, "learning_rates": _floats,
-               "momentum": float, "update_rule": str, "seed": int}
-_ADV_KEYS = {"adv_norm": str, "adv_epsilon": float, "adv_steps": int}
+               "momentum": float, "update_rule": str, "seed": int,
+               "adv_norm": str, "adv_epsilon": float, "adv_steps": int}
 _PARSERS = {"input_shape": _shape, "conv_channels": _ints, "conv_kernels": _ints,
             "conv_paddings": _ints, "fc_dims": _ints,
-            **_SPEC_KEYS, **_TRAIN_KEYS, **_ADV_KEYS}
+            **_SPEC_KEYS, **_TRAIN_KEYS}
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -75,8 +76,8 @@ def parse_config_text(text: str) -> dict[str, object]:
     return pairs
 
 
-def _given(pairs: dict, keys, prefix: str = "") -> dict:
-    return {k.removeprefix(prefix): pairs[k] for k in keys if k in pairs}
+def _given(pairs: dict, keys) -> dict:
+    return {k: pairs[k] for k in keys if k in pairs}
 
 
 def load_config(path) -> tuple[ModelSpec, TrainConfig]:
@@ -93,9 +94,7 @@ def load_config(path) -> tuple[ModelSpec, TrainConfig]:
         spec = ModelSpec(input_shape=shape, conv=conv, **_given(pairs, _SPEC_KEYS))
         dims = pairs.get("fc_dims", ())
         spec = replace(spec, fc=tuple(zip((spec.top_dim,) + dims[:-1], dims)))
-
-        adv = AdversarialBlock(**_given(pairs, _ADV_KEYS, prefix="adv_"))
-        cfg = TrainConfig(adversarial=adv, **_given(pairs, _TRAIN_KEYS))
+        cfg = TrainConfig(**_given(pairs, _TRAIN_KEYS))
         cfg.validate_for(spec)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing required key {exc.args[0]!r}") from None

@@ -15,7 +15,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from scipy import ndimage
 
 from . import bench
 
@@ -62,6 +61,8 @@ def _corrupt(img: np.ndarray, kind: str, p: float, rng) -> np.ndarray:
         out[hits & salt] = 1.0
         out[hits & ~salt] = 0.0
     elif kind == "gaussian_blur":
+        # imported here: scipy.ndimage costs more to import than the rest of epbench
+        from scipy import ndimage
         out = ndimage.gaussian_filter(img, sigma=(0, p, p), mode="reflect")
     elif kind == "contrast":
         mean = img.mean()

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SYNTH_KINDS = ("blobs", "stripes")
+
 
 class CifarFormatError(ValueError):
     """Malformed CIFAR binary file; carries the offending byte offset."""
@@ -94,7 +96,7 @@ def synth_dataset(kind: str, n: int, image_shape=(1, 8, 8), classes: int = 2,
         raise ValueError("n must be > 0")
     if not (np.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
-    if kind not in ("blobs", "stripes"):
+    if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
     rng = np.random.default_rng(seed)
     C, H, W = image_shape

@@ -123,11 +123,6 @@ def _weight_grad(i, src, g, params: Params, spec: ModelSpec, u=None):
     return ops.conv2d_weight_grad(src, u, spec.conv[i]), db
 
 
-def _route(routes, i):
-    """Pool route of connection i from a list holding the conv routes only."""
-    return routes[i] if i < len(routes) else None
-
-
 def _logits(top, params: Params, spec: ModelSpec):
     """Readout logits flat(s^N) W^T + b of a batched top state."""
     n = spec.n_layers
@@ -142,19 +137,18 @@ def _input_drive(x, params: Params, spec: ModelSpec):
 
 
 def _bottom_up(x, layers, params: Params, spec: ModelSpec, x_drive=None):
-    """P(w_i * s^{i-1}) + b_i for every connection; also the conv pool routes.
+    """P(w_i * s^{i-1}) + b_i for every connection, and each one's pool route
+    (None for an fc connection).
 
     x_drive is _input_drive(x, ...) if the caller has it; it is computed here
     otherwise.
     """
     pre0, route0 = _input_drive(x, params, spec) if x_drive is None else x_drive
-    pre = [pre0]
-    routes = [] if route0 is None else [route0]
+    pre, routes = [pre0], [route0]
     for i in range(1, spec.n_layers):
         drive, route = _drive(i, layers[i - 1], params, spec)
         pre.append(_add_bias(i, drive, params, spec))
-        if route is not None:
-            routes.append(route)
+        routes.append(route)
     return pre, routes
 
 
@@ -164,13 +158,13 @@ def _add_top_down(pre, layers, params: Params, spec: ModelSpec, routes):
     Each sum is a new array, so a cached input drive in pre[0] is never written.
     """
     for i in range(1, spec.n_layers):
-        td = _adjoint(i, _unpool(layers[i], _route(routes, i)), params, spec)
+        td = _adjoint(i, _unpool(layers[i], routes[i]), params, spec)
         pre[i - 1] = pre[i - 1] + td.reshape(pre[i - 1].shape)
     return pre
 
 
 def _grad_state(x, layers, params: Params, spec: ModelSpec, x_drive=None):
-    """(dPhi/ds^n for every layer, conv pool routes of the bottom-up pass)."""
+    """(dPhi/ds^n for every layer, pool routes of the bottom-up pass by connection)."""
     pre, routes = _bottom_up(x, layers, params, spec, x_drive)
     return _add_top_down(pre, layers, params, spec, routes), routes
 
@@ -245,7 +239,8 @@ def _nudge_force(state_layers, params: Params, spec: ModelSpec, y, beta_signed: 
 
 def dynamics_step(x, layers, params: Params, spec: ModelSpec, *, y=None,
                   beta_signed: float = 0.0, collect: bool = False, x_drive=None):
-    """One synchronous update of all layers. Returns (new_layers, idx, masks).
+    """One synchronous update of all layers. Returns (new_layers, idx, masks),
+    where idx[i] is connection i's pool route (None for an fc connection).
 
     masks (clamp pass-through, boundary counted as pass) are only built when
     collect is set. x_drive is connection 0's (pre0, route0) on x, as
@@ -327,9 +322,7 @@ def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
         for o, s in zip(out, layers):
             o[rows] = s
         layers = out
-    state = NetworkState(layers, int(example_steps.max(initial=0)), example_steps,
-                         residual)
-    return state, routes, masks
+    return NetworkState(layers, example_steps, residual), routes, masks
 
 
 def free_phase(x, params: Params, spec: ModelSpec, t: int | None = None,
@@ -351,12 +344,11 @@ def nudged_phase(x, params: Params, spec: ModelSpec, s_star: NetworkState, y,
     """Relax for t_nudge steps from s_star with the loss force -beta * dL/ds.
 
     beta_signed = 0 reproduces plain free-phase continuation bit for bit.
-    steps and example_steps count s_star's steps too.
+    example_steps, and so steps, count s_star's steps too.
     """
     t = spec.t_nudge if t is None else t
     state, _, _ = _relax(x, _layers64(s_star, spec), params, spec, t, 0.0,
                          y=y, beta_signed=beta_signed)
-    state.steps += s_star.steps
     state.example_steps += s_star.example_steps
     return state
 

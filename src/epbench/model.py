@@ -174,20 +174,23 @@ class NetworkState:
     steps is the most of them (0 for an empty batch). residual [B] is each
     example's last infinity-norm step difference across layers, so an example
     converged under a tolerance tol iff residual < tol. A state built by hand
-    gets steps for every example and an infinite residual (no step measured).
+    gets 0 steps for every example and an infinite residual (no step measured).
     """
 
     layers: list[np.ndarray]
-    steps: int = 0
     example_steps: np.ndarray | None = None
     residual: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.layers[0]) if self.layers else 0
         if self.example_steps is None:
-            self.example_steps = np.full(n, self.steps, dtype=np.int64)
+            self.example_steps = np.zeros(n, dtype=np.int64)
         if self.residual is None:
             self.residual = np.full(n, np.inf)
+
+    @property
+    def steps(self) -> int:
+        return int(self.example_steps.max(initial=0))
 
 
 def zero_state(spec: ModelSpec, batch: int) -> NetworkState:

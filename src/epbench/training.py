@@ -5,17 +5,18 @@ nudged and free fixed points (one-sided or symmetric rule); the readout is
 trained by the delta rule at the free fixed point and stays outside the
 energy. The bp and adv models are the feedforward twin in `baseline`,
 trained by backprop; adv replaces each minibatch with PGD examples crafted
-against the current model first. Optimization is plain SGD with momentum and
-one learning rate per connection (its weight and bias share it). The
-per-connection gradient math is energy's, shared with the dynamics. An ep
-model's last training-set evaluation also hands its per-example free-phase
-steps and residuals to the caller, which `epbench train` reads as its
-convergence probe.
+against the current model first, under TrainConfig's adv_norm, adv_epsilon
+and adv_steps (set by the config keys of the same names). Optimization is
+plain SGD with momentum and one learning rate per connection (its weight and
+bias share it). The per-connection gradient math is energy's, shared with
+the dynamics. An ep model's last training-set evaluation also hands its
+per-example free-phase steps and residuals to the caller, which `epbench
+train` reads as its convergence probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -37,21 +38,6 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass
-class AdversarialBlock:
-    """Inner-attack settings for adversarially trained baselines."""
-
-    norm: str = "l2"
-    epsilon: float = 0.5
-    steps: int = 10
-
-    def __post_init__(self):
-        if self.norm not in NORMS:
-            raise ValueError(f"unknown norm {self.norm!r}")
-        if self.epsilon < 0 or self.steps < 1:
-            raise ValueError("adversarial block needs epsilon >= 0 and steps >= 1")
-
-
-@dataclass
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 64
@@ -60,7 +46,9 @@ class TrainConfig:
     momentum: float = 0.9
     update_rule: str = "symmetric"
     seed: int = 0
-    adversarial: AdversarialBlock = field(default_factory=AdversarialBlock)  # adv only
+    adv_norm: str = "l2"  # adv only: the inner PGD attack's norm, radius and steps
+    adv_epsilon: float = 0.5
+    adv_steps: int = 10
 
     def __post_init__(self):
         if self.update_rule not in ("one_sided", "symmetric"):
@@ -69,6 +57,10 @@ class TrainConfig:
             raise ValueError("learning rates must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.adv_norm not in NORMS:
+            raise ValueError(f"unknown norm {self.adv_norm!r} for adv_norm")
+        if self.adv_epsilon < 0 or self.adv_steps < 1:
+            raise ValueError("adv_epsilon must be >= 0 and adv_steps >= 1")
 
     def validate_for(self, spec: ModelSpec) -> None:
         want = spec.n_layers + 1  # one per connection incl. readout
@@ -168,8 +160,8 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
           eval_log=None):
     """Minibatch SGD of an ep, bp or adv model; returns (Params, per-epoch history).
 
-    adv crafts each minibatch with PGD under cfg.adversarial before the bp
-    step; epsilon = 0 skips crafting, reproducing bp bit for bit. An ep
+    adv crafts each minibatch with PGD under cfg's adv_* settings before the bp
+    step; adv_epsilon = 0 skips crafting, reproducing bp bit for bit. An ep
     history entry also holds the mean and max of the epoch's per-example
     free-phase steps and the fraction of examples whose free phase ended at
     the cap unconverged. For an ep model, eval_log, when given, receives the
@@ -181,7 +173,6 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     cfg.validate_for(spec)
-    adv = cfg.adversarial
     rng = np.random.default_rng(cfg.seed)
     params = init_params(spec, rng, dtype=np.float32)
     velocity = params.map(np.zeros_like, dtype=_F)
@@ -194,9 +185,10 @@ def train(kind: str, dataset, spec: ModelSpec, cfg: TrainConfig, val_dataset=Non
             take = order[b0:b0 + cfg.batch_size]
             xs = np.asarray(dataset.images[take], dtype=_F)
             ys = dataset.labels[take]
-            if kind == "adv" and adv.epsilon > 0:
+            if kind == "adv" and cfg.adv_epsilon > 0:
                 xs = _pgd(for_params(params, spec, "bp", None).loss_grad, xs, ys,
-                          adv.norm, adv.epsilon, adv.steps, 2.5 * adv.epsilon / adv.steps, rng)
+                          cfg.adv_norm, cfg.adv_epsilon, cfg.adv_steps,
+                          2.5 * cfg.adv_epsilon / cfg.adv_steps, rng)
             grads = (_ep_batch_grads(params, spec, cfg, xs, ys, free_log) if kind == "ep"
                      else _bp_batch_grads(params, spec, xs, ys))
             sgd_momentum_step(params, grads, velocity, cfg)

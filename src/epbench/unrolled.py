@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _adjoint, _as_batch_x, _drive, _logits, _relax, _route, _unpool
+from .energy import _adjoint, _as_batch_x, _drive, _logits, _relax, _unpool
 from .model import ModelSpec, Params
 
 _F = np.float64
@@ -32,9 +32,10 @@ _F = np.float64
 class UnrolledTape:
     """Recorded free-phase trajectory of length `steps`.
 
-    pool_idx[t] and masks[t] are the routes and clamp masks used by step t;
-    a conv connection 0's route, pool_idx[t][0], is one array shared by every
-    step. final is the batched state after the last step.
+    pool_idx[t][i] is connection i's pool route at step t (None for an fc
+    connection) and masks[t] the clamp masks of step t; a conv connection 0's
+    route, pool_idx[t][0], is one array shared by every step. final is the
+    batched state after the last step.
     """
 
     steps: int
@@ -49,7 +50,7 @@ class UnrolledTape:
         is smaller by steps - 1 copies of route 0."""
         total = sum(s.nbytes for s in self.final)
         for t in range(self.steps):
-            total += sum(a.nbytes for a in self.pool_idx[t])
+            total += sum(a.nbytes for a in self.pool_idx[t] if a is not None)
             total += sum(a.nbytes for a in self.masks[t])
         return total
 
@@ -74,12 +75,10 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
     g_x = np.zeros_like(xb)
 
     for step in reversed(range(tape.steps)):
-        routes = tape.pool_idx[step]
         g_pre = [g * m for g, m in zip(g_layers, tape.masks[step])]
         g_new = [np.zeros_like(s) for s in tape.final]
         sinks = [g_x] + g_new[:-1]  # what connection i reads: x, then s^1..s^{N-1}
-        for i in range(spec.n_layers):
-            route = _route(routes, i)
+        for i, route in enumerate(tape.pool_idx[step]):
             # bottom-up term of connection i read s^{i-1} (or x)
             back = _adjoint(i, _unpool(g_pre[i], route), params, spec)
             sinks[i] += back.reshape(sinks[i].shape)

@@ -119,8 +119,7 @@ def trained_bp(desk_data):
 def trained_adv(desk_data):
     train, test = desk_data
     spec = desk_spec()
-    cfg = desk_train_config(
-        epochs=15, adversarial=training.AdversarialBlock("l2", 0.5, 10))
+    cfg = desk_train_config(epochs=15, adv_norm="l2", adv_epsilon=0.5, adv_steps=10)
     params, history = training.train("adv", train, spec, cfg, val_dataset=test)
     return spec, params, history
 

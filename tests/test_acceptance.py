@@ -187,7 +187,7 @@ def test_c06_robustness_ordering(desk_data):
         adv, _ = training.train(
             "adv", train, spec,
             desk_train_config(seed=seed, epochs=15,
-                              adversarial=training.AdversarialBlock("l2", eps_train, 10)))
+                              adv_norm="l2", adv_epsilon=eps_train, adv_steps=10))
         out = {}
         for name, p in (("bp", bp), ("adv", adv)):
             model = for_params(p, spec, name, None)

@@ -2,6 +2,7 @@
 robustness, result files, and checkpoint round trips."""
 
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -200,8 +201,18 @@ class TestResultsFiles:
     def test_json_mirror_round_trip(self, tmp_path):
         p = tmp_path / "r.json"
         records = [RunRecord("m", "square", "linf", 0.05, 0, 0.75, 64, 1, 9.0)]
-        bench.emit_results(records, p, fmt="json")
+        bench.emit_results(records, p)
         assert bench.read_results(p) == records
+
+    @pytest.mark.parametrize("name, text", [
+        ("r.csv", "attack,accuracy\npgd,0.5\n"),
+        ("r.json", '[{"attack": "pgd", "accuracy": 0.5}]'),
+    ])
+    def test_missing_column_named(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: missing column 'model'$"):
+            bench.read_results(p)
 
     def test_comma_in_model_name_escaped(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -297,6 +308,8 @@ class TestCheckpoint:
         ("one stat only", "'norm_mean' and 'norm_std' hold 1 and 0 values"),
         ("float step", r"'convergence_step' is 7\.0, expected an integer in \[0, 60\]"),
         ("step past t_free", r"'convergence_step' is 61, expected an integer in \[0, 60\]"),
+        ("string seed", r"^header field 'seed' is 'x', expected an integer$"),
+        ("string recipe seed", r"^header field 'train_config.seed' is 'x', expected"),
     ])
     def test_malformed_file_names_offset_or_field(self, tmp_path, case, where):
         spec = desk_spec()
@@ -342,6 +355,8 @@ class TestCheckpoint:
             "one stat only": edited(norm_mean=[0.5]),
             "float step": edited(convergence_step=7.0),
             "step past t_free": edited(convergence_step=61),
+            "string seed": edited(seed="x"),
+            "string recipe seed": edited(train_config={"data": "synth", "seed": "x"}),
         }[case]
         p.write_bytes(blob)
         with pytest.raises(CheckpointError, match=where):
@@ -360,6 +375,25 @@ class TestCheckpoint:
         ("negative step", r"^header field 'convergence_step' is -3, expected an integer "
                           r"in \[0, 60\] \(t_free\)$"),
         ("step past t_free", r"^header field 'convergence_step' is 999, expected"),
+        ("string seed", r"^header field 'seed' is 'x', expected an integer$"),
+        ("list recipe", r"^header field 'train_config' is \['synth'\], expected an object$"),
+        ("number data", r"^header field 'train_config.data' is 7, expected a string$"),
+        ("string recipe seed", r"^header field 'train_config.seed' is 'x', expected an "
+                               r"integer$"),
+        ("unknown synth_kind", r"^header field 'train_config.synth_kind' is 'fog', "
+                               r"expected one of blobs, stripes$"),
+        ("other input_shape", r"^header field 'train_config.input_shape' is \[3, 8, 8\], "
+                              r"expected \[1, 8, 8\], the spec's input_shape$"),
+        ("float input_shape", r"'train_config.input_shape' is \[1.0, 8, 8\], expected"),
+        ("other classes", r"^header field 'train_config.classes' is 3, expected 2, the "
+                          r"spec's readout_dim$"),
+        ("zero n_test", r"^header field 'train_config.n_test' is 0, expected an integer "
+                        r">= 1$"),
+        ("float n_train", r"^header field 'train_config.n_train' is 16.0, expected an "
+                          r"integer >= 1$"),
+        ("NaN synth_noise", r"^header field 'train_config.synth_noise' is nan, expected a "
+                            r"finite number >= 0$"),
+        ("negative synth_noise", r"'train_config.synth_noise' is -0.5, expected a finite"),
     ])
     def test_save_refuses_what_load_rejects(self, tmp_path, case, where):
         spec = desk_spec()
@@ -379,6 +413,18 @@ class TestCheckpoint:
                 "mean per channel": {"norm_mean": [0.1, 0.2]},
                 "negative step": {"convergence_step": -3},
                 "step past t_free": {"convergence_step": 999},
+                "string seed": {"seed": "x"},
+                "list recipe": {"train_config": ["synth"]},
+                "number data": {"train_config": {"data": 7}},
+                "string recipe seed": {"train_config": {"seed": "x"}},
+                "unknown synth_kind": {"train_config": {"synth_kind": "fog"}},
+                "other input_shape": {"train_config": {"input_shape": [3, 8, 8]}},
+                "float input_shape": {"train_config": {"input_shape": [1.0, 8, 8]}},
+                "other classes": {"train_config": {"classes": 3}},
+                "zero n_test": {"train_config": {"n_test": 0}},
+                "float n_train": {"train_config": {"n_train": 16.0}},
+                "NaN synth_noise": {"train_config": {"synth_noise": np.nan}},
+                "negative synth_noise": {"train_config": {"synth_noise": -0.5}},
             }[case])
         p = tmp_path / "m.ckpt"
         with pytest.raises(CheckpointError, match=where):

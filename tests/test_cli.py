@@ -15,7 +15,6 @@ from epbench.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
 from epbench.config import ConfigError, load_config
 from epbench.data import normalize_images
 from epbench.model import init_params
-from epbench.training import AdversarialBlock
 
 FAST_CONFIG = """
 # desk-scale energy model
@@ -75,11 +74,11 @@ class TestConfig:
         assert cfg.epochs == 6
         assert cfg.learning_rates == (0.1, 0.05)
 
-    def test_adversarial_block_parsed(self, tmp_path):
+    def test_adv_keys_set_the_same_named_fields(self, tmp_path):
         p = tmp_path / "adv.cfg"
-        p.write_text(FAST_CONFIG + "\nadv_norm = l2\nadv_epsilon = 0.4\nadv_steps = 5\n")
+        p.write_text(FAST_CONFIG + "\nadv_norm = linf\nadv_epsilon = 0.4\nadv_steps = 5\n")
         _, cfg = load_config(p)
-        assert cfg.adversarial == AdversarialBlock("l2", 0.4, 5)
+        assert (cfg.adv_norm, cfg.adv_epsilon, cfg.adv_steps) == ("linf", 0.4, 5)
 
     def test_shipped_configs_parse(self):
         from pathlib import Path
@@ -384,10 +383,27 @@ class TestEndToEnd:
 
     def test_json_mirror(self, ep_ckpt, workdir):
         out = workdir / "eval.json"
-        rc = cli.main(["eval", "--ckpt", str(ep_ckpt), "--out", str(out),
-                       "--format", "json"])
+        rc = cli.main(["eval", "--ckpt", str(ep_ckpt), "--out", str(out)])
         assert rc == 0
         assert bench.read_results(out)[0].attack == "clean"
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    @pytest.mark.parametrize("command", [["eval"],
+                                         ["attack", "--family", "pgd", "--eps", "0.05"]],
+                             ids=["eval", "attack"])
+    def test_out_name_picks_the_format_report_reads(self, ep_ckpt, workdir, capsys,
+                                                     command, suffix):
+        out = workdir / f"{command[0]}_named{suffix}"
+        rc = cli.main(command + ["--ckpt", str(ep_ckpt), "--subset", "8",
+                                 "--out", str(out)])
+        assert rc == 0
+        text = out.read_text()
+        if suffix == ".json":
+            assert json.loads(text)[0]["attack"] == "clean"
+        else:
+            assert text.splitlines()[0] == ",".join(bench.CSV_COLUMNS)
+        assert cli.main(["report", "--in", str(out)]) == 0
+        assert bench.read_results(out)[0].model == ep_ckpt.stem
 
 
 @pytest.mark.parametrize("argv", [
@@ -406,6 +422,32 @@ def test_count_flags_below_one_rejected(argv, capsys):
         cli.main(argv + ["--ckpt", "never-read.ckpt"])
     assert exc.value.code == 2
     assert f"argument {argv[1]}: must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_format_flag_is_gone(capsys):
+    # a result file's format comes from its name alone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--ckpt", "never-read.ckpt", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+def test_report_names_the_missing_column(tmp_path, capsys):
+    p = tmp_path / "r.csv"
+    p.write_text("attack,accuracy\npgd,0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--in", str(p)])
+    assert exc.value.code == 2
+    assert f"{p}: missing column 'model'" in capsys.readouterr().err
+
+
+def test_report_mean_robustness_needs_a_non_clean_row(tmp_path, capsys):
+    p = tmp_path / "r.csv"
+    bench.emit_results([bench.RunRecord("m", "clean", accuracy=1.0)], p)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--in", str(p), "--mean-robustness"])
+    assert exc.value.code == 2
+    assert "--mean-robustness needs at least one non-clean record" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "x"])

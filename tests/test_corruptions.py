@@ -2,10 +2,15 @@
 determinism, distribution statistics, and the accuracy sweep."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epbench
 from epbench import corruptions as cor
 from epbench.corruptions import CorruptionError
 
@@ -144,6 +149,15 @@ class TestCorrupt:
         mad = np.mean(np.abs(out - imgs))
         expect = sigma * np.sqrt(2.0 / np.pi)
         assert abs(mad - expect) / expect < 0.05
+
+
+def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
+    # only gaussian_blur needs scipy.ndimage, so only it pays for the import
+    code = "import sys, epbench.cli; print('scipy.ndimage' in sys.modules)"
+    src = str(Path(epbench.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestSweep:

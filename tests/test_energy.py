@@ -264,7 +264,10 @@ def _step_loop(x, layers, params, spec, t, tol, **kw):
 
 
 def _same(a, b):
+    """Equal lists of arrays, bit for bit; None (an fc connection's pool
+    route) equals only None."""
     return len(a) == len(b) and all(
+        u is v if u is None or v is None else
         u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
         for u, v in zip(a, b))
 
@@ -396,6 +399,20 @@ class TestPerExampleExit:
                                  np.array([0, 1, 2, 0]), 0.5, t=3)
         assert st.example_steps.tolist() == (free.example_steps + 3).tolist()
         assert st.steps == free.steps + 3
+
+
+@pytest.mark.parametrize("make_model", [tiny_model, conv_fc_model])
+def test_steps_is_the_most_example_steps(make_model):
+    # steps is read from example_steps, never stored beside it
+    rng = np.random.default_rng(53)
+    spec, params = make_model(rng, scale=0.9)
+    x = rng.uniform(0, 1, (8,) + spec.input_shape)
+    free = energy.free_phase(x, params, spec)
+    nudged = energy.nudged_phase(x, params, spec, free, np.arange(8) % 2, 0.5)
+    for st in (free, nudged):
+        assert st.steps == st.example_steps.max()
+    with pytest.raises(AttributeError):
+        free.steps = 3
 
 
 class TestEmptyBatch:

@@ -14,7 +14,7 @@ from epbench import baseline, energy, ops, training
 from epbench.handle import for_params
 from epbench.model import ModelSpec, NetworkState, init_params
 from epbench.ops import ConvSpec
-from epbench.training import AdversarialBlock, DivergenceError, TrainConfig
+from epbench.training import DivergenceError, TrainConfig
 from conftest import (conv_fc_model, desk_spec, desk_train_config, fd_param_grads,
                       oracle_model, tiny_model)
 
@@ -238,8 +238,7 @@ class TestTrainLoops:
     def test_adv_eps_zero_identical_to_bp(self, desk_data):
         train, _ = desk_data
         spec = desk_spec()
-        cfg_a = desk_train_config(epochs=2,
-                                  adversarial=AdversarialBlock("l2", 0.0, 5))
+        cfg_a = desk_train_config(epochs=2, adv_norm="l2", adv_epsilon=0.0, adv_steps=5)
         cfg_b = desk_train_config(epochs=2)
         pa, ha = training.train("adv", train, spec, cfg_a)
         pb, hb = training.train("bp", train, spec, cfg_b)
@@ -260,7 +259,7 @@ class TestTrainLoops:
             return step(params, spec, xs, ys)
 
         monkeypatch.setattr(training, "_bp_batch_grads", recording)
-        cfg = desk_train_config(epochs=1, adversarial=AdversarialBlock(norm, epsilon, 3))
+        cfg = desk_train_config(epochs=1, adv_norm=norm, adv_epsilon=epsilon, adv_steps=3)
         training.train("bp", train, desk_spec(), cfg)
         clean = list(seen)
         seen.clear()
@@ -284,8 +283,9 @@ class TestTrainLoops:
         with pytest.raises(ValueError, match="empty dataset"):
             training.train(kind, train.subset(0), desk_spec(), desk_train_config())
 
-    def test_adversarial_block_defaults(self):
-        assert TrainConfig().adversarial == AdversarialBlock()
+    def test_adv_defaults(self):
+        cfg = TrainConfig()
+        assert (cfg.adv_norm, cfg.adv_epsilon, cfg.adv_steps) == ("l2", 0.5, 10)
 
 
 class TestBPGradients:

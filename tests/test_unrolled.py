@@ -174,6 +174,18 @@ class TestTape:
         assert len(tape.pool_idx) == 17
         assert len(tape.masks) == 17
 
+    def test_routes_indexed_by_connection(self):
+        # conv 1->4, then fc 64->6: every step holds one route per
+        # connection, None for the fc one
+        spec, params = conv_fc_model(np.random.default_rng(31))
+        x = np.random.default_rng(11).uniform(0, 1, (3,) + spec.input_shape)
+        tape = unrolled.record_free_phase(x, params, spec, 7)
+        for routes in tape.pool_idx:
+            assert [r is None for r in routes] == [False, True]
+        # the final state (1,680 bytes) plus 7 steps of the int64 conv route
+        # (1,536) and the masks (210); a None route adds nothing
+        assert tape.nbytes() == 13902
+
     def test_memory_grows_linearly_in_steps(self):
         spec, params = tiny_model(np.random.default_rng(29))
         x = np.random.default_rng(10).uniform(0, 1, spec.input_shape)[None]

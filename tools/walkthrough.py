@@ -8,7 +8,7 @@ Usage (from the repository root)::
 The configs are ``configs/desk.cfg`` at ``epochs = 2``, a 2-conv (4, 8)
 config that trains adv under linf PGD (epsilon 0.1, 3 steps), and a conv 8 +
 fc 16 config without ``adv_*`` keys, so that adv trains on the
-``AdversarialBlock`` defaults. Each trains ep, bp and adv models on 256
+``TrainConfig`` defaults. Each trains ep, bp and adv models on 256
 synthetic examples; every checkpoint then runs the attack suite, Square
 alone at epsilon 0.3 (30 queries, 16 examples: strong enough that it breaks
 some examples, and so the walkthrough depends on its acceptance and query
