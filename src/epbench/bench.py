@@ -34,7 +34,11 @@ _FIELD_TYPES = get_type_hints(RunRecord)  # field name -> str, float or int
 CSV_COLUMNS = tuple(_FIELD_TYPES)
 
 
-def evaluate(model_eval, dataset, batch_size: int = 256) -> float:
+# rows per model call when a dataset, or a set of draws around one, is scored
+EVAL_BATCH = 256
+
+
+def evaluate(model_eval, dataset, batch_size: int = EVAL_BATCH) -> float:
     """Top-1 accuracy of model_eval(images)->labels over the dataset."""
     ys = dataset.labels
     if len(ys) == 0:
@@ -74,12 +78,31 @@ def emit_results(records: list[RunRecord], path) -> None:
 
 
 def read_results(path) -> list[RunRecord]:
-    """Parse a result file written by emit_results; a row without one of the
-    RunRecord fields raises ValueError naming the path and the field."""
+    """Parse a result file written by emit_results. A file that is not a list
+    of rows, or a row without a RunRecord field or with a value of the wrong
+    type, raises ValueError naming the path (and the row and the column)."""
     with open(path, newline="") as fh:
-        rows = json.load(fh) if _is_json(path) else list(csv.DictReader(fh))
-    try:
-        return [RunRecord(**{name: kind(row[name]) for name, kind in _FIELD_TYPES.items()})
-                for row in rows]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing column {exc.args[0]!r}") from None
+        try:
+            rows = json.load(fh) if _is_json(path) else list(csv.DictReader(fh))
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ValueError(f"{path}: expected a list of result rows")
+    return [_record(path, n, row) for n, row in enumerate(rows, 1)]
+
+
+def _record(path, n: int, row: dict) -> RunRecord:
+    """Result row n (counted from 1) of path as a RunRecord."""
+    if None in row:  # where csv.DictReader puts a row's values past the header
+        raise ValueError(f"{path}: row {n} has more values than the header")
+    fields = {}
+    for name, kind in _FIELD_TYPES.items():
+        if name not in row:
+            raise ValueError(f"{path}: missing column {name!r}")
+        value = row[name]  # None where a CSV row is short, or a JSON null
+        try:
+            fields[name] = kind(value)
+        except (TypeError, ValueError):
+            what = "no value" if value is None else f"{value!r} is not a {kind.__name__}"
+            raise ValueError(f"{path}: row {n}, column {name!r}: {what}") from None
+    return RunRecord(**fields)

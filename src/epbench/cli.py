@@ -272,7 +272,7 @@ def cmd_uncertainty(args) -> int:
 def cmd_report(args) -> int:
     try:
         records = [r for path in args.inputs for r in bench.read_results(path)]
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         args.error(str(exc))
     by_family: dict[str, list[float]] = {}
     for r in records:
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_corrupt, error=p.error)
 
     p = sub.add_parser("eval", help="clean accuracy of a checkpoint", parents=[ckpt_args])
-    p.add_argument("--batch-size", type=_count, default=256)
+    p.add_argument("--batch-size", type=_count, default=bench.EVAL_BATCH)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eval, error=p.error)
 

@@ -249,10 +249,9 @@ def dynamics_step(x, layers, params: Params, spec: ModelSpec, *, y=None,
     pre, idx = _grad_state(x, layers, params, spec, x_drive)
     if beta_signed != 0.0:
         pre[-1] = pre[-1] + _nudge_force(layers, params, spec, y, beta_signed)
-    masks = None
-    if collect:
-        masks = [(p >= 0.0) & (p <= 1.0) for p in pre]
     new = [ops.hard_clamp(p) for p in pre]
+    # a value passes the clamp unchanged iff it lies in [0, 1]; NaN never does
+    masks = [n == p for n, p in zip(new, pre)] if collect else None
     return new, idx, masks
 
 

@@ -14,13 +14,15 @@ matrix per example (im2col). They issue one BLAS dgemm per example through a
 stacked ``np.matmul``, so an example's output bits depend only on that
 example, not on its batch-mates or on the BLAS thread count. The weight
 gradient sums the per-example products over the batch in index order.
-Results are cast back to the operands' dtype. Pooling routes are int64 flat
-indices into each [H, W] plane, checked for shape and range before use.
+Results are cast back to the operands' dtype. Pooling routes are integer
+(maxpool2 returns int64) flat indices into each [H, W] plane, checked for
+dtype, shape and range before use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,10 +126,16 @@ def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray
                 f"for padding {spec.padding} (kernel {spec.kernel})"
             )
         gb = gb[:, :, c:-c, c:-c]
-        q = 0
     wt = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    tspec = ConvSpec(spec.out_channels, spec.in_channels, spec.kernel, q)
-    return conv2d(gb, wt, tspec)
+    return conv2d(gb, wt, _transpose_spec(spec))
+
+
+@lru_cache(maxsize=None)
+def _transpose_spec(spec: ConvSpec) -> ConvSpec:
+    """The geometry conv2d_transpose correlates with: channels swapped,
+    padding k-1-p, or 0 where that is negative and g is cropped instead."""
+    return ConvSpec(spec.out_channels, spec.in_channels, spec.kernel,
+                    max(spec.kernel - 1 - spec.padding, 0))
 
 
 def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -185,17 +193,28 @@ def maxpool2(x: np.ndarray):
     nab = na & (b != m) & (b == b)
     nabc = nab & (c != m) & (c == c)
     idx = nab * (W - 1)
-    idx += np.arange(H * W).reshape(H, W)[0::2, 0::2]  # each window's first cell
+    idx += _first_cells(H, W)
     idx += na
     idx += nabc
     return m, idx
 
 
+@lru_cache(maxsize=None)
+def _first_cells(H: int, W: int) -> np.ndarray:
+    """Read-only [H/2, W/2] flat index of each 2x2 window's first cell."""
+    cells = np.arange(H * W).reshape(H, W)[0::2, 0::2].copy()
+    cells.flags.writeable = False
+    return cells
+
+
 def _route(idx: np.ndarray, plane: int, what: str) -> np.ndarray:
     """Route idx [B, C, h, w] as indices into its B*C stacked planes of `plane`
     cells, each checked to lie in [0, plane), inside its own plane."""
-    rows = idx.reshape(-1, idx.shape[2] * idx.shape[3])
-    if rows.size and (rows.min() < 0 or rows.max() >= plane):
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"{what}: pool indices must be integers, got {idx.dtype}")
+    rows = idx.reshape(-1, idx.shape[2] * idx.shape[3]).astype(np.int64, copy=False)
+    # one reduction checks both ends: a negative index wraps to above plane
+    if rows.size and rows.view(np.uint64).max() >= plane:
         raise ValueError(
             f"{what}: corrupted pool indices outside [0, {plane}) "
             f"(min {rows.min()}, max {rows.max()})"

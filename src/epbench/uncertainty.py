@@ -5,6 +5,10 @@ measures how often the prediction changes, and fits log(disagreement) against
 log(epsilon). The fitted slope is the exponent relating perturbation radius
 to prediction instability; larger means a flatter disagreement onset and
 hence more stability at small radii.
+
+Each radius draws its samples from its own generator, one sample (a draw
+around every input) after another, and scores them in as few model calls as
+the row cap allows; the draws, and so the curve, do not depend on that cap.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import NORMS, uniform_ball
+from .bench import EVAL_BATCH
 
 
 @dataclass
@@ -36,7 +41,10 @@ def disagreement_curve(model_eval, xs, norm: str, eps_grid, samples_per_eps: int
                        seed: int = 0) -> DisagreementCurve:
     """Fraction of ball samples whose prediction differs from the center's.
 
-    model_eval(images) -> labels. Deterministic for a fixed seed.
+    model_eval(images) -> labels. Deterministic for a fixed seed. A sample is
+    one draw around every input; whole samples share a call of at most
+    max(len(xs), EVAL_BATCH) rows, so model_eval must be batch-invariant for
+    the rates to match one call per sample.
     """
     if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}")
@@ -51,12 +59,14 @@ def disagreement_curve(model_eval, xs, norm: str, eps_grid, samples_per_eps: int
     base = np.asarray(model_eval(xs))
     flips = np.zeros(len(eps_grid), dtype=np.int64)
     total = np.full(len(eps_grid), samples_per_eps * len(xs), dtype=np.int64)
+    per_call = max(EVAL_BATCH // max(len(xs), 1), 1)  # whole samples per call
     for e_i, eps in enumerate(eps_grid):
         rng = np.random.default_rng((seed, e_i))
-        for s in range(samples_per_eps):
-            pert = uniform_ball(rng, xs.shape, norm, float(eps))
-            pred = np.asarray(model_eval(xs + pert))
-            flips[e_i] += int(np.sum(pred != base))
+        for s0 in range(0, samples_per_eps, per_call):
+            k = min(per_call, samples_per_eps - s0)
+            draws = [xs + uniform_ball(rng, xs.shape, norm, float(eps)) for _ in range(k)]
+            pred = np.asarray(model_eval(np.concatenate(draws)))
+            flips[e_i] += int(np.sum(pred != np.tile(base, k)))
     return DisagreementCurve(eps=eps_grid, rate=flips / np.maximum(total, 1),
                              samples=total, norm=norm)
 

@@ -7,7 +7,10 @@ reverse, treating pooling routes as constants of the forward pass and using
 clamp subgradient 1 on [0,1] (boundary included) and 0 outside. Because the
 clamped input x feeds the first connection at every step, its gradient
 accumulates across all t steps. Connection 0's pool route depends only on x,
-so every step of a tape shares one route 0 array.
+so every step of a tape shares one route 0 array, and connection 0 is one
+linear map at every step: the reverse pass sums its cotangents over the
+steps and applies its adjoint once. Each reverse step keeps only the terms
+of connections 1 and up.
 
 Inputs are batched ([B, C, H, W]; logit gradients [B, K]). Everything here
 is per-example exact, and an example's result is bit-identical whatever
@@ -64,30 +67,44 @@ def record_free_phase(x, params: Params, spec: ModelSpec, t: int) -> UnrolledTap
 def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
                    g_logits: np.ndarray) -> np.ndarray:
     """Pull a logit-space gradient [B, K] back through readout and unrolled
-    dynamics to the input [B, C, H, W]."""
+    dynamics to the input [B, C, H, W].
+
+    Connection 0 reads only x, along one route and with one weight at every
+    step, so its cotangents are summed over the steps and its adjoint is
+    applied once. Raises ValueError if connection 0's route is not the same at
+    every step.
+    """
     xb = _as_batch_x(x, spec)
+    if tape.steps == 0:
+        return np.zeros_like(xb)
+    route0 = tape.pool_idx[0][0]
+    for step in range(1, tape.steps):
+        route = tape.pool_idx[step][0]
+        if route is not route0 and not np.array_equal(route, route0):
+            raise ValueError(f"tape step {step}: connection 0's route differs "
+                             "from step 0's")
     params = params.map(np.asarray, dtype=_F)
 
     g_logits = np.asarray(g_logits, dtype=_F)
     g_layers = [np.zeros_like(s) for s in tape.final]
     g_layers[-1] = _adjoint(spec.n_layers, g_logits, params, spec).reshape(
         tape.final[-1].shape)
-    g_x = np.zeros_like(xb)
+    g_in = None  # connection 0's cotangent summed over the steps walked so far
 
     for step in reversed(range(tape.steps)):
         g_pre = [g * m for g, m in zip(g_layers, tape.masks[step])]
+        g_in = g_pre[0] if g_in is None else g_in + g_pre[0]
         g_new = [np.zeros_like(s) for s in tape.final]
-        sinks = [g_x] + g_new[:-1]  # what connection i reads: x, then s^1..s^{N-1}
-        for i, route in enumerate(tape.pool_idx[step]):
-            # bottom-up term of connection i read s^{i-1} (or x)
+        for i in range(1, spec.n_layers):
+            route = tape.pool_idx[step][i]
+            # bottom-up term of connection i read s^{i-1}
             back = _adjoint(i, _unpool(g_pre[i], route), params, spec)
-            sinks[i] += back.reshape(sinks[i].shape)
+            g_new[i - 1] += back.reshape(g_new[i - 1].shape)
             # top-down term of connection i (into layer i-1) read s^i
-            if i >= 1:
-                fwd, _ = _drive(i, g_pre[i - 1], params, spec, route)
-                g_new[i] += fwd.reshape(g_new[i].shape)
+            fwd, _ = _drive(i, g_pre[i - 1], params, spec, route)
+            g_new[i] += fwd.reshape(g_new[i].shape)
         g_layers = g_new
-    return g_x
+    return _adjoint(0, _unpool(g_in, route0), params, spec).reshape(xb.shape)
 
 
 def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):

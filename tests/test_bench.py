@@ -181,6 +181,10 @@ class TestMeanRobustness:
             bench.mean_robustness([RunRecord("m", "clean", accuracy=1.0)])
 
 
+HEADER = ",".join(bench.CSV_COLUMNS) + "\n"
+ROW = "m,pgd,linf,0.1,0,0.5,3,0,1.0\n"
+
+
 class TestResultsFiles:
     def test_empty_list_header_only(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -212,6 +216,22 @@ class TestResultsFiles:
         p = tmp_path / name
         p.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: missing column 'model'$"):
+            bench.read_results(p)
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("r.csv", HEADER + "m,pgd,linf,0.1,0\n", "row 1, column 'accuracy': no value"),
+        ("r.csv", HEADER + ROW + "m,pgd,linf,x,0,0.5,3,0,1.0\n",
+         "row 2, column 'strength': 'x' is not a float"),
+        ("r.csv", HEADER + ROW.replace("\n", ",9\n"), "row 1 has more values than the header"),
+        ("r.json", '{"model": "m"}', "expected a list of result rows"),
+        ("r.json", "[1, 2]", "expected a list of result rows"),
+        ("r.json", "[{", "Expecting property name"),
+    ], ids=["short-row", "bad-value", "long-row", "object", "not-rows", "truncated"])
+    def test_malformed_file_names_path_row_and_column(self, tmp_path, name, text,
+                                                      message):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{p}: {message}')}"):
             bench.read_results(p)
 
     def test_comma_in_model_name_escaped(self, tmp_path):

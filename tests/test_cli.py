@@ -441,6 +441,25 @@ def test_report_names_the_missing_column(tmp_path, capsys):
     assert f"{p}: missing column 'model'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("r.csv", ",".join(bench.CSV_COLUMNS) + "\nm,pgd,linf,0.1,0\n",
+     "r.csv: row 1, column 'accuracy': no value"),
+    ("r.json", '{"model": "m"}', "r.json: expected a list of result rows"),
+    ("r.csv", None, "No such file or directory"),
+    ("r.csv", ",".join(bench.CSV_COLUMNS) + "\nm,pgd,linf,x,0,0.5,3,0,1.0\n",
+     "r.csv: row 1, column 'strength': 'x' is not a float"),
+], ids=["short-row", "json-object", "missing-file", "bad-strength"])
+def test_report_names_a_malformed_result_file(tmp_path, capsys, name, text, message):
+    p = tmp_path / name
+    if text is not None:
+        p.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--in", str(p)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and str(p) in err
+
+
 def test_report_mean_robustness_needs_a_non_clean_row(tmp_path, capsys):
     p = tmp_path / "r.csv"
     bench.emit_results([bench.RunRecord("m", "clean", accuracy=1.0)], p)

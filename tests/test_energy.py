@@ -453,6 +453,24 @@ def test_free_phase_computes_the_input_drive_once(monkeypatch):
         assert calls == {"conv2d": 1 + 2 * t, "maxpool2": 1 + t}
 
 
+def test_clamp_masks_mark_values_the_clamp_passes(monkeypatch):
+    # a mask is True exactly where 0 <= pre <= 1: +-0 and 1 pass; NaN, the
+    # infinities and values just outside the box do not
+    spec, params = _fc_only_model(np.random.default_rng(45))
+    values = np.array([np.nan, -0.0, 0.0, 1.0, 0.5, -5e-324, np.nextafter(1.0, 2.0),
+                       -np.inf, np.inf, 2.0])
+    pre = [values[None], values[::-1][None]]
+    monkeypatch.setattr(energy, "_grad_state",
+                        lambda *args: ([p.copy() for p in pre], [None, None]))
+    x = np.zeros((1,) + spec.input_shape)
+    _, _, masks = energy.dynamics_step(x, zero_state(spec, 1).layers, params, spec,
+                                       collect=True)
+    passes = np.array([False, True, True, True, True, False, False, False, False, False])
+    assert [m.dtype for m in masks] == [np.dtype(bool)] * 2
+    assert np.array_equal(masks[0][0], passes)
+    assert np.array_equal(masks[1][0], passes[::-1])
+
+
 class TestReadoutPredict:
     def test_zero_weights_chance_logits(self):
         spec, params = tiny_model(np.random.default_rng(13))

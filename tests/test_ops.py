@@ -387,6 +387,20 @@ class TestUnpool:
             with pytest.raises(ValueError, match="corrupted pool indices"):
                 ops.pool_gather(y, idx)
 
+    def test_routes_of_any_integer_dtype_only(self):
+        # an int32 route reads the same cells under the same range check; a
+        # float route is refused by name
+        y = np.arange(16.0).reshape(1, 1, 4, 4)
+        idx = np.array([[0, 2], [8, 10]])[None, None]
+        assert np.array_equal(ops.pool_gather(y, idx.astype(np.int32)),
+                              ops.pool_gather(y, idx))
+        bad = idx.astype(np.int32)
+        bad[0, 0, 1, 1] = -1
+        with pytest.raises(ValueError, match="corrupted pool indices"):
+            ops.pool_gather(y, bad)
+        with pytest.raises(ValueError, match="pool indices must be integers, got float64"):
+            ops.unpool2(np.ones((1, 1, 2, 2)), idx.astype(np.float64))
+
     def test_pool_gather_rejects_route_of_wrong_shape(self):
         y = np.zeros((2, 3, 4, 4))
         for shape in ((2, 3, 3, 3), (2, 3, 2, 1), (1, 3, 2, 2), (2, 2, 2, 2)):

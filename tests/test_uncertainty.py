@@ -1,12 +1,16 @@
 """Uncertainty exponent: exact power-law recovery, the analytic ball-cap
-oracle for a linear classifier, and bootstrap confidence intervals."""
+oracle for a linear classifier, bootstrap confidence intervals, and draws
+scored in batches that match one model call per sample."""
 
 import numpy as np
 import pytest
 from scipy import special
 
 from epbench import uncertainty
+from epbench.attacks import uniform_ball
+from epbench.handle import for_params
 from epbench.uncertainty import DisagreementCurve, disagreement_curve, fit_exponent
+from conftest import tiny_model
 
 
 def synthetic_curve(eps, rates):
@@ -122,6 +126,57 @@ class TestDisagreementCurve:
         sig = np.sqrt(rate * (1 - rate) / curve.samples)  # binomial standard error
         for k in range(1, len(curve.eps)):
             assert curve.rate[k] >= curve.rate[k - 1] - 2 * (sig[k] + sig[k - 1])
+
+
+def _per_sample_rates(model_eval, xs, norm, eps_grid, samples, seed):
+    """Reference curve: one model call per sample, drawn as the curve draws."""
+    base = model_eval(xs)
+    rates = []
+    for e_i, eps in enumerate(eps_grid):
+        rng = np.random.default_rng((seed, e_i))
+        flips = sum(int(np.sum(model_eval(xs + uniform_ball(rng, xs.shape, norm, eps))
+                               != base)) for _ in range(samples))
+        rates.append(flips / (samples * len(xs)))
+    return np.array(rates)
+
+
+def _counting(model_eval, rows):
+    def counted(xs):
+        rows.append(len(xs))
+        return model_eval(xs)
+    return counted
+
+
+class TestBatchedDraws:
+    # the l2 draw interleaves normal and uniform draws from one generator
+    @pytest.mark.parametrize("norm, eps_grid", [("linf", [0.05, 0.3]),
+                                                ("l2", [0.4, 2.5])])
+    def test_ep_rates_match_one_call_per_sample(self, norm, eps_grid):
+        spec, params = tiny_model(np.random.default_rng(12), scale=0.9)
+        predict = for_params(params, spec, "ep", 30).predict
+        xs = np.random.default_rng(13).uniform(0, 1, (40,) + spec.input_shape)
+        rows = []
+        curve = disagreement_curve(_counting(predict, rows), xs, norm, eps_grid,
+                                   samples_per_eps=8, seed=14)
+        ref = _per_sample_rates(predict, xs, norm, eps_grid, 8, 14)
+        assert np.array_equal(curve.rate, ref)
+        assert curve.rate.max() > 0
+        # six whole samples of 40 rows per call, then the two left over
+        assert rows == [40] + [240, 80] * len(eps_grid)
+
+    def test_a_call_holds_at_least_one_sample(self):
+        w = np.random.default_rng(15).standard_normal(16)
+
+        def model_eval(z):
+            return (np.asarray(z).reshape(len(z), -1) @ w > 0).astype(int)
+        xs = np.random.default_rng(16).uniform(0, 1, (300, 1, 4, 4))
+        rows = []
+        curve = disagreement_curve(_counting(model_eval, rows), xs, "l2", [0.5], 3,
+                                   seed=17)
+        # more inputs than bench.EVAL_BATCH: each call holds one sample
+        assert rows == [300] * 4
+        assert np.array_equal(curve.rate, _per_sample_rates(model_eval, xs, "l2",
+                                                            [0.5], 3, 17))
 
 
 class TestBootstrap:

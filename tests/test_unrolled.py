@@ -1,5 +1,6 @@
 """Exact input gradients through the unrolled dynamics: closed-form single
-step, finite differences, saturation, batching, and the memory contract."""
+step, finite differences, saturation, batching, the memory contract, and the
+reverse pass that applies connection 0's adjoint once."""
 
 import numpy as np
 import pytest
@@ -193,3 +194,94 @@ class TestTape:
         big = unrolled.record_free_phase(x, params, spec, 20).nbytes()
         ratio = big / small
         assert 1.8 < ratio < 2.2
+
+
+def _fc_only_model(rng, *, scale=1.0):
+    # two fc connections and the readout: connection 0 has no pool route
+    spec = ModelSpec(input_shape=(1, 4, 4), conv=(), fc=((16, 6), (6, 5)),
+                     readout_dim=3)
+    return spec, init_params(spec, rng, dtype=np.float64, scale=scale)
+
+
+REVERSE_MODELS = {"conv": tiny_model, "conv_fc": conv_fc_model, "fc": _fc_only_model}
+
+
+def _per_step_reverse(tape, x, params, spec, g_logits):
+    """Reference reverse pass: every step pulls each connection's cotangent
+    back on its own, connection 0's into the input included."""
+    g_layers = [np.zeros_like(s) for s in tape.final]
+    g_layers[-1] = energy._adjoint(spec.n_layers, g_logits, params, spec).reshape(
+        tape.final[-1].shape)
+    g_x = np.zeros_like(x)
+    for step in reversed(range(tape.steps)):
+        g_pre = [g * m for g, m in zip(g_layers, tape.masks[step])]
+        g_new = [np.zeros_like(s) for s in tape.final]
+        sinks = [g_x] + g_new[:-1]
+        for i, route in enumerate(tape.pool_idx[step]):
+            back = energy._adjoint(i, energy._unpool(g_pre[i], route), params, spec)
+            sinks[i] += back.reshape(sinks[i].shape)
+            if i >= 1:
+                fwd, _ = energy._drive(i, g_pre[i - 1], params, spec, route)
+                g_new[i] += fwd.reshape(g_new[i].shape)
+        g_layers = g_new
+    return g_x
+
+
+def _tape_and_cotangent(make_model, t, batch=3, seed=37):
+    spec, params = make_model(np.random.default_rng(seed), scale=0.8)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.uniform(0, 1, (batch,) + spec.input_shape)
+    g_logits = rng.standard_normal((batch, spec.readout_dim))
+    return spec, params, x, unrolled.record_free_phase(x, params, spec, t), g_logits
+
+
+class TestReversePass:
+    @pytest.mark.parametrize("t", [1, 7, 20])
+    @pytest.mark.parametrize("model", REVERSE_MODELS)
+    def test_matches_per_step_reference(self, model, t):
+        # summing connection 0's cotangents before its adjoint re-associates
+        # a float sum: equal to the per-step pass up to rounding
+        spec, params, x, tape, g_logits = _tape_and_cotangent(REVERSE_MODELS[model], t)
+        got = unrolled.backward_input(tape, x, params, spec, g_logits)
+        ref = _per_step_reverse(tape, x, params, spec, g_logits)
+        # x reaches the top layer, and so the logits, after n_layers steps
+        assert (np.abs(ref).max() > 0) == (t >= spec.n_layers)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("model", REVERSE_MODELS)
+    def test_connection_0_adjoint_applied_once(self, model, monkeypatch):
+        # per step one conv2d_transpose for each conv connection i >= 1,
+        # plus connection 0's once when it is a conv
+        spec, params, x, tape, g_logits = _tape_and_cotangent(REVERSE_MODELS[model], 7)
+        calls = []
+
+        def counted(*args, _f=ops.conv2d_transpose):
+            calls.append(1)
+            return _f(*args)
+        monkeypatch.setattr(ops, "conv2d_transpose", counted)
+        unrolled.backward_input(tape, x, params, spec, g_logits)
+        expected = 7 * (spec.n_conv - 1) + 1 if spec.n_conv else 0
+        assert len(calls) == expected
+
+    def test_route_0_must_be_shared_by_every_step(self):
+        spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 6)
+        want = unrolled.backward_input(tape, x, params, spec, g_logits)
+        # an equal copy is the same route
+        tape.pool_idx[2][0] = tape.pool_idx[2][0].copy()
+        assert np.array_equal(unrolled.backward_input(tape, x, params, spec, g_logits),
+                              want)
+        changed = tape.pool_idx[4][0].copy()
+        changed.reshape(-1)[0] ^= 1
+        tape.pool_idx[4][0] = changed
+        tape.pool_idx[5][0] = changed
+        with pytest.raises(ValueError, match="tape step 4: connection 0's route"):
+            unrolled.backward_input(tape, x, params, spec, g_logits)
+        tape.pool_idx[4][0] = None  # as an fc connection 0 would record
+        with pytest.raises(ValueError, match="tape step 4: connection 0's route"):
+            unrolled.backward_input(tape, x, params, spec, g_logits)
+
+    def test_zero_step_tape_gives_zeros(self):
+        spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 3)
+        empty = unrolled.UnrolledTape(0, [], [], tape.final)
+        g = unrolled.backward_input(empty, x, params, spec, g_logits)
+        assert g.shape == x.shape and not g.any()
