@@ -43,10 +43,10 @@ class ModelSpec:
     fp_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.fp_tol <= 0:
-            raise ValueError(f"fp_tol must be > 0, got {self.fp_tol}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be > 0 and finite, got {self.beta}")
+        if not 0 < self.fp_tol < math.inf:
+            raise ValueError(f"fp_tol must be > 0 and finite, got {self.fp_tol}")
         if self.readout_dim < 1:
             raise ValueError("readout_dim must be >= 1")
         shapes = self.state_shapes()  # validates the chain

@@ -53,8 +53,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.update_rule not in ("one_sided", "symmetric"):
             raise ValueError(f"unknown update rule {self.update_rule!r}")
-        if any(lr < 0 for lr in self.learning_rates):
-            raise ValueError("learning rates must be >= 0")
+        if not all(0 <= lr < np.inf for lr in self.learning_rates):
+            raise ValueError(f"learning_rates must be >= 0 and finite, got "
+                             f"{self.learning_rates}")
+        for name in ("beta", "momentum", "adv_epsilon"):
+            v = getattr(self, name)
+            if v is not None and not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.adv_norm not in NORMS:

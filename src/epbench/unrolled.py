@@ -7,10 +7,9 @@ reverse, treating pooling routes as constants of the forward pass and using
 clamp subgradient 1 on [0,1] (boundary included) and 0 outside. Because the
 clamped input x feeds the first connection at every step, its gradient
 accumulates across all t steps. Connection 0's pool route depends only on x,
-so every step of a tape shares one route 0 array, and connection 0 is one
-linear map at every step: the reverse pass sums its cotangents over the
-steps and applies its adjoint once. Each reverse step keeps only the terms
-of connections 1 and up.
+so a tape holds it once, and connection 0 is one linear map at every step:
+the reverse pass sums its cotangents over the steps and applies its adjoint
+once. Each reverse step keeps only the terms of connections 1 and up.
 
 Inputs are batched ([B, C, H, W]; logit gradients [B, K]). Everything here
 is per-example exact, and an example's result is bit-identical whatever
@@ -33,35 +32,37 @@ _F = np.float64
 
 @dataclass
 class UnrolledTape:
-    """Recorded free-phase trajectory of length `steps`.
+    """Recorded free-phase trajectory.
 
-    pool_idx[t][i] is connection i's pool route at step t (None for an fc
-    connection) and masks[t] the clamp masks of step t; a conv connection 0's
-    route, pool_idx[t][0], is one array shared by every step. final is the
-    batched state after the last step.
+    route0 is connection 0's pool route, the same at every step (None for an
+    fc connection 0). pool_idx[t][i - 1] is connection i's pool route at
+    step t for i >= 1 (None for an fc connection) and masks[t] the clamp
+    masks of step t. final is the batched state after the last step.
     """
 
-    steps: int
+    route0: np.ndarray | None
     pool_idx: list[list[np.ndarray]]
     masks: list[list[np.ndarray]]
     final: list[np.ndarray]
 
+    @property
+    def steps(self) -> int:
+        return len(self.masks)
+
     def nbytes(self) -> int:
-        """Bytes of the tape as if each step held its own arrays: every step's
-        routes and masks plus the final state. The shared route 0 counts once
-        per step, so the size stays linear in steps; the memory actually held
-        is smaller by steps - 1 copies of route 0."""
-        total = sum(s.nbytes for s in self.final)
-        for t in range(self.steps):
-            total += sum(a.nbytes for a in self.pool_idx[t] if a is not None)
-            total += sum(a.nbytes for a in self.masks[t])
-        return total
+        """Bytes of the arrays the tape holds, each counted once: route 0,
+        every step's other routes and masks, and the final state."""
+        held = [self.route0, *self.final]
+        for routes, masks in zip(self.pool_idx, self.masks):
+            held += routes + masks
+        return sum(a.nbytes for a in held if a is not None)
 
 
 def record_free_phase(x, params: Params, spec: ModelSpec, t: int) -> UnrolledTape:
-    """Run exactly t steps (no early exit), keeping each step's routes and masks."""
+    """Run exactly t steps (no early exit), keeping connection 0's route once
+    and each step's other routes and its masks."""
     state, routes, masks = _relax(x, None, params, spec, t, 0.0, record=True)
-    return UnrolledTape(state.steps, routes, masks, state.layers)
+    return UnrolledTape(routes[0][0], [r[1:] for r in routes], masks, state.layers)
 
 
 def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
@@ -71,18 +72,11 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
 
     Connection 0 reads only x, along one route and with one weight at every
     step, so its cotangents are summed over the steps and its adjoint is
-    applied once. Raises ValueError if connection 0's route is not the same at
-    every step.
+    applied once.
     """
     xb = _as_batch_x(x, spec)
     if tape.steps == 0:
         return np.zeros_like(xb)
-    route0 = tape.pool_idx[0][0]
-    for step in range(1, tape.steps):
-        route = tape.pool_idx[step][0]
-        if route is not route0 and not np.array_equal(route, route0):
-            raise ValueError(f"tape step {step}: connection 0's route differs "
-                             "from step 0's")
     params = params.map(np.asarray, dtype=_F)
 
     g_logits = np.asarray(g_logits, dtype=_F)
@@ -95,8 +89,7 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
         g_pre = [g * m for g, m in zip(g_layers, tape.masks[step])]
         g_in = g_pre[0] if g_in is None else g_in + g_pre[0]
         g_new = [np.zeros_like(s) for s in tape.final]
-        for i in range(1, spec.n_layers):
-            route = tape.pool_idx[step][i]
+        for i, route in enumerate(tape.pool_idx[step], 1):
             # bottom-up term of connection i read s^{i-1}
             back = _adjoint(i, _unpool(g_pre[i], route), params, spec)
             g_new[i - 1] += back.reshape(g_new[i - 1].shape)
@@ -104,7 +97,7 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
             fwd, _ = _drive(i, g_pre[i - 1], params, spec, route)
             g_new[i] += fwd.reshape(g_new[i].shape)
         g_layers = g_new
-    return _adjoint(0, _unpool(g_in, route0), params, spec).reshape(xb.shape)
+    return _adjoint(0, _unpool(g_in, tape.route0), params, spec).reshape(xb.shape)
 
 
 def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):

@@ -110,7 +110,7 @@ def test_c03_exact_input_gradients():
                  for z in (x, x + h * v, x - h * v)]
         stable = all(
             np.array_equal(a, b) and np.array_equal(a, c)
-            for ta, tb, tc in zip(tapes[0].pool_idx, tapes[1].pool_idx, tapes[2].pool_idx)
+            for ta, tb, tc in zip(*([[tp.route0]] + tp.pool_idx for tp in tapes))
             for a, b, c in zip(ta, tb, tc)
         ) and all(
             np.array_equal(a, b) and np.array_equal(a, c)

@@ -330,6 +330,7 @@ class TestCheckpoint:
         ("step past t_free", r"'convergence_step' is 61, expected an integer in \[0, 60\]"),
         ("string seed", r"^header field 'seed' is 'x', expected an integer$"),
         ("string recipe seed", r"^header field 'train_config.seed' is 'x', expected"),
+        ("NaN spec beta", r"^bad header field: beta must be > 0 and finite, got nan$"),
     ])
     def test_malformed_file_names_offset_or_field(self, tmp_path, case, where):
         spec = desk_spec()
@@ -377,6 +378,7 @@ class TestCheckpoint:
             "step past t_free": edited(convergence_step=61),
             "string seed": edited(seed="x"),
             "string recipe seed": edited(train_config={"data": "synth", "seed": "x"}),
+            "NaN spec beta": edited(spec={**header["spec"], "beta": float("nan")}),
         }[case]
         p.write_bytes(blob)
         with pytest.raises(CheckpointError, match=where):

@@ -100,8 +100,17 @@ class TestConfig:
     ("input_shape = 1,,8,8", "line", "bad value for 'input_shape': blank item"),
     ("beta = -1", "file", "beta must be > 0"),
     ("adv_norm = l3", "file", "unknown norm 'l3'"),
+    # float() parses nan and inf, so the dataclasses must reject them
+    ("beta = nan", "file", "beta must be > 0 and finite, got nan"),
+    ("beta = inf", "file", "beta must be > 0 and finite, got inf"),
+    ("fp_tol = nan", "file", "fp_tol must be > 0 and finite, got nan"),
+    ("momentum = nan", "file", "momentum must be finite, got nan"),
+    ("learning_rates = nan, 0.05", "file",
+     r"learning_rates must be >= 0 and finite, got \(nan, 0.05\)"),
+    ("adv_epsilon = nan", "file", "adv_epsilon must be finite, got nan"),
 ], ids=["epochs", "t_free", "input_shape", "trailing_comma", "double_comma",
-        "blank_shape_item", "beta", "adv_norm"])
+        "blank_shape_item", "beta", "adv_norm", "nan_beta", "inf_beta", "nan_fp_tol",
+        "nan_momentum", "nan_learning_rate", "nan_adv_epsilon"])
 def test_malformed_value_names_its_location(tmp_path, line, located_by, message):
     # a value that does not parse names its line; one the dataclasses reject
     # names the file and keeps their message

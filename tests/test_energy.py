@@ -167,7 +167,9 @@ class TestFreePhase:
         for t in range(tape.steps):
             layers, idx, masks = energy.dynamics_step(x, layers, params, spec,
                                                       collect=True)
-            assert all(np.array_equal(a, b) for a, b in zip(idx, tape.pool_idx[t]))
+            assert np.array_equal(idx[0], tape.route0)
+            assert len(idx[1:]) == len(tape.pool_idx[t])
+            assert all(np.array_equal(a, b) for a, b in zip(idx[1:], tape.pool_idx[t]))
             assert all(np.array_equal(a, b) for a, b in zip(masks, tape.masks[t]))
         assert all(np.array_equal(a, b) for a, b in zip(layers, tape.final))
 
@@ -327,11 +329,15 @@ class TestInputDriveHoist:
         self._untouched(params, x, x0, p0)
         layers, _, routes, masks = _step_loop(x, zero_state(spec, 3).layers, params,
                                               spec, 12, 0.0)
-        assert all(_same(a, b) for a, b in zip(tape.pool_idx, routes))
+        assert len(tape.pool_idx) == len(routes)
+        assert all(_same([tape.route0], r[:1]) for r in routes)
+        assert all(_same(a, b[1:]) for a, b in zip(tape.pool_idx, routes))
         assert all(_same(a, b) for a, b in zip(tape.masks, masks))
         assert _same(tape.final, layers)
-        if spec.n_conv:  # one route 0, shared by every step
-            assert all(r[0] is tape.pool_idx[0][0] for r in tape.pool_idx)
+        # the relaxation computes route 0 once and hands every step that array
+        _, relaxed, _ = energy._relax(x, None, params, spec, 12, 0.0, record=True)
+        assert all(r[0] is relaxed[0][0] for r in relaxed)
+        assert (relaxed[0][0] is None) == (spec.n_conv == 0)
 
 
 def _fields(st):

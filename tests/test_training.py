@@ -211,6 +211,17 @@ class TestTrainLoops:
         with pytest.raises(ValueError, match="learning rates"):
             training.train("ep", train, spec, cfg)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("beta", np.nan, "beta must be finite, got nan"),
+        ("beta", -np.inf, "beta must be finite, got -inf"),
+        ("momentum", np.inf, "momentum must be finite, got inf"),
+        ("adv_epsilon", np.inf, "adv_epsilon must be finite, got inf"),
+        ("learning_rates", (0.1, np.inf), r"learning_rates must be >= 0 and finite"),
+    ])
+    def test_non_finite_setting_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            TrainConfig(**{field: value})
+
     def test_ep_reaches_95_train_accuracy(self, trained_ep):
         _, _, history = trained_ep
         assert history[-1]["train_acc"] >= 0.95

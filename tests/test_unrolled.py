@@ -66,7 +66,9 @@ class TestInputGrad:
             # skip pixels whose perturbation flips a pooling argmax
             stable = all(
                 np.array_equal(a, b) and np.array_equal(a, c)
-                for ta, tb, tc in zip(tape0.pool_idx, tp.pool_idx, tm.pool_idx)
+                for ta, tb, tc in zip([[tape0.route0]] + tape0.pool_idx,
+                                      [[tp.route0]] + tp.pool_idx,
+                                      [[tm.route0]] + tm.pool_idx)
                 for a, b, c in zip(ta, tb, tc)
             )
             if not stable:
@@ -111,7 +113,9 @@ class TestInputGrad:
             tm = unrolled.record_free_phase(x - h * v, params, spec, t)
             stable = all(
                 np.array_equal(a, b) and np.array_equal(a, c)
-                for ta, tb, tc in zip(tape0.pool_idx, tp.pool_idx, tm.pool_idx)
+                for ta, tb, tc in zip([[tape0.route0]] + tape0.pool_idx,
+                                      [[tp.route0]] + tp.pool_idx,
+                                      [[tm.route0]] + tm.pool_idx)
                 for a, b, c in zip(ta, tb, tc)
             ) and all(
                 np.array_equal(a, b) and np.array_equal(a, c)
@@ -176,24 +180,31 @@ class TestTape:
         assert len(tape.masks) == 17
 
     def test_routes_indexed_by_connection(self):
-        # conv 1->4, then fc 64->6: every step holds one route per
-        # connection, None for the fc one
+        # conv 1->4, then fc 64->6: the conv route 0 is held once, and every
+        # step holds one route per later connection, None for the fc one
         spec, params = conv_fc_model(np.random.default_rng(31))
         x = np.random.default_rng(11).uniform(0, 1, (3,) + spec.input_shape)
         tape = unrolled.record_free_phase(x, params, spec, 7)
+        assert tape.route0 is not None and tape.route0.nbytes == 1536
         for routes in tape.pool_idx:
-            assert [r is None for r in routes] == [False, True]
-        # the final state (1,680 bytes) plus 7 steps of the int64 conv route
-        # (1,536) and the masks (210); a None route adds nothing
-        assert tape.nbytes() == 13902
+            assert routes == [None]
+        # the final state (1,680 bytes) plus the int64 conv route 0 once
+        # (1,536) and 7 steps of masks (7 x 210); a None route adds nothing
+        assert tape.nbytes() == 1680 + 1536 + 7 * 210 == 4686
 
     def test_memory_grows_linearly_in_steps(self):
+        # route 0 and the final state once, then each step's routes of
+        # connections 1 and up and its masks
         spec, params = tiny_model(np.random.default_rng(29))
         x = np.random.default_rng(10).uniform(0, 1, spec.input_shape)[None]
-        small = unrolled.record_free_phase(x, params, spec, 10).nbytes()
-        big = unrolled.record_free_phase(x, params, spec, 20).nbytes()
-        ratio = big / small
-        assert 1.8 < ratio < 2.2
+        tapes = [unrolled.record_free_phase(x, params, spec, t) for t in (10, 20, 30)]
+        sizes = [tape.nbytes() for tape in tapes]
+        assert sizes == [4800, 8320, 11840]
+        tape = tapes[0]
+        per_step = sum(a.nbytes for a in tape.pool_idx[0] + tape.masks[0])
+        assert sizes[1] - sizes[0] == sizes[2] - sizes[1] == 10 * per_step == 3520
+        assert sizes[0] - 10 * per_step == (tape.route0.nbytes
+                                            + sum(s.nbytes for s in tape.final))
 
 
 def _fc_only_model(rng, *, scale=1.0):
@@ -217,7 +228,7 @@ def _per_step_reverse(tape, x, params, spec, g_logits):
         g_pre = [g * m for g, m in zip(g_layers, tape.masks[step])]
         g_new = [np.zeros_like(s) for s in tape.final]
         sinks = [g_x] + g_new[:-1]
-        for i, route in enumerate(tape.pool_idx[step]):
+        for i, route in enumerate([tape.route0] + tape.pool_idx[step]):
             back = energy._adjoint(i, energy._unpool(g_pre[i], route), params, spec)
             sinks[i] += back.reshape(sinks[i].shape)
             if i >= 1:
@@ -263,25 +274,8 @@ class TestReversePass:
         expected = 7 * (spec.n_conv - 1) + 1 if spec.n_conv else 0
         assert len(calls) == expected
 
-    def test_route_0_must_be_shared_by_every_step(self):
-        spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 6)
-        want = unrolled.backward_input(tape, x, params, spec, g_logits)
-        # an equal copy is the same route
-        tape.pool_idx[2][0] = tape.pool_idx[2][0].copy()
-        assert np.array_equal(unrolled.backward_input(tape, x, params, spec, g_logits),
-                              want)
-        changed = tape.pool_idx[4][0].copy()
-        changed.reshape(-1)[0] ^= 1
-        tape.pool_idx[4][0] = changed
-        tape.pool_idx[5][0] = changed
-        with pytest.raises(ValueError, match="tape step 4: connection 0's route"):
-            unrolled.backward_input(tape, x, params, spec, g_logits)
-        tape.pool_idx[4][0] = None  # as an fc connection 0 would record
-        with pytest.raises(ValueError, match="tape step 4: connection 0's route"):
-            unrolled.backward_input(tape, x, params, spec, g_logits)
-
     def test_zero_step_tape_gives_zeros(self):
         spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 3)
-        empty = unrolled.UnrolledTape(0, [], [], tape.final)
+        empty = unrolled.UnrolledTape(None, [], [], tape.final)
         g = unrolled.backward_input(empty, x, params, spec, g_logits)
         assert g.shape == x.shape and not g.any()
