@@ -51,16 +51,16 @@ class AttackConfig:
             raise ValueError(f"unknown attack family {self.family!r}")
         if self.norm not in NORMS:
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be >= 0 and finite, got {self.epsilon}")
         if self.steps is None:
             self.steps = 100 if self.family == "cw" else 20
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.family == "square" and self.norm != "linf":
             raise ValueError("square attack is defined for the linf norm")
-        if self.cw_lr <= 0:
-            raise ValueError("cw_lr must be > 0")
+        if not 0 < self.cw_lr < math.inf:
+            raise ValueError(f"cw_lr must be > 0 and finite, got {self.cw_lr}")
         if self.query_budget < 1:
             raise ValueError("query_budget must be >= 1")
 

@@ -58,18 +58,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     field, manifest or non-finite tensor that load_checkpoint would reject."""
     tensors = [(name, np.ascontiguousarray(t, dtype="<f4"))
                for name, t in ckpt.params.tensors()]
-    meta = {k: getattr(ckpt, k) for k in _META_FIELDS}
-    meta.update(norm_mean=[float(v) for v in ckpt.norm_mean],
-                norm_std=[float(v) for v in ckpt.norm_std])
-    _require_valid(meta, [(name, t.shape) for name, t in tensors], ckpt.spec)
+    header = {
+        "spec": asdict(ckpt.spec),  # tuples serialize as JSON lists
+        **{k: getattr(ckpt, k) for k in _META_FIELDS},
+        "norm_mean": [float(v) for v in ckpt.norm_mean],
+        "norm_std": [float(v) for v in ckpt.norm_std],
+        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors],
+    }
+    _check_header(header)
     for name, t in tensors:
         if not np.isfinite(t).all():
             raise CheckpointError(f"tensor {name} holds a non-finite value")
-    header = {
-        "spec": asdict(ckpt.spec),  # tuples serialize as JSON lists
-        **meta,
-        "tensors": [{"name": n, "shape": list(t.shape)} for n, t in tensors],
-    }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -88,86 +87,87 @@ def _is_int(v, lo=-math.inf) -> bool:
     return type(v) is int and v >= lo
 
 
-def _recipe_rules(spec: ModelSpec) -> list:
-    """(field, test, expectation) of each train_config field `epbench train`
-    records: the training data and, for synthetic data, its recipe."""
+def _header_rules(spec: ModelSpec) -> list:
+    """(field, test, expectation) of each header field, in the order checked.
+    A train_config.<key> row checks a field `epbench train` records (the
+    training data and, for synthetic data, its recipe) when it is present."""
     shape = list(spec.input_shape)
     return [
-        ("data", lambda v: isinstance(v, str), "a string"),
+        ("model_kind", lambda v: v in MODEL_KINDS, f"one of {', '.join(MODEL_KINDS)}"),
         ("seed", _is_int, "an integer"),
-        ("synth_kind", lambda v: v in SYNTH_KINDS, f"one of {', '.join(SYNTH_KINDS)}"),
-        ("input_shape", lambda v: isinstance(v, (list, tuple)) and list(v) == shape
-         and all(map(_is_int, v)), f"{shape}, the spec's input_shape"),
-        ("classes", lambda v: _is_int(v) and v == spec.readout_dim,
+        ("train_config", lambda v: isinstance(v, dict), "an object"),
+        ("train_config.data", lambda v: isinstance(v, str), "a string"),
+        ("train_config.seed", _is_int, "an integer"),
+        ("train_config.synth_kind", lambda v: v in SYNTH_KINDS,
+         f"one of {', '.join(SYNTH_KINDS)}"),
+        ("train_config.input_shape", lambda v: isinstance(v, (list, tuple))
+         and list(v) == shape and all(map(_is_int, v)), f"{shape}, the spec's input_shape"),
+        ("train_config.classes", lambda v: _is_int(v) and v == spec.readout_dim,
          f"{spec.readout_dim}, the spec's readout_dim"),
-        ("n_train", lambda v: _is_int(v, 1), "an integer >= 1"),
-        ("n_test", lambda v: _is_int(v, 1), "an integer >= 1"),
-        ("synth_noise", lambda v: type(v) in (int, float) and math.isfinite(v) and v >= 0,
-         "a finite number >= 0"),
+        ("train_config.n_train", lambda v: _is_int(v, 1), "an integer >= 1"),
+        ("train_config.n_test", lambda v: _is_int(v, 1), "an integer >= 1"),
+        ("train_config.synth_noise", lambda v: type(v) in (int, float) and math.isfinite(v)
+         and v >= 0, "a finite number >= 0"),
+        ("norm_mean", lambda v: isinstance(v, list)
+         and all(type(e) in (int, float) for e in v), "a list of numbers"),
+        ("norm_mean", lambda v: all(map(math.isfinite, v)), "finite values"),
+        ("norm_std", lambda v: isinstance(v, list)
+         and all(type(e) in (int, float) for e in v), "a list of numbers"),
+        ("norm_std", lambda v: all(map(math.isfinite, v)), "finite values"),
+        ("norm_std", lambda v: all(e > 0 for e in v), "values > 0"),
+        ("convergence_step", lambda v: _is_int(v, 0) and v <= spec.t_free,
+         f"an integer in [0, {spec.t_free}] (t_free)"),
     ]
 
 
-def _require_valid(meta: dict, manifest, spec: ModelSpec) -> None:
-    """The header checks that save_checkpoint and load_checkpoint share.
+def _require_ints(value, field: str) -> None:
+    """TypeError naming the first number in nested lists, tuples and dicts
+    that is not an integer (a float, a bool or a numpy integer)."""
+    if isinstance(value, (dict, list, tuple)):
+        for k, v in (value.items() if isinstance(value, dict) else enumerate(value)):
+            _require_ints(v, f"{field}.{k}")
+    elif type(value) is not int:
+        raise TypeError(f"{field} is {value!r}, not an integer")
 
-    seed is an integer; train_config is an object whose recorded fields have
-    the types and ranges `epbench train` writes. The normalization stats are
-    both empty or both one finite value per input channel, with std > 0;
-    convergence_step is an integer in [0, t_free].
-    """
-    if meta["model_kind"] not in MODEL_KINDS:
-        raise CheckpointError(f"header field 'model_kind' is {meta['model_kind']!r}, "
-                              f"expected one of {', '.join(MODEL_KINDS)}")
-    if not _is_int(meta["seed"]):
-        raise CheckpointError(f"header field 'seed' is {meta['seed']!r}, expected an "
-                              "integer")
-    recipe = meta["train_config"]
-    if not isinstance(recipe, dict):
-        raise CheckpointError(f"header field 'train_config' is {recipe!r}, expected an "
-                              "object")
-    for key, ok, want in _recipe_rules(spec):
-        if key in recipe and not ok(recipe[key]):
-            raise CheckpointError(f"header field 'train_config.{key}' is "
-                                  f"{recipe[key]!r}, expected {want}")
+
+def _check_header(header: dict):
+    """(spec, manifest, meta) of a header as save_checkpoint writes it or
+    load_checkpoint parsed it, checked field by field (_header_rules) and
+    across fields; CheckpointError names the field at fault."""
+    try:
+        _require_ints({k: header["spec"][k] for k in _INT_SPEC_FIELDS}, "spec")
+        spec = spec_from_dict(header["spec"])
+        for i, e in enumerate(header["tensors"]):
+            _require_ints(e["shape"], f"tensors.{i}.shape")
+        manifest = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
+        meta = {k: header[k] for k in _META_FIELDS}
+    except KeyError as exc:
+        raise CheckpointError(f"header field {exc.args[0]!r} missing") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad header field: {exc}") from None
+    for name, ok, want in _header_rules(spec):
+        top, _, key = name.partition(".")
+        if key and key not in meta[top]:
+            continue  # train_config holds only the fields its data needs
+        v = meta[top][key] if key else meta[top]
+        if not ok(v):
+            raise CheckpointError(f"header field {name!r} is {v!r}, expected {want}")
     expected = param_shapes(spec)
     if manifest != expected:
         raise CheckpointError("tensor manifest does not match the spec: expected "
                               f"{_listing(expected)}; found {_listing(manifest)}")
-    mean, std = meta["norm_mean"], meta["norm_std"]
-    for name, v in (("norm_mean", mean), ("norm_std", std)):
-        if not (isinstance(v, list) and all(type(e) in (int, float) for e in v)):
-            raise CheckpointError(f"header field {name!r} is {v!r}, expected a list "
-                                  "of numbers")
-        if not all(math.isfinite(e) for e in v):
-            raise CheckpointError(f"header field {name!r} is {v!r}, expected finite "
-                                  "values")
-    channels = spec.input_shape[0]
+    mean, std, channels = meta["norm_mean"], meta["norm_std"], spec.input_shape[0]
     if (len(mean), len(std)) not in ((0, 0), (channels, channels)):
         raise CheckpointError(f"header fields 'norm_mean' and 'norm_std' hold {len(mean)} "
                               f"and {len(std)} values, expected both 0 or both "
                               f"{channels} (one per input channel)")
-    if any(e <= 0 for e in std):
-        raise CheckpointError(f"header field 'norm_std' is {std!r}, expected values > 0")
-    step = meta["convergence_step"]
-    if type(step) is not int or not 0 <= step <= spec.t_free:
-        raise CheckpointError(f"header field 'convergence_step' is {step!r}, expected "
-                              f"an integer in [0, {spec.t_free}] (t_free)")
+    return spec, manifest, meta
 
 
 def _unpack(blob: bytes, offset: int, fmt: str, name: str) -> int:
     if len(blob) < offset + struct.calcsize(fmt):
         raise CheckpointError(f"truncated {name} field at byte offset {offset}")
     return struct.unpack_from(fmt, blob, offset)[0]
-
-
-def _require_ints(value, field: str) -> None:
-    """TypeError naming the first number in nested JSON lists and objects that
-    is not an integer (a float or a bool)."""
-    if isinstance(value, (dict, list)):
-        for k, v in (value.items() if isinstance(value, dict) else enumerate(value)):
-            _require_ints(v, f"{field}.{k}")
-    elif type(value) is not int:
-        raise TypeError(f"{field} is {value!r}, not an integer")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -194,18 +194,7 @@ def load_checkpoint(path) -> Checkpoint:
     except json.JSONDecodeError as exc:
         at = 16 + len(text[:exc.pos].encode("utf-8"))
         raise CheckpointError(f"header is not JSON at byte offset {at}: {exc.msg}") from None
-    try:
-        _require_ints({k: header["spec"][k] for k in _INT_SPEC_FIELDS}, "spec")
-        spec = spec_from_dict(header["spec"])
-        for i, e in enumerate(header["tensors"]):
-            _require_ints(e["shape"], f"tensors.{i}.shape")
-        manifest = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
-        meta = {k: header[k] for k in _META_FIELDS}
-    except KeyError as exc:
-        raise CheckpointError(f"header field {exc.args[0]!r} missing") from None
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"bad header field: {exc}") from None
-    _require_valid(meta, manifest, spec)
+    spec, manifest, meta = _check_header(header)
     tensors = []
     for name, shape in manifest:
         count = math.prod(shape)

@@ -21,8 +21,8 @@ from .bench import RunRecord
 from .checkpoint import (MODEL_KINDS, Checkpoint, CheckpointError, load_checkpoint,
                          save_checkpoint)
 from .config import load_config
-from .data import (SYNTH_KINDS, Dataset, channel_stats, load_cifar_binary, normalize_images,
-                   synth_dataset)
+from .data import (CIFAR_VARIANTS, SYNTH_KINDS, Dataset, channel_stats, load_cifar_binary,
+                   normalize_images, synth_dataset)
 from .handle import from_checkpoint
 
 
@@ -61,9 +61,11 @@ def _distinct(values) -> bool:
     return len(set(values)) == len(values)
 
 
-_strengths = _comma_list(float, lambda v: all(e >= 0 for e in v), "strengths >= 0")
-_eps_grid = _comma_list(float, lambda v: v[0] > 0 and all(a < b for a, b in zip(v, v[1:])),
-                        "positive, strictly increasing radii")
+_strengths = _comma_list(float, lambda v: all(0 <= e < np.inf for e in v),
+                         "finite strengths >= 0")
+_eps_grid = _comma_list(float, lambda v: 0 < v[0] and v[-1] < np.inf
+                        and all(a < b for a, b in zip(v, v[1:])),
+                        "positive, strictly increasing finite radii")
 _kinds = _comma_list(str.strip, lambda v: _distinct(v) and set(v) <= set(corruptions.KINDS),
                      f"distinct corruption kinds from {', '.join(corruptions.KINDS)}")
 _severities = _comma_list(int, lambda v: _distinct(v) and all(s in range(1, 6) for s in v),
@@ -189,7 +191,7 @@ def cmd_attack(args) -> int:
         )
 
     for strength in args.eps:
-        families = ["pgd", "cw", "square"] if args.family == "suite" else [args.family]
+        families = attacks.FAMILIES if args.family == "suite" else (args.family,)
         configs = [make_cfg(f, strength) for f in families]
         t0 = time.perf_counter()
         suite = attacks.attack_suite(xs, ys, model, configs)
@@ -299,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_args.add_argument("--ckpt", required=True)
     ckpt_args.add_argument("--timestep", type=_count, default=None)
     ckpt_args.add_argument("--data", default=None)
-    ckpt_args.add_argument("--cifar-variant", choices=("cifar10", "cifar100"),
-                           default="cifar10")
+    ckpt_args.add_argument("--cifar-variant", choices=CIFAR_VARIANTS, default="cifar10")
     ckpt_args.add_argument("--subset", type=_count, default=None)
     run_args = argparse.ArgumentParser(add_help=False, parents=[ckpt_args])
     run_args.add_argument("--seed", type=int, default=0)
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--data", default="synth", help="'synth' or CIFAR binary path")
-    p.add_argument("--cifar-variant", choices=("cifar10", "cifar100"), default="cifar10")
+    p.add_argument("--cifar-variant", choices=CIFAR_VARIANTS, default="cifar10")
     p.add_argument("--synth-kind", choices=SYNTH_KINDS, default="blobs")
     p.add_argument("--synth-n", type=_count, default=512)
     p.add_argument("--synth-noise", type=_noise, default=0.5)
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run attacks against a checkpoint",
                        parents=[run_args])
-    p.add_argument("--family", choices=("pgd", "cw", "square", "suite"), required=True)
+    p.add_argument("--family", choices=attacks.FAMILIES + ("suite",), required=True)
     p.add_argument("--norm", choices=attacks.NORMS, default="linf")
     p.add_argument("--eps", type=_strengths, required=True, help="comma list of strengths")
     p.add_argument("--steps", type=_count, default=None)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SYNTH_KINDS = ("blobs", "stripes")
+CIFAR_VARIANTS = ("cifar10", "cifar100")
 
 
 class CifarFormatError(ValueError):
@@ -54,7 +55,7 @@ def load_cifar_binary(path, variant: str = "cifar10") -> Dataset:
     bytes, row-major within each channel plane). cifar100: 3074-byte records
     (coarse then fine label byte); the fine label is used.
     """
-    if variant not in ("cifar10", "cifar100"):
+    if variant not in CIFAR_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     label_bytes = 1 if variant == "cifar10" else 2
     classes = 10 if variant == "cifar10" else 100

@@ -51,8 +51,8 @@ def disagreement_curve(model_eval, xs, norm: str, eps_grid, samples_per_eps: int
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     if eps_grid.ndim != 1 or len(eps_grid) == 0:
         raise ValueError("eps_grid must be a non-empty 1-d sequence")
-    if np.any(eps_grid <= 0) or np.any(np.diff(eps_grid) <= 0):
-        raise ValueError("eps_grid must be strictly increasing and positive")
+    if not (np.all((0 < eps_grid) & (eps_grid < np.inf)) and np.all(np.diff(eps_grid) > 0)):
+        raise ValueError("eps_grid must be strictly increasing, positive and finite")
     if samples_per_eps < 1:
         raise ValueError(f"samples_per_eps must be >= 1, got {samples_per_eps}")
     xs = np.asarray(xs, dtype=np.float64)

@@ -377,3 +377,16 @@ class TestSuite:
         mins = min(r.robust_accuracy() for r in big.results)
         assert big.worst_case_accuracy <= mins + 1e-12
         assert big.worst_case_accuracy <= small.worst_case_accuracy + 1e-12
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("epsilon", -0.1, "epsilon must be >= 0 and finite, got -0.1"),
+    ("epsilon", np.nan, "epsilon must be >= 0 and finite, got nan"),
+    ("epsilon", np.inf, "epsilon must be >= 0 and finite, got inf"),
+    ("cw_lr", 0.0, "cw_lr must be > 0 and finite, got 0.0"),
+    ("cw_lr", np.nan, "cw_lr must be > 0 and finite, got nan"),
+    ("cw_lr", np.inf, "cw_lr must be > 0 and finite, got inf"),
+])
+def test_config_rejects_out_of_range_floats(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AttackConfig(family="cw", **{field: value})

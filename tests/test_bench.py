@@ -4,6 +4,7 @@ robustness, result files, and checkpoint round trips."""
 import json
 import re
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from epbench.checkpoint import (MAGIC, Checkpoint, CheckpointError, load_checkpo
 from epbench.data import CifarFormatError
 from epbench.handle import from_checkpoint
 from epbench.model import init_params
+from epbench.ops import ConvSpec
 from conftest import desk_spec
 
 
@@ -416,16 +418,31 @@ class TestCheckpoint:
         ("NaN synth_noise", r"^header field 'train_config.synth_noise' is nan, expected a "
                             r"finite number >= 0$"),
         ("negative synth_noise", r"'train_config.synth_noise' is -0.5, expected a finite"),
+        # the spec's integer fields, which ModelSpec itself lets through
+        ("float readout_dim", r"^bad header field: spec.readout_dim is 2.0, not an integer$"),
+        ("float t_free", r"^bad header field: spec.t_free is 10.0, not an integer$"),
+        ("bool conv padding", r"^bad header field: spec.conv.0.padding is True, not an "
+                              r"integer$"),
+        ("numpy t_nudge", rf"^bad header field: spec.t_nudge is "
+                          rf"{re.escape(repr(np.int64(15)))}, not an integer$"),
     ])
     def test_save_refuses_what_load_rejects(self, tmp_path, case, where):
         spec = desk_spec()
         params = init_params(spec, np.random.default_rng(2), dtype=np.float32)
         fields = {"model_kind": "ep", "norm_mean": [0.5], "norm_std": [0.25],
                   "convergence_step": 7}
+        specs = {
+            "float readout_dim": replace(spec, readout_dim=2.0),
+            "float t_free": replace(spec, t_free=10.0),
+            "bool conv padding": replace(spec, conv=(ConvSpec(1, 8, kernel=3, padding=True),)),
+            "numpy t_nudge": replace(spec, t_nudge=np.int64(15)),
+        }
         if case == "wrong bias shape":
             params.b[0] = np.zeros(5, dtype=np.float32)
         elif case == "NaN weight":
             params.w[-1][0, 0] = np.nan
+        elif case in specs:
+            spec = specs[case]
         else:
             fields.update({
                 "bad model kind": {"model_kind": "zz"},

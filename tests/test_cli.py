@@ -494,12 +494,15 @@ def test_synth_noise_must_be_finite_and_non_negative(value, tmp_path, capsys):
     ["attack", "--family", "pgd", "--eps", "x"],
     ["attack", "--family", "pgd", "--eps", "-1"],
     ["attack", "--family", "pgd", "--eps", ","],
+    ["attack", "--family", "suite", "--eps", "inf"],
     ["uncertainty", "--eps-grid", "0.2,0.1"],
+    ["uncertainty", "--eps-grid", "0.1,0.2,0.4,inf"],
     ["corrupt", "--kinds", "fog"],
     ["corrupt", "--severities", "0,6"],
     ["corrupt", "--severities", ","],
     ["corrupt", "--severities", "1,1"],
-], ids=["eps-unparsed", "eps-negative", "eps-empty", "eps-grid-decreasing",
+], ids=["eps-unparsed", "eps-negative", "eps-empty", "eps-infinite", "eps-grid-decreasing",
+        "eps-grid-infinite",
         "kinds-unknown", "severities-out-of-range", "severities-empty",
         "severities-repeated"])
 def test_malformed_list_flags_rejected(argv, capsys):

@@ -80,6 +80,9 @@ class TestDisagreementCurve:
         with pytest.raises(ValueError, match="increasing"):
             disagreement_curve(lambda z: np.zeros(len(z)), xs, "l2",
                                [0.2, 0.1], 5)
+        for grid in ([0.1, np.nan], [np.nan], [0.1, np.nan, 0.4], [0.1, np.inf]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                disagreement_curve(lambda z: np.zeros(len(z)), xs, "l2", grid, 5)
 
     def test_samples_per_eps_below_one_rejected(self):
         xs = np.zeros((1, 1, 4, 4))
