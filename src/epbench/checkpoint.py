@@ -69,7 +69,12 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     for name, t in tensors:
         if not np.isfinite(t).all():
             raise CheckpointError(f"tensor {name} holds a non-finite value")
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    try:
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    except TypeError:
+        name, v = next(filter(None, (_unencodable(k, v) for k, v in header.items())))
+        raise CheckpointError(f"header field {name!r} is {v!r} of type "
+                              f"{type(v).__name__}, which JSON cannot hold") from None
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -77,6 +82,27 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(blob)
         for _, t in tensors:
             fh.write(t.tobytes())
+
+
+def _unencodable(name: str, v):
+    """(dotted name, value) of the first part of header field `name` that
+    json.dumps refuses, or None: a value of another type, such as a numpy
+    float, or a dict whose keys it cannot sort or write."""
+    if isinstance(v, dict):
+        probe, parts = dict.fromkeys(v), v.items()
+    elif isinstance(v, (list, tuple)):
+        probe, parts = [], enumerate(v)
+    else:
+        probe, parts = v, ()
+    try:
+        json.dumps(probe, sort_keys=True)
+    except TypeError:
+        return name, v
+    for k, e in parts:
+        found = _unencodable(f"{name}.{k}", e)
+        if found:
+            return found
+    return None
 
 
 def _listing(manifest) -> str:

@@ -9,13 +9,16 @@ with * cross-correlation, P 2x2 stride-2 max pooling, and s^0 = x. The state
 update is s_{t+1} = clamp(dPhi/ds_t) applied synchronously to every layer,
 with pooling argmax routes refreshed from the current bottom-up pass at each
 step. Connection 0's drive and route depend only on the clamped x, so a
-relaxation computes them once, before its first step. The readout (logits on
-the flattened top state) stays outside Phi; the nudged phase injects
--beta * dL/ds^N through it, where L is softmax cross-entropy. Free, nudged and
-recorded runs all go through one loop, `_relax`. An early-exit relaxation
-freezes each example at its own first step below the tolerance and steps only
-the examples still moving, so an example's result never depends on its
-batch-mates.
+relaxation computes them once, before its first step. It prepares what it
+reads of the parameters once too (`_prepare`): every weight and bias cast to
+float64, each conv kernel's flipped adjoint kernel and each bias shaped to
+broadcast over its drive, so a step issues only the array operations that
+make its bits. The readout (logits on the flattened top state) stays
+outside Phi; the nudged phase injects -beta * dL/ds^N through it, where L is
+softmax cross-entropy. Free, nudged and recorded runs all go through one
+loop, `_relax`. An early-exit relaxation freezes each example at its own
+first step below the tolerance and steps only the examples still moving, so
+an example's result never depends on its batch-mates.
 
 Connections are numbered conv first, then fc, then the readout; connection
 i reads its weight and bias as Params.w[i] and Params.b[i]. Each one's drive,
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,12 +103,16 @@ def _unpool(g, route):
     return _flat(g) if route is None else ops.unpool2(g, route)
 
 
-def _adjoint(i, u, params: Params, spec: ModelSpec):
+def _adjoint(i, u, params: Params, spec: ModelSpec, w_adj=None):
     """Transpose of connection i's linear map applied to u = _unpool(g, route);
-    with the pooling routes held fixed this is the adjoint of the drive."""
+    with the pooling routes held fixed this is the adjoint of the drive.
+
+    w_adj is a conv connection's adjoint kernel if the caller has it, as
+    `_prepare` holds it; it is derived from params otherwise.
+    """
     w = params.w[i]
     if i < spec.n_conv:
-        return ops.conv2d_transpose(u, w, spec.conv[i])
+        return ops.conv2d_transpose(u, w, spec.conv[i], w_adj)
     return np.einsum("kd,bk->bd", w, u, dtype=_F)
 
 
@@ -129,52 +137,69 @@ def _logits(top, params: Params, spec: ModelSpec):
     return _add_bias(n, _drive(n, top, params, spec)[0], params, spec)
 
 
-def _input_drive(x, params: Params, spec: ModelSpec):
+class _Net(NamedTuple):
+    """What a relaxation or a reverse pass reads of the model at every step,
+    computed once per call by `_prepare`."""
+
+    params: Params        # every weight and bias as float64
+    spec: ModelSpec
+    w_adj: list           # conv connection i's adjoint kernel; None past the convs
+    b: list               # bias i shaped as _add_bias broadcasts it over its drive
+    n_layers: int
+
+
+def _prepare(params: Params, spec: ModelSpec) -> _Net:
+    """params prepared for every step of one relaxation or reverse pass."""
+    p64 = params.map(np.asarray, dtype=_F)
+    n_conv = spec.n_conv
+    w_adj = [ops._adjoint_kernel(w) if i < n_conv else None for i, w in enumerate(p64.w)]
+    b = [bi.reshape(bi.shape + (1,) * (2 if i < n_conv else 0)) for i, bi in enumerate(p64.b)]
+    return _Net(p64, spec, w_adj, b, spec.n_layers)
+
+
+def _input_drive(x, net: _Net):
     """Connection 0's biased drive on the clamped x and its pool route
     (None when connection 0 is fc): (pre0, route0). Callers only read it."""
-    drive, route = _drive(0, x, params, spec)
-    return _add_bias(0, drive, params, spec), route
+    drive, route = _drive(0, x, net.params, net.spec)
+    return drive + net.b[0], route
 
 
-def _bottom_up(x, layers, params: Params, spec: ModelSpec, x_drive=None):
+def _bottom_up(x, layers, net: _Net, x_drive=None):
     """P(w_i * s^{i-1}) + b_i for every connection, and each one's pool route
     (None for an fc connection).
 
-    x_drive is _input_drive(x, ...) if the caller has it; it is computed here
+    x_drive is _input_drive(x, net) if the caller has it; it is computed here
     otherwise.
     """
-    pre0, route0 = _input_drive(x, params, spec) if x_drive is None else x_drive
+    pre0, route0 = _input_drive(x, net) if x_drive is None else x_drive
     pre, routes = [pre0], [route0]
-    for i in range(1, spec.n_layers):
-        drive, route = _drive(i, layers[i - 1], params, spec)
-        pre.append(_add_bias(i, drive, params, spec))
+    for i in range(1, net.n_layers):
+        drive, route = _drive(i, layers[i - 1], net.params, net.spec)
+        drive += net.b[i]  # the pooled or einsum result is a new array
+        pre.append(drive)
         routes.append(route)
     return pre, routes
 
 
-def _add_top_down(pre, layers, params: Params, spec: ModelSpec, routes):
-    """Add the feedback term from connection i into layer i-1 (top layer gets none).
+def _grad_state(x, layers, net: _Net, x_drive=None):
+    """(dPhi/ds^n for every layer, pool routes of the bottom-up pass by connection).
 
-    Each sum is a new array, so a cached input drive in pre[0] is never written.
+    Each layer's feedback from connection i + 1 above is added to a new
+    array, so a cached input drive in pre[0] is never written.
     """
-    for i in range(1, spec.n_layers):
-        td = _adjoint(i, _unpool(layers[i], routes[i]), params, spec)
+    pre, routes = _bottom_up(x, layers, net, x_drive)
+    for i in range(1, net.n_layers):
+        u = _unpool(layers[i], routes[i])
+        td = _adjoint(i, u, net.params, net.spec, net.w_adj[i])
         pre[i - 1] = pre[i - 1] + td.reshape(pre[i - 1].shape)
-    return pre
-
-
-def _grad_state(x, layers, params: Params, spec: ModelSpec, x_drive=None):
-    """(dPhi/ds^n for every layer, pool routes of the bottom-up pass by connection)."""
-    pre, routes = _bottom_up(x, layers, params, spec, x_drive)
-    return _add_top_down(pre, layers, params, spec, routes), routes
+    return pre, routes
 
 
 def phi(x, state: NetworkState, params: Params, spec: ModelSpec):
     """Per-example energies [B]."""
     xb = _as_batch_x(x, spec)
-    params = params.map(np.asarray, dtype=_F)
     layers = _layers64(state, spec)
-    pre, _ = _bottom_up(xb, layers, params, spec)
+    pre, _ = _bottom_up(xb, layers, _prepare(params, spec))
     total = np.zeros(xb.shape[0], dtype=_F)
     for s, p in zip(layers, pre):
         total += np.einsum("bi,bi->b", _flat(s), _flat(p), dtype=_F)
@@ -184,8 +209,7 @@ def phi(x, state: NetworkState, params: Params, spec: ModelSpec):
 def phi_grad_state(x, state: NetworkState, params: Params, spec: ModelSpec):
     """dPhi/ds^n for every layer: bottom-up drive plus feedback from above."""
     xb = _as_batch_x(x, spec)
-    params = params.map(np.asarray, dtype=_F)
-    return _grad_state(xb, _layers64(state, spec), params, spec)[0]
+    return _grad_state(xb, _layers64(state, spec), _prepare(params, spec))[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -238,17 +262,22 @@ def _nudge_force(state_layers, params: Params, spec: ModelSpec, y, beta_signed: 
 
 
 def dynamics_step(x, layers, params: Params, spec: ModelSpec, *, y=None,
-                  beta_signed: float = 0.0, collect: bool = False, x_drive=None):
+                  beta_signed: float = 0.0, collect: bool = False, fixed=None):
     """One synchronous update of all layers. Returns (new_layers, idx, masks),
     where idx[i] is connection i's pool route (None for an fc connection).
 
     masks (clamp pass-through, boundary counted as pass) are only built when
-    collect is set. x_drive is connection 0's (pre0, route0) on x, as
-    _input_drive returns it; None computes it in this step.
+    collect is set. fixed is the relaxation's work that no step changes, as
+    `_relax` holds it: (_prepare(params, spec), _input_drive(x, net)); None
+    computes both in this step.
     """
-    pre, idx = _grad_state(x, layers, params, spec, x_drive)
+    if fixed is None:
+        net = _prepare(params, spec)
+        fixed = net, _input_drive(x, net)
+    net, x_drive = fixed
+    pre, idx = _grad_state(x, layers, net, x_drive)
     if beta_signed != 0.0:
-        pre[-1] = pre[-1] + _nudge_force(layers, params, spec, y, beta_signed)
+        pre[-1] = pre[-1] + _nudge_force(layers, net.params, spec, y, beta_signed)
     new = [ops.hard_clamp(p) for p in pre]
     # a value passes the clamp unchanged iff it lies in [0, 1]; NaN never does
     masks = [n == p for n, p in zip(new, pre)] if collect else None
@@ -280,11 +309,11 @@ def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
     if t < 1:
         raise ValueError(f"a relaxation needs t >= 1, got t={t}")
     xb = _as_batch_x(x, spec)
-    params = params.map(np.asarray, dtype=_F)
     n = xb.shape[0]
     if layers is None:
         layers = zero_state(spec, n).layers
-    x_drive = _input_drive(xb, params, spec)
+    net = _prepare(params, spec)
+    x_drive = _input_drive(xb, net)
     routes, masks = [], []
     rows = np.arange(n)  # the output row of each row still stepping
     example_steps, residual = np.empty(n, dtype=np.int64), np.empty(n)  # set per row
@@ -295,7 +324,7 @@ def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
         old = layers
         layers, idx, mask = dynamics_step(xb, old, params, spec, y=y,
                                           beta_signed=beta_signed, collect=record,
-                                          x_drive=x_drive)
+                                          fixed=(net, x_drive))
         if record:
             routes.append(idx)
             masks.append(mask)

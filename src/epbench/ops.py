@@ -17,6 +17,12 @@ gradient sums the per-example products over the batch in index order.
 Results are cast back to the operands' dtype. Pooling routes are integer
 (maxpool2 returns int64) flat indices into each [H, W] plane, checked for
 dtype, shape and range before use.
+
+What depends only on shapes is computed once per shape and cached read-only:
+the first cell of each pooling window and the flat offset of each stacked
+plane that a route check adds. ``conv2d_transpose`` flips its kernel on every
+call unless the caller passes the flipped kernel it prepared once, as a
+relaxation or a reverse pass does for all of its steps.
 """
 
 from __future__ import annotations
@@ -103,13 +109,17 @@ def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     # [O, C*k*k] @ [B, C*k*k, Ho*Wo]: one dgemm per example
     y = np.matmul(w2, _im2col(xb, spec))
     return y.reshape(xb.shape[0], spec.out_channels, ho, wo).astype(
-        np.result_type(x, w), copy=False)
+        np.promote_types(xb.dtype, w.dtype), copy=False)
 
 
-def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Exact adjoint of conv2d: <conv2d(x,w), g> == <x, conv2d_transpose(g,w)>."""
+def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec,
+                     w_adj: np.ndarray | None = None) -> np.ndarray:
+    """Exact adjoint of conv2d: <conv2d(x,w), g> == <x, conv2d_transpose(g,w)>.
+
+    w_adj is _adjoint_kernel(w) when the caller holds it (a relaxation
+    prepares it once for all its steps); None derives it from w here.
+    """
     gb = _as_batch(g, "conv2d_transpose input")
-    w = np.asarray(w)
     if gb.shape[1] != spec.out_channels:
         raise ShapeError(
             f"conv2d_transpose input channel axis has extent {gb.shape[1]}, "
@@ -126,8 +136,16 @@ def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray
                 f"for padding {spec.padding} (kernel {spec.kernel})"
             )
         gb = gb[:, :, c:-c, c:-c]
-    wt = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    return conv2d(gb, wt, _transpose_spec(spec))
+    if w_adj is None:
+        w_adj = _adjoint_kernel(w)
+    return conv2d(gb, w_adj, _transpose_spec(spec))
+
+
+def _adjoint_kernel(w: np.ndarray) -> np.ndarray:
+    """The kernel conv2d_transpose correlates with: w[O, C, k, k] with its
+    channel axes swapped and each k x k plane flipped, as a C-ordered
+    [C, O, k, k] copy."""
+    return np.ascontiguousarray(np.asarray(w).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 
 
 @lru_cache(maxsize=None)
@@ -188,10 +206,18 @@ def maxpool2(x: np.ndarray):
     # bits (-0.0 against 0.0) are kept
     m = np.maximum(np.maximum(d, c), np.maximum(b, a))
     # a cell is passed over when it is not the maximum and not a NaN; the
-    # route is the first cell not passed over: offset 0, 1, W or W+1
-    na = (a != m) & (a == a)
-    nab = na & (b != m) & (b == b)
-    nabc = nab & (c != m) & (c == c)
+    # route is the first cell not passed over: offset 0, 1, W or W+1. A NaN
+    # anywhere makes the sum NaN (np.maximum passes it on to m); without one
+    # every cell is <= m, so it is passed over iff it is below m. The first
+    # form is exact for any input, so a sum of +inf and -inf may take it too
+    if np.isnan(np.add.reduce(m, axis=None)):
+        na = (a != m) & (a == a)
+        nab = na & (b != m) & (b == b)
+        nabc = nab & (c != m) & (c == c)
+    else:
+        na = a < m
+        nab = na & (b < m)
+        nabc = nab & (c < m)
     idx = nab * (W - 1)
     idx += _first_cells(H, W)
     idx += na
@@ -214,12 +240,20 @@ def _route(idx: np.ndarray, plane: int, what: str) -> np.ndarray:
         raise ValueError(f"{what}: pool indices must be integers, got {idx.dtype}")
     rows = idx.reshape(-1, idx.shape[2] * idx.shape[3]).astype(np.int64, copy=False)
     # one reduction checks both ends: a negative index wraps to above plane
-    if rows.size and rows.view(np.uint64).max() >= plane:
+    if rows.size and np.maximum.reduce(rows.view(np.uint64), axis=None) >= plane:
         raise ValueError(
             f"{what}: corrupted pool indices outside [0, {plane}) "
             f"(min {rows.min()}, max {rows.max()})"
         )
-    return rows + np.arange(0, len(rows) * plane, plane)[:, None]
+    return rows + _plane_offsets(len(rows), plane)
+
+
+@lru_cache(maxsize=16)
+def _plane_offsets(planes: int, plane: int) -> np.ndarray:
+    """Read-only [planes, 1] flat offset of each of `planes` stacked planes."""
+    offsets = np.arange(0, planes * plane, plane)[:, None]
+    offsets.flags.writeable = False
+    return offsets
 
 
 def unpool2(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -251,4 +285,6 @@ def pool_gather(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def hard_clamp(x: np.ndarray) -> np.ndarray:
     """Elementwise min(max(x, 0), 1)."""
-    return np.clip(x, 0.0, 1.0)
+    # the method skips np.clip's dispatch wrapper, which costs more than the
+    # clip itself on small arrays
+    return np.asarray(x).clip(0.0, 1.0)

@@ -9,7 +9,10 @@ clamped input x feeds the first connection at every step, its gradient
 accumulates across all t steps. Connection 0's pool route depends only on x,
 so a tape holds it once, and connection 0 is one linear map at every step:
 the reverse pass sums its cotangents over the steps and applies its adjoint
-once. Each reverse step keeps only the terms of connections 1 and up.
+once. Each reverse step keeps only the terms of connections 1 and up. A
+reverse pass prepares the parameters once, as a relaxation does
+(`energy._prepare`: float64 weights and each conv's flipped adjoint kernel),
+so its steps only pull cotangents through the recorded routes and masks.
 
 Inputs are batched ([B, C, H, W]; logit gradients [B, K]). Everything here
 is per-example exact, and an example's result is bit-identical whatever
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _adjoint, _as_batch_x, _drive, _logits, _relax, _unpool
+from .energy import _adjoint, _as_batch_x, _drive, _logits, _prepare, _relax, _unpool
 from .model import ModelSpec, Params
 
 _F = np.float64
@@ -77,27 +80,28 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
     xb = _as_batch_x(x, spec)
     if tape.steps == 0:
         return np.zeros_like(xb)
-    params = params.map(np.asarray, dtype=_F)
+    net = _prepare(params, spec)
+    p64, n = net.params, net.n_layers
+    shapes = [s.shape for s in tape.final]
 
     g_logits = np.asarray(g_logits, dtype=_F)
-    g_layers = [np.zeros_like(s) for s in tape.final]
-    g_layers[-1] = _adjoint(spec.n_layers, g_logits, params, spec).reshape(
-        tape.final[-1].shape)
+    g_layers = [np.zeros(shp) for shp in shapes]
+    g_layers[-1] = _adjoint(n, g_logits, p64, spec).reshape(shapes[-1])
     g_in = None  # connection 0's cotangent summed over the steps walked so far
 
     for step in reversed(range(tape.steps)):
         g_pre = [g * m for g, m in zip(g_layers, tape.masks[step])]
         g_in = g_pre[0] if g_in is None else g_in + g_pre[0]
-        g_new = [np.zeros_like(s) for s in tape.final]
+        g_layers = [np.zeros(shp) for shp in shapes]
         for i, route in enumerate(tape.pool_idx[step], 1):
             # bottom-up term of connection i read s^{i-1}
-            back = _adjoint(i, _unpool(g_pre[i], route), params, spec)
-            g_new[i - 1] += back.reshape(g_new[i - 1].shape)
+            back = _adjoint(i, _unpool(g_pre[i], route), p64, spec, net.w_adj[i])
+            g_layers[i - 1] += back.reshape(shapes[i - 1])
             # top-down term of connection i (into layer i-1) read s^i
-            fwd, _ = _drive(i, g_pre[i - 1], params, spec, route)
-            g_new[i] += fwd.reshape(g_new[i].shape)
-        g_layers = g_new
-    return _adjoint(0, _unpool(g_in, tape.route0), params, spec).reshape(xb.shape)
+            fwd, _ = _drive(i, g_pre[i - 1], p64, spec, route)
+            g_layers[i] += fwd.reshape(shapes[i])
+    u = _unpool(g_in, tape.route0)
+    return _adjoint(0, u, p64, spec, net.w_adj[0]).reshape(xb.shape)
 
 
 def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):

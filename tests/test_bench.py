@@ -425,6 +425,12 @@ class TestCheckpoint:
                               r"integer$"),
         ("numpy t_nudge", rf"^bad header field: spec.t_nudge is "
                           rf"{re.escape(repr(np.int64(15)))}, not an integer$"),
+        # values no rule reads, which json.dumps cannot write
+        ("float32 beta", rf"^header field 'spec.beta' is "
+                         rf"{re.escape(repr(np.float32(0.5)))} of type float32, which "
+                         rf"JSON cannot hold$"),
+        ("float32 recipe value", rf"^header field 'train_config.lr' is "
+                                 rf"{re.escape(repr(np.float32(0.1)))} of type float32"),
     ])
     def test_save_refuses_what_load_rejects(self, tmp_path, case, where):
         spec = desk_spec()
@@ -436,6 +442,7 @@ class TestCheckpoint:
             "float t_free": replace(spec, t_free=10.0),
             "bool conv padding": replace(spec, conv=(ConvSpec(1, 8, kernel=3, padding=True),)),
             "numpy t_nudge": replace(spec, t_nudge=np.int64(15)),
+            "float32 beta": replace(spec, beta=np.float32(0.5)),
         }
         if case == "wrong bias shape":
             params.b[0] = np.zeros(5, dtype=np.float32)
@@ -464,6 +471,7 @@ class TestCheckpoint:
                 "float n_train": {"train_config": {"n_train": 16.0}},
                 "NaN synth_noise": {"train_config": {"synth_noise": np.nan}},
                 "negative synth_noise": {"train_config": {"synth_noise": -0.5}},
+                "float32 recipe value": {"train_config": {"lr": np.float32(0.1)}},
             }[case])
         p = tmp_path / "m.ckpt"
         with pytest.raises(CheckpointError, match=where):

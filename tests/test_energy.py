@@ -441,22 +441,49 @@ class TestEmptyBatch:
         assert z.shape == (0, self.spec.readout_dim)
 
 
-def test_free_phase_computes_the_input_drive_once(monkeypatch):
-    # per step of a 2-conv model: connection 1's drive (one conv2d, one
-    # maxpool2) and its feedback (one conv2d inside conv2d_transpose);
-    # connection 0's conv2d and maxpool2 run once before the first step
-    spec, params = tiny_model(np.random.default_rng(43))
-    x = np.random.default_rng(44).uniform(0, 1, (2,) + spec.input_shape)
-    calls = {"conv2d": 0, "maxpool2": 0}
-    for name in calls:
+def _count_ops(monkeypatch, names):
+    """A {name: calls} dict, starting at 0, counting each call of the named
+    public ops functions, nested calls (conv2d inside conv2d_transpose)
+    included."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _f=getattr(ops, name), _name=name):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(ops, name, counted)
+    return calls
+
+
+def test_free_phase_computes_the_input_drive_once(monkeypatch):
+    # per step of a 2-conv model: connection 1's drive (one conv2d, one
+    # maxpool2), its feedback (one unpool2 and one conv2d_transpose, which
+    # runs one conv2d) and one clamp per layer; connection 0's conv2d and
+    # maxpool2 run once before the first step
+    spec, params = tiny_model(np.random.default_rng(43))
+    x = np.random.default_rng(44).uniform(0, 1, (2,) + spec.input_shape)
+    calls = _count_ops(monkeypatch, ["conv2d", "maxpool2", "unpool2",
+                                     "conv2d_transpose", "hard_clamp"])
     for t in (1, 7):
-        calls.update(conv2d=0, maxpool2=0)
+        calls.update(dict.fromkeys(calls, 0))
         energy.free_phase(x, params, spec, t=t, fp_tol=0.0)
-        assert calls == {"conv2d": 1 + 2 * t, "maxpool2": 1 + t}
+        assert calls == {"conv2d": 1 + 2 * t, "maxpool2": 1 + t, "unpool2": t,
+                         "conv2d_transpose": t, "hard_clamp": 2 * t}
+
+
+def test_reverse_pass_calls_per_step(monkeypatch):
+    # per reverse step of a 2-conv model: connection 1's bottom-up term (one
+    # unpool2, one conv2d inside conv2d_transpose) and its top-down term (one
+    # conv2d, one pool_gather); connection 0's adjoint (one unpool2, one
+    # conv2d) runs once after the last step
+    spec, params = tiny_model(np.random.default_rng(43))
+    x = np.random.default_rng(44).uniform(0, 1, (2,) + spec.input_shape)
+    g_logits = np.random.default_rng(45).standard_normal((2, spec.readout_dim))
+    for t in (1, 7):
+        tape = unrolled.record_free_phase(x, params, spec, t)
+        with monkeypatch.context() as m:
+            calls = _count_ops(m, ["conv2d", "pool_gather", "unpool2"])
+            unrolled.backward_input(tape, x, params, spec, g_logits)
+        assert calls == {"conv2d": 2 * t + 1, "pool_gather": t, "unpool2": t + 1}
 
 
 def test_clamp_masks_mark_values_the_clamp_passes(monkeypatch):

@@ -1,13 +1,14 @@
 """Exact input gradients through the unrolled dynamics: closed-form single
-step, finite differences, saturation, batching, the memory contract, and the
-reverse pass that applies connection 0's adjoint once."""
+step, finite differences, saturation, batching, the memory contract, the
+recorded forward pass against a per-step reference, and the reverse pass
+that applies connection 0's adjoint once."""
 
 import numpy as np
 import pytest
 
 from epbench import energy, ops, unrolled
 from epbench.handle import for_params
-from epbench.model import ModelSpec, init_params
+from epbench.model import ModelSpec, init_params, zero_state
 from epbench.ops import ConvSpec
 from conftest import conv_fc_model, tiny_model
 
@@ -238,6 +239,51 @@ def _per_step_reverse(tape, x, params, spec, g_logits):
     return g_x
 
 
+def _per_step_forward(x, params, spec, t):
+    """Reference free phase without early exit: each of t steps recomputes
+    every connection's drive, connection 0's included, from the public ops
+    and the connection helpers, with nothing prepared ahead. Returns (final
+    layers, routes by step and connection, clamp masks by step)."""
+    p64 = params.map(np.asarray, dtype=np.float64)
+    layers = zero_state(spec, len(x)).layers
+    routes, masks = [], []
+    for _ in range(t):
+        pre, idx = [], []
+        for i, src in enumerate([x] + layers[:-1]):
+            drive, route = energy._drive(i, src, p64, spec)
+            pre.append(energy._add_bias(i, drive, p64, spec))
+            idx.append(route)
+        for i in range(1, spec.n_layers):
+            td = energy._adjoint(i, energy._unpool(layers[i], idx[i]), p64, spec)
+            pre[i - 1] = pre[i - 1] + td.reshape(pre[i - 1].shape)
+        layers = [ops.hard_clamp(p) for p in pre]
+        routes.append(idx)
+        masks.append([n == p for n, p in zip(layers, pre)])
+    return layers, routes, masks
+
+
+def _bits(arrays):
+    """Each array's dtype, shape and bytes; None (an fc route) stays None."""
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestForwardPass:
+    @pytest.mark.parametrize("t", [1, 7, 20])
+    @pytest.mark.parametrize("model", REVERSE_MODELS)
+    def test_matches_per_step_reference(self, model, t):
+        spec, params = REVERSE_MODELS[model](np.random.default_rng(37), scale=0.8)
+        x = np.random.default_rng(38).uniform(0, 1, (3,) + spec.input_shape)
+        layers, routes, masks = _per_step_forward(x, params, spec, t)
+        tape = unrolled.record_free_phase(x, params, spec, t)
+        assert _bits(tape.final) == _bits(layers)
+        assert tape.steps == len(routes) == t
+        for k in range(t):
+            assert _bits([tape.route0] + tape.pool_idx[k]) == _bits(routes[k])
+            assert _bits(tape.masks[k]) == _bits(masks[k])
+        free = energy.free_phase(x, params, spec, t=t, fp_tol=0.0)
+        assert _bits(free.layers) == _bits(layers)
+
+
 def _tape_and_cotangent(make_model, t, batch=3, seed=37):
     spec, params = make_model(np.random.default_rng(seed), scale=0.8)
     rng = np.random.default_rng(seed + 1)
@@ -273,6 +319,25 @@ class TestReversePass:
         unrolled.backward_input(tape, x, params, spec, g_logits)
         expected = 7 * (spec.n_conv - 1) + 1 if spec.n_conv else 0
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("route", ["route 0", "step 3's route 1"])
+    @pytest.mark.parametrize("bad", ["past the plane", "negative", "float"])
+    def test_checks_every_route_it_reads(self, route, bad):
+        # a tape route the forward pass did not make is refused, not read
+        spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 7)
+        good = tape.route0 if route == "route 0" else tape.pool_idx[3][0]
+        broken = good.astype(np.float64) if bad == "float" else good.copy()
+        plane = 4 * good.shape[2] * good.shape[3]
+        if bad != "float":  # one cell of the last example's last plane
+            broken[-1, -1, -1, -1] = plane if bad == "past the plane" else -1
+        if route == "route 0":
+            tape.route0 = broken
+        else:
+            tape.pool_idx[3][0] = broken
+        match = ("pool indices must be integers" if bad == "float"
+                 else "corrupted pool indices")
+        with pytest.raises(ValueError, match=match):
+            unrolled.backward_input(tape, x, params, spec, g_logits)
 
     def test_zero_step_tape_gives_zeros(self):
         spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 3)
