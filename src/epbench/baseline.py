@@ -11,29 +11,25 @@ in `energy`, the ones the energy model's dynamics and EP rules use.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import ops
-from .energy import (_add_bias, _adjoint, _as_batch_x, _drive, _logits, _unpool,
-                     _weight_grad, cross_entropy_grad)
+from .energy import (_adjoint, _as_batch_x, _cotangent, _drive, _logits, _prepare,
+                     _unpool, _weight_grad, cross_entropy_grad)
 from .model import ModelSpec, Params
-
-_F = np.float64
 
 
 def bp_forward(xs, params: Params, spec: ModelSpec, collect: bool = False):
     """Feedforward logits; with collect=True also the per-layer cache."""
     xb = _as_batch_x(xs, spec)
-    p64 = params.map(np.asarray, dtype=_F)
+    net = _prepare(params, spec)
     cache = []
     s = xb
     for i in range(spec.n_layers):
-        drive, route = _drive(i, s, p64, spec)
-        pre = _add_bias(i, drive, p64, spec)
+        drive, route = _drive(i, s, net)
+        pre = drive + net.b[i]
         if collect:
             cache.append({"src": s, "route": route, "mask": (pre >= 0) & (pre <= 1)})
         s = ops.hard_clamp(pre)
-    logits = _logits(s, p64, spec)
+    logits = _logits(s, net)
     if collect:
         return logits, {"layers": cache, "top": s}
     return logits
@@ -45,20 +41,20 @@ def bp_backward(cache, params: Params, spec: ModelSpec, g_logits, *,
     one backward sweep. A part the caller turns off is returned as None and
     never computed: the pullback skips every weight gradient, a training step
     skips connection 0's adjoint."""
-    p64 = params.map(np.asarray, dtype=_F)
+    net = _prepare(params, spec)
     n, top = spec.n_layers, cache["top"]
     grads = Params([None] * (n + 1), [None] * (n + 1)) if param_grads else None
     if param_grads:
-        grads.w[n], grads.b[n] = _weight_grad(n, top, g_logits, p64, spec)
-    g = _adjoint(n, g_logits, p64, spec).reshape(top.shape)
+        grads.w[n], grads.b[n] = _weight_grad(n, top, g_logits, net)
+    g = _adjoint(n, g_logits, net).reshape(top.shape)
     for i in reversed(range(n)):
         layer = cache["layers"][i]
         g_pre = g.reshape(layer["mask"].shape) * layer["mask"]
         u = _unpool(g_pre, layer["route"])  # shared by both gradients: one unpool
         if param_grads:
-            grads.w[i], grads.b[i] = _weight_grad(i, layer["src"], g_pre, p64, spec, u)
+            grads.w[i], grads.b[i] = _weight_grad(i, layer["src"], g_pre, net, u)
         if i or input_grad:
-            g = _adjoint(i, u, p64, spec).reshape(layer["src"].shape)
+            g = _adjoint(i, u, net).reshape(layer["src"].shape)
     return grads, (g if input_grad else None)
 
 
@@ -68,8 +64,8 @@ def bp_logits_and_vjp(xs, params: Params, spec: ModelSpec):
     logits, cache = bp_forward(xb, params, spec, collect=True)
 
     def vjp(g_logits):
-        _, g_x = bp_backward(cache, params, spec, np.asarray(g_logits, dtype=_F),
-                             param_grads=False)
+        g_logits = _cotangent(g_logits, len(xb), spec)
+        _, g_x = bp_backward(cache, params, spec, g_logits, param_grads=False)
         return g_x
 
     return logits, vjp

@@ -9,21 +9,22 @@ with * cross-correlation, P 2x2 stride-2 max pooling, and s^0 = x. The state
 update is s_{t+1} = clamp(dPhi/ds_t) applied synchronously to every layer,
 with pooling argmax routes refreshed from the current bottom-up pass at each
 step. Connection 0's drive and route depend only on the clamped x, so a
-relaxation computes them once, before its first step. It prepares what it
-reads of the parameters once too (`_prepare`): every weight and bias cast to
-float64, each conv kernel's flipped adjoint kernel and each bias shaped to
-broadcast over its drive, so a step issues only the array operations that
-make its bits. The readout (logits on the flattened top state) stays
-outside Phi; the nudged phase injects -beta * dL/ds^N through it, where L is
-softmax cross-entropy. Free, nudged and recorded runs all go through one
-loop, `_relax`. An early-exit relaxation freezes each example at its own
-first step below the tolerance and steps only the examples still moving, so
-an example's result never depends on its batch-mates.
+relaxation computes them once, before its first step. The readout (logits
+on the flattened top state) stays outside Phi; the nudged phase injects
+-beta * dL/ds^N through it, where L is softmax cross-entropy. Free, nudged
+and recorded runs all go through one loop, `_relax`. An early-exit
+relaxation freezes each example at its own first step below the tolerance
+and steps only the examples still moving, so an example's result never
+depends on its batch-mates.
 
 Connections are numbered conv first, then fc, then the readout; connection
 i reads its weight and bias as Params.w[i] and Params.b[i]. Each one's drive,
 bias, adjoint at fixed pool routes and weight gradient are written once here;
 the unrolled reverse pass, the EP rules and the backprop twin reuse them.
+They read one parameter view, `_prepare`'s: the weights and biases as
+float64, each conv kernel's flipped adjoint kernel and each bias shaped to
+broadcast over its drive. Every entry point prepares the model once per
+call, so a step issues only the array operations that make its bits.
 
 All dynamics run in float64 regardless of parameter dtype. Every input,
 state and result carries a leading batch axis: x is [B, C, H, W], each state
@@ -75,26 +76,40 @@ def _layers64(state: NetworkState, spec: ModelSpec) -> list[np.ndarray]:
     return layers
 
 
-def _drive(i, src, params: Params, spec: ModelSpec, route=None):
+class _Net(NamedTuple):
+    """The one parameter view the connection helpers read, computed once per
+    entry-point call by `_prepare`."""
+
+    params: Params        # every weight and bias as float64
+    spec: ModelSpec
+    w_adj: list           # conv connection i's adjoint kernel; None past the convs
+    b: list               # bias i shaped to broadcast over connection i's drive
+    n_layers: int
+
+
+def _prepare(params: Params, spec: ModelSpec) -> _Net:
+    """params prepared for every connection-helper call of one entry point."""
+    p64 = params.map(np.asarray, dtype=_F)
+    n_conv = spec.n_conv
+    w_adj = [ops._adjoint_kernel(w) if i < n_conv else None for i, w in enumerate(p64.w)]
+    b = [bi.reshape(bi.shape + (1,) * (2 if i < n_conv else 0)) for i, bi in enumerate(p64.b)]
+    return _Net(p64, spec, w_adj, b, spec.n_layers)
+
+
+def _drive(i, src, net: _Net, route=None):
     """Connection i's drive on the batched src, bias excluded: (drive, route).
 
     A conv drive is P(w * src), max-pooled along fresh argmax routes when
     route is None and gathered along the given route otherwise; an fc
     connection or the readout gives w flat(src) and route None.
     """
-    w = params.w[i]
-    if i >= spec.n_conv:
+    w = net.params.w[i]
+    if i >= net.spec.n_conv:
         # einsum (fixed reduction order) instead of BLAS `@` keeps results
         # bit-identical across batch sizes
         return np.einsum("kd,bd->bk", w, _flat(src), dtype=_F), None
-    c = ops.conv2d(src, w, spec.conv[i])
+    c = ops.conv2d(src, w, net.spec.conv[i])
     return ops.maxpool2(c) if route is None else (ops.pool_gather(c, route), route)
-
-
-def _add_bias(i, drive, params: Params, spec: ModelSpec):
-    """drive + b_i, the bias broadcast over a conv drive's spatial axes."""
-    b = params.b[i]
-    return drive + b.reshape(b.shape + (1,) * (drive.ndim - 2))
 
 
 def _unpool(g, route):
@@ -103,20 +118,16 @@ def _unpool(g, route):
     return _flat(g) if route is None else ops.unpool2(g, route)
 
 
-def _adjoint(i, u, params: Params, spec: ModelSpec, w_adj=None):
+def _adjoint(i, u, net: _Net):
     """Transpose of connection i's linear map applied to u = _unpool(g, route);
-    with the pooling routes held fixed this is the adjoint of the drive.
-
-    w_adj is a conv connection's adjoint kernel if the caller has it, as
-    `_prepare` holds it; it is derived from params otherwise.
-    """
-    w = params.w[i]
-    if i < spec.n_conv:
-        return ops.conv2d_transpose(u, w, spec.conv[i], w_adj)
+    with the pooling routes held fixed this is the adjoint of the drive."""
+    w = net.params.w[i]
+    if i < net.spec.n_conv:
+        return ops.conv2d_transpose(u, w, net.spec.conv[i], net.w_adj[i])
     return np.einsum("kd,bk->bd", w, u, dtype=_F)
 
 
-def _weight_grad(i, src, g, params: Params, spec: ModelSpec, u=None):
+def _weight_grad(i, src, g, net: _Net, u=None):
     """Batch-summed (dw, db) of <g, drive_i(src) + b_i> at fixed routes.
 
     u is _unpool(g, route) if the caller has it; a conv without it pools
@@ -124,73 +135,49 @@ def _weight_grad(i, src, g, params: Params, spec: ModelSpec, u=None):
     conv's stays on the pooled shape (the summation order the bits rely on).
     """
     db = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
-    if i >= spec.n_conv:
+    if i >= net.spec.n_conv:
         return np.einsum("bk,bd->kd", _flat(g), _flat(src), dtype=_F), db
     if u is None:
-        u = ops.unpool2(g, _drive(i, src, params, spec)[1])
-    return ops.conv2d_weight_grad(src, u, spec.conv[i]), db
+        u = ops.unpool2(g, _drive(i, src, net)[1])
+    return ops.conv2d_weight_grad(src, u, net.spec.conv[i]), db
 
 
-def _logits(top, params: Params, spec: ModelSpec):
+def _logits(top, net: _Net):
     """Readout logits flat(s^N) W^T + b of a batched top state."""
-    n = spec.n_layers
-    return _add_bias(n, _drive(n, top, params, spec)[0], params, spec)
-
-
-class _Net(NamedTuple):
-    """What a relaxation or a reverse pass reads of the model at every step,
-    computed once per call by `_prepare`."""
-
-    params: Params        # every weight and bias as float64
-    spec: ModelSpec
-    w_adj: list           # conv connection i's adjoint kernel; None past the convs
-    b: list               # bias i shaped as _add_bias broadcasts it over its drive
-    n_layers: int
-
-
-def _prepare(params: Params, spec: ModelSpec) -> _Net:
-    """params prepared for every step of one relaxation or reverse pass."""
-    p64 = params.map(np.asarray, dtype=_F)
-    n_conv = spec.n_conv
-    w_adj = [ops._adjoint_kernel(w) if i < n_conv else None for i, w in enumerate(p64.w)]
-    b = [bi.reshape(bi.shape + (1,) * (2 if i < n_conv else 0)) for i, bi in enumerate(p64.b)]
-    return _Net(p64, spec, w_adj, b, spec.n_layers)
+    n = net.n_layers
+    return _drive(n, top, net)[0] + net.b[n]
 
 
 def _input_drive(x, net: _Net):
     """Connection 0's biased drive on the clamped x and its pool route
     (None when connection 0 is fc): (pre0, route0). Callers only read it."""
-    drive, route = _drive(0, x, net.params, net.spec)
+    drive, route = _drive(0, x, net)
     return drive + net.b[0], route
 
 
-def _bottom_up(x, layers, net: _Net, x_drive=None):
+def _bottom_up(layers, net: _Net, x_drive):
     """P(w_i * s^{i-1}) + b_i for every connection, and each one's pool route
-    (None for an fc connection).
-
-    x_drive is _input_drive(x, net) if the caller has it; it is computed here
-    otherwise.
-    """
-    pre0, route0 = _input_drive(x, net) if x_drive is None else x_drive
+    (None for an fc connection); x_drive = _input_drive(x, net) is
+    connection 0's."""
+    pre0, route0 = x_drive
     pre, routes = [pre0], [route0]
     for i in range(1, net.n_layers):
-        drive, route = _drive(i, layers[i - 1], net.params, net.spec)
+        drive, route = _drive(i, layers[i - 1], net)
         drive += net.b[i]  # the pooled or einsum result is a new array
         pre.append(drive)
         routes.append(route)
     return pre, routes
 
 
-def _grad_state(x, layers, net: _Net, x_drive=None):
+def _grad_state(layers, net: _Net, x_drive):
     """(dPhi/ds^n for every layer, pool routes of the bottom-up pass by connection).
 
     Each layer's feedback from connection i + 1 above is added to a new
-    array, so a cached input drive in pre[0] is never written.
+    array, so the input drive in pre[0] is never written.
     """
-    pre, routes = _bottom_up(x, layers, net, x_drive)
+    pre, routes = _bottom_up(layers, net, x_drive)
     for i in range(1, net.n_layers):
-        u = _unpool(layers[i], routes[i])
-        td = _adjoint(i, u, net.params, net.spec, net.w_adj[i])
+        td = _adjoint(i, _unpool(layers[i], routes[i]), net)
         pre[i - 1] = pre[i - 1] + td.reshape(pre[i - 1].shape)
     return pre, routes
 
@@ -199,7 +186,8 @@ def phi(x, state: NetworkState, params: Params, spec: ModelSpec):
     """Per-example energies [B]."""
     xb = _as_batch_x(x, spec)
     layers = _layers64(state, spec)
-    pre, _ = _bottom_up(xb, layers, _prepare(params, spec))
+    net = _prepare(params, spec)
+    pre, _ = _bottom_up(layers, net, _input_drive(xb, net))
     total = np.zeros(xb.shape[0], dtype=_F)
     for s, p in zip(layers, pre):
         total += np.einsum("bi,bi->b", _flat(s), _flat(p), dtype=_F)
@@ -209,7 +197,8 @@ def phi(x, state: NetworkState, params: Params, spec: ModelSpec):
 def phi_grad_state(x, state: NetworkState, params: Params, spec: ModelSpec):
     """dPhi/ds^n for every layer: bottom-up drive plus feedback from above."""
     xb = _as_batch_x(x, spec)
-    return _grad_state(xb, _layers64(state, spec), _prepare(params, spec))[0]
+    net = _prepare(params, spec)
+    return _grad_state(_layers64(state, spec), net, _input_drive(xb, net))[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -230,6 +219,16 @@ def _labels(logits: np.ndarray, y) -> np.ndarray:
     return y
 
 
+def _cotangent(g_logits, batch: int, spec: ModelSpec) -> np.ndarray:
+    """A pullback's logit cotangent as float64, checked to be [B, K] for its
+    forward's batch B and K = spec.readout_dim."""
+    g = np.asarray(g_logits, dtype=_F)
+    if g.shape != (batch, spec.readout_dim):
+        raise ops.ShapeError(f"logit cotangent shape {g.shape} is not [B, K] = "
+                             f"{(batch, spec.readout_dim)}")
+    return g
+
+
 def cross_entropy(logits: np.ndarray, y) -> np.ndarray:
     """Per-example softmax cross-entropy of logits [B, K] at labels y [B]."""
     y = _labels(logits, y)
@@ -248,16 +247,14 @@ def cross_entropy_grad(logits: np.ndarray, y) -> np.ndarray:
 
 def readout(state: NetworkState, params: Params, spec: ModelSpec) -> np.ndarray:
     """Logits [B, K] from the flattened top state [B, ...]."""
-    top = ops._as_batch(np.asarray(state.layers[-1], dtype=_F), "top state",
-                        "B, D" if spec.fc else "B, C, H, W")
-    return _logits(top, params, spec)
+    return _logits(_layers64(state, spec)[-1], _prepare(params, spec))
 
 
-def _nudge_force(state_layers, params: Params, spec: ModelSpec, y, beta_signed: float):
+def _nudge_force(layers, net: _Net, y, beta_signed: float):
     """-beta * dL/ds^N routed through the readout: -beta * W^T (softmax - onehot)."""
-    top = state_layers[-1]
-    err = cross_entropy_grad(_logits(top, params, spec), y)
-    force = -beta_signed * _adjoint(spec.n_layers, err, params, spec)
+    top = layers[-1]
+    err = cross_entropy_grad(_logits(top, net), y)
+    force = -beta_signed * _adjoint(net.n_layers, err, net)
     return force.reshape(top.shape)
 
 
@@ -275,9 +272,9 @@ def dynamics_step(x, layers, params: Params, spec: ModelSpec, *, y=None,
         net = _prepare(params, spec)
         fixed = net, _input_drive(x, net)
     net, x_drive = fixed
-    pre, idx = _grad_state(x, layers, net, x_drive)
+    pre, idx = _grad_state(layers, net, x_drive)
     if beta_signed != 0.0:
-        pre[-1] = pre[-1] + _nudge_force(layers, net.params, spec, y, beta_signed)
+        pre[-1] = pre[-1] + _nudge_force(layers, net, y, beta_signed)
     new = [ops.hard_clamp(p) for p in pre]
     # a value passes the clamp unchanged iff it lies in [0, 1]; NaN never does
     masks = [n == p for n, p in zip(new, pre)] if collect else None

@@ -21,8 +21,8 @@ dtype, shape and range before use.
 What depends only on shapes is computed once per shape and cached read-only:
 the first cell of each pooling window and the flat offset of each stacked
 plane that a route check adds. ``conv2d_transpose`` flips its kernel on every
-call unless the caller passes the flipped kernel it prepared once, as a
-relaxation or a reverse pass does for all of its steps.
+call unless the caller passes the flipped kernel, as the connection helpers
+in ``energy`` do: every entry point of the model prepares it once per call.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec,
                      w_adj: np.ndarray | None = None) -> np.ndarray:
     """Exact adjoint of conv2d: <conv2d(x,w), g> == <x, conv2d_transpose(g,w)>.
 
-    w_adj is _adjoint_kernel(w) when the caller holds it (a relaxation
-    prepares it once for all its steps); None derives it from w here.
+    w_adj is _adjoint_kernel(w) when the caller holds it (the model's entry
+    points prepare it once per call); None derives it from w here.
     """
     gb = _as_batch(g, "conv2d_transpose input")
     if gb.shape[1] != spec.out_channels:

@@ -25,7 +25,7 @@ from . import bench
 from .attacks import NORMS, _pgd
 from .baseline import _bp_batch_grads
 from .checkpoint import MODEL_KINDS
-from .energy import (_as_batch_x, _layers64, _logits, _weight_grad,
+from .energy import (_as_batch_x, _layers64, _logits, _prepare, _weight_grad,
                      cross_entropy_grad, free_phase, nudged_phase, readout)
 from .handle import for_params
 from .model import ModelSpec, NetworkState, Params, init_params
@@ -85,13 +85,13 @@ def phi_grad_params(x, state: NetworkState, params: Params,
     post-synaptic states. Readout slots stay zero (outside the energy).
     """
     xb = _as_batch_x(x, spec)
-    p64 = params.map(np.asarray, dtype=_F)
+    net = _prepare(params, spec)
     layers = _layers64(state, spec)
     n = xb.shape[0]
     est = params.map(np.zeros_like, dtype=_F)
     for i, (src, s) in enumerate(zip([xb] + layers[:-1], layers)):
         # conv weights use the pooling routes of the bottom-up pass at this state
-        dw, db = _weight_grad(i, src, s, p64, spec)
+        dw, db = _weight_grad(i, src, s, net)
         est.w[i], est.b[i] = dw / n, db / n
     return est
 
@@ -145,9 +145,9 @@ def _ep_batch_grads(params, spec, cfg, xs, ys, free_log=None):
         free_log.append((s_star.example_steps, s_star.residual))
     est = ep_estimate(xs, ys, params, spec, cfg, s_star)
     # the readout learns by the delta rule at the free fixed point
-    p64, top, n = params.map(np.asarray, dtype=_F), s_star.layers[-1], spec.n_layers
-    err = cross_entropy_grad(_logits(top, p64, spec), ys)
-    gw, gb = _weight_grad(n, top, err, p64, spec)
+    net, top, n = _prepare(params, spec), s_star.layers[-1], spec.n_layers
+    err = cross_entropy_grad(_logits(top, net), ys)
+    gw, gb = _weight_grad(n, top, err, net)
     est.w[n], est.b[n] = gw / len(ys), gb / len(ys)
     return est
 

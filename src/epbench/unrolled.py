@@ -9,10 +9,9 @@ clamped input x feeds the first connection at every step, its gradient
 accumulates across all t steps. Connection 0's pool route depends only on x,
 so a tape holds it once, and connection 0 is one linear map at every step:
 the reverse pass sums its cotangents over the steps and applies its adjoint
-once. Each reverse step keeps only the terms of connections 1 and up. A
-reverse pass prepares the parameters once, as a relaxation does
-(`energy._prepare`: float64 weights and each conv's flipped adjoint kernel),
-so its steps only pull cotangents through the recorded routes and masks.
+once. Each reverse step keeps only the terms of connections 1 and up. Every
+entry point here prepares the model once per call (`energy._prepare`), so a
+reverse step only pulls cotangents through the recorded routes and masks.
 
 Inputs are batched ([B, C, H, W]; logit gradients [B, K]). Everything here
 is per-example exact, and an example's result is bit-identical whatever
@@ -27,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _adjoint, _as_batch_x, _drive, _logits, _prepare, _relax, _unpool
+from . import ops
+from .energy import (_adjoint, _as_batch_x, _cotangent, _drive, _logits, _prepare,
+                     _relax, _unpool)
 from .model import ModelSpec, Params
-
-_F = np.float64
 
 
 @dataclass
@@ -75,18 +74,20 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
 
     Connection 0 reads only x, along one route and with one weight at every
     step, so its cotangents are summed over the steps and its adjoint is
-    applied once.
+    applied once. An x or g_logits whose batch is not the tape's is refused
+    with ops.ShapeError before any work.
     """
     xb = _as_batch_x(x, spec)
+    shapes = [s.shape for s in tape.final]
+    batch = shapes[-1][0]
+    if len(xb) != batch:
+        raise ops.ShapeError(f"input batch {len(xb)} != the tape's batch {batch}")
+    g_logits = _cotangent(g_logits, batch, spec)
     if tape.steps == 0:
         return np.zeros_like(xb)
     net = _prepare(params, spec)
-    p64, n = net.params, net.n_layers
-    shapes = [s.shape for s in tape.final]
-
-    g_logits = np.asarray(g_logits, dtype=_F)
     g_layers = [np.zeros(shp) for shp in shapes]
-    g_layers[-1] = _adjoint(n, g_logits, p64, spec).reshape(shapes[-1])
+    g_layers[-1] = _adjoint(net.n_layers, g_logits, net).reshape(shapes[-1])
     g_in = None  # connection 0's cotangent summed over the steps walked so far
 
     for step in reversed(range(tape.steps)):
@@ -95,13 +96,13 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
         g_layers = [np.zeros(shp) for shp in shapes]
         for i, route in enumerate(tape.pool_idx[step], 1):
             # bottom-up term of connection i read s^{i-1}
-            back = _adjoint(i, _unpool(g_pre[i], route), p64, spec, net.w_adj[i])
+            back = _adjoint(i, _unpool(g_pre[i], route), net)
             g_layers[i - 1] += back.reshape(shapes[i - 1])
             # top-down term of connection i (into layer i-1) read s^i
-            fwd, _ = _drive(i, g_pre[i - 1], p64, spec, route)
+            fwd, _ = _drive(i, g_pre[i - 1], net, route)
             g_layers[i] += fwd.reshape(shapes[i])
     u = _unpool(g_in, tape.route0)
-    return _adjoint(0, u, p64, spec, net.w_adj[0]).reshape(xb.shape)
+    return _adjoint(0, u, net).reshape(xb.shape)
 
 
 def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):
@@ -113,7 +114,7 @@ def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):
     """
     xb = _as_batch_x(xs, spec)
     tape = record_free_phase(xb, params, spec, t)
-    logits = _logits(tape.final[-1], params.map(np.asarray, dtype=_F), spec)
+    logits = _logits(tape.final[-1], _prepare(params, spec))
 
     def vjp(g_logits: np.ndarray) -> np.ndarray:
         return backward_input(tape, xb, params, spec, g_logits)

@@ -524,6 +524,11 @@ class TestReadoutPredict:
         st = zero_state(spec, 1)
         st.layers[-1][0] = [0.3, 0.9]
         assert np.allclose(energy.readout(st, params, spec), [0.3, 0.9])
+        # a top state of the right rank but the wrong width is refused
+        st.layers[-1] = np.zeros((3, 4))
+        with pytest.raises(ops.ShapeError,
+                           match=r"layer 1 state shape \(3, 4\) != \[B\] \+ \(2,\)"):
+            energy.readout(st, params, spec)
 
     def test_readout_matches_loop(self):
         rng = np.random.default_rng(14)
@@ -544,7 +549,8 @@ class TestReadoutPredict:
         st = energy.free_phase(x[None], params, spec)
         assert energy.readout(st, params, spec).shape == (1, 3)
         st.layers[-1] = st.layers[-1][0]
-        with pytest.raises(ops.ShapeError, match=r"\[B, C, H, W\]"):
+        with pytest.raises(ops.ShapeError,
+                           match=r"layer 0 state shape \(1, 4, 4\) != \[B\] \+ \(1, 4, 4\)"):
             energy.readout(st, params, spec)
 
     def test_shallow_t_gives_chance(self):

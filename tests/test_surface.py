@@ -3,7 +3,9 @@
 Every public module-level function or class, and every public method of a
 class, must be referenced by name somewhere in the package besides its own
 definition; the few that exist for the tests' oracles or as reference
-baselines are listed with the reason they stay.
+baselines are listed with the reason they stay. The parameters are cast to
+float64 and each conv kernel flipped for its adjoint in one place,
+`energy._prepare`.
 """
 
 import ast
@@ -43,3 +45,28 @@ def test_every_public_definition_has_a_caller_in_src():
     unreferenced = {qual for qual, name in defs.items()
                     if not name.startswith("_") and name not in used}
     assert unreferenced == set(UNREFERENCED_BY_DESIGN)
+
+
+def _calls_by_function(tree):
+    """(enclosing module-level function or class, Call node) for every call."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield getattr(top, "name", None), node
+
+
+def test_params_are_prepared_only_in_energy_prepare():
+    # params.map(np.asarray, dtype=...) casts and ops._adjoint_kernel flips;
+    # conv2d_transpose flips for callers that pass no prepared kernel
+    allowed = {"energy._prepare", "ops.conv2d_transpose"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn, call in _calls_by_function(ast.parse(path.read_text())):
+            f = call.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            cast = (name == "map" and call.args and ast.unparse(call.args[0]) == "np.asarray"
+                    and any(k.arg == "dtype" for k in call.keywords))
+            if cast or name == "_adjoint_kernel":
+                found.add(f"{path.stem}.{fn}")
+    assert found <= allowed
+    assert "energy._prepare" in found

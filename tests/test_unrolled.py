@@ -1,12 +1,19 @@
 """Exact input gradients through the unrolled dynamics: closed-form single
 step, finite differences, saturation, batching, the memory contract, the
 recorded forward pass against a per-step reference, and the reverse pass
-that applies connection 0's adjoint once."""
+that applies connection 0's adjoint once; the ep and bp pullbacks' shape
+checks and the one parameter preparation per entry-point call."""
+
+import importlib
+import pkgutil
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from epbench import energy, ops, unrolled
+import epbench
+from epbench import baseline, energy, ops, training, unrolled
 from epbench.handle import for_params
 from epbench.model import ModelSpec, init_params, zero_state
 from epbench.ops import ConvSpec
@@ -221,8 +228,9 @@ REVERSE_MODELS = {"conv": tiny_model, "conv_fc": conv_fc_model, "fc": _fc_only_m
 def _per_step_reverse(tape, x, params, spec, g_logits):
     """Reference reverse pass: every step pulls each connection's cotangent
     back on its own, connection 0's into the input included."""
+    net = energy._prepare(params, spec)
     g_layers = [np.zeros_like(s) for s in tape.final]
-    g_layers[-1] = energy._adjoint(spec.n_layers, g_logits, params, spec).reshape(
+    g_layers[-1] = energy._adjoint(spec.n_layers, g_logits, net).reshape(
         tape.final[-1].shape)
     g_x = np.zeros_like(x)
     for step in reversed(range(tape.steps)):
@@ -230,31 +238,32 @@ def _per_step_reverse(tape, x, params, spec, g_logits):
         g_new = [np.zeros_like(s) for s in tape.final]
         sinks = [g_x] + g_new[:-1]
         for i, route in enumerate([tape.route0] + tape.pool_idx[step]):
-            back = energy._adjoint(i, energy._unpool(g_pre[i], route), params, spec)
+            back = energy._adjoint(i, energy._unpool(g_pre[i], route), net)
             sinks[i] += back.reshape(sinks[i].shape)
             if i >= 1:
-                fwd, _ = energy._drive(i, g_pre[i - 1], params, spec, route)
+                fwd, _ = energy._drive(i, g_pre[i - 1], net, route)
                 g_new[i] += fwd.reshape(g_new[i].shape)
         g_layers = g_new
     return g_x
 
 
 def _per_step_forward(x, params, spec, t):
-    """Reference free phase without early exit: each of t steps recomputes
-    every connection's drive, connection 0's included, from the public ops
-    and the connection helpers, with nothing prepared ahead. Returns (final
-    layers, routes by step and connection, clamp masks by step)."""
-    p64 = params.map(np.asarray, dtype=np.float64)
+    """Reference free phase without early exit: each of t steps prepares the
+    parameters afresh and recomputes every connection's drive, connection
+    0's included, from the public ops and the connection helpers, with
+    nothing prepared ahead. Returns (final layers, routes by step and
+    connection, clamp masks by step)."""
     layers = zero_state(spec, len(x)).layers
     routes, masks = [], []
     for _ in range(t):
+        net = energy._prepare(params, spec)
         pre, idx = [], []
         for i, src in enumerate([x] + layers[:-1]):
-            drive, route = energy._drive(i, src, p64, spec)
-            pre.append(energy._add_bias(i, drive, p64, spec))
+            drive, route = energy._drive(i, src, net)
+            pre.append(drive + net.b[i])
             idx.append(route)
         for i in range(1, spec.n_layers):
-            td = energy._adjoint(i, energy._unpool(layers[i], idx[i]), p64, spec)
+            td = energy._adjoint(i, energy._unpool(layers[i], idx[i]), net)
             pre[i - 1] = pre[i - 1] + td.reshape(pre[i - 1].shape)
         layers = [ops.hard_clamp(p) for p in pre]
         routes.append(idx)
@@ -344,3 +353,80 @@ class TestReversePass:
         empty = unrolled.UnrolledTape(None, [], [], tape.final)
         g = unrolled.backward_input(empty, x, params, spec, g_logits)
         assert g.shape == x.shape and not g.any()
+
+
+def _count_prepares(monkeypatch):
+    """A Counter of `energy._prepare` calls by the name of the function that
+    made each, with the name patched in every module that imports it."""
+    calls, real = Counter(), energy._prepare
+
+    def counted(params, spec):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return real(params, spec)
+    for info in pkgutil.iter_modules(epbench.__path__):
+        mod = importlib.import_module(f"epbench.{info.name}")
+        if getattr(mod, "_prepare", None) is real:
+            monkeypatch.setattr(mod, "_prepare", counted)
+    return calls
+
+
+PREPARING = ["phi", "phi_grad_state", "readout", "bp_forward", "bp_backward",
+             "phi_grad_params", "_ep_batch_grads", "logits_and_vjp", "backward_input"]
+
+
+@pytest.mark.parametrize("entry", PREPARING + ["ep vjp", "bp vjp"])
+def test_each_entry_point_prepares_the_model_once(entry, monkeypatch):
+    # an entry point casts and prepares the params itself exactly once, and
+    # no helper below it prepares them again; relaxations prepare their own
+    spec, params = conv_fc_model(np.random.default_rng(46), scale=0.8)
+    rng = np.random.default_rng(47)
+    x = rng.uniform(0, 1, (3,) + spec.input_shape)
+    y, g = np.array([0, 1, 2]), rng.standard_normal((3, spec.readout_dim))
+    state = energy.free_phase(x, params, spec, t=4, fp_tol=0.0)
+    tape = unrolled.record_free_phase(x, params, spec, 4)
+    _, cache = baseline.bp_forward(x, params, spec, collect=True)
+    _, ep_vjp = unrolled.logits_and_vjp(x, params, spec, 4)
+    _, bp_vjp = baseline.bp_logits_and_vjp(x, params, spec)
+    calls = {
+        "phi": lambda: energy.phi(x, state, params, spec),
+        "phi_grad_state": lambda: energy.phi_grad_state(x, state, params, spec),
+        "readout": lambda: energy.readout(state, params, spec),
+        "bp_forward": lambda: baseline.bp_forward(x, params, spec),
+        "bp_backward": lambda: baseline.bp_backward(cache, params, spec, g),
+        "phi_grad_params": lambda: training.phi_grad_params(x, state, params, spec),
+        "_ep_batch_grads": lambda: training._ep_batch_grads(
+            params, spec, training.TrainConfig(), x, y),
+        "logits_and_vjp": lambda: unrolled.logits_and_vjp(x, params, spec, 4),
+        "backward_input": lambda: unrolled.backward_input(tape, x, params, spec, g),
+        "ep vjp": lambda: ep_vjp(g),
+        "bp vjp": lambda: bp_vjp(g),
+    }
+    caller = {"ep vjp": "backward_input", "bp vjp": "bp_backward"}.get(entry, entry)
+    prepares = _count_prepares(monkeypatch)
+    calls[entry]()
+    assert prepares[caller] == 1
+    assert set(prepares) <= set(PREPARING) | {"_relax"}
+
+
+@pytest.mark.parametrize("cotangent", ["wrong K", "wrong B", "1-d"])
+@pytest.mark.parametrize("kind", ["ep", "bp"])
+def test_pullbacks_check_the_cotangent_shape_first(kind, cotangent, monkeypatch):
+    spec, params = tiny_model(np.random.default_rng(48))
+    x = np.random.default_rng(49).uniform(0, 1, (3,) + spec.input_shape)
+    _, vjp = (unrolled.logits_and_vjp(x, params, spec, 4) if kind == "ep"
+              else baseline.bp_logits_and_vjp(x, params, spec))
+    shape = {"wrong K": (3, spec.readout_dim + 1), "wrong B": (2, spec.readout_dim),
+             "1-d": (spec.readout_dim,)}[cotangent]
+    prepares = _count_prepares(monkeypatch)
+    with pytest.raises(ops.ShapeError, match=r"logit cotangent shape .* is not \[B, K\] = "
+                                             rf"\(3, {spec.readout_dim}\)"):
+        vjp(np.zeros(shape))
+    assert not prepares  # refused before the pullback prepared anything
+
+
+def test_backward_input_checks_the_input_batch_first(monkeypatch):
+    spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 4)
+    prepares = _count_prepares(monkeypatch)
+    with pytest.raises(ops.ShapeError, match=r"input batch 2 != the tape's batch 3"):
+        unrolled.backward_input(tape, x[:2], params, spec, g_logits)
+    assert not prepares
