@@ -1,9 +1,9 @@
 """The feedforward twin of the energy model, behind the bp and adv baselines.
 
 The forward pass is a single sweep: clamp(pool(conv(s)) + b) per conv
-connection, clamp(W s + b) per fc connection, then the linear readout. No
-batch normalization (deliberate simplification; it would introduce
-train/eval mode divergence orthogonal to what these baselines are for).
+connection, then the linear readout. No batch normalization (deliberate
+simplification; it would introduce train/eval mode divergence orthogonal to
+what these baselines are for).
 Both sweeps are made of the connection drives, adjoints and weight gradients
 in `energy`, the ones the energy model's dynamics and EP rules use.
 `training.train` trains the twin; `handle.for_params` evaluates and attacks it.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import ops
 from .energy import (_adjoint, _as_batch_x, _cotangent, _drive, _logits, _prepare,
-                     _unpool, _weight_grad, cross_entropy_grad)
+                     _weight_grad, cross_entropy_grad)
 from .model import ModelSpec, Params
 
 
@@ -49,12 +49,12 @@ def bp_backward(cache, params: Params, spec: ModelSpec, g_logits, *,
     g = _adjoint(n, g_logits, net).reshape(top.shape)
     for i in reversed(range(n)):
         layer = cache["layers"][i]
-        g_pre = g.reshape(layer["mask"].shape) * layer["mask"]
-        u = _unpool(g_pre, layer["route"])  # shared by both gradients: one unpool
+        g_pre = g * layer["mask"]
+        u = ops.unpool2(g_pre, layer["route"])  # shared by both gradients: one unpool
         if param_grads:
             grads.w[i], grads.b[i] = _weight_grad(i, layer["src"], g_pre, net, u)
         if i or input_grad:
-            g = _adjoint(i, u, net).reshape(layer["src"].shape)
+            g = _adjoint(i, u, net)
     return grads, (g if input_grad else None)
 
 

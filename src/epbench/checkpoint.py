@@ -6,7 +6,9 @@ tensors as raw little-endian float32 in manifest order. The header carries
 the architecture descriptor, model kind (ep/bp/adv), training-config
 snapshot, RNG seed, normalization stats, the recorded free-phase convergence
 step, and the tensor manifest (name + shape), which must equal
-model.param_shapes(spec). Round trips are bit-exact.
+model.param_shapes(spec). The spec's "fc" field is always the empty list:
+format 1 reserved it for fully connected connections inside the energy,
+which models no longer have. Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .model import ModelSpec, Params, param_shapes, spec_from_dict
 MAGIC = b"EPBN"
 VERSION = 1
 MODEL_KINDS = ("ep", "bp", "adv")
-_INT_SPEC_FIELDS = ("input_shape", "conv", "fc", "readout_dim", "t_free", "t_nudge")
+_INT_SPEC_FIELDS = ("input_shape", "conv", "readout_dim", "t_free", "t_nudge")
 # the header fields besides the spec and the tensor manifest, in Checkpoint order
 _META_FIELDS = ("model_kind", "seed", "train_config", "norm_mean", "norm_std",
                 "convergence_step")
@@ -59,7 +61,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     tensors = [(name, np.ascontiguousarray(t, dtype="<f4"))
                for name, t in ckpt.params.tensors()]
     header = {
-        "spec": asdict(ckpt.spec),  # tuples serialize as JSON lists
+        "spec": {**asdict(ckpt.spec), "fc": []},  # tuples serialize as JSON lists
         **{k: getattr(ckpt, k) for k in _META_FIELDS},
         "norm_mean": [float(v) for v in ckpt.norm_mean],
         "norm_std": [float(v) for v in ckpt.norm_std],
@@ -162,7 +164,7 @@ def _check_header(header: dict):
     across fields; CheckpointError names the field at fault."""
     try:
         _require_ints({k: header["spec"][k] for k in _INT_SPEC_FIELDS}, "spec")
-        spec = spec_from_dict(header["spec"])
+        spec, fc = spec_from_dict(header["spec"]), header["spec"]["fc"]
         for i, e in enumerate(header["tensors"]):
             _require_ints(e["shape"], f"tensors.{i}.shape")
         manifest = [(str(e["name"]), tuple(e["shape"])) for e in header["tensors"]]
@@ -171,6 +173,9 @@ def _check_header(header: dict):
         raise CheckpointError(f"header field {exc.args[0]!r} missing") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad header field: {exc}") from None
+    if fc != []:
+        raise CheckpointError(f"header field 'spec.fc' is {fc!r}, expected [] "
+                              "(no fully connected connections)")
     for name, ok, want in _header_rules(spec):
         top, _, key = name.partition(".")
         if key and key not in meta[top]:

@@ -2,16 +2,15 @@
 
 One ``key = value`` pair per line, ``#`` comments allowed. Each key sets the
 ModelSpec or TrainConfig field of the same name, apart from the architecture
-keys that build ModelSpec's conv and fc chains (see README for the full
-table). Each key has one parser below; a key left out of the file is not
-passed on, so the dataclass's own default applies. Unknown keys, duplicate
+keys that build ModelSpec's conv chain (see README for the full table). Each
+key has one parser below; a key left out of the file is not passed on, so
+the dataclass's own default applies. Unknown keys, duplicate
 keys and values that fail to parse raise ConfigError naming the line; a
 value the dataclasses reject raises ConfigError naming the file.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 from .model import ModelSpec
@@ -51,8 +50,7 @@ _TRAIN_KEYS = {"epochs": int, "batch_size": int, "learning_rates": _floats,
                "momentum": float, "update_rule": str, "seed": int,
                "adv_norm": str, "adv_epsilon": float, "adv_steps": int}
 _PARSERS = {"input_shape": _shape, "conv_channels": _ints, "conv_kernels": _ints,
-            "conv_paddings": _ints, "fc_dims": _ints,
-            **_SPEC_KEYS, **_TRAIN_KEYS}
+            "conv_paddings": _ints, **_SPEC_KEYS, **_TRAIN_KEYS}
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -92,8 +90,6 @@ def load_config(path) -> tuple[ModelSpec, TrainConfig]:
         ins = (shape[0],) + channels[:-1]
         conv = tuple(map(ConvSpec, ins, channels, kernels, paddings))
         spec = ModelSpec(input_shape=shape, conv=conv, **_given(pairs, _SPEC_KEYS))
-        dims = pairs.get("fc_dims", ())
-        spec = replace(spec, fc=tuple(zip((spec.top_dim,) + dims[:-1], dims)))
         cfg = TrainConfig(**_given(pairs, _TRAIN_KEYS))
         cfg.validate_for(spec)
     except KeyError as exc:

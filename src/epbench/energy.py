@@ -2,8 +2,7 @@
 
 The scalar energy over input x and states s^1..s^N is
 
-    Phi = sum_conv <s^n, P(w_n * s^{n-1}) + b_n>
-        + sum_fc   <s^n, w_n s^{n-1} + b_n>
+    Phi = sum_n <s^n, P(w_n * s^{n-1}) + b_n>
 
 with * cross-correlation, P 2x2 stride-2 max pooling, and s^0 = x. The state
 update is s_{t+1} = clamp(dPhi/ds_t) applied synchronously to every layer,
@@ -17,8 +16,8 @@ relaxation freezes each example at its own first step below the tolerance
 and steps only the examples still moving, so an example's result never
 depends on its batch-mates.
 
-Connections are numbered conv first, then fc, then the readout; connection
-i reads its weight and bias as Params.w[i] and Params.b[i]. Each one's drive,
+Connections are numbered conv 0..N-1, then the readout at N; connection i
+reads its weight and bias as Params.w[i] and Params.b[i]. Each one's drive,
 bias, adjoint at fixed pool routes and weight gradient are written once here;
 the unrolled reverse pass, the EP rules and the backprop twin reuse them.
 They read one parameter view, `_prepare`'s: the weights and biases as
@@ -62,17 +61,23 @@ def _flat(s: np.ndarray) -> np.ndarray:
     return s.reshape(s.shape[0], math.prod(s.shape[1:]))
 
 
-def _layers64(state: NetworkState, spec: ModelSpec) -> list[np.ndarray]:
-    """State layers as float64, each checked to be [B] + its layer shape."""
+def _layers64(state: NetworkState, spec: ModelSpec, batch: int | None = None
+              ) -> list[np.ndarray]:
+    """State layers as float64, each checked to be [B] + its layer shape with
+    one B for every layer: x's batch when the caller gives it, else layer 0's."""
     shapes = spec.state_shapes()
     layers = [np.asarray(s, dtype=_F) for s in state.layers]
     if len(layers) != len(shapes):
         raise ops.ShapeError(
             f"state has {len(layers)} layers, model has {len(shapes)}"
         )
+    whose = "layer 0's" if batch is None else "the input's"
     for n, (s, shp) in enumerate(zip(layers, shapes)):
         if s.shape[1:] != shp:
             raise ops.ShapeError(f"layer {n} state shape {s.shape} != [B] + {shp}")
+        batch = len(s) if batch is None else batch
+        if len(s) != batch:
+            raise ops.ShapeError(f"layer {n} state batch {len(s)} != {whose} batch {batch}")
     return layers
 
 
@@ -82,7 +87,7 @@ class _Net(NamedTuple):
 
     params: Params        # every weight and bias as float64
     spec: ModelSpec
-    w_adj: list           # conv connection i's adjoint kernel; None past the convs
+    w_adj: list           # conv connection i's adjoint kernel
     b: list               # bias i shaped to broadcast over connection i's drive
     n_layers: int
 
@@ -90,9 +95,8 @@ class _Net(NamedTuple):
 def _prepare(params: Params, spec: ModelSpec) -> _Net:
     """params prepared for every connection-helper call of one entry point."""
     p64 = params.map(np.asarray, dtype=_F)
-    n_conv = spec.n_conv
-    w_adj = [ops._adjoint_kernel(w) if i < n_conv else None for i, w in enumerate(p64.w)]
-    b = [bi.reshape(bi.shape + (1,) * (2 if i < n_conv else 0)) for i, bi in enumerate(p64.b)]
+    w_adj = [ops._adjoint_kernel(w) for w in p64.w[:-1]]
+    b = [bi[:, None, None] for bi in p64.b[:-1]] + [p64.b[-1]]
     return _Net(p64, spec, w_adj, b, spec.n_layers)
 
 
@@ -100,11 +104,11 @@ def _drive(i, src, net: _Net, route=None):
     """Connection i's drive on the batched src, bias excluded: (drive, route).
 
     A conv drive is P(w * src), max-pooled along fresh argmax routes when
-    route is None and gathered along the given route otherwise; an fc
-    connection or the readout gives w flat(src) and route None.
+    route is None and gathered along the given route otherwise; the readout
+    (i = n_layers) gives w flat(src) and route None.
     """
     w = net.params.w[i]
-    if i >= net.spec.n_conv:
+    if i == net.n_layers:
         # einsum (fixed reduction order) instead of BLAS `@` keeps results
         # bit-identical across batch sizes
         return np.einsum("kd,bd->bk", w, _flat(src), dtype=_F), None
@@ -112,31 +116,27 @@ def _drive(i, src, net: _Net, route=None):
     return ops.maxpool2(c) if route is None else (ops.pool_gather(c, route), route)
 
 
-def _unpool(g, route):
-    """A gradient on a connection's drive moved back through its pooling:
-    unpooled along a conv's route, only flattened when route is None."""
-    return _flat(g) if route is None else ops.unpool2(g, route)
-
-
 def _adjoint(i, u, net: _Net):
-    """Transpose of connection i's linear map applied to u = _unpool(g, route);
-    with the pooling routes held fixed this is the adjoint of the drive."""
+    """Transpose of connection i's linear map applied to u: a conv's u is its
+    drive's gradient unpooled along the route (ops.unpool2), so with the
+    pooling routes held fixed this is the adjoint of the drive; the readout's
+    u is a logit gradient [B, K]."""
     w = net.params.w[i]
-    if i < net.spec.n_conv:
-        return ops.conv2d_transpose(u, w, net.spec.conv[i], net.w_adj[i])
-    return np.einsum("kd,bk->bd", w, u, dtype=_F)
+    if i == net.n_layers:
+        return np.einsum("kd,bk->bd", w, u, dtype=_F)
+    return ops.conv2d_transpose(u, w, net.spec.conv[i], net.w_adj[i])
 
 
 def _weight_grad(i, src, g, net: _Net, u=None):
     """Batch-summed (dw, db) of <g, drive_i(src) + b_i> at fixed routes.
 
-    u is _unpool(g, route) if the caller has it; a conv without it pools
+    u is ops.unpool2(g, route) if the caller has it; a conv without it pools
     along the fresh routes of its drive from src. db sums g itself, so a
     conv's stays on the pooled shape (the summation order the bits rely on).
     """
     db = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
-    if i >= net.spec.n_conv:
-        return np.einsum("bk,bd->kd", _flat(g), _flat(src), dtype=_F), db
+    if i == net.n_layers:
+        return np.einsum("bk,bd->kd", g, _flat(src), dtype=_F), db
     if u is None:
         u = ops.unpool2(g, _drive(i, src, net)[1])
     return ops.conv2d_weight_grad(src, u, net.spec.conv[i]), db
@@ -149,21 +149,20 @@ def _logits(top, net: _Net):
 
 
 def _input_drive(x, net: _Net):
-    """Connection 0's biased drive on the clamped x and its pool route
-    (None when connection 0 is fc): (pre0, route0). Callers only read it."""
+    """Connection 0's biased drive on the clamped x and its pool route:
+    (pre0, route0). Callers only read it."""
     drive, route = _drive(0, x, net)
     return drive + net.b[0], route
 
 
 def _bottom_up(layers, net: _Net, x_drive):
-    """P(w_i * s^{i-1}) + b_i for every connection, and each one's pool route
-    (None for an fc connection); x_drive = _input_drive(x, net) is
-    connection 0's."""
+    """P(w_i * s^{i-1}) + b_i for every connection, and each one's pool
+    route; x_drive = _input_drive(x, net) is connection 0's."""
     pre0, route0 = x_drive
     pre, routes = [pre0], [route0]
     for i in range(1, net.n_layers):
         drive, route = _drive(i, layers[i - 1], net)
-        drive += net.b[i]  # the pooled or einsum result is a new array
+        drive += net.b[i]  # the pooled result is a new array
         pre.append(drive)
         routes.append(route)
     return pre, routes
@@ -177,15 +176,14 @@ def _grad_state(layers, net: _Net, x_drive):
     """
     pre, routes = _bottom_up(layers, net, x_drive)
     for i in range(1, net.n_layers):
-        td = _adjoint(i, _unpool(layers[i], routes[i]), net)
-        pre[i - 1] = pre[i - 1] + td.reshape(pre[i - 1].shape)
+        pre[i - 1] = pre[i - 1] + _adjoint(i, ops.unpool2(layers[i], routes[i]), net)
     return pre, routes
 
 
 def phi(x, state: NetworkState, params: Params, spec: ModelSpec):
     """Per-example energies [B]."""
     xb = _as_batch_x(x, spec)
-    layers = _layers64(state, spec)
+    layers = _layers64(state, spec, len(xb))
     net = _prepare(params, spec)
     pre, _ = _bottom_up(layers, net, _input_drive(xb, net))
     total = np.zeros(xb.shape[0], dtype=_F)
@@ -198,7 +196,7 @@ def phi_grad_state(x, state: NetworkState, params: Params, spec: ModelSpec):
     """dPhi/ds^n for every layer: bottom-up drive plus feedback from above."""
     xb = _as_batch_x(x, spec)
     net = _prepare(params, spec)
-    return _grad_state(_layers64(state, spec), net, _input_drive(xb, net))[0]
+    return _grad_state(_layers64(state, spec, len(xb)), net, _input_drive(xb, net))[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -261,7 +259,7 @@ def _nudge_force(layers, net: _Net, y, beta_signed: float):
 def dynamics_step(x, layers, params: Params, spec: ModelSpec, *, y=None,
                   beta_signed: float = 0.0, collect: bool = False, fixed=None):
     """One synchronous update of all layers. Returns (new_layers, idx, masks),
-    where idx[i] is connection i's pool route (None for an fc connection).
+    where idx[i] is connection i's pool route.
 
     masks (clamp pass-through, boundary counted as pass) are only built when
     collect is set. fixed is the relaxation's work that no step changes, as
@@ -287,12 +285,12 @@ def _residual(new, old) -> np.ndarray:
     return reduce(np.maximum, (np.abs(g, out=g).max(axis=1) for g in gaps))
 
 
-def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
-           y=None, beta_signed: float = 0.0, record: bool = False):
+def _relax(x, start: NetworkState | None, params: Params, spec: ModelSpec, t: int,
+           tol: float, *, y=None, beta_signed: float = 0.0, record: bool = False):
     """The one relaxation loop behind free, nudged and recorded runs.
 
-    Applies up to t dynamics steps to the batched float64 `layers` (None
-    starts from the all-zero state). With tol > 0 each example is frozen at
+    Applies up to t dynamics steps to the layers of `start` (None starts
+    from the all-zero state). With tol > 0 each example is frozen at
     the first step where its own infinity-norm step difference across layers
     drops below tol, and later steps run on the remaining rows only: x, the
     layers, y and connection 0's drive and route are compressed together on
@@ -300,15 +298,14 @@ def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
     with no row bookkeeping (record needs this: its routes and masks are
     full-batch). Returns (state, routes, masks): with record set routes[k]
     and masks[k] are the pool routes and clamp masks used by step k (both
-    lists stay empty otherwise). A conv connection 0 has one route, computed
+    lists stay empty otherwise). Connection 0 has one route, computed
     with its drive before the first step and shared by every step.
     """
     if t < 1:
         raise ValueError(f"a relaxation needs t >= 1, got t={t}")
     xb = _as_batch_x(x, spec)
     n = xb.shape[0]
-    if layers is None:
-        layers = zero_state(spec, n).layers
+    layers = zero_state(spec, n).layers if start is None else _layers64(start, spec, n)
     net = _prepare(params, spec)
     x_drive = _input_drive(xb, net)
     routes, masks = [], []
@@ -340,7 +337,7 @@ def _relax(x, layers, params: Params, spec: ModelSpec, t: int, tol: float, *,
             example_steps[fin], residual[fin] = steps, res[done]
             rows, xb = rows[keep], xb[keep]
             layers = [s[keep] for s in layers]
-            x_drive = tuple(None if a is None else a[keep] for a in x_drive)
+            x_drive = tuple(a[keep] for a in x_drive)
             y = None if y is None else np.asarray(y)[keep]
     example_steps[rows], residual[rows] = steps, res
     if out is not None:
@@ -372,8 +369,7 @@ def nudged_phase(x, params: Params, spec: ModelSpec, s_star: NetworkState, y,
     example_steps, and so steps, count s_star's steps too.
     """
     t = spec.t_nudge if t is None else t
-    state, _, _ = _relax(x, _layers64(s_star, spec), params, spec, t, 0.0,
-                         y=y, beta_signed=beta_signed)
+    state, _, _ = _relax(x, s_star, params, spec, t, 0.0, y=y, beta_signed=beta_signed)
     state.example_steps += s_star.example_steps
     return state
 

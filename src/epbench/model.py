@@ -1,11 +1,11 @@
 """Model structure: architecture spec, parameter set, and layered network state.
 
-The network is a chain of convolutional connections (each followed by 2x2
-stride-2 max pooling) and optional fully connected connections, all inside the
-energy, plus a linear readout on the flattened top state that stays outside
-the dynamics. States s^1..s^N live in [0,1]; s^0 is the clamped input.
+The network is a chain of convolutional connections, each followed by 2x2
+stride-2 max pooling, inside the energy, plus a linear readout on the
+flattened top state that stays outside the dynamics. States s^1..s^N live in
+[0,1]; s^0 is the clamped input.
 
-Connections are numbered conv first, then fc, then the readout at
+Connections are numbered conv 0..n_layers-1, then the readout at
 i = n_layers. Params holds connection i's weight and bias as w[i] and b[i];
 param_shapes is the one place that derives tensor names and shapes from a
 spec.
@@ -27,15 +27,12 @@ class ModelSpec:
 
     conv: one ConvSpec per convolutional connection; every conv output is
         2x2-max-pooled, so its spatial extent must come out even.
-    fc: (in_dim, out_dim) pairs for fully connected connections inside the
-        energy (usually empty; the readout is separate).
     t_free: max free-phase steps; t_nudge: nudged-phase steps; beta: nudging
         strength; fp_tol: infinity-norm step tolerance for fixed-point exit.
     """
 
     input_shape: tuple[int, int, int]
     conv: tuple[ConvSpec, ...]
-    fc: tuple[tuple[int, int], ...] = ()
     readout_dim: int = 10
     t_free: int = 250
     t_nudge: int = 30
@@ -59,17 +56,13 @@ class ModelSpec:
             raise ValueError("t_nudge must be >= 1")
 
     @property
-    def n_conv(self) -> int:
-        return len(self.conv)
-
-    @property
     def n_layers(self) -> int:
-        return len(self.conv) + len(self.fc)
+        return len(self.conv)
 
     def state_shapes(self) -> list[tuple[int, ...]]:
         """Per-layer state shapes s^1..s^N (unbatched), validating the chain."""
         if self.n_layers == 0:
-            raise ValueError("model needs at least one conv or fc connection")
+            raise ValueError("model needs at least one conv connection")
         c, h, w = self.input_shape
         shapes: list[tuple[int, ...]] = []
         for i, cs in enumerate(self.conv):
@@ -84,14 +77,6 @@ class ModelSpec:
                 )
             c, h, w = cs.out_channels, h2 // 2, w2 // 2
             shapes.append((c, h, w))
-        dim = c * h * w
-        for j, (din, dout) in enumerate(self.fc):
-            if din != dim:
-                raise ValueError(f"fc {j}: in_dim {din} != incoming dim {dim}")
-            if dout < 1:
-                raise ValueError(f"fc {j}: out_dim must be >= 1, got {dout}")
-            dim = dout
-            shapes.append((dim,))
         return shapes
 
     @property
@@ -101,20 +86,18 @@ class ModelSpec:
 
 def param_shapes(spec: ModelSpec) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter tensor, weight then bias per connection
-    in connection order: conv_w0, conv_b0, ..., fc_w0, fc_b0, ..., readout_w,
-    readout_b. These are the checkpoint manifest's names and shapes."""
+    in connection order: conv_w0, conv_b0, ..., readout_w, readout_b. These
+    are the checkpoint manifest's names and shapes."""
     w_shapes = [(cs.out_channels, cs.in_channels, cs.kernel, cs.kernel) for cs in spec.conv]
-    w_shapes += [(dout, din) for din, dout in spec.fc]
     w_shapes.append((spec.readout_dim, spec.top_dim))
     shapes = [shape for w in w_shapes for shape in (w, w[:1])]
-    return list(zip(_tensor_names(spec.n_conv, spec.n_layers), shapes))
+    return list(zip(_tensor_names(spec.n_layers), shapes))
 
 
-def _tensor_names(n_conv: int, n_layers: int) -> list[str]:
-    """The names param_shapes gives a model of n_conv conv connections among
-    n_layers energy connections; Params.tensors() uses them too."""
-    names = [(f"conv_w{i}", f"conv_b{i}") for i in range(n_conv)]
-    names += [(f"fc_w{j}", f"fc_b{j}") for j in range(n_layers - n_conv)]
+def _tensor_names(n_layers: int) -> list[str]:
+    """The names param_shapes gives a model of n_layers conv connections;
+    Params.tensors() uses them too."""
+    names = [(f"conv_w{i}", f"conv_b{i}") for i in range(n_layers)]
     names.append(("readout_w", "readout_b"))
     return [name for pair in names for name in pair]
 
@@ -122,12 +105,12 @@ def _tensor_names(n_conv: int, n_layers: int) -> list[str]:
 @dataclass
 class Params:
     """Weights and biases by connection: w[i] and b[i] belong to connection i,
-    numbered conv first, then fc, then the readout at i = n_layers. Gradient
+    numbered conv 0..n_layers-1, then the readout at i = n_layers. Gradient
     estimates and optimizer velocities use the same container, holding
     float64 arrays.
 
-    A conv weight is [out, in, k, k], an fc weight [out, in], the readout
-    weight [readout_dim, top_dim]; each bias is [out].
+    A conv weight is [out, in, k, k], the readout weight [readout_dim,
+    top_dim]; each bias is [out].
     """
 
     w: list[np.ndarray]
@@ -135,8 +118,7 @@ class Params:
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         """(name, tensor) pairs named and ordered as param_shapes lists them."""
-        n_conv = sum(w.ndim == 4 for w in self.w)
-        names = _tensor_names(n_conv, len(self.w) - 1)
+        names = _tensor_names(len(self.w) - 1)
         return list(zip(names, [t for wb in zip(self.w, self.b) for t in wb]))
 
     def map(self, fn, *others: "Params", **kwargs) -> "Params":
@@ -204,7 +186,6 @@ def spec_from_dict(d: dict) -> ModelSpec:
     return ModelSpec(
         input_shape=tuple(d["input_shape"]),
         conv=tuple(ConvSpec(**c) for c in d["conv"]),
-        fc=tuple(tuple(p) for p in d["fc"]),
         readout_dim=d["readout_dim"],
         t_free=d["t_free"],
         t_nudge=d["t_nudge"],

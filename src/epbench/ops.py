@@ -64,11 +64,11 @@ class ConvSpec:
         return out
 
 
-def _as_batch(x: np.ndarray, what: str, axes: str = "B, C, H, W") -> np.ndarray:
-    """x as an array, checked to have one axis per name in `axes`."""
+def _as_batch(x: np.ndarray, what: str) -> np.ndarray:
+    """x as an array, checked to be rank 4: [B, C, H, W]."""
     x = np.asarray(x)
-    if x.ndim != axes.count(",") + 1:
-        raise ShapeError(f"{what}: expected [{axes}], got shape {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"{what}: expected [B, C, H, W], got shape {x.shape}")
     return x
 
 

@@ -81,13 +81,13 @@ def phi_grad_params(x, state: NetworkState, params: Params,
     """dPhi/dtheta at the given state, the mean over the batch.
 
     Conv weights: correlation between the unpool-routed post-synaptic state
-    and the pre-synaptic state; fc weights: outer products; biases: summed
-    post-synaptic states. Readout slots stay zero (outside the energy).
+    and the pre-synaptic state; biases: summed post-synaptic states. Readout
+    slots stay zero (outside the energy).
     """
     xb = _as_batch_x(x, spec)
     net = _prepare(params, spec)
-    layers = _layers64(state, spec)
     n = xb.shape[0]
+    layers = _layers64(state, spec, n)
     est = params.map(np.zeros_like, dtype=_F)
     for i, (src, s) in enumerate(zip([xb] + layers[:-1], layers)):
         # conv weights use the pooling routes of the bottom-up pass at this state

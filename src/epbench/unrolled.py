@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .energy import (_adjoint, _as_batch_x, _cotangent, _drive, _logits, _prepare,
-                     _relax, _unpool)
+from .energy import _adjoint, _as_batch_x, _cotangent, _drive, _logits, _prepare, _relax
 from .model import ModelSpec, Params
 
 
@@ -36,13 +35,13 @@ from .model import ModelSpec, Params
 class UnrolledTape:
     """Recorded free-phase trajectory.
 
-    route0 is connection 0's pool route, the same at every step (None for an
-    fc connection 0). pool_idx[t][i - 1] is connection i's pool route at
-    step t for i >= 1 (None for an fc connection) and masks[t] the clamp
-    masks of step t. final is the batched state after the last step.
+    route0 is connection 0's pool route, the same at every step.
+    pool_idx[t][i - 1] is connection i's pool route at step t for i >= 1
+    and masks[t] the clamp masks of step t. final is the batched state after
+    the last step.
     """
 
-    route0: np.ndarray | None
+    route0: np.ndarray
     pool_idx: list[list[np.ndarray]]
     masks: list[list[np.ndarray]]
     final: list[np.ndarray]
@@ -57,7 +56,7 @@ class UnrolledTape:
         held = [self.route0, *self.final]
         for routes, masks in zip(self.pool_idx, self.masks):
             held += routes + masks
-        return sum(a.nbytes for a in held if a is not None)
+        return sum(a.nbytes for a in held)
 
 
 def record_free_phase(x, params: Params, spec: ModelSpec, t: int) -> UnrolledTape:
@@ -96,13 +95,10 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
         g_layers = [np.zeros(shp) for shp in shapes]
         for i, route in enumerate(tape.pool_idx[step], 1):
             # bottom-up term of connection i read s^{i-1}
-            back = _adjoint(i, _unpool(g_pre[i], route), net)
-            g_layers[i - 1] += back.reshape(shapes[i - 1])
+            g_layers[i - 1] += _adjoint(i, ops.unpool2(g_pre[i], route), net)
             # top-down term of connection i (into layer i-1) read s^i
-            fwd, _ = _drive(i, g_pre[i - 1], net, route)
-            g_layers[i] += fwd.reshape(shapes[i])
-    u = _unpool(g_in, tape.route0)
-    return _adjoint(0, u, net).reshape(xb.shape)
+            g_layers[i] += _drive(i, g_pre[i - 1], net, route)[0]
+    return _adjoint(0, ops.unpool2(g_in, tape.route0), net)
 
 
 def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):

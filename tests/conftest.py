@@ -65,12 +65,10 @@ def fd_param_grads(x, y, params, spec, h=1e-4, skip_readout=True):
     return out
 
 
-def conv_fc_model(rng, *, scale=1.0):
-    """Random tiny model with an fc connection inside the energy: conv 1->4 on
-    1x8x8, then fc 64->6, then a 3-class readout."""
-    spec = ModelSpec(input_shape=(1, 8, 8), conv=(ConvSpec(1, 4, 3, 1),),
-                     fc=((64, 6),), readout_dim=3)
-    return spec, init_params(spec, rng, dtype=np.float64, scale=scale)
+def one_conv_model(rng, **kw):
+    """tiny_model with a single conv connection: conv 1->4 on 1x8x8, then a
+    3-class readout."""
+    return tiny_model(rng, channels=(4,), **kw)
 
 
 def desk_spec() -> ModelSpec:

@@ -319,7 +319,9 @@ class TestCheckpoint:
         ("wrong shape", r"expected conv_w0.*conv_b0\[8\].*; found conv_w0.*conv_b0\[4, 2\]"),
         ("non-finite payload", "tensor conv_w0 at byte offset .* non-finite"),
         ("unknown model_kind", "field 'model_kind' is 'zz'"),
-        ("negative fc out_dim", "fc 0: out_dim must be >= 1"),
+        ("non-empty spec.fc", r"^header field 'spec.fc' is \[\[128, 16\]\], expected \[\] "
+                              r"\(no fully connected connections\)$"),
+        ("header missing spec.fc", r"^header field 'fc' missing$"),
         ("fractional manifest extent", "tensors.1.shape.0 is 4.7, not an integer"),
         ("float manifest extent", "tensors.1.shape.0 is 8.0, not an integer"),
         ("float readout_dim", "spec.readout_dim is 2.0, not an integer"),
@@ -364,7 +366,9 @@ class TestCheckpoint:
                                   + manifest[2:]),
             "non-finite payload": good[:16 + hlen] + struct.pack("<f", np.nan) + payload[4:],
             "unknown model_kind": edited(model_kind="zz"),
-            "negative fc out_dim": edited(spec={**header["spec"], "fc": [[128, -1]]}),
+            "non-empty spec.fc": edited(spec={**header["spec"], "fc": [[128, 16]]}),
+            "header missing spec.fc": edited(spec={k: v for k, v in header["spec"].items()
+                                                   if k != "fc"}),
             "fractional manifest extent": edited(
                 tensors=[manifest[0], {"name": "conv_b0", "shape": [4.7]}] + manifest[2:]),
             "float manifest extent": edited(

@@ -1,8 +1,10 @@
 """End-to-end CLI runs on a throwaway config: train -> eval -> attack ->
 corrupt -> uncertainty -> report, plus config-file validation."""
 
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,10 +58,13 @@ def ep_ckpt(workdir):
 
 class TestConfig:
     def test_unknown_key_is_hard_error(self, tmp_path):
+        # a misspelt key, and a key of a removed feature
         p = tmp_path / "bad.cfg"
-        p.write_text("input_shape = 1,8,8\nconv_channels = 4\nlearning_rqte = 0.1\n")
-        with pytest.raises(ConfigError, match="learning_rqte"):
-            load_config(p)
+        for line in ("learning_rqte = 0.1", "fc_dims = 16"):
+            p.write_text(f"input_shape = 1,8,8\nconv_channels = 4\n{line}\n")
+            with pytest.raises(ConfigError, match=f"line 3: unknown key "
+                                                  f"'{line.split()[0]}'"):
+                load_config(p)
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -81,13 +86,23 @@ class TestConfig:
         assert (cfg.adv_norm, cfg.adv_epsilon, cfg.adv_steps) == ("linf", 0.4, 5)
 
     def test_shipped_configs_parse(self):
-        from pathlib import Path
         root = Path(__file__).resolve().parents[1] / "configs"
         spec, _ = load_config(root / "desk.cfg")
         assert spec.state_shapes() == [(8, 4, 4)]
         spec, cfg = load_config(root / "cifar10_full.cfg")
         assert spec.state_shapes()[-1] == (512, 1, 1)
         assert len(cfg.learning_rates) == 5
+
+    def test_walkthrough_configs_parse(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "tools" / "walkthrough.py"
+        loader = importlib.util.spec_from_file_location("walkthrough", path)
+        walkthrough = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(walkthrough)
+        assert walkthrough.CONFIGS
+        for name, text in walkthrough.CONFIGS.items():
+            p = tmp_path / f"{name}.cfg"
+            p.write_text(text)
+            load_config(p)
 
 
 @pytest.mark.parametrize("line, located_by, message", [

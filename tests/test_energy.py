@@ -4,11 +4,11 @@ state gradient, fixed-point behavior, nudging, readout, and prediction."""
 import numpy as np
 import pytest
 
-from epbench import energy, ops, unrolled
+from epbench import energy, ops, training, unrolled
 from epbench.model import ModelSpec, NetworkState, init_params, zero_state
 from epbench.ops import ConvSpec
 
-from conftest import conv_fc_model, tiny_model
+from conftest import one_conv_model, tiny_model
 
 
 rng_global = np.random.default_rng(0)
@@ -27,20 +27,20 @@ class TestPhi:
         st = zero_state(spec, 1)
         assert energy.phi(x, st, params, spec)[0] == 0.0
 
-    def test_single_fc_hand_value(self):
-        # one fc connection 1->1: phi = s1 * w * s0, with s0 = flattened input
-        spec = ModelSpec(input_shape=(1, 2, 2),
-                         conv=(ConvSpec(1, 1, 1, 0),),
-                         fc=((1, 1),), readout_dim=2, t_free=10)
+    def test_single_connection_hand_value(self):
+        # two 1x1 convs on 1x4x4: phi = s^2 * max-pool(w1 * s^1) once
+        # connection 0 and the biases are silenced
+        spec = ModelSpec(input_shape=(1, 4, 4),
+                         conv=(ConvSpec(1, 1, 1, 0), ConvSpec(1, 1, 1, 0)),
+                         readout_dim=2, t_free=10)
         params = init_params(spec, np.random.default_rng(0), dtype=np.float64)
-        # silence everything except the fc connection under test
         params.w[0][:] = 0.0
         params.b[0][:] = 0.0
         params.b[1][:] = 0.0
         params.w[1][:] = 2.0
         st = zero_state(spec, 1)
-        st.layers[0][:] = 3.0   # pre-synaptic state s^1 (scalar "image" 1x1x1)
-        st.layers[1][:] = 1.0   # post-synaptic state s^2
+        st.layers[0][0, 0] = [[3.0, 1.0], [0.5, 2.0]]  # pre-synaptic s^1, 1x2x2
+        st.layers[1][:] = 1.0   # post-synaptic s^2, 1x1x1
         x = np.zeros(spec.input_shape)[None]
         assert energy.phi(x, st, params, spec)[0] == pytest.approx(6.0)
 
@@ -71,24 +71,25 @@ class TestPhiGradState:
         grads = energy.phi_grad_state(x, st, params, spec)
         assert all(np.count_nonzero(g) == 0 for g in grads)
 
-    def test_two_layer_fc_hand_arithmetic(self):
-        # s0=[1] -> w1=[[2]] -> s1 -> w2=[[3]] -> s2, no biases:
-        # dPhi/ds1 = w1 s0 + w2^T s2, dPhi/ds2 = w2 s1
-        spec = ModelSpec(input_shape=(1, 2, 2),
-                         conv=(ConvSpec(1, 1, 1, 0),),
-                         fc=((1, 1),), readout_dim=2, t_free=10)
+    def test_two_layer_hand_arithmetic(self):
+        # x = 1 on 1x4x4 -> 1x1 conv w1 = 2 -> s^1 (1x2x2) -> 1x1 conv w2 = 3
+        # -> s^2 (1x1x1), no biases: dPhi/ds^1 = pool(w1 x) + w2 unpool(s^2)
+        # along the argmax of w2 s^1, dPhi/ds^2 = max-pool(w2 s^1)
+        spec = ModelSpec(input_shape=(1, 4, 4),
+                         conv=(ConvSpec(1, 1, 1, 0), ConvSpec(1, 1, 1, 0)),
+                         readout_dim=2, t_free=10)
         params = init_params(spec, np.random.default_rng(0), dtype=np.float64)
-        params.w[0][:] = 2.0   # 1x1 conv of a 1-pixel map acts as w1
+        params.w[0][:] = 2.0
         params.b[0][:] = 0.0
         params.w[1][:] = 3.0
         params.b[1][:] = 0.0
         x = np.full(spec.input_shape, 1.0)[None]
         st = zero_state(spec, 1)
-        st.layers[0][:] = 0.5
+        st.layers[0][0, 0] = [[0.5, 0.125], [0.25, 0.375]]
         st.layers[1][:] = 0.25
         g = energy.phi_grad_state(x, st, params, spec)
-        # conv state: bottom-up = max-pool(2*x) = 2, top-down = 3*0.25
-        assert g[0].reshape(-1)[0] == pytest.approx(2.0 + 0.75)
+        # bottom-up 2 everywhere; top-down 3 * 0.25 only at s^1's argmax
+        assert np.array_equal(g[0][0, 0], [[2.0 + 0.75, 2.0], [2.0, 2.0]])
         assert g[1].reshape(-1)[0] == pytest.approx(3.0 * 0.5)
 
     def test_matches_finite_differences(self):
@@ -234,18 +235,10 @@ class TestNudgedPhase:
         assert g1 / max(g2, 1e-300) == pytest.approx(4.0, rel=0.35)
 
 
-def _fc_only_model(rng):
-    spec = ModelSpec(input_shape=(1, 8, 8), conv=(), fc=((64, 6), (6, 5)),
-                     readout_dim=3)
-    return spec, init_params(spec, rng, dtype=np.float64)
-
-
 HOIST_MODELS = {
     "2-conv": lambda rng: tiny_model(rng, scale=0.9),
     # one layer: the nudge lands on the layer whose input drive is cached
-    "1-conv": lambda rng: tiny_model(rng, channels=(4,), scale=0.9),
-    "conv+fc": conv_fc_model,
-    "fc-only": _fc_only_model,  # connection 0 has no pool route
+    "1-conv": lambda rng: one_conv_model(rng, scale=0.9),
 }
 
 
@@ -266,10 +259,8 @@ def _step_loop(x, layers, params, spec, t, tol, **kw):
 
 
 def _same(a, b):
-    """Equal lists of arrays, bit for bit; None (an fc connection's pool
-    route) equals only None."""
+    """Equal lists of arrays, bit for bit."""
     return len(a) == len(b) and all(
-        u is v if u is None or v is None else
         u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
         for u, v in zip(a, b))
 
@@ -337,7 +328,6 @@ class TestInputDriveHoist:
         # the relaxation computes route 0 once and hands every step that array
         _, relaxed, _ = energy._relax(x, None, params, spec, 12, 0.0, record=True)
         assert all(r[0] is relaxed[0][0] for r in relaxed)
-        assert (relaxed[0][0] is None) == (spec.n_conv == 0)
 
 
 def _fields(st):
@@ -407,7 +397,7 @@ class TestPerExampleExit:
         assert st.steps == free.steps + 3
 
 
-@pytest.mark.parametrize("make_model", [tiny_model, conv_fc_model])
+@pytest.mark.parametrize("make_model", [tiny_model, one_conv_model])
 def test_steps_is_the_most_example_steps(make_model):
     # steps is read from example_steps, never stored beside it
     rng = np.random.default_rng(53)
@@ -489,7 +479,7 @@ def test_reverse_pass_calls_per_step(monkeypatch):
 def test_clamp_masks_mark_values_the_clamp_passes(monkeypatch):
     # a mask is True exactly where 0 <= pre <= 1: +-0 and 1 pass; NaN, the
     # infinities and values just outside the box do not
-    spec, params = _fc_only_model(np.random.default_rng(45))
+    spec, params = tiny_model(np.random.default_rng(45))
     values = np.array([np.nan, -0.0, 0.0, 1.0, 0.5, -5e-324, np.nextafter(1.0, 2.0),
                        -np.inf, np.inf, 2.0])
     pre = [values[None], values[::-1][None]]
@@ -504,6 +494,36 @@ def test_clamp_masks_mark_values_the_clamp_passes(monkeypatch):
     assert np.array_equal(masks[1][0], passes[::-1])
 
 
+@pytest.mark.parametrize("entry", ["phi", "phi_grad_state", "nudged_phase",
+                                   "phi_grad_params"])
+@pytest.mark.parametrize("where", [0, 1], ids=["every layer", "top layer"])
+def test_state_batch_must_be_the_inputs(entry, where):
+    # layers `where` and up of batch 2, read against an x of batch 3, are
+    # refused before any work
+    spec, params = tiny_model(np.random.default_rng(55))
+    x = np.random.default_rng(56).uniform(0, 1, (3,) + spec.input_shape)
+    full = energy.free_phase(x, params, spec, t=3, fp_tol=0.0)
+    state = NetworkState([s[:2] if n >= where else s for n, s in enumerate(full.layers)])
+    call = {
+        "phi": lambda: energy.phi(x, state, params, spec),
+        "phi_grad_state": lambda: energy.phi_grad_state(x, state, params, spec),
+        "nudged_phase": lambda: energy.nudged_phase(x, params, spec, state,
+                                                    np.array([0, 1, 2]), 0.5),
+        "phi_grad_params": lambda: training.phi_grad_params(x, state, params, spec),
+    }[entry]
+    with pytest.raises(ops.ShapeError,
+                       match=rf"^layer {where} state batch 2 != the input's batch 3$"):
+        call()
+
+
+def test_readout_state_layers_share_one_batch():
+    spec, params = tiny_model(np.random.default_rng(57))
+    state = zero_state(spec, 3)
+    state.layers[1] = state.layers[1][:2]
+    with pytest.raises(ops.ShapeError, match=r"^layer 1 state batch 2 != layer 0's batch 3$"):
+        energy.readout(state, params, spec)
+
+
 class TestReadoutPredict:
     def test_zero_weights_chance_logits(self):
         spec, params = tiny_model(np.random.default_rng(13))
@@ -516,18 +536,19 @@ class TestReadoutPredict:
         assert label[0] == 0  # lowest-index tie break
 
     def test_identity_readout(self):
-        spec = ModelSpec(input_shape=(1, 2, 2), conv=(ConvSpec(1, 1, 1, 0),),
-                         fc=((1, 2),), readout_dim=2, t_free=10)
+        # a 1x1 conv to two channels on 1x2x2: the top state is 2x1x1
+        spec = ModelSpec(input_shape=(1, 2, 2), conv=(ConvSpec(1, 2, 1, 0),),
+                         readout_dim=2, t_free=10)
         params = init_params(spec, np.random.default_rng(0), dtype=np.float64)
         params.w[-1] = np.eye(2)
         params.b[-1] = np.zeros(2)
         st = zero_state(spec, 1)
-        st.layers[-1][0] = [0.3, 0.9]
+        st.layers[-1][0, :, 0, 0] = [0.3, 0.9]
         assert np.allclose(energy.readout(st, params, spec), [0.3, 0.9])
-        # a top state of the right rank but the wrong width is refused
-        st.layers[-1] = np.zeros((3, 4))
-        with pytest.raises(ops.ShapeError,
-                           match=r"layer 1 state shape \(3, 4\) != \[B\] \+ \(2,\)"):
+        # a top state of the right rank but the wrong extent is refused
+        st.layers[-1] = np.zeros((3, 2, 1, 2))
+        with pytest.raises(ops.ShapeError, match=r"layer 0 state shape \(3, 2, 1, 2\) "
+                                                 r"!= \[B\] \+ \(2, 1, 1\)"):
             energy.readout(st, params, spec)
 
     def test_readout_matches_loop(self):
@@ -594,13 +615,8 @@ class TestModelSpecValidation:
     def test_t_free_below_depth_rejected(self):
         with pytest.raises(ValueError, match="t_free"):
             ModelSpec(input_shape=(1, 16, 16),
-                      conv=(ConvSpec(1, 4, 3, 1), ConvSpec(4, 4, 3, 1)),
-                      fc=((4 * 4 * 4, 8),), readout_dim=2, t_free=2)
-
-    def test_fc_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="in_dim"):
-            ModelSpec(input_shape=(1, 8, 8), conv=(ConvSpec(1, 4, 3, 1),),
-                      fc=((99, 8),), readout_dim=2)
+                      conv=(ConvSpec(1, 4, 3, 1), ConvSpec(4, 4, 3, 1),
+                            ConvSpec(4, 4, 3, 1)), readout_dim=2, t_free=2)
 
 
 def test_prediction_saturates_after_convergence(trained_ep, eval_batch):

@@ -15,7 +15,7 @@ from epbench.handle import for_params
 from epbench.model import ModelSpec, NetworkState, init_params
 from epbench.ops import ConvSpec
 from epbench.training import DivergenceError, TrainConfig
-from conftest import (conv_fc_model, desk_spec, desk_train_config, fd_param_grads,
+from conftest import (desk_spec, desk_train_config, fd_param_grads, one_conv_model,
                       oracle_model, tiny_model)
 
 
@@ -27,14 +27,19 @@ class TestPhiGradParams:
         est = training.phi_grad_params(x, st, params, spec)
         assert all(np.count_nonzero(t) == 0 for _, t in est.tensors())
 
-    def test_fc_outer_product_hand_value(self):
-        spec = ModelSpec(input_shape=(1, 2, 2), conv=(ConvSpec(1, 1, 1, 0),),
-                         fc=((1, 1),), readout_dim=2, t_free=10)
+    def test_one_by_one_conv_hand_value(self):
+        # two 1x1 convs on 1x4x4: connection 1's weight gradient is s^2 times
+        # s^1 at the argmax of w1 s^1, its bias gradient s^2
+        spec = ModelSpec(input_shape=(1, 4, 4),
+                         conv=(ConvSpec(1, 1, 1, 0), ConvSpec(1, 1, 1, 0)),
+                         readout_dim=2, t_free=10)
         params = init_params(spec, np.random.default_rng(0), dtype=np.float64)
-        st = NetworkState([np.full((1, 1, 1, 1), 2.0), np.full((1, 1), 3.0)])
+        params.w[1][:] = 1.0
+        st = NetworkState([np.array([[[[2.0, 0.5], [1.0, 0.25]]]]),
+                           np.full((1, 1, 1, 1), 3.0)])
         x = np.zeros(spec.input_shape)[None]
         est = training.phi_grad_params(x, st, params, spec)
-        assert est.w[1][0, 0] == pytest.approx(6.0)
+        assert est.w[1][0, 0, 0, 0] == pytest.approx(6.0)
         assert est.b[1][0] == pytest.approx(3.0)
 
     def test_matches_phi_finite_differences(self):
@@ -190,8 +195,7 @@ class TestTrainLoops:
     def test_default_learning_rates_fit_any_model(self):
         # an empty learning_rates means 0.05 for every connection
         rng = np.random.default_rng(0)
-        for spec, params in (tiny_model(rng, channels=(4,)), tiny_model(rng),
-                             conv_fc_model(rng)):
+        for spec, params in (one_conv_model(rng), tiny_model(rng)):
             TrainConfig().validate_for(spec)
             grads = params.map(lambda t: rng.standard_normal(t.shape))
             explicit = TrainConfig(learning_rates=(0.05,) * (spec.n_layers + 1))
@@ -300,8 +304,8 @@ class TestTrainLoops:
 
 
 class TestBPGradients:
-    @pytest.mark.parametrize("make_model", [tiny_model, conv_fc_model],
-                             ids=["conv", "conv_fc"])
+    @pytest.mark.parametrize("make_model", [tiny_model, one_conv_model],
+                             ids=["conv", "one_conv"])
     def test_param_grads_match_fd(self, make_model):
         rng = np.random.default_rng(16)
         spec, params = make_model(np.random.default_rng(17), scale=1.0)
@@ -329,8 +333,8 @@ class TestBPGradients:
                 if abs(fd) > 1e-8:
                     assert abs(fd - grads[name][ix]) / abs(fd) < 1e-4, name
 
-    @pytest.mark.parametrize("make_model", [tiny_model, conv_fc_model],
-                             ids=["conv", "conv_fc"])
+    @pytest.mark.parametrize("make_model", [tiny_model, one_conv_model],
+                             ids=["conv", "one_conv"])
     def test_input_grad_directional(self, make_model):
         rng = np.random.default_rng(18)
         spec, params = make_model(np.random.default_rng(19))
@@ -346,8 +350,8 @@ class TestBPGradients:
         an = float(np.vdot(gx, v)) / 2  # per-example grads, mean loss
         assert abs(fd - an) / abs(an) < 1e-4
 
-    @pytest.mark.parametrize("make_model", [tiny_model, conv_fc_model],
-                             ids=["conv", "conv_fc"])
+    @pytest.mark.parametrize("make_model", [tiny_model, one_conv_model],
+                             ids=["conv", "one_conv"])
     def test_each_caller_computes_only_its_part(self, make_model, monkeypatch):
         # the pullback takes the input gradient without any weight gradient,
         # a training step the parameter gradients without connection 0's
@@ -368,13 +372,13 @@ class TestBPGradients:
 
         _, vjp = baseline.bp_logits_and_vjp(xs, params, spec)
         assert vjp(g_logits).tobytes() == full_gx.tobytes()
-        assert calls == {"conv2d_weight_grad": 0, "conv2d_transpose": spec.n_conv}
+        assert calls == {"conv2d_weight_grad": 0, "conv2d_transpose": spec.n_layers}
         calls.update(conv2d_weight_grad=0, conv2d_transpose=0)
         grads = baseline._bp_batch_grads(params, spec, xs, ys)
         for (name, a), (_, b) in zip(grads.tensors(), full_grads.tensors(), strict=True):
             assert a.tobytes() == b.tobytes(), name
-        assert calls == {"conv2d_weight_grad": spec.n_conv,
-                         "conv2d_transpose": spec.n_conv - 1}
+        assert calls == {"conv2d_weight_grad": spec.n_layers,
+                         "conv2d_transpose": spec.n_layers - 1}
 
 
 # one fixed batch through a free phase, the unrolled input gradients and an EP

@@ -17,7 +17,7 @@ from epbench import baseline, energy, ops, training, unrolled
 from epbench.handle import for_params
 from epbench.model import ModelSpec, init_params, zero_state
 from epbench.ops import ConvSpec
-from conftest import conv_fc_model, tiny_model
+from conftest import one_conv_model, tiny_model
 
 
 class TestInputGrad:
@@ -102,8 +102,8 @@ class TestInputGrad:
                 rel = np.linalg.norm(gk - gT) / np.linalg.norm(gT)
                 assert rel < 1e-3
 
-    @pytest.mark.parametrize("make_model", [tiny_model, conv_fc_model],
-                             ids=["conv", "conv_fc"])
+    @pytest.mark.parametrize("make_model", [tiny_model, one_conv_model],
+                             ids=["conv", "one_conv"])
     def test_directional_derivative_100_pairs(self, make_model):
         rng = np.random.default_rng(5)
         spec, params = make_model(np.random.default_rng(11), scale=0.8)
@@ -188,17 +188,17 @@ class TestTape:
         assert len(tape.masks) == 17
 
     def test_routes_indexed_by_connection(self):
-        # conv 1->4, then fc 64->6: the conv route 0 is held once, and every
-        # step holds one route per later connection, None for the fc one
-        spec, params = conv_fc_model(np.random.default_rng(31))
+        # conv 1->4, then conv 4->8: route 0 is held once, and every step
+        # holds one route per later connection
+        spec, params = tiny_model(np.random.default_rng(31))
         x = np.random.default_rng(11).uniform(0, 1, (3,) + spec.input_shape)
         tape = unrolled.record_free_phase(x, params, spec, 7)
-        assert tape.route0 is not None and tape.route0.nbytes == 1536
+        assert tape.route0.nbytes == 1536
         for routes in tape.pool_idx:
-            assert routes == [None]
-        # the final state (1,680 bytes) plus the int64 conv route 0 once
-        # (1,536) and 7 steps of masks (7 x 210); a None route adds nothing
-        assert tape.nbytes() == 1680 + 1536 + 7 * 210 == 4686
+            assert [r.nbytes for r in routes] == [768]
+        # the final state (2,304 bytes) plus the int64 route 0 once (1,536)
+        # and 7 steps of route 1 and masks (7 x (768 + 288))
+        assert tape.nbytes() == 2304 + 1536 + 7 * (768 + 288) == 11232
 
     def test_memory_grows_linearly_in_steps(self):
         # route 0 and the final state once, then each step's routes of
@@ -215,14 +215,7 @@ class TestTape:
                                             + sum(s.nbytes for s in tape.final))
 
 
-def _fc_only_model(rng, *, scale=1.0):
-    # two fc connections and the readout: connection 0 has no pool route
-    spec = ModelSpec(input_shape=(1, 4, 4), conv=(), fc=((16, 6), (6, 5)),
-                     readout_dim=3)
-    return spec, init_params(spec, rng, dtype=np.float64, scale=scale)
-
-
-REVERSE_MODELS = {"conv": tiny_model, "conv_fc": conv_fc_model, "fc": _fc_only_model}
+REVERSE_MODELS = {"conv": tiny_model, "one_conv": one_conv_model}
 
 
 def _per_step_reverse(tape, x, params, spec, g_logits):
@@ -238,11 +231,9 @@ def _per_step_reverse(tape, x, params, spec, g_logits):
         g_new = [np.zeros_like(s) for s in tape.final]
         sinks = [g_x] + g_new[:-1]
         for i, route in enumerate([tape.route0] + tape.pool_idx[step]):
-            back = energy._adjoint(i, energy._unpool(g_pre[i], route), net)
-            sinks[i] += back.reshape(sinks[i].shape)
+            sinks[i] += energy._adjoint(i, ops.unpool2(g_pre[i], route), net)
             if i >= 1:
-                fwd, _ = energy._drive(i, g_pre[i - 1], net, route)
-                g_new[i] += fwd.reshape(g_new[i].shape)
+                g_new[i] += energy._drive(i, g_pre[i - 1], net, route)[0]
         g_layers = g_new
     return g_x
 
@@ -263,8 +254,7 @@ def _per_step_forward(x, params, spec, t):
             pre.append(drive + net.b[i])
             idx.append(route)
         for i in range(1, spec.n_layers):
-            td = energy._adjoint(i, energy._unpool(layers[i], idx[i]), net)
-            pre[i - 1] = pre[i - 1] + td.reshape(pre[i - 1].shape)
+            pre[i - 1] = pre[i - 1] + energy._adjoint(i, ops.unpool2(layers[i], idx[i]), net)
         layers = [ops.hard_clamp(p) for p in pre]
         routes.append(idx)
         masks.append([n == p for n, p in zip(layers, pre)])
@@ -272,8 +262,8 @@ def _per_step_forward(x, params, spec, t):
 
 
 def _bits(arrays):
-    """Each array's dtype, shape and bytes; None (an fc route) stays None."""
-    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+    """Each array's dtype, shape and bytes."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 class TestForwardPass:
@@ -316,8 +306,8 @@ class TestReversePass:
 
     @pytest.mark.parametrize("model", REVERSE_MODELS)
     def test_connection_0_adjoint_applied_once(self, model, monkeypatch):
-        # per step one conv2d_transpose for each conv connection i >= 1,
-        # plus connection 0's once when it is a conv
+        # per step one conv2d_transpose for each connection i >= 1, plus
+        # connection 0's once
         spec, params, x, tape, g_logits = _tape_and_cotangent(REVERSE_MODELS[model], 7)
         calls = []
 
@@ -326,8 +316,7 @@ class TestReversePass:
             return _f(*args)
         monkeypatch.setattr(ops, "conv2d_transpose", counted)
         unrolled.backward_input(tape, x, params, spec, g_logits)
-        expected = 7 * (spec.n_conv - 1) + 1 if spec.n_conv else 0
-        assert len(calls) == expected
+        assert len(calls) == 7 * (spec.n_layers - 1) + 1
 
     @pytest.mark.parametrize("route", ["route 0", "step 3's route 1"])
     @pytest.mark.parametrize("bad", ["past the plane", "negative", "float"])
@@ -378,7 +367,7 @@ PREPARING = ["phi", "phi_grad_state", "readout", "bp_forward", "bp_backward",
 def test_each_entry_point_prepares_the_model_once(entry, monkeypatch):
     # an entry point casts and prepares the params itself exactly once, and
     # no helper below it prepares them again; relaxations prepare their own
-    spec, params = conv_fc_model(np.random.default_rng(46), scale=0.8)
+    spec, params = tiny_model(np.random.default_rng(46), scale=0.8)
     rng = np.random.default_rng(47)
     x = rng.uniform(0, 1, (3,) + spec.input_shape)
     y, g = np.array([0, 1, 2]), rng.standard_normal((3, spec.readout_dim))

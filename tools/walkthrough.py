@@ -1,16 +1,15 @@
-"""Desk CLI walkthrough: train and evaluate three small configs through
+"""Desk CLI walkthrough: train and evaluate two small configs through
 ``epbench.cli.main`` and print one ``sha256  file`` line per output.
 
 Usage (from the repository root)::
 
     python3 tools/walkthrough.py OUT_DIR
 
-The configs are ``configs/desk.cfg`` at ``epochs = 2``, a 2-conv (4, 8)
-config that trains adv under linf PGD (epsilon 0.1, 3 steps), and a conv 8 +
-fc 16 config without ``adv_*`` keys, so that adv trains on the
-``TrainConfig`` defaults. Each trains ep, bp and adv models on 256
-synthetic examples; every checkpoint then runs the attack suite, Square
-alone at epsilon 0.3 (30 queries, 16 examples: strong enough that it breaks
+The configs are ``configs/desk.cfg`` at ``epochs = 2``, which has no
+``adv_*`` keys, so that adv trains on the ``TrainConfig`` defaults, and a
+2-conv (4, 8) config that trains adv under linf PGD (epsilon 0.1, 3 steps).
+Each trains ep, bp and adv models on 256 synthetic examples; every
+checkpoint then runs the attack suite, Square alone at epsilon 0.3 (30 queries, 16 examples: strong enough that it breaks
 some examples, and so the walkthrough depends on its acceptance and query
 bookkeeping), PGD l2, PGD linf at epsilon 0 and 0.05, the corruption sweep
 at severities 1 and 3, eval and the uncertainty curve. The ep checkpoint
@@ -55,16 +54,6 @@ batch_size     = 64
 adv_norm       = linf
 adv_epsilon    = 0.1
 adv_steps      = 3
-""",
-    "conv_fc": """input_shape    = 1,8,8
-conv_channels  = 8
-fc_dims        = 16
-readout_dim    = 2
-t_free         = 60
-t_nudge        = 15
-beta           = 0.5
-epochs         = 2
-batch_size     = 64
 """,
 }
 KINDS = ("ep", "bp", "adv")
