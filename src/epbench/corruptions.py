@@ -7,6 +7,10 @@ pixels, and contrast, brightness and pixelate take a multiplicative factor,
 an additive offset and a resolution-scale factor. ``corrupt_batch`` applies
 one (kind, severity) to a [B,C,H,W] batch in [0,1], clips back to [0,1],
 and is deterministic for a fixed seed.
+
+The blur is SciPy's ``ndimage.gaussian_filter(img, sigma=(0, s, s),
+mode="reflect")`` reproduced bit for bit in numpy, so the package needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -48,6 +52,24 @@ def _pixelate(img: np.ndarray, factor: float) -> np.ndarray:
     return small[:, ru][:, :, cu]
 
 
+def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """SciPy's ``gaussian_filter1d(img, sigma, mode="reflect")`` on the last axis.
+
+    Its kernel (radius int(4 sigma + 0.5), normalized, then reversed), its
+    "reflect" border (numpy's "symmetric") and correlate1d's order for a
+    symmetric kernel: the centre tap, then each pair from the outermost in.
+    """
+    r = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = (taps / taps.sum())[::-1]
+    n = img.shape[-1]
+    pad = np.pad(img, [(0, 0)] * (img.ndim - 1) + [(r, r)], mode="symmetric")
+    out = pad[..., r:r + n] * w[r]
+    for j in range(r, 0, -1):
+        out += (pad[..., r - j:r - j + n] + pad[..., r + j:r + j + n]) * w[r - j]
+    return out
+
+
 def _corrupt(img: np.ndarray, kind: str, p: float, rng) -> np.ndarray:
     """One float64 image [C,H,W] in [0,1] under parameter p, clipped to [0,1]."""
     if kind == "gaussian_noise":
@@ -61,9 +83,7 @@ def _corrupt(img: np.ndarray, kind: str, p: float, rng) -> np.ndarray:
         out[hits & salt] = 1.0
         out[hits & ~salt] = 0.0
     elif kind == "gaussian_blur":
-        # imported here: scipy.ndimage costs more to import than the rest of epbench
-        from scipy import ndimage
-        out = ndimage.gaussian_filter(img, sigma=(0, p, p), mode="reflect")
+        out = _blur(_blur(img.swapaxes(1, 2), p).swapaxes(1, 2), p)  # H, then W
     elif kind == "contrast":
         mean = img.mean()
         out = (img - mean) * p + mean

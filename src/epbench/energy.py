@@ -61,12 +61,11 @@ def _flat(s: np.ndarray) -> np.ndarray:
     return s.reshape(s.shape[0], math.prod(s.shape[1:]))
 
 
-def _layers64(state: NetworkState, spec: ModelSpec, batch: int | None = None
-              ) -> list[np.ndarray]:
+def _layers64(layers, spec: ModelSpec, batch: int | None = None) -> list[np.ndarray]:
     """State layers as float64, each checked to be [B] + its layer shape with
     one B for every layer: x's batch when the caller gives it, else layer 0's."""
     shapes = spec.state_shapes()
-    layers = [np.asarray(s, dtype=_F) for s in state.layers]
+    layers = [np.asarray(s, dtype=_F) for s in layers]
     if len(layers) != len(shapes):
         raise ops.ShapeError(
             f"state has {len(layers)} layers, model has {len(shapes)}"
@@ -183,7 +182,7 @@ def _grad_state(layers, net: _Net, x_drive):
 def phi(x, state: NetworkState, params: Params, spec: ModelSpec):
     """Per-example energies [B]."""
     xb = _as_batch_x(x, spec)
-    layers = _layers64(state, spec, len(xb))
+    layers = _layers64(state.layers, spec, len(xb))
     net = _prepare(params, spec)
     pre, _ = _bottom_up(layers, net, _input_drive(xb, net))
     total = np.zeros(xb.shape[0], dtype=_F)
@@ -196,7 +195,7 @@ def phi_grad_state(x, state: NetworkState, params: Params, spec: ModelSpec):
     """dPhi/ds^n for every layer: bottom-up drive plus feedback from above."""
     xb = _as_batch_x(x, spec)
     net = _prepare(params, spec)
-    return _grad_state(_layers64(state, spec, len(xb)), net, _input_drive(xb, net))[0]
+    return _grad_state(_layers64(state.layers, spec, len(xb)), net, _input_drive(xb, net))[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -245,7 +244,7 @@ def cross_entropy_grad(logits: np.ndarray, y) -> np.ndarray:
 
 def readout(state: NetworkState, params: Params, spec: ModelSpec) -> np.ndarray:
     """Logits [B, K] from the flattened top state [B, ...]."""
-    return _logits(_layers64(state, spec)[-1], _prepare(params, spec))
+    return _logits(_layers64(state.layers, spec)[-1], _prepare(params, spec))
 
 
 def _nudge_force(layers, net: _Net, y, beta_signed: float):
@@ -263,10 +262,13 @@ def dynamics_step(x, layers, params: Params, spec: ModelSpec, *, y=None,
 
     masks (clamp pass-through, boundary counted as pass) are only built when
     collect is set. fixed is the relaxation's work that no step changes, as
-    `_relax` holds it: (_prepare(params, spec), _input_drive(x, net)); None
-    computes both in this step.
+    `_relax` holds it: (_prepare(params, spec), _input_drive(x, net)), with x
+    and the layers already checked; None checks them and computes both in
+    this step.
     """
     if fixed is None:
+        x = _as_batch_x(x, spec)
+        layers = _layers64(layers, spec, len(x))
         net = _prepare(params, spec)
         fixed = net, _input_drive(x, net)
     net, x_drive = fixed
@@ -305,7 +307,7 @@ def _relax(x, start: NetworkState | None, params: Params, spec: ModelSpec, t: in
         raise ValueError(f"a relaxation needs t >= 1, got t={t}")
     xb = _as_batch_x(x, spec)
     n = xb.shape[0]
-    layers = zero_state(spec, n).layers if start is None else _layers64(start, spec, n)
+    layers = zero_state(spec, n).layers if start is None else _layers64(start.layers, spec, n)
     net = _prepare(params, spec)
     x_drive = _input_drive(xb, net)
     routes, masks = [], []

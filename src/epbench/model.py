@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ConvSpec
+from .ops import ConvSpec, ShapeError
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,10 @@ class NetworkState:
             self.example_steps = np.zeros(n, dtype=np.int64)
         if self.residual is None:
             self.residual = np.full(n, np.inf)
+        for name, a in (("example_steps", self.example_steps), ("residual", self.residual)):
+            if np.shape(a) != (n,):
+                raise ShapeError(f"{name} shape {np.shape(a)} != ({n},), one entry per "
+                                 f"example of layer 0's batch {n}")
 
     @property
     def steps(self) -> int:

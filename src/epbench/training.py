@@ -87,7 +87,7 @@ def phi_grad_params(x, state: NetworkState, params: Params,
     xb = _as_batch_x(x, spec)
     net = _prepare(params, spec)
     n = xb.shape[0]
-    layers = _layers64(state, spec, n)
+    layers = _layers64(state.layers, spec, n)
     est = params.map(np.zeros_like, dtype=_F)
     for i, (src, s) in enumerate(zip([xb] + layers[:-1], layers)):
         # conv weights use the pooling routes of the bottom-up pass at this state

@@ -151,13 +151,35 @@ class TestCorrupt:
         assert abs(mad - expect) / expect < 0.05
 
 
-def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
-    # only gaussian_blur needs scipy.ndimage, so only it pays for the import
-    code = "import sys, epbench.cli; print('scipy.ndimage' in sys.modules)"
+def test_corrupting_with_every_kind_loads_no_scipy_module():
+    # the package's one runtime dependency is numpy: scipy is a test oracle only
+    code = ("import sys, numpy as np, epbench.cli\n"
+            "from epbench.corruptions import KINDS, corrupt_batch\n"
+            "for kind in KINDS:\n"
+            "    corrupt_batch(np.full((2, 3, 8, 8), 0.5), kind, 5)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(epbench.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+BLUR_SHAPES = [(1, 4, 4), (1, 8, 8), (3, 32, 32), (1, 2, 2), (2, 1, 5), (3, 7, 1), (3, 7, 3)]
+
+
+@pytest.mark.parametrize("sigma", cor.SEVERITIES["gaussian_blur"])
+@pytest.mark.parametrize("shape", BLUR_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_blur_is_scipy_gaussian_filter_bit_for_bit(shape, sigma):
+    # H = 1, W = 1 and extents shorter than the radius (r = 5 at sigma 1.3)
+    # exercise the reflected border repeating past the image
+    from scipy import ndimage
+    rng = np.random.default_rng((*shape, round(sigma * 10)))
+    severity = cor.SEVERITIES["gaussian_blur"].index(sigma) + 1
+    imgs = rng.uniform(0, 1, (50,) + shape)
+    got = cor.corrupt_batch(imgs, "gaussian_blur", severity)
+    for img, out in zip(imgs, got):
+        want = ndimage.gaussian_filter(img, sigma=(0, sigma, sigma), mode="reflect")
+        assert np.array_equal(out.view(np.uint64), np.clip(want, 0.0, 1.0).view(np.uint64))
 
 
 class TestSweep:

@@ -495,7 +495,7 @@ def test_clamp_masks_mark_values_the_clamp_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", ["phi", "phi_grad_state", "nudged_phase",
-                                   "phi_grad_params"])
+                                   "phi_grad_params", "dynamics_step"])
 @pytest.mark.parametrize("where", [0, 1], ids=["every layer", "top layer"])
 def test_state_batch_must_be_the_inputs(entry, where):
     # layers `where` and up of batch 2, read against an x of batch 3, are
@@ -510,10 +510,26 @@ def test_state_batch_must_be_the_inputs(entry, where):
         "nudged_phase": lambda: energy.nudged_phase(x, params, spec, state,
                                                     np.array([0, 1, 2]), 0.5),
         "phi_grad_params": lambda: training.phi_grad_params(x, state, params, spec),
+        "dynamics_step": lambda: energy.dynamics_step(x, state.layers, params, spec),
     }[entry]
     with pytest.raises(ops.ShapeError,
                        match=rf"^layer {where} state batch 2 != the input's batch 3$"):
         call()
+
+
+@pytest.mark.parametrize("field", ["example_steps", "residual"])
+def test_per_example_arrays_must_match_the_layers_batch(field):
+    # a state whose layers hold 3 examples but whose example_steps or
+    # residual holds 2 is refused when built, before nudged_phase can run on it
+    spec, params = tiny_model(np.random.default_rng(60))
+    x = np.random.default_rng(61).uniform(0, 1, (3,) + spec.input_shape)
+    full = energy.free_phase(x, params, spec, t=3, fp_tol=0.0)
+    arrays = {"example_steps": full.example_steps, "residual": full.residual}
+    arrays[field] = arrays[field][:2]
+    with pytest.raises(ops.ShapeError,
+                       match=rf"^{field} shape \(2,\) != \(3,\), one entry per example "
+                             r"of layer 0's batch 3$"):
+        NetworkState(full.layers, **arrays)
 
 
 def test_readout_state_layers_share_one_batch():

@@ -84,6 +84,8 @@ UNBATCHED_CALLS = {
     "energy.free_phase": lambda x, p, s: energy.free_phase(x, p, s),
     "energy.logits_at": lambda x, p, s: energy.logits_at(x, p, s, T),
     "energy.phi": lambda x, p, s: energy.phi(x, zero_state(s, 1), p, s),
+    "energy.dynamics_step":
+        lambda x, p, s: energy.dynamics_step(x, zero_state(s, 1).layers, p, s),
     "unrolled.logits_and_vjp": lambda x, p, s: unrolled.logits_and_vjp(x, p, s, T),
     "baseline.bp_forward": lambda x, p, s: baseline.bp_forward(x, p, s),
     "attacks.project": lambda x, p, s: attacks.project(x, x, "l2", 0.1),

@@ -5,10 +5,14 @@ class, must be referenced by name somewhere in the package besides its own
 definition; the few that exist for the tests' oracles or as reference
 baselines are listed with the reason they stay. The parameters are cast to
 float64 and each conv kernel flipped for its adjoint in one place,
-`energy._prepare`.
+`energy._prepare`. The package imports no third-party package that
+pyproject.toml does not declare as a runtime dependency, and declares none
+it does not import.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import epbench
@@ -70,3 +74,18 @@ def test_params_are_prepared_only_in_energy_prepare():
                 found.add(f"{path.stem}.{fn}")
     assert found <= allowed
     assert "energy._prepare" in found
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    import tomllib  # Python 3.11+; imported here so the other checks run on 3.10
+
+    declared = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())
+    runtime = {re.match(r"[A-Za-z0-9_.-]+", d)[0] for d in declared["project"]["dependencies"]}
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names == runtime == {"numpy"}
