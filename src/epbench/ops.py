@@ -12,11 +12,19 @@ convolution primitives copy the input into a zero-filled float64 buffer of
 the padded shape and copy one strided view of its k x k windows into a column
 matrix per example (im2col). They issue one BLAS dgemm per example through a
 stacked ``np.matmul``, so an example's output bits depend only on that
-example, not on its batch-mates or on the BLAS thread count. The weight
-gradient sums the per-example products over the batch in index order.
-Results are cast back to the operands' dtype. Pooling routes are integer
-(maxpool2 returns int64) flat indices into each [H, W] plane, checked for
-dtype, shape and range before use.
+example, not on its batch-mates or on the BLAS thread count. So the columns
+are built for one run of examples at a time, as many as fit ``_RUN_BYTES``
+(at least one), and each run is multiplied into its rows of a preallocated
+output with ``np.matmul(..., out=...)``. Every run of a call fills the same
+padded buffer and column buffer, views of a scratch array that each thread
+keeps between calls, so held memory is one run's columns rather than the
+batch's, and repeated calls do not allocate and free them again. Each example
+meets the same dgemm with byte-identical operands whatever the run length, so
+no bit moves; a batch that fits one run is built in one pass, into fresh
+arrays. The weight gradient sums the per-example products over the batch in
+index order. Results are cast back to the operands' dtype. Pooling routes are
+integer (maxpool2 returns int64) flat indices into each [H, W] plane, checked
+for dtype, shape and range before use.
 
 What depends only on shapes is computed once per shape and cached read-only:
 the first cell of each pooling window and the flat offset of each stacked
@@ -27,6 +35,8 @@ in ``energy`` do: every entry point of the model prepares it once per call.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,6 +57,10 @@ class ConvSpec:
     padding: int = 0
 
     def __post_init__(self):
+        for name, v in (("in_channels", self.in_channels), ("out_channels", self.out_channels),
+                        ("kernel", self.kernel), ("padding", self.padding)):
+            if type(v) is not int:
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.kernel < 1:
             raise ValueError(f"kernel must be >= 1, got {self.kernel}")
         if self.padding < 0:
@@ -72,18 +86,57 @@ def _as_batch(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _im2col(xb: np.ndarray, spec: ConvSpec) -> np.ndarray:
+# Column bytes one run of examples may fill (it holds at least one example):
+# a run's columns stay in a core's cache while BLAS reads them
+_RUN_BYTES = 1 << 19
+
+
+def _im2col(xb: np.ndarray, spec: ConvSpec, xp: np.ndarray | None = None,
+            cols: np.ndarray | None = None) -> np.ndarray:
     """[B, C, H, W] -> float64 [B, C*k*k, Ho*Wo]; row (c, a, b) of example n holds
-    x_padded[n, c, i+a, j+b] over the output positions (i, j) in row-major order."""
+    x_padded[n, c, i+a, j+b] over the output positions (i, j) in row-major order.
+
+    xp and cols, when given, are a run's buffers (_run_buffers) with room for
+    at least B examples: the columns are built in cols' first B rows, which
+    are returned, and xp's zero border is left as it was.
+    """
     p, k = spec.padding, spec.kernel
     B, C, H, W = xb.shape
-    xp = np.zeros((B, C, H + 2 * p, W + 2 * p))
-    xp[:, :, p:p + H, p:p + W] = xb
+    if xp is None:
+        xp = np.zeros((B, C, H + 2 * p, W + 2 * p))
+    xp[:B, :, p:p + H, p:p + W] = xb
     ho, wo = H + 2 * p - k + 1, W + 2 * p - k + 1
     # [B, C, k, k, Ho, Wo] windows, copied out in C order: a bare reshape can
     # return an overlapping view, which matmul multiplies with other bits
     win = np.ndarray((B, C, k, k, ho, wo), np.float64, xp, 0, xp.strides + xp.strides[2:])
-    return np.ascontiguousarray(win).reshape(B, C * k * k, ho * wo)
+    if cols is None:
+        return np.ascontiguousarray(win).reshape(B, C * k * k, ho * wo)
+    cols = cols[:B]
+    cols.reshape(win.shape)[...] = win
+    return cols
+
+
+# Each thread's scratch array for the runs' buffers, kept between calls and
+# grown to the largest run its convolutions have needed
+_scratch = threading.local()
+
+
+def _run_buffers(xb: np.ndarray, spec: ConvSpec, n: int):
+    """A zero-filled padded buffer and a column buffer for one run of n
+    examples of xb, as views of this thread's scratch array, for _im2col to
+    reuse run after run."""
+    p, k = spec.padding, spec.kernel
+    _, C, H, W = xb.shape
+    cols = (n, C * k * k, (H + 2 * p - k + 1) * (W + 2 * p - k + 1))
+    padded = (n, C, H + 2 * p, W + 2 * p)
+    n_cols = math.prod(cols)
+    size = n_cols + math.prod(padded)
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or len(buf) < size:
+        buf = _scratch.buf = np.empty(size)
+    xp = buf[n_cols:size].reshape(padded)
+    xp.fill(0.0)
+    return xp, buf[:n_cols].reshape(cols)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -106,9 +159,17 @@ def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
         )
     ho, wo = spec.out_extent(xb.shape[2]), spec.out_extent(xb.shape[3])
     w2 = w.reshape(spec.out_channels, -1).astype(np.float64, copy=False)
+    B = xb.shape[0]
+    n = _RUN_BYTES // (8 * w2.shape[1] * ho * wo) or 1
     # [O, C*k*k] @ [B, C*k*k, Ho*Wo]: one dgemm per example
-    y = np.matmul(w2, _im2col(xb, spec))
-    return y.reshape(xb.shape[0], spec.out_channels, ho, wo).astype(
+    if n >= B:
+        y = np.matmul(w2, _im2col(xb, spec))
+    else:
+        y = np.empty((B, spec.out_channels, ho * wo))
+        xp, cols = _run_buffers(xb, spec, n)
+        for s in range(0, B, n):
+            np.matmul(w2, _im2col(xb[s:s + n], spec, xp, cols), out=y[s:s + n])
+    return y.reshape(B, spec.out_channels, ho, wo).astype(
         np.promote_types(xb.dtype, w.dtype), copy=False)
 
 
@@ -179,9 +240,17 @@ def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarr
             )
     k = spec.kernel
     u3 = ub.reshape(B, out[1], out[2] * out[3]).astype(np.float64, copy=False)
+    n = _RUN_BYTES // (8 * C * k * k * out[2] * out[3]) or 1
     # [B, O, Ho*Wo] @ [B, Ho*Wo, C*k*k]: one dgemm per example, then a sum
     # over the batch axis in index order
-    per_example = np.matmul(u3, _im2col(xb, spec).transpose(0, 2, 1))
+    if n >= B:
+        per_example = np.matmul(u3, _im2col(xb, spec).transpose(0, 2, 1))
+    else:
+        per_example = np.empty((B, out[1], C * k * k))
+        xp, cols = _run_buffers(xb, spec, n)
+        for s in range(0, B, n):
+            np.matmul(u3[s:s + n], _im2col(xb[s:s + n], spec, xp, cols).transpose(0, 2, 1),
+                      out=per_example[s:s + n])
     g = np.add.reduce(per_example, axis=0)
     return g.reshape(out[1], C, k, k).astype(np.result_type(x, u), copy=False)
 

@@ -1,11 +1,21 @@
 """Tensor primitive oracles: brute-force references, adjoint identities,
-linearity, determinism."""
+linearity, determinism, the conv geometry's checks, and the convolutions'
+runs of examples: bits that do not depend on the run length, buffers reused
+run after run and call after call, and held memory bounded by one run."""
+
+import sys
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epbench import ops
+from epbench import ops, unrolled
+from epbench.checkpoint import load_checkpoint
 from epbench.ops import ConvSpec, ShapeError
+
+DESK_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "desk_ep.ckpt"
 
 
 def conv2d_reference(x, w, padding):
@@ -263,6 +273,169 @@ class TestConv2dWeightGrad:
                                    ConvSpec(2, 4, 3, 1))
         assert g.shape == (4, 2, 3, 3) and g.dtype == np.float64
         assert not g.any()
+
+
+class TestConvSpec:
+    @pytest.mark.parametrize("fields, match", [
+        ((1.0, 4, 3, 1), "in_channels must be an integer, got 1.0"),
+        ((1, 4.0, 3, 1), "out_channels must be an integer, got 4.0"),
+        ((1, 4, 3.0, 1), "kernel must be an integer, got 3.0"),
+        ((1, 4, 3, 1.0), "padding must be an integer, got 1.0"),
+        ((1, 4, True, 1), "kernel must be an integer, got True"),
+        ((1, 4, 3, False), "padding must be an integer, got False"),
+        ((1, 4, np.int64(3), 1), "kernel must be an integer"),
+        ((1, 4, "3", 1), "kernel must be an integer, got '3'"),
+        ((1, 4, 0, 1), "kernel must be >= 1"),
+        ((1, 4, 3, -1), "padding must be >= 0"),
+        ((0, 4, 3, 1), "channel counts must be >= 1"),
+    ], ids=["float in_channels", "float out_channels", "float kernel", "float padding",
+            "bool kernel", "bool padding", "numpy kernel", "string kernel", "zero kernel",
+            "negative padding", "zero channels"])
+    def test_rejects_bad_geometry_naming_the_field(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            ConvSpec(*fields)
+
+
+def _run_bytes(case, spec, shape):
+    """_RUN_BYTES values that split the batch of `case` into one example per
+    run, runs of two (ragged when B is odd), and one run for the whole batch."""
+    B, C, H, W = shape
+    k, p = spec.kernel, spec.padding
+    if case == "transpose":
+        # the adjoint correlates the [B, O, Ho, Wo] input back to [B, C, H, W]
+        per_example = 8 * spec.out_channels * k * k * H * W
+    else:
+        per_example = 8 * C * k * k * (H + 2 * p - k + 1) * (W + 2 * p - k + 1)
+    return 1, 2 * per_example, max(B, 1) * per_example
+
+
+class TestRuns:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("B", [0, 1, 5])
+    def test_run_length_moves_no_bit(self, monkeypatch, B, padding, k, dtype):
+        rng = np.random.default_rng(40 + B + 3 * padding + k)
+        spec = ConvSpec(3, 4, k, padding)
+        x = rng.standard_normal((B, 3, 6, 7)).astype(dtype)
+        w = rng.standard_normal((4, 3, k, k)).astype(dtype)
+        u = rng.standard_normal((B, 4, 6 + 2 * padding - k + 1, 7 + 2 * padding - k + 1)
+                                ).astype(dtype)
+        calls = {
+            "conv2d": lambda: ops.conv2d(x, w, spec),
+            "transpose": lambda: ops.conv2d_transpose(u, w, spec),
+            "weight_grad": lambda: ops.conv2d_weight_grad(x, u, spec),
+        }
+        for case, call in calls.items():
+            outs = []
+            for budget in _run_bytes(case, spec, x.shape):
+                monkeypatch.setattr(ops, "_RUN_BYTES", budget)
+                outs.append(call())
+            assert all(o.dtype == dtype and o.shape == outs[0].shape for o in outs)
+            assert len({o.tobytes() for o in outs}) == 1, case
+
+    def test_runs_reuse_one_pair_of_buffers(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        spec = ConvSpec(2, 3, 3, 1)
+        x = rng.standard_normal((5, 2, 6, 6))
+        w = rng.standard_normal((3, 2, 3, 3))
+        u = rng.standard_normal((5, 3, 6, 6))
+        seen = []
+        im2col = ops._im2col
+
+        def counted(xb, spec, xp=None, cols=None):
+            seen.append((len(xb), xp, cols))
+            return im2col(xb, spec, xp, cols)
+
+        monkeypatch.setattr(ops, "_im2col", counted)
+        one_run = ops.conv2d(x, w, spec), ops.conv2d_weight_grad(x, u, spec)
+        # a batch that fits one run builds its columns in one pass, in fresh arrays
+        assert seen == [(5, None, None), (5, None, None)]
+        seen.clear()
+        monkeypatch.setattr(ops, "_RUN_BYTES", 2 * 8 * 2 * 9 * 36)
+        runs = ops.conv2d(x, w, spec), ops.conv2d_weight_grad(x, u, spec)
+        assert [n for n, _, _ in seen] == [2, 2, 1, 2, 2, 1]
+        # the runs of a call fill one pair of buffers, and the next call
+        # fills the same memory: the thread's scratch array
+        for call in (seen[:3], seen[3:]):
+            assert all(xp is call[0][1] and cols is call[0][2] for _, xp, cols in call)
+        assert np.shares_memory(seen[0][2], seen[3][2])
+        assert [a.tobytes() for a in runs] == [a.tobytes() for a in one_run]
+
+    def test_threads_keep_their_own_scratch(self, monkeypatch):
+        # more threads than cores, switching often: BLAS and the column copy
+        # release the interpreter lock mid-call, so a shared scratch array
+        # would mix one thread's columns into another's product
+        monkeypatch.setattr(ops, "_RUN_BYTES", 2 * 8 * 2 * 9 * 36)
+        rng = np.random.default_rng(48)
+        spec = ConvSpec(2, 3, 3, 1)
+        xs = rng.standard_normal((6, 5, 2, 6, 6))
+        us = rng.standard_normal((6, 5, 3, 6, 6))
+        w = rng.standard_normal((3, 2, 3, 3))
+
+        def both(i):
+            return (ops.conv2d(xs[i], w, spec).tobytes()
+                    + ops.conv2d_weight_grad(xs[i], us[i], spec).tobytes())
+
+        want = [both(i) for i in range(len(xs))]
+        bad = []
+
+        def work(i):
+            for _ in range(40):
+                if both(i) != want[i]:
+                    bad.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(xs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_held_memory_is_one_run_plus_the_output(self, monkeypatch):
+        # train-mid's transposed 64 -> 32 conv at B = 32: the whole batch's
+        # columns would take 32 x 1.18 MB. A fresh scratch makes the call
+        # allocate its run buffers, so the peak counts them
+        monkeypatch.setattr(ops, "_scratch", threading.local())
+        spec = ConvSpec(32, 64, 3, 1)
+        rng = np.random.default_rng(45)
+        g = rng.standard_normal((32, 64, 16, 16))
+        w = rng.standard_normal((64, 32, 3, 3))
+        w_adj = ops._adjoint_kernel(w)
+        per_example = 8 * 64 * 9 * 16 * 16
+        n = max(ops._RUN_BYTES // per_example, 1)
+        run = n * per_example + n * 8 * 64 * 18 * 18
+        output = 8 * 32 * 32 * 16 * 16
+        assert 32 * per_example > 4 * (run + output)
+        tracemalloc.start()
+        try:
+            y = ops.conv2d_transpose(g, w, spec, w_adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (32, 32, 16, 16)
+        assert peak < run + output + (64 << 10)
+
+    def test_unrolled_batch_spanning_runs_equals_its_examples(self):
+        # desk conv 0's columns take 8 x 9 x 64 B per example, so 300
+        # examples span several runs of it and of the transposed convs
+        ckpt = load_checkpoint(DESK_CKPT)
+        spec, params = ckpt.spec, ckpt.params
+        x = np.random.default_rng(46).uniform(0, 1, (300,) + spec.input_shape)
+        assert len(x) > ops._RUN_BYTES // (8 * 9 * 64)
+        g_logits = np.random.default_rng(47).standard_normal((300, spec.readout_dim))
+        logits, vjp = unrolled.logits_and_vjp(x, params, spec, 30)
+        grad = vjp(g_logits)
+        for i in range(len(x)):
+            solo, solo_vjp = unrolled.logits_and_vjp(x[i:i + 1], params, spec, 30)
+            assert solo.tobytes() == logits[i:i + 1].tobytes()
+            assert solo_vjp(g_logits[i:i + 1]).tobytes() == grad[i:i + 1].tobytes()
 
 
 class TestMaxPool:

@@ -7,7 +7,8 @@ baselines are listed with the reason they stay. The parameters are cast to
 float64 and each conv kernel flipped for its adjoint in one place,
 `energy._prepare`. The package imports no third-party package that
 pyproject.toml does not declare as a runtime dependency, and declares none
-it does not import.
+it does not import. No module reads the environment, so no setting (the
+convolutions' run budget included) becomes an environment knob.
 """
 
 import ast
@@ -89,3 +90,15 @@ def test_runtime_imports_are_the_declared_dependencies():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - sys.stdlib_module_names == runtime == {"numpy"}
+
+
+def test_no_module_reads_the_environment():
+    reads = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                reads.add(f"{path.stem}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads.update(f"{path.stem}: from os import {alias.name}"
+                             for alias in node.names if alias.name in ("environ", "getenv"))
+    assert reads == set()
