@@ -12,10 +12,10 @@ convolution primitives copy the input into a zero-filled float64 buffer of
 the padded shape and copy one strided view of its k x k windows into a column
 matrix per example (im2col). They issue one BLAS dgemm per example through a
 stacked ``np.matmul``, so an example's output bits depend only on that
-example, not on its batch-mates or on the BLAS thread count. So the columns
-are built for one run of examples at a time, as many as fit ``_RUN_BYTES``
-(at least one), and each run is multiplied into its rows of a preallocated
-output with ``np.matmul(..., out=...)``. Every run of a call fills the same
+example, not on its batch-mates or on the BLAS thread count. That lets the
+columns be built for one run of examples at a time, as many as fit
+``_RUN_BYTES`` (at least one), with each run multiplied into its rows of a
+preallocated output by ``np.matmul(..., out=...)``. Every run of a call fills the same
 padded buffer and column buffer, views of a scratch array that each thread
 keeps between calls, so held memory is one run's columns rather than the
 batch's, and repeated calls do not allocate and free them again. Each example
