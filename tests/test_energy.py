@@ -1,5 +1,11 @@
 """Energy function and dynamics: summation oracles, finite differences of the
-state gradient, fixed-point behavior, nudging, readout, and prediction."""
+state gradient, fixed-point behavior, nudging, readout, and prediction; the
+op plans a relaxation builds once, across row compressions and threads."""
+
+import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +401,131 @@ class TestPerExampleExit:
                                  np.array([0, 1, 2, 0]), 0.5, t=3)
         assert st.example_steps.tolist() == (free.example_steps + 3).tolist()
         assert st.steps == free.steps + 3
+
+
+def _count_plans(monkeypatch):
+    """A list with (class name, operand shape[, transpose]) of every plan
+    built, the plan classes patched in ops."""
+    built = []
+    for name in ("_ConvPlan", "_PoolPlan"):
+        def counted(shape, *args, _real=getattr(ops, name), _name=name):
+            built.append((_name, tuple(shape)) + args[1:])
+            return _real(shape, *args)
+        monkeypatch.setattr(ops, name, counted)
+    return built
+
+
+# tiny_model at B = 16: connection 1 reads layer 0 [16, 4, 4, 4], pools its
+# [16, 8, 4, 4] conv output and takes its adjoint on an unpooled layer 1 of
+# that shape
+CONNECTION_1_PLANS = [("_ConvPlan", (16, 4, 4, 4), False), ("_ConvPlan", (16, 8, 4, 4), True),
+                      ("_PoolPlan", (16, 8, 4, 4))]
+
+
+class TestPlans:
+    """A relaxation builds connection i's plans (i >= 1) the first time it
+    meets its batch and keeps them across row compressions; a plan holds one
+    run of buffers, and the plans of concurrent relaxations are their own."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(51)
+        self.spec, self.params = tiny_model(rng, scale=0.9)
+        self.x = rng.uniform(0, 1, (16,) + self.spec.input_shape)
+
+    def test_a_relaxation_builds_each_plan_once(self, monkeypatch):
+        built = _count_plans(monkeypatch)
+        st = energy.free_phase(self.x, self.params, self.spec)
+        # rows finished at several steps, so the batch was compressed
+        assert len(set(st.example_steps.tolist())) > 2
+        assert sorted(built) == CONNECTION_1_PLANS
+        # a second relaxation (the nudged phase) builds its own
+        energy.nudged_phase(self.x, self.params, self.spec, st, np.zeros(16, int), 0.5, t=3)
+        assert sorted(built) == sorted(CONNECTION_1_PLANS * 2)
+
+    def test_single_calls_build_no_plans(self, monkeypatch):
+        st = energy.free_phase(self.x, self.params, self.spec, t=3)
+        built = _count_plans(monkeypatch)
+        energy.phi(self.x, st, self.params, self.spec)
+        energy.phi_grad_state(self.x, st, self.params, self.spec)
+        energy.dynamics_step(self.x, st.layers, self.params, self.spec)
+        training.phi_grad_params(self.x, st, self.params, self.spec)
+        assert built == []
+
+    def test_concurrent_relaxations_keep_their_solo_bits(self, monkeypatch):
+        # four threads relax different inputs at once, switching often; runs
+        # of at most four examples (two for the adjoints) make every conv of
+        # a 5-row batch fill and refill its buffers
+        monkeypatch.setattr(ops, "_RUN_BYTES", 2 * 8 * 8 * 9 * 16)
+        xs = np.random.default_rng(57).uniform(0, 1, (4, 5) + self.spec.input_shape)
+        g = np.random.default_rng(58).standard_normal((5, self.spec.readout_dim))
+
+        def bits(i):
+            st = energy.free_phase(xs[i], self.params, self.spec)
+            logits, vjp = unrolled.logits_and_vjp(xs[i], self.params, self.spec, 9)
+            return b"".join(a.tobytes() for a in _fields(st) + [logits, vjp(g)])
+
+        want = [bits(i) for i in range(4)]
+        bad = []
+
+        def work(i):
+            for _ in range(10):
+                if bits(i) != want[i]:
+                    bad.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_a_plan_holds_one_run(self, monkeypatch):
+        # the mid spec at B = 32: whole-batch columns would take 18.9 MB for
+        # connection 1's conv and 37.7 MB for its adjoint. Measured from the
+        # first step on, the planned steps hold no more than one step of the
+        # same relaxation without plans, plus one run of each plan's buffers
+        spec = ModelSpec(input_shape=(3, 32, 32),
+                         conv=(ConvSpec(3, 32, 3, 1), ConvSpec(32, 64, 3, 1)),
+                         readout_dim=10, t_free=4, t_nudge=2)
+        params = init_params(spec, np.random.default_rng(59), dtype=np.float64)
+        x = np.random.default_rng(60).uniform(0, 1, (32,) + spec.input_shape)
+        layers = zero_state(spec, 32).layers
+        net = energy._prepare(params, spec)
+        fixed = net, energy._input_drive(x, net)
+        energy.dynamics_step(x, layers, params, spec, fixed=fixed)  # grows the scratch
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            energy.dynamics_step(x, layers, params, spec, fixed=fixed)
+            step = tracemalloc.get_traced_memory()[1] - start
+            plans, marks, real = [], [], energy.dynamics_step
+            for name in ("_ConvPlan", "_PoolPlan"):
+                def kept(*args, _real=getattr(ops, name)):
+                    plans.append(_real(*args))
+                    return plans[-1]
+                monkeypatch.setattr(ops, name, kept)
+
+            def first_step_resets_the_peak(*args, **kw):
+                if not marks:
+                    marks.append(tracemalloc.get_traced_memory()[0])
+                    tracemalloc.reset_peak()
+                return real(*args, **kw)
+
+            monkeypatch.setattr(energy, "dynamics_step", first_step_resets_the_peak)
+            energy.free_phase(x, params, spec, t=4, fp_tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1] - marks[0]
+        finally:
+            tracemalloc.stop()
+        runs = sum(8 * math.prod(p.held) + getattr(p, "xp", np.empty(0)).nbytes
+                   for p in plans)
+        assert len(plans) == 3 and runs < 4 << 20
+        assert peak <= step + runs + (64 << 10)
 
 
 @pytest.mark.parametrize("make_model", [tiny_model, one_conv_model])

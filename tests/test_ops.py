@@ -1,7 +1,9 @@
 """Tensor primitive oracles: brute-force references, adjoint identities,
 linearity, determinism, the conv geometry's checks, and the convolutions'
 runs of examples: bits that do not depend on the run length, buffers reused
-run after run and call after call, and held memory bounded by one run."""
+run after run and call after call, and held memory bounded by one run. A
+plan (prebuilt buffers for one operand shape) changes no bit and refuses any
+operand it was not built for."""
 
 import sys
 import threading
@@ -597,6 +599,118 @@ class TestUnpool:
         lhs = np.vdot(ops.unpool2(g, idx), v)
         rhs = np.vdot(g, ops.pool_gather(v, idx))
         assert abs(lhs - rhs) < 1e-10
+
+
+def _ties_and_nans(rng, shape, dtype=np.float64):
+    """Values rounded to halves, so windows tie, with +0.0 and -0.0 among
+    them, and about one value in five NaN."""
+    x = np.round(rng.standard_normal(shape) * 2) / 2
+    x[x == 0] = rng.choice([0.0, -0.0], int((x == 0).sum()))
+    x[rng.random(shape) < 0.2] = np.nan
+    return x.astype(dtype)
+
+
+class TestPlans:
+    # desk conv 0's geometry (1 x 8 x 8 into 4 channels): 300 examples span
+    # several runs of its columns, of its adjoint's and of the pooled cells
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("B", [1, 2, 5, 64, 300])
+    def test_convolutions_keep_their_bits(self, B, padding, k):
+        rng = np.random.default_rng(50 + B + 3 * padding + k)
+        spec = ConvSpec(1, 4, k, padding)
+        x = rng.standard_normal((B, 1, 8, 8))
+        w = rng.standard_normal((4, 1, k, k))
+        y = ops.conv2d(x, w, spec)
+        g = rng.standard_normal(y.shape)
+        w_adj = ops._adjoint_kernel(w)
+        plan = ops._ConvPlan(x.shape, spec)
+        tplan = ops._ConvPlan(g.shape, spec, True)
+        # the full batch, then the first rows only, as after a compression
+        for n in sorted({B, B // 2 + 1, 1}, reverse=True):
+            assert ops.conv2d(x[:n], w, spec, plan).tobytes() == y[:n].tobytes()
+            assert (ops.conv2d_transpose(g[:n], w, spec, w_adj, tplan).tobytes()
+                    == ops.conv2d_transpose(g[:n], w, spec, w_adj).tobytes())
+
+    @pytest.mark.parametrize("B", [1, 2, 5, 64, 300])
+    def test_pooling_keeps_its_bits(self, B):
+        x = _ties_and_nans(np.random.default_rng(51 + B), (B, 4, 8, 8))
+        x[0] = _ties_and_nans(np.random.default_rng(52), (4, 8, 8))
+        x[0][np.isnan(x[0])] = 0.0  # one example without a NaN
+        plan = ops._PoolPlan(x.shape)
+        ref_pooled, ref_idx = maxpool_oracle(x)
+        for n in sorted({B, B // 2 + 1, 1}, reverse=True):
+            for pooled, idx in (ops.maxpool2(x[:n]), ops.maxpool2(x[:n], plan)):
+                assert pooled.tobytes() == ref_pooled[:n].tobytes()
+                assert np.array_equal(idx, ref_idx[:n])
+
+    @pytest.mark.parametrize("nans", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pooling_runs_keep_the_bits_and_the_dtype(self, dtype, nans, monkeypatch):
+        # one example per run, then runs of two with a ragged last one
+        x = _ties_and_nans(np.random.default_rng(53), (5, 3, 4, 6), dtype)
+        if not nans:
+            x[np.isnan(x)] = -0.0
+        ref_pooled, ref_idx = maxpool_oracle(x)
+        for budget in (1, 2 * 8 * 3 * 4 * 6):
+            monkeypatch.setattr(ops, "_RUN_BYTES", budget)
+            pooled, idx = ops.maxpool2(x)
+            assert pooled.dtype == dtype and idx.dtype == np.int64
+            assert pooled.tobytes() == ref_pooled.tobytes()
+            assert np.array_equal(idx, ref_idx)
+
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose", "maxpool2"])
+    @pytest.mark.parametrize("bad", ["shape", "batch", "dtype"])
+    def test_a_plan_refuses_what_it_was_not_built_for(self, op, bad):
+        rng = np.random.default_rng(54)
+        spec = ConvSpec(2, 3, 3, 1)
+        w = rng.standard_normal((3, 2, 3, 3))
+        shape = {"conv2d": (4, 2, 6, 6), "conv2d_transpose": (4, 3, 6, 6),
+                 "maxpool2": (4, 3, 6, 6)}[op]
+        plan = (ops._PoolPlan(shape) if op == "maxpool2"
+                else ops._ConvPlan(shape, spec, op == "conv2d_transpose"))
+        a = {"shape": rng.standard_normal(shape[:2] + (8, 8)),
+             "batch": rng.standard_normal((5,) + shape[1:]),
+             "dtype": rng.standard_normal(shape).astype(np.float32)}[bad]
+        call = {"conv2d": lambda: ops.conv2d(a, w, spec, plan),
+                "conv2d_transpose": lambda: ops.conv2d_transpose(a, w, spec, None, plan),
+                "maxpool2": lambda: ops.maxpool2(a, plan)}[op]
+        with pytest.raises(ShapeError, match=rf"shape \({', '.join(map(str, a.shape))}\) "
+                                             rf"of {a.dtype} does not fit its plan's "
+                                             rf"\({', '.join(map(str, shape))}\)"):
+            call()
+
+    def test_a_conv_plan_refuses_another_kernel_or_spec(self):
+        rng = np.random.default_rng(55)
+        spec = ConvSpec(2, 3, 3, 1)
+        x = rng.standard_normal((4, 2, 6, 6))
+        plan = ops._ConvPlan(x.shape, spec)
+        with pytest.raises(ShapeError, match=r"kernel shape \(3, 2, 1, 1\) .* does not fit"):
+            ops.conv2d(x, rng.standard_normal((3, 2, 1, 1)), ConvSpec(2, 3, 1, 0), plan)
+        with pytest.raises(ShapeError, match="does not fit its plan's"):
+            ops.conv2d(x, rng.standard_normal((3, 2, 3, 3)), ConvSpec(2, 3, 3, 2), plan)
+
+    def test_plan_calls_fill_the_plans_buffers(self, monkeypatch):
+        rng = np.random.default_rng(56)
+        spec = ConvSpec(2, 3, 3, 1)
+        x = rng.standard_normal((5, 2, 6, 6))
+        w = rng.standard_normal((3, 2, 3, 3))
+        plan = ops._ConvPlan(x.shape, spec)
+        seen = []
+        im2col = ops._im2col
+
+        def counted(xb, spec, *bufs):
+            seen.append(bufs)
+            return im2col(xb, spec, *bufs)
+
+        monkeypatch.setattr(ops, "_im2col", counted)
+        for n in (5, 3):
+            ops.conv2d(x[:n], w, spec, plan)
+        # the plan's padded buffer and the views it built once, and one
+        # column buffer in the scratch array
+        assert len(seen) == 2 and seen[0][1] is seen[1][1]
+        assert all(xp is plan.xp and views is seen[0][2] for xp, _, views in seen)
+        assert np.shares_memory(seen[0][1], ops._scratch.buf)
 
 
 class TestHardClamp:

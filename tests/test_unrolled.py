@@ -2,22 +2,27 @@
 step, finite differences, saturation, batching, the memory contract, the
 recorded forward pass against a per-step reference, and the reverse pass
 that applies connection 0's adjoint once; the ep and bp pullbacks' shape
-checks and the one parameter preparation per entry-point call."""
+checks, the one parameter preparation per entry-point call, kernels flipped
+only where an adjoint runs, and the reverse pass's plans."""
 
 import importlib
 import pkgutil
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import epbench
 from epbench import baseline, energy, ops, training, unrolled
+from epbench.checkpoint import load_checkpoint
 from epbench.handle import for_params
 from epbench.model import ModelSpec, init_params, zero_state
 from epbench.ops import ConvSpec
 from conftest import one_conv_model, tiny_model
+
+DESK_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "desk_ep.ckpt"
 
 
 class TestInputGrad:
@@ -419,3 +424,71 @@ def test_backward_input_checks_the_input_batch_first(monkeypatch):
     with pytest.raises(ops.ShapeError, match=r"input batch 2 != the tape's batch 3"):
         unrolled.backward_input(tape, x[:2], params, spec, g_logits)
     assert not prepares
+
+
+def test_backward_input_builds_its_plans_once(monkeypatch):
+    # connection 1's conv (its top-down term) and its adjoint, at the tape's
+    # batch; connection 0's adjoint runs once and takes none
+    spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 7)
+    built = []
+    real = ops._ConvPlan
+
+    def counted(shape, spec, transpose=False):
+        built.append((tuple(shape), transpose))
+        return real(shape, spec, transpose)
+
+    monkeypatch.setattr(ops, "_ConvPlan", counted)
+    monkeypatch.setattr(ops, "_PoolPlan", None)  # the reverse pass pools nothing
+    unrolled.backward_input(tape, x, params, spec, g_logits)
+    assert sorted(built) == [((3, 4, 4, 4), False), ((3, 8, 4, 4), True)]
+
+
+def test_a_pullback_builds_fresh_conv_buffers_only_for_connection_0(monkeypatch):
+    # one logits_and_vjp plus its vjp on the desk checkpoint at B = 2, t = 60:
+    # 242 convolutions, and only connection 0's drive and its adjoint, which
+    # run once each and keep no plan, build their columns in fresh arrays
+    ckpt = load_checkpoint(DESK_CKPT)
+    spec, params = ckpt.spec, ckpt.params
+    x = np.random.default_rng(61).uniform(0, 1, (2,) + spec.input_shape)
+    calls = []
+    im2col = ops._im2col
+
+    def counted(xb, spec, xp=None, *bufs):
+        calls.append(xp is None)
+        return im2col(xb, spec, xp, *bufs)
+
+    monkeypatch.setattr(ops, "_im2col", counted)
+    _, vjp = unrolled.logits_and_vjp(x, params, spec, 60)
+    vjp(np.ones((2, spec.readout_dim)))
+    assert len(calls) == 242
+    assert sum(calls) <= 2
+
+
+@pytest.mark.parametrize("entry", ["phi", "readout", "bp_forward", "phi_grad_params",
+                                   "free_phase", "backward_input", "bp vjp"])
+def test_kernels_are_flipped_where_an_adjoint_first_runs(entry, monkeypatch):
+    # a kernel is flipped once per entry point, the first time its adjoint
+    # runs: a relaxation flips connection 1's at its first step, a pullback
+    # every connection's, and the entry points without an adjoint none
+    spec, params = tiny_model(np.random.default_rng(62))
+    x = np.random.default_rng(63).uniform(0, 1, (3,) + spec.input_shape)
+    g = np.random.default_rng(64).standard_normal((3, spec.readout_dim))
+    state = energy.free_phase(x, params, spec, t=4, fp_tol=0.0)
+    tape = unrolled.record_free_phase(x, params, spec, 4)
+    _, bp_vjp = baseline.bp_logits_and_vjp(x, params, spec)
+    calls = {
+        "phi": lambda: energy.phi(x, state, params, spec),
+        "readout": lambda: energy.readout(state, params, spec),
+        "bp_forward": lambda: baseline.bp_forward(x, params, spec),
+        "phi_grad_params": lambda: training.phi_grad_params(x, state, params, spec),
+        "free_phase": lambda: energy.free_phase(x, params, spec, t=4, fp_tol=0.0),
+        "backward_input": lambda: unrolled.backward_input(tape, x, params, spec, g),
+        "bp vjp": lambda: bp_vjp(g),
+    }
+    flipped = []
+    real = ops._adjoint_kernel
+    monkeypatch.setattr(ops, "_adjoint_kernel", lambda w: flipped.append(w.shape) or real(w))
+    calls[entry]()
+    want = {"free_phase": [(8, 4, 3, 3)], "backward_input": [(8, 4, 3, 3), (4, 1, 3, 3)],
+            "bp vjp": [(8, 4, 3, 3), (4, 1, 3, 3)]}.get(entry, [])
+    assert flipped == want
