@@ -24,12 +24,9 @@ They read one parameter view, `_prepare`'s: the weights and biases as
 float64, each bias shaped to broadcast over its drive, and each conv
 kernel's flipped adjoint kernel, made the first time that connection's
 adjoint runs (most entry points run none). Every entry point prepares the
-model once per call. A relaxation also keeps a plan (`ops._ConvPlan`,
-`ops._PoolPlan`) for each conv, adjoint and pooling call of connections 1
-and up, built at its first step for its batch and kept across its row
-compressions; connection 0 runs once per relaxation and keeps none. So a
-step issues only the array operations that make its bits, into buffers and
-window views built once.
+model once per call. Where an op's buffers live is `ops`' business alone: it
+keeps them per thread by operand geometry, so a relaxation's steps, across
+its row compressions, and the relaxations after it reuse them.
 
 All dynamics run in float64 regardless of parameter dtype. Every input,
 state and result carries a leading batch axis: x is [B, C, H, W], each state
@@ -88,16 +85,13 @@ def _layers64(layers, spec: ModelSpec, batch: int | None = None) -> list[np.ndar
 
 class _Net(NamedTuple):
     """The one parameter view the connection helpers read, computed once per
-    entry-point call by `_prepare`, and the op plans of an entry point that
-    steps: `_relax` and `unrolled.backward_input` replace plans with a dict
-    that `_plan` fills."""
+    entry-point call by `_prepare`."""
 
     params: Params        # every weight and bias as float64
     spec: ModelSpec
     w_adj: Callable       # w_adj(i): conv connection i's adjoint kernel
     b: list               # bias i shaped to broadcast over connection i's drive
     n_layers: int
-    plans: dict | None = None  # by (op, connection); None keeps no plans
 
 
 def _prepare(params: Params, spec: ModelSpec) -> _Net:
@@ -114,20 +108,6 @@ def _prepare(params: Params, spec: ModelSpec) -> _Net:
     return _Net(p64, spec, w_adj, b, spec.n_layers)
 
 
-def _plan(net: _Net, op: str, i: int, a: np.ndarray):
-    """Connection i's plan for op ("conv", "adjoint" or "pool") on operand a,
-    built the first time the entry point meets it and kept for the smaller
-    batches that row compressions leave. None when the entry point keeps no
-    plans, and for connection 0, which runs once per entry point."""
-    if net.plans is None or i == 0:
-        return None
-    plan = net.plans.get((op, i))
-    if plan is None:
-        plan = net.plans[op, i] = (ops._PoolPlan(a.shape) if op == "pool" else
-                                   ops._ConvPlan(a.shape, net.spec.conv[i], op == "adjoint"))
-    return plan
-
-
 def _drive(i, src, net: _Net, route=None):
     """Connection i's drive on the batched src, bias excluded: (drive, route).
 
@@ -140,9 +120,9 @@ def _drive(i, src, net: _Net, route=None):
         # einsum (fixed reduction order) instead of BLAS `@` keeps results
         # bit-identical across batch sizes
         return np.einsum("kd,bd->bk", w, _flat(src), dtype=_F), None
-    c = ops.conv2d(src, w, net.spec.conv[i], _plan(net, "conv", i, src))
+    c = ops.conv2d(src, w, net.spec.conv[i])
     if route is None:
-        return ops.maxpool2(c, _plan(net, "pool", i, c))
+        return ops.maxpool2(c)
     return ops.pool_gather(c, route), route
 
 
@@ -154,8 +134,7 @@ def _adjoint(i, u, net: _Net):
     w = net.params.w[i]
     if i == net.n_layers:
         return np.einsum("kd,bk->bd", w, u, dtype=_F)
-    return ops.conv2d_transpose(u, w, net.spec.conv[i], net.w_adj(i),
-                                _plan(net, "adjoint", i, u))
+    return ops.conv2d_transpose(u, w, net.spec.conv[i], net.w_adj(i))
 
 
 def _weight_grad(i, src, g, net: _Net, u=None):
@@ -340,7 +319,7 @@ def _relax(x, start: NetworkState | None, params: Params, spec: ModelSpec, t: in
     xb = _as_batch_x(x, spec)
     n = xb.shape[0]
     layers = zero_state(spec, n).layers if start is None else _layers64(start.layers, spec, n)
-    net = _prepare(params, spec)._replace(plans={})
+    net = _prepare(params, spec)
     x_drive = _input_drive(xb, net)
     routes, masks = [], []
     rows = np.arange(n)  # the output row of each row still stepping

@@ -15,31 +15,30 @@ stacked ``np.matmul``, so an example's output bits depend only on that
 example, not on its batch-mates or on the BLAS thread count. That lets the
 columns be built for one run of examples at a time, as many as fit
 ``_RUN_BYTES`` (at least one), with each run multiplied into its rows of a
-preallocated output by ``np.matmul(..., out=...)``. The runs fill one column
-buffer, a view of a scratch array that each thread keeps between calls, so
-held memory is one run's columns rather than the batch's, and repeated calls
-do not allocate and free them again. Only a call without a plan (below)
-whose batch fits one run builds its padded buffer and columns in one pass,
-into fresh arrays. Each example meets the same dgemm with byte-identical
-operands whatever the run length or buffer, so no bit moves.
-The weight gradient sums the per-example products over the batch in index
-order. Results are cast back to the operands' dtype. maxpool2 copies each
-window's four cells into four contiguous planes, one run of examples at a
-time, through the same scratch array (other dtypes than float64 in fresh
-memory), and compares them there. Pooling routes are integer (maxpool2
+preallocated output by ``np.matmul(..., out=...)``. Each example meets the
+same dgemm with byte-identical operands whatever the run length, so no bit
+moves. The weight gradient sums the per-example products over the batch in
+index order. Results are cast back to the operands' dtype. maxpool2 copies
+each window's four cells into four contiguous planes, one run of examples at
+a time, and compares them there. Pooling routes are integer (maxpool2
 returns int64) flat indices into each [H, W] plane, checked for dtype, shape
 and range before use.
 
-``conv2d``, ``conv2d_transpose`` and ``maxpool2`` take an optional plan
-(``_ConvPlan``, ``_PoolPlan``), built once for an operand shape by a caller
-that makes the same call step after step: a relaxation or a reverse pass in
-``energy``. A conv plan owns the zero-bordered padded buffer and its window
-view for one run, which a call without a plan builds again, and takes its
-columns (a pool plan its window cells) from the scratch array. A call with a
-plan only checks that its operand fits: the same shape past the batch axis,
-a batch no larger than the plan's, float64; anything else is refused with
-ShapeError. A smaller batch fills the buffers' first rows, so one plan
-serves a relaxation across its row compressions.
+Every call takes its buffers from a plan (``_ConvPlan``, ``_PoolPlan``) that
+this module keeps per thread, by the operand's geometry: its shape past the
+batch axis, with the ConvSpec for a convolution. A plan is built at the
+first call of its geometry, which runs the checks that depend on nothing
+else (channel axis, output extent, even pooling extents), and built again
+only when a call brings a larger batch than it holds; a smaller batch fills
+its first rows, as a relaxation's row compressions leave it. A conv plan
+owns one run's zero-bordered padded buffer and its window view. Its columns,
+and a pool plan's window cells, are views of a scratch array that each
+thread keeps between calls, grown to its largest run. So held memory is one
+run's columns rather than the batch's, the steps of a relaxation or a
+reverse pass allocate only their outputs, and a conv call checks only its
+kernel. A thread's plans are dropped together when they reach ``_PLANS``.
+maxpool2 pools an input of another dtype than float64 through fresh cells
+of that dtype, since float64 cells would round integers past 2**53.
 
 What depends only on shapes is computed once per shape and cached read-only:
 the first cell of each pooling window and the flat offset of each stacked
@@ -107,54 +106,23 @@ def _as_batch(x: np.ndarray, what: str) -> np.ndarray:
 _RUN_BYTES = 1 << 19
 
 
-def _im2col(xb: np.ndarray, spec: ConvSpec, xp: np.ndarray | None = None,
-            cols: np.ndarray | None = None, views: tuple | None = None) -> np.ndarray:
-    """[B, C, H, W] -> float64 [B, C*k*k, Ho*Wo]; row (c, a, b) of example n holds
-    x_padded[n, c, i+a, j+b] over the output positions (i, j) in row-major order.
-
-    xp and cols, when given, are a run's buffers (_run_buffers' or a plan's)
-    with room for at least B examples: the columns are built in cols' first B
-    rows, which are returned, and xp's zero border is left as it was. views
-    are `_views(xp, cols, spec)` when the caller holds them (a plan does).
-    """
-    B = len(xb)
-    if views is not None:
-        fill, win, cols6 = views
-        if B < len(fill):  # fewer rows than the plan's run
-            fill, win, cols, cols6 = fill[:B], win[:B], cols[:B], cols6[:B]
-        fill[...] = xb
-        cols6[...] = win
-        return cols
-    p, k = spec.padding, spec.kernel
-    _, C, H, W = xb.shape
-    if xp is None:
-        xp = np.zeros((B, C, H + 2 * p, W + 2 * p))
-    xp[:B, :, p:p + H, p:p + W] = xb
-    ho, wo = H + 2 * p - k + 1, W + 2 * p - k + 1
-    # [B, C, k, k, Ho, Wo] windows, copied out in C order: a bare reshape can
-    # return an overlapping view, which matmul multiplies with other bits
-    win = np.ndarray((B, C, k, k, ho, wo), np.float64, xp, 0, xp.strides + xp.strides[2:])
-    if cols is None:
-        return np.ascontiguousarray(win).reshape(B, C * k * k, ho * wo)
-    cols = cols[:B]
-    cols.reshape(win.shape)[...] = win
+def _im2col(xb: np.ndarray, plan: _ConvPlan) -> np.ndarray:
+    """One run xb [n, C, H, W] of at most plan.run examples -> float64
+    [n, C*k*k, Ho*Wo] in the plan's column buffer; row (c, a, b) of example m
+    holds x_padded[m, c, i+a, j+b] over the output positions (i, j) in
+    row-major order. The padded buffer's zero border is left as it was."""
+    fill, win, cols6, cols = plan._scratch(len(xb))
+    fill[...] = xb
+    cols6[...] = win
     return cols
 
 
-def _views(xp: np.ndarray, cols: np.ndarray, spec: ConvSpec) -> tuple:
-    """The views of a run's buffers that _im2col copies through: xp's
-    interior, its k x k windows (as _im2col builds them) and cols shaped
-    like the windows."""
-    p, k = spec.padding, spec.kernel
-    n, C, Hp, Wp = xp.shape
-    win = np.ndarray((n, C, k, k, Hp - k + 1, Wp - k + 1), np.float64, xp, 0,
-                     xp.strides + xp.strides[2:])
-    return xp[:, :, p:Hp - p, p:Wp - p], win, cols.reshape(win.shape)
-
-
-# Each thread's scratch array for the runs' buffers, kept between calls and
-# grown to the largest run its convolutions and poolings have needed
+# Each thread's scratch array (buf), grown to the largest run its plans have
+# needed, and its plans (plans), kept between calls
 _scratch = threading.local()
+
+# The plans a thread keeps: it drops them all when they reach this many
+_PLANS = 64
 
 
 def _scratch_array(size: int) -> np.ndarray:
@@ -165,85 +133,82 @@ def _scratch_array(size: int) -> np.ndarray:
     return buf
 
 
-def _run_buffers(xb: np.ndarray, spec: ConvSpec, n: int):
-    """A zero-filled padded buffer and a column buffer for one run of n
-    examples of xb, as views of this thread's scratch array, for _im2col to
-    reuse run after run."""
-    p, k = spec.padding, spec.kernel
-    _, C, H, W = xb.shape
-    cols = (n, C * k * k, (H + 2 * p - k + 1) * (W + 2 * p - k + 1))
-    padded = (n, C, H + 2 * p, W + 2 * p)
-    n_cols = math.prod(cols)
-    size = n_cols + math.prod(padded)
-    buf = _scratch_array(size)
-    xp = buf[n_cols:size].reshape(padded)
-    xp.fill(0.0)
-    return xp, buf[:n_cols].reshape(cols)
+def _plan(a: np.ndarray, spec: ConvSpec | None = None, what: str = "") -> _Plan:
+    """This thread's plan for operands of a's geometry: a _ConvPlan under
+    spec for `what` (the op, named in its errors), a _PoolPlan without spec.
+    Built at the geometry's first call and again for a larger batch."""
+    plans = getattr(_scratch, "plans", None)
+    if plans is None:
+        plans = _scratch.plans = {}
+    key = a.shape[1:], spec
+    plan = plans.get(key)
+    if plan is None or len(a) > plan.capacity:
+        if len(plans) >= _PLANS:
+            plans.clear()
+        plan = plans[key] = (_PoolPlan(a.shape) if spec is None
+                             else _ConvPlan(a.shape, spec, what))
+    return plan
 
 
 class _Plan:
-    """What one op reuses call after call for operands of one shape [B, ...],
-    with B at most the batch the plan was built for (its capacity): buffers
-    for one run of examples, a smaller batch filling their first rows."""
+    """What one op reuses call after call for operands of one geometry
+    [B, ...], with B at most the batch the plan was built for (its capacity):
+    buffers for one run of examples, a smaller batch filling their first
+    rows."""
 
-    capacity: int
-    shape: tuple      # the operand's shape past the batch axis
-    run: int          # examples per run: at most the capacity
     held: tuple       # the shape of the buffer it keeps in the scratch array
-    _ask: int         # the elements it grows the scratch array to hold
-    _base = _bufs = None  # the scratch array, and what _scratch hands out of it
+    _base = _views = None  # the scratch array, and _scratch's views of it by rows
 
-    def _fit(self, a: np.ndarray, what: str) -> None:
-        """Refuse an operand the plan was not built for: another shape past
-        the batch axis, a larger batch, or a dtype other than float64."""
-        if a.shape[1:] != self.shape or len(a) > self.capacity or a.dtype != np.float64:
-            raise ShapeError(
-                f"{what} shape {a.shape} of {a.dtype} does not fit its plan's "
-                f"{(self.capacity,) + self.shape} of float64 (a smaller batch fits)"
-            )
+    def __init__(self, capacity: int, example_bytes: int):
+        # examples per run: as many as _RUN_BYTES holds, at most the
+        # capacity, at least one
+        self.capacity = capacity
+        self.run = max(min(_RUN_BYTES // max(example_bytes, 1), capacity), 1)
 
-    def _scratch(self):
-        """What the plan holds in this thread's scratch array: `_over` of a
-        `held`-shaped view of its head, kept until that array is replaced (it
-        grows) or another thread calls. Every call fills the buffer before
-        reading it, so the plans and unplanned calls of a thread share that
-        memory rather than each holding its own."""
-        if self._bufs is None or getattr(_scratch, "buf", None) is not self._base:
-            self._base = buf = _scratch_array(self._ask)
+    def _scratch(self, n: int):
+        """`_over` of the first n rows (n <= run) of a `held`-shaped view of
+        the head of this thread's scratch array, built once for each n until
+        that array is replaced (it grows). Every call fills the buffer before
+        reading it, so a thread's plans share that memory rather than each
+        holding its own."""
+        if self._views is None or getattr(_scratch, "buf", None) is not self._base:
             size = math.prod(self.held)
-            self._bufs = self._over(buf[:size].reshape(self.held))
-        return self._bufs
+            self._base = buf = _scratch_array(size)
+            self._head, self._views = buf[:size].reshape(self.held), {}
+        views = self._views.get(n)
+        if views is None:
+            views = self._views[n] = self._over(self._head, n)
+        return views
 
 
 class _ConvPlan(_Plan):
-    """conv2d's buffers for one geometry: a zero-bordered padded buffer and
-    its window view, which the plan owns, and a column buffer in the scratch
-    array. transpose=True plans the correlation that conv2d_transpose runs
-    on a g of the given shape."""
+    """The im2col buffers of conv2d and conv2d_weight_grad for operands of
+    the given shape under spec: a zero-bordered padded buffer and its views,
+    which the plan owns, and a column buffer in the scratch array. `what`
+    names the op in a channel-axis error."""
 
-    def __init__(self, shape, spec: ConvSpec, transpose: bool = False):
+    def __init__(self, shape, spec: ConvSpec, what: str):
         B, C, H, W = shape
-        if transpose:
-            crop = max(spec.padding + 1 - spec.kernel, 0)
-            H, W, spec = H - 2 * crop, W - 2 * crop, _transpose_spec(spec)
         if C != spec.in_channels:
-            raise ShapeError(f"conv plan: channel axis has extent {C}, spec expects "
+            raise ShapeError(f"{what} input channel axis has extent {C}, spec expects "
                              f"{spec.in_channels}")
         p, k = spec.padding, spec.kernel
-        self.spec, self.capacity, self.shape = spec, B, (C, H, W)
-        self.kernel = (spec.out_channels, C, k, k)
         self.ho, self.wo = spec.out_extent(H), spec.out_extent(W)
-        self.run = min(_RUN_BYTES // (8 * C * k * k * self.ho * self.wo) or 1, B)
-        self.xp = np.zeros((self.run, C, H + 2 * p, W + 2 * p))
+        super().__init__(B, 8 * C * k * k * self.ho * self.wo)
         self.held = (self.run, C * k * k, self.ho * self.wo)  # the columns
-        # what an unplanned call of this geometry asks (_run_buffers), so that
-        # the scratch array settles at one size whichever kind of call runs
-        # first, rather than regrowing as unplanned calls follow
-        self._ask = math.prod(self.held) + self.xp.size
+        self.xp = xp = np.zeros((self.run, C, H + 2 * p, W + 2 * p))
+        # the interior that each run fills, and the [n, C, k, k, Ho, Wo]
+        # windows, copied out in C order: a bare reshape can return an
+        # overlapping view, which matmul multiplies with other bits
+        self.fill = xp[:, :, p:p + H, p:p + W]
+        self.win = np.ndarray((self.run, C, k, k, self.ho, self.wo), np.float64, xp, 0,
+                              xp.strides + xp.strides[2:])
 
-    def _over(self, cols):
-        """_im2col's buffers and views: (xp, cols, views)."""
-        return self.xp, cols, _views(self.xp, cols, self.spec)
+    def _over(self, cols, n):
+        """_im2col's views of n rows: (fill, win, cols shaped like the
+        windows, cols)."""
+        win = self.win[:n]
+        return self.fill[:n], win, cols[:n].reshape(win.shape), cols[:n]
 
 
 class _PoolPlan(_Plan):
@@ -252,73 +217,44 @@ class _PoolPlan(_Plan):
     def __init__(self, shape):
         B, C, H, W = shape
         _even(H, W)
-        self.capacity, self.shape = B, (C, H, W)
-        self.run = min(_pool_run(C, H, W), B)
+        super().__init__(B, 8 * C * H * W)
         self.held = (4, self.run, C, H // 2, W // 2)  # the window cells
-        self._ask = math.prod(self.held)
 
-    def _over(self, cells):
-        return cells, _pool_views(cells)
+    def _over(self, cells, n):
+        return _pool_views(cells[:, :n])
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec, plan: _ConvPlan | None = None
-           ) -> np.ndarray:
+def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Cross-correlate x[B,C_in,H,W] with w[C_out,C_in,k,k].
 
     y[n,o,i,j] = sum_{c,a,b} w[o,c,a,b] * x_padded[n,c,i+a,j+b]
-
-    plan, when given, was built for x's shape and spec (a _ConvPlan): x and w
-    are only checked to fit it, and its buffers are filled instead of fresh
-    or scratch ones, with the same bits.
     """
     xb = _as_batch(x, "conv2d input")
     w = np.asarray(w)
-    if plan is not None:
-        plan._fit(xb, "conv2d input")
-        if w.shape != plan.kernel or (spec is not plan.spec and spec != plan.spec):
-            raise ShapeError(f"conv2d kernel shape {w.shape} under {spec} does not fit "
-                             f"its plan's {plan.kernel} under {plan.spec}")
-        ho, wo = plan.ho, plan.wo
-    else:
-        if w.ndim != 4:
-            raise ShapeError(f"conv2d kernel: expected rank 4, got rank {w.ndim}")
-        if w.shape != (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel):
-            raise ShapeError(
-                f"conv2d kernel shape {w.shape} does not match spec "
-                f"({spec.out_channels},{spec.in_channels},{spec.kernel},{spec.kernel})"
-            )
-        if xb.shape[1] != spec.in_channels:
-            raise ShapeError(
-                f"conv2d input channel axis has extent {xb.shape[1]}, spec expects "
-                f"{spec.in_channels}"
-            )
-        ho, wo = spec.out_extent(xb.shape[2]), spec.out_extent(xb.shape[3])
+    if w.ndim != 4:
+        raise ShapeError(f"conv2d kernel: expected rank 4, got rank {w.ndim}")
+    if w.shape != (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel):
+        raise ShapeError(
+            f"conv2d kernel shape {w.shape} does not match spec "
+            f"({spec.out_channels},{spec.in_channels},{spec.kernel},{spec.kernel})"
+        )
+    plan = _plan(xb, spec, "conv2d")
     w2 = w.reshape(spec.out_channels, -1).astype(np.float64, copy=False)
-    B = xb.shape[0]
-    n = plan.run if plan is not None else _RUN_BYTES // (8 * w2.shape[1] * ho * wo) or 1
-    # [O, C*k*k] @ [B, C*k*k, Ho*Wo]: one dgemm per example
-    if n >= B:
-        cols = _im2col(xb, spec) if plan is None else _im2col(xb, spec, *plan._scratch())
-        y = np.matmul(w2, cols)
-    else:
-        y = np.empty((B, spec.out_channels, ho * wo))
-        bufs = _run_buffers(xb, spec, n) if plan is None else plan._scratch()
-        for s in range(0, B, n):
-            np.matmul(w2, _im2col(xb[s:s + n], spec, *bufs), out=y[s:s + n])
-    y = y.reshape(B, spec.out_channels, ho, wo)
-    # a plan's operand is float64, which every real kernel dtype promotes to
-    return y if plan is not None else y.astype(np.promote_types(xb.dtype, w.dtype), copy=False)
+    B, n = len(xb), plan.run
+    y = np.empty((B, spec.out_channels, plan.ho * plan.wo))
+    # [O, C*k*k] @ [n, C*k*k, Ho*Wo]: one dgemm per example
+    for s in range(0, B, n):
+        np.matmul(w2, _im2col(xb[s:s + n], plan), out=y[s:s + n])
+    y = y.reshape(B, spec.out_channels, plan.ho, plan.wo)
+    return y.astype(np.promote_types(xb.dtype, w.dtype), copy=False)
 
 
 def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec,
-                     w_adj: np.ndarray | None = None, plan: _ConvPlan | None = None
-                     ) -> np.ndarray:
+                     w_adj: np.ndarray | None = None) -> np.ndarray:
     """Exact adjoint of conv2d: <conv2d(x,w), g> == <x, conv2d_transpose(g,w)>.
 
     w_adj is _adjoint_kernel(w) when the caller holds it (the model's entry
-    points prepare it at its first use); None derives it from w here. plan,
-    when given, is _ConvPlan(g's shape, spec, transpose=True), and conv2d
-    fills its buffers.
+    points prepare it at its first use); None derives it from w here.
     """
     gb = _as_batch(g, "conv2d_transpose input")
     if gb.shape[1] != spec.out_channels:
@@ -339,7 +275,7 @@ def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec,
         gb = gb[:, :, c:-c, c:-c]
     if w_adj is None:
         w_adj = _adjoint_kernel(w)
-    return conv2d(gb, w_adj, _transpose_spec(spec), plan)
+    return conv2d(gb, w_adj, _transpose_spec(spec))
 
 
 def _adjoint_kernel(w: np.ndarray) -> np.ndarray:
@@ -365,91 +301,60 @@ def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarr
     """
     xb = _as_batch(x, "conv2d_weight_grad input")
     ub = _as_batch(u, "conv2d_weight_grad upstream")
-    B, C, H, W = xb.shape
-    if C != spec.in_channels:
-        raise ShapeError(
-            f"conv2d_weight_grad input channel axis has extent {C}, spec expects "
-            f"{spec.in_channels}"
-        )
-    out = (B, spec.out_channels, spec.out_extent(H), spec.out_extent(W))
+    plan = _plan(xb, spec, "conv2d_weight_grad")
+    B, C = xb.shape[:2]
+    out = (B, spec.out_channels, plan.ho, plan.wo)
     for axis, got, want in zip(("batch", "channel", "height", "width"), ub.shape, out):
         if got != want:
             raise ShapeError(
                 f"conv2d_weight_grad upstream {axis} axis has extent {got}, the "
                 f"conv2d output for this input has {want}"
             )
-    k = spec.kernel
+    k, n = spec.kernel, plan.run
     u3 = ub.reshape(B, out[1], out[2] * out[3]).astype(np.float64, copy=False)
-    n = _RUN_BYTES // (8 * C * k * k * out[2] * out[3]) or 1
-    # [B, O, Ho*Wo] @ [B, Ho*Wo, C*k*k]: one dgemm per example, then a sum
+    # [n, O, Ho*Wo] @ [n, Ho*Wo, C*k*k]: one dgemm per example, then a sum
     # over the batch axis in index order
-    if n >= B:
-        per_example = np.matmul(u3, _im2col(xb, spec).transpose(0, 2, 1))
-    else:
-        per_example = np.empty((B, out[1], C * k * k))
-        xp, cols = _run_buffers(xb, spec, n)
-        for s in range(0, B, n):
-            np.matmul(u3[s:s + n], _im2col(xb[s:s + n], spec, xp, cols).transpose(0, 2, 1),
-                      out=per_example[s:s + n])
+    per_example = np.empty((B, out[1], C * k * k))
+    for s in range(0, B, n):
+        np.matmul(u3[s:s + n], _im2col(xb[s:s + n], plan).transpose(0, 2, 1),
+                  out=per_example[s:s + n])
     g = np.add.reduce(per_example, axis=0)
     return g.reshape(out[1], C, k, k).astype(np.result_type(x, u), copy=False)
 
 
-def maxpool2(x: np.ndarray, plan: _PoolPlan | None = None):
+def maxpool2(x: np.ndarray):
     """2x2 stride-2 max pooling. Returns (pooled, indices).
 
     indices[n,c,i,j] is the flat row-major index into the [H,W] plane of the
     argmax of window (i,j); ties break toward the lowest flat index, and a
-    window holding a NaN pools to NaN and routes to its first NaN. plan, when
-    given, was built for x's shape (a _PoolPlan): x is only checked to fit
-    it.
+    window holding a NaN pools to NaN and routes to its first NaN.
     """
     xb = _as_batch(x, "maxpool2 input")
     B, C, H, W = xb.shape
-    views = None
-    if plan is not None:
-        plan._fit(xb, "maxpool2 input")
-        n = plan.run
-        cells, views = plan._scratch()
-    else:
-        _even(H, W)
-        n = min(_pool_run(C, H, W), B)
-        shape = (4, n, C, H // 2, W // 2)
-        if xb.dtype == np.float64:
-            size = math.prod(shape)
-            cells = _scratch_array(size)[:size].reshape(shape)
-        else:
-            cells = np.empty(shape, xb.dtype)
-    if n >= B:
-        return _pool_cells(xb, cells, views)
+    plan = _plan(xb)
+    own = xb.dtype != np.float64  # float64 cells would round integers past 2**53
     m = np.empty((B, C, H // 2, W // 2), xb.dtype)
     idx = np.empty(m.shape, np.int64)
+    n = plan.run
     for s in range(0, B, n):
-        _pool_cells(xb[s:s + n], cells, views, m[s:s + n], idx[s:s + n])
+        run, out = xb[s:s + n], m[s:s + n]
+        views = (_pool_views(np.empty((4,) + out.shape, xb.dtype)) if own
+                 else plan._scratch(len(run)))
+        _pool_cells(run, views, out, idx[s:s + n])
     return m, idx
 
 
-def _pool_run(C: int, H: int, W: int) -> int:
-    """Examples per run of maxpool2's window cells: as many as _RUN_BYTES
-    holds at float64, at least one."""
-    return _RUN_BYTES // (8 * C * H * W or 1) or 1
-
-
-def _pool_cells(xb, cells, views=None, m=None, idx=None):
-    """maxpool2 of one run of examples xb [B, C, H, W] through cells, a
-    [4, >= B, C, H/2, W/2] buffer of xb's dtype, and its _pool_views when the
-    caller holds them (a plan does): (m, idx), written into the given arrays
-    or new ones."""
+def _pool_cells(xb, views, m, idx):
+    """maxpool2 of one run of examples xb [n, C, H, W] through _pool_views of
+    a [4, n, C, H/2, W/2] buffer of xb's dtype, written into m and idx."""
     B, C, H, W = xb.shape
-    if views is None or B < cells.shape[1]:
-        views = _pool_views(cells[:, :B])
     cells6, a, b, c, d, abc = views
     # one transposing copy lays each window's cells out as four contiguous
     # planes, in ascending flat-index order; copying moves no bit
     cells6[...] = xb.reshape(B, C, H // 2, 2, W // 2, 2).transpose(3, 5, 0, 1, 2, 4)
     # np.maximum returns its second operand on a tie, so the earlier cell's
     # bits (-0.0 against 0.0) are kept
-    m = np.maximum(np.maximum(d, c), np.maximum(b, a), out=m)
+    np.maximum(np.maximum(d, c), np.maximum(b, a), out=m)
     # a cell is passed over when it is not the maximum and not a NaN; the
     # route is the first cell not passed over: offset 0, 1, W or W+1. A NaN
     # anywhere makes the sum NaN (np.maximum passes it on to m); without one
@@ -461,11 +366,10 @@ def _pool_cells(xb, cells, views=None, m=None, idx=None):
     na = passed[0]
     nab = na & passed[1]
     nabc = nab & passed[2]
-    idx = np.multiply(nab, W - 1, out=idx)
+    np.multiply(nab, W - 1, out=idx)
     idx += _first_cells(H, W)
     idx += na
     idx += nabc
-    return m, idx
 
 
 def _pool_views(cells: np.ndarray) -> tuple:

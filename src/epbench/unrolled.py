@@ -10,11 +10,10 @@ accumulates across all t steps. Connection 0's pool route depends only on x,
 so a tape holds it once, and connection 0 is one linear map at every step:
 the reverse pass sums its cotangents over the steps and applies its adjoint
 once. Each reverse step keeps only the terms of connections 1 and up. Every
-entry point here prepares the model once per call (`energy._prepare`), and
-a reverse pass keeps a plan for each of those connections' convs and
-adjoints, built at its first step, as a relaxation does. So a reverse step
-only pulls cotangents through the recorded routes and masks, into buffers
-built once.
+entry point here prepares the model once per call (`energy._prepare`), so
+a reverse step only pulls cotangents through the recorded routes and masks;
+its convolutions reuse the buffers that `ops` keeps per operand geometry,
+most of them built by the forward relaxation already.
 
 Inputs are batched ([B, C, H, W]; logit gradients [B, K]). Everything here
 is per-example exact, and an example's result is bit-identical whatever
@@ -87,7 +86,7 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
     g_logits = _cotangent(g_logits, batch, spec)
     if tape.steps == 0:
         return np.zeros_like(xb)
-    net = _prepare(params, spec)._replace(plans={})
+    net = _prepare(params, spec)
     g_layers = [np.zeros(shp) for shp in shapes]
     g_layers[-1] = _adjoint(net.n_layers, g_logits, net).reshape(shapes[-1])
     g_in = None  # connection 0's cotangent summed over the steps walked so far

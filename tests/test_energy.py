@@ -1,6 +1,7 @@
 """Energy function and dynamics: summation oracles, finite differences of the
 state gradient, fixed-point behavior, nudging, readout, and prediction; the
-op plans a relaxation builds once, across row compressions and threads."""
+op plans that a relaxation builds once and the calls after it reuse, across
+row compressions and per thread."""
 
 import math
 import sys
@@ -404,28 +405,32 @@ class TestPerExampleExit:
 
 
 def _count_plans(monkeypatch):
-    """A list with (class name, operand shape[, transpose]) of every plan
-    built, the plan classes patched in ops."""
+    """A list with (class name, operand shape) of every plan built from a
+    fresh thread scratch on, the plan classes patched in ops."""
+    monkeypatch.setattr(ops, "_scratch", threading.local())
     built = []
     for name in ("_ConvPlan", "_PoolPlan"):
         def counted(shape, *args, _real=getattr(ops, name), _name=name):
-            built.append((_name, tuple(shape)) + args[1:])
+            built.append((_name, tuple(shape)))
             return _real(shape, *args)
         monkeypatch.setattr(ops, name, counted)
     return built
 
 
-# tiny_model at B = 16: connection 1 reads layer 0 [16, 4, 4, 4], pools its
-# [16, 8, 4, 4] conv output and takes its adjoint on an unpooled layer 1 of
-# that shape
-CONNECTION_1_PLANS = [("_ConvPlan", (16, 4, 4, 4), False), ("_ConvPlan", (16, 8, 4, 4), True),
-                      ("_PoolPlan", (16, 8, 4, 4))]
+# tiny_model at B = 16: connection 0 reads x [16, 1, 8, 8] and pools its
+# [16, 4, 8, 8] conv output; connection 1 reads layer 0 [16, 4, 4, 4], pools
+# its [16, 8, 4, 4] conv output and takes its adjoint on an unpooled layer 1
+# of that shape
+RELAXATION_PLANS = [("_ConvPlan", (16, 1, 8, 8)), ("_ConvPlan", (16, 4, 4, 4)),
+                    ("_ConvPlan", (16, 8, 4, 4)), ("_PoolPlan", (16, 4, 8, 8)),
+                    ("_PoolPlan", (16, 8, 4, 4))]
 
 
 class TestPlans:
-    """A relaxation builds connection i's plans (i >= 1) the first time it
-    meets its batch and keeps them across row compressions; a plan holds one
-    run of buffers, and the plans of concurrent relaxations are their own."""
+    """ops builds a plan the first time a thread meets its operand geometry:
+    a relaxation builds each of its plans once, across its row compressions,
+    and the calls and relaxations of the same geometry after it build none;
+    a plan holds one run of buffers, and no two threads share one."""
 
     def setup_method(self):
         rng = np.random.default_rng(51)
@@ -437,14 +442,19 @@ class TestPlans:
         st = energy.free_phase(self.x, self.params, self.spec)
         # rows finished at several steps, so the batch was compressed
         assert len(set(st.example_steps.tolist())) > 2
-        assert sorted(built) == CONNECTION_1_PLANS
-        # a second relaxation (the nudged phase) builds its own
+        assert sorted(built) == RELAXATION_PLANS
+        # the nudged phase, the parameter gradient and a second relaxation
+        # meet the same geometries
         energy.nudged_phase(self.x, self.params, self.spec, st, np.zeros(16, int), 0.5, t=3)
-        assert sorted(built) == sorted(CONNECTION_1_PLANS * 2)
+        training.phi_grad_params(self.x, st, self.params, self.spec)
+        energy.free_phase(self.x, self.params, self.spec)
+        assert sorted(built) == RELAXATION_PLANS
 
     def test_single_calls_build_no_plans(self, monkeypatch):
-        st = energy.free_phase(self.x, self.params, self.spec, t=3)
         built = _count_plans(monkeypatch)
+        st = energy.free_phase(self.x, self.params, self.spec, t=3)
+        assert len(built) == len(RELAXATION_PLANS)
+        built.clear()
         energy.phi(self.x, st, self.params, self.spec)
         energy.phi_grad_state(self.x, st, self.params, self.spec)
         energy.dynamics_step(self.x, st.layers, self.params, self.spec)
@@ -456,6 +466,7 @@ class TestPlans:
         # of at most four examples (two for the adjoints) make every conv of
         # a 5-row batch fill and refill its buffers
         monkeypatch.setattr(ops, "_RUN_BYTES", 2 * 8 * 8 * 9 * 16)
+        monkeypatch.setattr(ops, "_scratch", threading.local())
         xs = np.random.default_rng(57).uniform(0, 1, (4, 5) + self.spec.input_shape)
         g = np.random.default_rng(58).standard_normal((5, self.spec.readout_dim))
 
@@ -465,12 +476,21 @@ class TestPlans:
             return b"".join(a.tobytes() for a in _fields(st) + [logits, vjp(g)])
 
         want = [bits(i) for i in range(4)]
-        bad = []
+        bad, used, finished = [], [], []
+        real = ops._Plan._scratch
+
+        def recorded(plan, n):
+            # every float64 conv and pooling run takes its buffers here
+            used.append((threading.current_thread(), plan))
+            return real(plan, n)
+
+        monkeypatch.setattr(ops._Plan, "_scratch", recorded)
 
         def work(i):
             for _ in range(10):
                 if bits(i) != want[i]:
                     bad.append(i)
+            finished.append(i)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -483,13 +503,19 @@ class TestPlans:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert bad == []
+        assert bad == [] and sorted(finished) == [0, 1, 2, 3]
+        users = {}
+        for thread, plan in used:
+            users.setdefault(id(plan), set()).add(thread)
+        assert {t for t, _ in used} == set(threads)
+        assert all(len(u) == 1 for u in users.values())
 
     def test_a_plan_holds_one_run(self, monkeypatch):
         # the mid spec at B = 32: whole-batch columns would take 18.9 MB for
         # connection 1's conv and 37.7 MB for its adjoint. Measured from the
-        # first step on, the planned steps hold no more than one step of the
-        # same relaxation without plans, plus one run of each plan's buffers
+        # first step on, a relaxation whose connection 1 plans are dropped
+        # holds no more than one step with every plan built, plus one run of
+        # each plan it builds again
         spec = ModelSpec(input_shape=(3, 32, 32),
                          conv=(ConvSpec(3, 32, 3, 1), ConvSpec(32, 64, 3, 1)),
                          readout_dim=10, t_free=4, t_nudge=2)
@@ -497,6 +523,7 @@ class TestPlans:
         x = np.random.default_rng(60).uniform(0, 1, (32,) + spec.input_shape)
         layers = zero_state(spec, 32).layers
         net = energy._prepare(params, spec)
+        monkeypatch.setattr(ops, "_scratch", threading.local())
         fixed = net, energy._input_drive(x, net)
         energy.dynamics_step(x, layers, params, spec, fixed=fixed)  # grows the scratch
         tracemalloc.start()
@@ -504,11 +531,14 @@ class TestPlans:
             start = tracemalloc.get_traced_memory()[0]
             energy.dynamics_step(x, layers, params, spec, fixed=fixed)
             step = tracemalloc.get_traced_memory()[1] - start
+            ops._scratch.plans.clear()
             plans, marks, real = [], [], energy.dynamics_step
             for name in ("_ConvPlan", "_PoolPlan"):
                 def kept(*args, _real=getattr(ops, name)):
-                    plans.append(_real(*args))
-                    return plans[-1]
+                    plan = _real(*args)
+                    if marks:  # built from the first step on
+                        plans.append(plan)
+                    return plan
                 monkeypatch.setattr(ops, name, kept)
 
             def first_step_resets_the_peak(*args, **kw):

@@ -1,9 +1,9 @@
 """Tensor primitive oracles: brute-force references, adjoint identities,
 linearity, determinism, the conv geometry's checks, and the convolutions'
 runs of examples: bits that do not depend on the run length, buffers reused
-run after run and call after call, and held memory bounded by one run. A
-plan (prebuilt buffers for one operand shape) changes no bit and refuses any
-operand it was not built for."""
+run after run and call after call, and held memory bounded by one run. The
+plans each thread keeps by operand geometry change no bit, serve no operand
+of another geometry or a larger batch, and stay within their bound."""
 
 import sys
 import threading
@@ -18,6 +18,18 @@ from epbench.checkpoint import load_checkpoint
 from epbench.ops import ConvSpec, ShapeError
 
 DESK_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "desk_ep.ckpt"
+
+
+def _fresh_plans(monkeypatch):
+    """Give this thread a new scratch array and no plans."""
+    monkeypatch.setattr(ops, "_scratch", threading.local())
+
+
+def _budget(monkeypatch, run_bytes):
+    """Set _RUN_BYTES for the plans built from here on: the plans built
+    under the old budget are dropped."""
+    monkeypatch.setattr(ops, "_RUN_BYTES", run_bytes)
+    _fresh_plans(monkeypatch)
 
 
 def conv2d_reference(x, w, padding):
@@ -77,7 +89,8 @@ class TestIm2col:
         for k in range(1, min(shape[2:]) + 2 * padding + 1):
             x = rng.standard_normal(shape).astype(dtype)
             x0 = x.copy()
-            cols = ops._im2col(x, ConvSpec(shape[1], 1, k, padding))
+            plan = ops._ConvPlan(x.shape, ConvSpec(shape[1], 1, k, padding), "conv2d")
+            cols = ops._im2col(x, plan)
             ref = im2col_reference(x, k, padding)
             assert cols.dtype == np.float64 and cols.flags.c_contiguous
             assert cols.tobytes() == ref.tobytes()
@@ -331,7 +344,7 @@ class TestRuns:
         for case, call in calls.items():
             outs = []
             for budget in _run_bytes(case, spec, x.shape):
-                monkeypatch.setattr(ops, "_RUN_BYTES", budget)
+                _budget(monkeypatch, budget)
                 outs.append(call())
             assert all(o.dtype == dtype and o.shape == outs[0].shape for o in outs)
             assert len({o.tobytes() for o in outs}) == 1, case
@@ -345,30 +358,32 @@ class TestRuns:
         seen = []
         im2col = ops._im2col
 
-        def counted(xb, spec, xp=None, cols=None):
-            seen.append((len(xb), xp, cols))
-            return im2col(xb, spec, xp, cols)
+        def counted(xb, plan):
+            cols = im2col(xb, plan)
+            seen.append((len(xb), plan, cols))
+            return cols
 
         monkeypatch.setattr(ops, "_im2col", counted)
+        _fresh_plans(monkeypatch)
         one_run = ops.conv2d(x, w, spec), ops.conv2d_weight_grad(x, u, spec)
-        # a batch that fits one run builds its columns in one pass, in fresh arrays
-        assert seen == [(5, None, None), (5, None, None)]
+        # a batch that fits one run is a loop of one, and both ops read x
+        # through the plan of its geometry
+        assert [n for n, _, _ in seen] == [5, 5] and seen[0][1] is seen[1][1]
         seen.clear()
-        monkeypatch.setattr(ops, "_RUN_BYTES", 2 * 8 * 2 * 9 * 36)
+        _budget(monkeypatch, 2 * 8 * 2 * 9 * 36)
         runs = ops.conv2d(x, w, spec), ops.conv2d_weight_grad(x, u, spec)
         assert [n for n, _, _ in seen] == [2, 2, 1, 2, 2, 1]
-        # the runs of a call fill one pair of buffers, and the next call
-        # fills the same memory: the thread's scratch array
-        for call in (seen[:3], seen[3:]):
-            assert all(xp is call[0][1] and cols is call[0][2] for _, xp, cols in call)
-        assert np.shares_memory(seen[0][2], seen[3][2])
+        # the runs of both calls fill one plan's padded buffer and one column
+        # buffer: the head of the thread's scratch array
+        assert all(plan is seen[0][1] for _, plan, _ in seen)
+        assert all(cols.ctypes.data == ops._scratch.buf.ctypes.data for _, _, cols in seen)
         assert [a.tobytes() for a in runs] == [a.tobytes() for a in one_run]
 
     def test_threads_keep_their_own_scratch(self, monkeypatch):
         # more threads than cores, switching often: BLAS and the column copy
         # release the interpreter lock mid-call, so a shared scratch array
         # would mix one thread's columns into another's product
-        monkeypatch.setattr(ops, "_RUN_BYTES", 2 * 8 * 2 * 9 * 36)
+        _budget(monkeypatch, 2 * 8 * 2 * 9 * 36)
         rng = np.random.default_rng(48)
         spec = ConvSpec(2, 3, 3, 1)
         xs = rng.standard_normal((6, 5, 2, 6, 6))
@@ -403,8 +418,8 @@ class TestRuns:
     def test_held_memory_is_one_run_plus_the_output(self, monkeypatch):
         # train-mid's transposed 64 -> 32 conv at B = 32: the whole batch's
         # columns would take 32 x 1.18 MB. A fresh scratch makes the call
-        # allocate its run buffers, so the peak counts them
-        monkeypatch.setattr(ops, "_scratch", threading.local())
+        # build its plan and allocate its run buffers, so the peak counts them
+        _fresh_plans(monkeypatch)
         spec = ConvSpec(32, 64, 3, 1)
         rng = np.random.default_rng(45)
         g = rng.standard_normal((32, 64, 16, 16))
@@ -616,33 +631,38 @@ class TestPlans:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("B", [1, 2, 5, 64, 300])
-    def test_convolutions_keep_their_bits(self, B, padding, k):
+    def test_convolutions_keep_their_bits(self, B, padding, k, monkeypatch):
         rng = np.random.default_rng(50 + B + 3 * padding + k)
         spec = ConvSpec(1, 4, k, padding)
         x = rng.standard_normal((B, 1, 8, 8))
         w = rng.standard_normal((4, 1, k, k))
-        y = ops.conv2d(x, w, spec)
-        g = rng.standard_normal(y.shape)
+        g = rng.standard_normal((B, 4, 8 + 2 * padding - k + 1, 8 + 2 * padding - k + 1))
         w_adj = ops._adjoint_kernel(w)
-        plan = ops._ConvPlan(x.shape, spec)
-        tplan = ops._ConvPlan(g.shape, spec, True)
-        # the full batch, then the first rows only, as after a compression
+        # each example alone, on plans built for one example
+        _fresh_plans(monkeypatch)
+        solo = [(ops.conv2d(x[i:i + 1], w, spec).tobytes(),
+                 ops.conv2d_transpose(g[i:i + 1], w, spec, w_adj).tobytes()) for i in range(B)]
+        # the full batch, then the first rows only, as after a compression,
+        # through the plans built for the full batch
+        _fresh_plans(monkeypatch)
         for n in sorted({B, B // 2 + 1, 1}, reverse=True):
-            assert ops.conv2d(x[:n], w, spec, plan).tobytes() == y[:n].tobytes()
-            assert (ops.conv2d_transpose(g[:n], w, spec, w_adj, tplan).tobytes()
-                    == ops.conv2d_transpose(g[:n], w, spec, w_adj).tobytes())
+            assert ops.conv2d(x[:n], w, spec).tobytes() == b"".join(y for y, _ in solo[:n])
+            assert (ops.conv2d_transpose(g[:n], w, spec, w_adj).tobytes()
+                    == b"".join(t for _, t in solo[:n]))
+        assert [p.capacity for p in ops._scratch.plans.values()] == [B, B]
 
     @pytest.mark.parametrize("B", [1, 2, 5, 64, 300])
-    def test_pooling_keeps_its_bits(self, B):
+    def test_pooling_keeps_its_bits(self, B, monkeypatch):
         x = _ties_and_nans(np.random.default_rng(51 + B), (B, 4, 8, 8))
         x[0] = _ties_and_nans(np.random.default_rng(52), (4, 8, 8))
         x[0][np.isnan(x[0])] = 0.0  # one example without a NaN
-        plan = ops._PoolPlan(x.shape)
         ref_pooled, ref_idx = maxpool_oracle(x)
+        _fresh_plans(monkeypatch)
         for n in sorted({B, B // 2 + 1, 1}, reverse=True):
-            for pooled, idx in (ops.maxpool2(x[:n]), ops.maxpool2(x[:n], plan)):
-                assert pooled.tobytes() == ref_pooled[:n].tobytes()
-                assert np.array_equal(idx, ref_idx[:n])
+            pooled, idx = ops.maxpool2(x[:n])
+            assert pooled.tobytes() == ref_pooled[:n].tobytes()
+            assert np.array_equal(idx, ref_idx[:n])
+        assert [p.capacity for p in ops._scratch.plans.values()] == [B]
 
     @pytest.mark.parametrize("nans", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -653,64 +673,124 @@ class TestPlans:
             x[np.isnan(x)] = -0.0
         ref_pooled, ref_idx = maxpool_oracle(x)
         for budget in (1, 2 * 8 * 3 * 4 * 6):
-            monkeypatch.setattr(ops, "_RUN_BYTES", budget)
+            _budget(monkeypatch, budget)
             pooled, idx = ops.maxpool2(x)
             assert pooled.dtype == dtype and idx.dtype == np.int64
             assert pooled.tobytes() == ref_pooled.tobytes()
             assert np.array_equal(idx, ref_idx)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int8])
+    def test_pooling_keeps_integers_and_their_bits(self, dtype, monkeypatch):
+        # an integer input pools in cells of its own dtype, in runs like a
+        # float64 one: in float64 cells the int64 values past 2**53, one
+        # apart, would tie and route to the first of them
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(58)
+        x = rng.integers(info.max - 3, info.max, (5, 3, 4, 6), dtype=dtype, endpoint=True)
+        x[1] = rng.integers(info.min, info.max, (3, 4, 6), dtype=dtype, endpoint=True)
+        ref_pooled, ref_idx = maxpool_oracle(x)
+        for budget in (1, 2 * 8 * 3 * 4 * 6, ops._RUN_BYTES):
+            _budget(monkeypatch, budget)
+            pooled, idx = ops.maxpool2(x)
+            assert pooled.dtype == dtype and idx.dtype == np.int64
+            assert pooled.tobytes() == ref_pooled.tobytes()
+            assert np.array_equal(idx, ref_idx)
+        if dtype == np.int64:
+            assert not np.array_equal(ops.maxpool2(x.astype(np.float64))[1], ref_idx)
+
     @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose", "maxpool2"])
     @pytest.mark.parametrize("bad", ["shape", "batch", "dtype"])
-    def test_a_plan_refuses_what_it_was_not_built_for(self, op, bad):
+    def test_a_plan_refuses_what_it_was_not_built_for(self, op, bad, monkeypatch):
+        # a plan serves only operands of its geometry and at most its batch:
+        # another shape gets a plan of its own, a larger batch a new plan in
+        # its place. A float32 operand shares the plan (a convolution copies
+        # it into the float64 buffers; pooling uses fresh float32 cells).
+        # Each gives the bits it gets on plans built for it alone
         rng = np.random.default_rng(54)
         spec = ConvSpec(2, 3, 3, 1)
         w = rng.standard_normal((3, 2, 3, 3))
         shape = {"conv2d": (4, 2, 6, 6), "conv2d_transpose": (4, 3, 6, 6),
                  "maxpool2": (4, 3, 6, 6)}[op]
-        plan = (ops._PoolPlan(shape) if op == "maxpool2"
-                else ops._ConvPlan(shape, spec, op == "conv2d_transpose"))
         a = {"shape": rng.standard_normal(shape[:2] + (8, 8)),
              "batch": rng.standard_normal((5,) + shape[1:]),
              "dtype": rng.standard_normal(shape).astype(np.float32)}[bad]
-        call = {"conv2d": lambda: ops.conv2d(a, w, spec, plan),
-                "conv2d_transpose": lambda: ops.conv2d_transpose(a, w, spec, None, plan),
-                "maxpool2": lambda: ops.maxpool2(a, plan)}[op]
-        with pytest.raises(ShapeError, match=rf"shape \({', '.join(map(str, a.shape))}\) "
-                                             rf"of {a.dtype} does not fit its plan's "
-                                             rf"\({', '.join(map(str, shape))}\)"):
-            call()
+        call = {"conv2d": lambda a: ops.conv2d(a, w, spec),
+                "conv2d_transpose": lambda a: ops.conv2d_transpose(a, w, spec),
+                "maxpool2": lambda a: ops.maxpool2(a)[0]}[op]
+        _fresh_plans(monkeypatch)
+        want = call(a)
+        _fresh_plans(monkeypatch)
+        call(rng.standard_normal(shape))
+        (key, built), = ops._scratch.plans.items()
+        got = call(a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        plans = ops._scratch.plans
+        if bad == "shape":
+            assert len(plans) == 2 and plans[key] is built
+        else:
+            assert list(plans) == [key]
+            assert (plans[key] is built) == (bad == "dtype")
+            assert plans[key].capacity == len(a)
 
-    def test_a_conv_plan_refuses_another_kernel_or_spec(self):
+    def test_a_conv_plan_refuses_another_kernel_or_spec(self, monkeypatch):
+        # a call checks its kernel against its spec, and another spec on the
+        # same operand shape gets a plan of its own
         rng = np.random.default_rng(55)
-        spec = ConvSpec(2, 3, 3, 1)
+        spec, other = ConvSpec(2, 3, 3, 1), ConvSpec(2, 3, 3, 2)
         x = rng.standard_normal((4, 2, 6, 6))
-        plan = ops._ConvPlan(x.shape, spec)
-        with pytest.raises(ShapeError, match=r"kernel shape \(3, 2, 1, 1\) .* does not fit"):
-            ops.conv2d(x, rng.standard_normal((3, 2, 1, 1)), ConvSpec(2, 3, 1, 0), plan)
-        with pytest.raises(ShapeError, match="does not fit its plan's"):
-            ops.conv2d(x, rng.standard_normal((3, 2, 3, 3)), ConvSpec(2, 3, 3, 2), plan)
+        w = rng.standard_normal((3, 2, 3, 3))
+        _fresh_plans(monkeypatch)
+        want = ops.conv2d(x, w, other).tobytes()
+        _fresh_plans(monkeypatch)
+        ops.conv2d(x, w, spec)
+        with pytest.raises(ShapeError, match=r"kernel shape \(3, 2, 1, 1\) does not match "
+                                             r"spec \(3,2,3,3\)"):
+            ops.conv2d(x, rng.standard_normal((3, 2, 1, 1)), spec)
+        assert ops.conv2d(x, w, other).tobytes() == want
+        assert [key[1].padding for key in ops._scratch.plans] == [1, 2]
 
     def test_plan_calls_fill_the_plans_buffers(self, monkeypatch):
         rng = np.random.default_rng(56)
         spec = ConvSpec(2, 3, 3, 1)
         x = rng.standard_normal((5, 2, 6, 6))
         w = rng.standard_normal((3, 2, 3, 3))
-        plan = ops._ConvPlan(x.shape, spec)
         seen = []
         im2col = ops._im2col
 
-        def counted(xb, spec, *bufs):
-            seen.append(bufs)
-            return im2col(xb, spec, *bufs)
+        def counted(xb, plan):
+            cols = im2col(xb, plan)
+            seen.append((plan, plan._views[len(xb)], cols))
+            return cols
 
         monkeypatch.setattr(ops, "_im2col", counted)
+        _fresh_plans(monkeypatch)
         for n in (5, 3):
-            ops.conv2d(x[:n], w, spec, plan)
-        # the plan's padded buffer and the views it built once, and one
-        # column buffer in the scratch array
-        assert len(seen) == 2 and seen[0][1] is seen[1][1]
-        assert all(xp is plan.xp and views is seen[0][2] for xp, _, views in seen)
-        assert np.shares_memory(seen[0][1], ops._scratch.buf)
+            ops.conv2d(x[:n], w, spec)
+        # one plan, whose padded buffer was built once, and one column
+        # buffer at the head of the scratch array; a third call of 3 rows
+        # finds the views the second built
+        ops.conv2d(x[:3], w, spec)
+        assert len(seen) == 3 and seen[0][0] is seen[1][0] is seen[2][0]
+        assert seen[1][1] is seen[2][1] and seen[0][1] is not seen[1][1]
+        assert ops._scratch.plans == {((2, 6, 6), spec): seen[0][0]}
+        assert all(cols.ctypes.data == ops._scratch.buf.ctypes.data for *_, cols in seen)
+
+    def test_the_plans_stay_within_their_bound(self, monkeypatch):
+        # one more geometry than the bound drops every plan; the geometries
+        # met again after that give the bits they gave before
+        rng = np.random.default_rng(57)
+        spec = ConvSpec(1, 2, 3, 1)
+        w = rng.standard_normal((2, 1, 3, 3))
+        xs = [rng.standard_normal((2, 1, 2, W)) for W in range(1, ops._PLANS + 11)]
+        _fresh_plans(monkeypatch)
+        sizes, first = [], []
+        for x in xs:
+            first.append(ops.conv2d(x, w, spec).tobytes())
+            sizes.append(len(ops._scratch.plans))
+        assert max(sizes) == ops._PLANS and sizes[ops._PLANS] == 1
+        again = [ops.conv2d(x, w, spec).tobytes() for x in xs]
+        assert again == first
+        assert len(ops._scratch.plans) <= ops._PLANS
 
 
 class TestHardClamp:

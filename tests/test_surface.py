@@ -5,18 +5,21 @@ class, must be referenced by name somewhere in the package besides its own
 definition; the few that exist for the tests' oracles or as reference
 baselines are listed with the reason they stay. The parameters are cast to
 float64 and each conv kernel flipped for its adjoint in one place,
-`energy._prepare`. The package imports no third-party package that
+`energy._prepare`. Where an op's buffers live is decided in `ops` alone.
+The package imports no third-party package that
 pyproject.toml does not declare as a runtime dependency, and declares none
 it does not import. No module reads the environment, so no setting (the
 convolutions' run budget included) becomes an environment knob.
 """
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
 
 import epbench
+from epbench import energy, ops
 
 SRC = Path(epbench.__file__).resolve().parent
 
@@ -75,6 +78,26 @@ def test_params_are_prepared_only_in_energy_prepare():
                 found.add(f"{path.stem}.{fn}")
     assert found <= allowed
     assert "energy._prepare" in found
+
+
+def test_op_buffers_are_planned_only_in_ops():
+    # no other module names the plan classes, the lookup or the per-thread
+    # scratch that holds the plans; no op takes a plan, and the prepared
+    # model carries none
+    ops_only = {"_Plan", "_ConvPlan", "_PoolPlan", "_plan", "_scratch", "plans"}
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "ops":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            named.update(f"{path.stem}: {n}" for n in names & ops_only)
+    assert named == set()
+    for op in (ops.conv2d, ops.conv2d_transpose, ops.conv2d_weight_grad, ops.maxpool2):
+        assert "plan" not in inspect.signature(op).parameters
+    assert "plans" not in energy._Net._fields
 
 
 def test_runtime_imports_are_the_declared_dependencies():

@@ -3,11 +3,13 @@ step, finite differences, saturation, batching, the memory contract, the
 recorded forward pass against a per-step reference, and the reverse pass
 that applies connection 0's adjoint once; the ep and bp pullbacks' shape
 checks, the one parameter preparation per entry-point call, kernels flipped
-only where an adjoint runs, and the reverse pass's plans."""
+only where an adjoint runs, and the op plans a reverse pass adds to its
+relaxation's."""
 
 import importlib
 import pkgutil
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -426,42 +428,56 @@ def test_backward_input_checks_the_input_batch_first(monkeypatch):
     assert not prepares
 
 
-def test_backward_input_builds_its_plans_once(monkeypatch):
-    # connection 1's conv (its top-down term) and its adjoint, at the tape's
-    # batch; connection 0's adjoint runs once and takes none
-    spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 7)
-    built = []
-    real = ops._ConvPlan
+def _count_conv_plans(monkeypatch):
+    """A list with the operand shape of every conv plan built from a fresh
+    thread scratch on, ops._ConvPlan patched."""
+    monkeypatch.setattr(ops, "_scratch", threading.local())
+    built, real = [], ops._ConvPlan
 
-    def counted(shape, spec, transpose=False):
-        built.append((tuple(shape), transpose))
-        return real(shape, spec, transpose)
+    def counted(shape, *args):
+        built.append(tuple(shape))
+        return real(shape, *args)
 
     monkeypatch.setattr(ops, "_ConvPlan", counted)
+    return built
+
+
+def test_backward_input_builds_its_plans_once(monkeypatch):
+    # after the relaxation that recorded the tape, a reverse pass meets one
+    # new geometry: connection 0's adjoint, on the unpooled layer 0
+    # [3, 4, 8, 8]; a second reverse pass meets none
+    built = _count_conv_plans(monkeypatch)
+    spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 7)
+    built.clear()
     monkeypatch.setattr(ops, "_PoolPlan", None)  # the reverse pass pools nothing
     unrolled.backward_input(tape, x, params, spec, g_logits)
-    assert sorted(built) == [((3, 4, 4, 4), False), ((3, 8, 4, 4), True)]
+    unrolled.backward_input(tape, x, params, spec, g_logits)
+    assert built == [(3, 4, 8, 8)]
 
 
 def test_a_pullback_builds_fresh_conv_buffers_only_for_connection_0(monkeypatch):
     # one logits_and_vjp plus its vjp on the desk checkpoint at B = 2, t = 60:
-    # 242 convolutions, and only connection 0's drive and its adjoint, which
-    # run once each and keep no plan, build their columns in fresh arrays
+    # 242 convolutions on four geometries. The forward relaxation builds the
+    # plans of both drives and of connection 1's adjoint; the pullback
+    # builds one more, connection 0's adjoint, and the next pullback none
     ckpt = load_checkpoint(DESK_CKPT)
     spec, params = ckpt.spec, ckpt.params
     x = np.random.default_rng(61).uniform(0, 1, (2,) + spec.input_shape)
+    built = _count_conv_plans(monkeypatch)
     calls = []
     im2col = ops._im2col
 
-    def counted(xb, spec, xp=None, *bufs):
-        calls.append(xp is None)
-        return im2col(xb, spec, xp, *bufs)
+    def counted(xb, plan):
+        calls.append(plan)
+        return im2col(xb, plan)
 
     monkeypatch.setattr(ops, "_im2col", counted)
     _, vjp = unrolled.logits_and_vjp(x, params, spec, 60)
+    assert sorted(built) == [(2, 1, 8, 8), (2, 4, 4, 4), (2, 8, 4, 4)]
     vjp(np.ones((2, spec.readout_dim)))
-    assert len(calls) == 242
-    assert sum(calls) <= 2
+    assert len(calls) == 242 and len(set(map(id, calls))) == 4
+    vjp(np.ones((2, spec.readout_dim)))
+    assert sorted(built) == [(2, 1, 8, 8), (2, 4, 4, 4), (2, 4, 8, 8), (2, 8, 4, 4)]
 
 
 @pytest.mark.parametrize("entry", ["phi", "readout", "bp_forward", "phi_grad_params",
