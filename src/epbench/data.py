@@ -95,6 +95,10 @@ def synth_dataset(kind: str, n: int, image_shape=(1, 8, 8), classes: int = 2,
     """
     if n <= 0:
         raise ValueError("n must be > 0")
+    if classes < 1:
+        raise ValueError(f"classes must be >= 1, got {classes!r}")
+    if min(image_shape) < 1:
+        raise ValueError(f"image_shape extents must be >= 1, got {tuple(image_shape)!r}")
     if not (np.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
     if kind not in SYNTH_KINDS:

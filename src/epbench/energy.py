@@ -375,14 +375,15 @@ def free_phase(x, params: Params, spec: ModelSpec, t: int | None = None,
 
 
 def nudged_phase(x, params: Params, spec: ModelSpec, s_star: NetworkState, y,
-                 beta_signed: float, t: int | None = None) -> NetworkState:
-    """Relax for t_nudge steps from s_star with the loss force -beta * dL/ds.
+                 beta_signed: float) -> NetworkState:
+    """Relax for spec.t_nudge steps from s_star with the loss force
+    -beta_signed * dL/ds, without early exit.
 
     beta_signed = 0 reproduces plain free-phase continuation bit for bit.
     example_steps, and so steps, count s_star's steps too.
     """
-    t = spec.t_nudge if t is None else t
-    state, _, _ = _relax(x, s_star, params, spec, t, 0.0, y=y, beta_signed=beta_signed)
+    state, _, _ = _relax(x, s_star, params, spec, spec.t_nudge, 0.0, y=y,
+                         beta_signed=beta_signed)
     state.example_steps += s_star.example_steps
     return state
 

@@ -1,6 +1,8 @@
 """Dense tensor primitives: convolution and pooling with their adjoints, and the clamp.
 
-Tensors are plain row-major numpy arrays of real floats. Spatial convolution
+Tensors are plain row-major numpy arrays. The convolutions and maxpool2 read
+every real operand as float64 and return float64, with int64 routes;
+unpool2, pool_gather and hard_clamp keep their input's dtype. Spatial convolution
 uses the cross-correlation convention (no kernel flip) with stride fixed at 1;
 ``conv2d_transpose`` is its exact adjoint, and ``unpool2`` is the adjoint of
 ``maxpool2`` for a fixed set of argmax indices. Every operand carries a
@@ -18,11 +20,10 @@ columns be built for one run of examples at a time, as many as fit
 preallocated output by ``np.matmul(..., out=...)``. Each example meets the
 same dgemm with byte-identical operands whatever the run length, so no bit
 moves. The weight gradient sums the per-example products over the batch in
-index order. Results are cast back to the operands' dtype. maxpool2 copies
-each window's four cells into four contiguous planes, one run of examples at
-a time, and compares them there. Pooling routes are integer (maxpool2
-returns int64) flat indices into each [H, W] plane, checked for dtype, shape
-and range before use.
+index order. maxpool2 copies each window's four cells into four contiguous
+float64 planes, one run of examples at a time, and compares them there.
+Pooling routes are int64 flat indices into each [H, W] plane, as maxpool2
+returns them, checked for dtype, shape and range before use.
 
 Every call takes its buffers from a plan (``_ConvPlan``, ``_PoolPlan``) that
 this module keeps per thread, by the operand's geometry: its shape past the
@@ -37,8 +38,6 @@ thread keeps between calls, grown to its largest run. So held memory is one
 run's columns rather than the batch's, the steps of a relaxation or a
 reverse pass allocate only their outputs, and a conv call checks only its
 kernel. A thread's plans are dropped together when they reach ``_PLANS``.
-maxpool2 pools an input of another dtype than float64 through fresh cells
-of that dtype, since float64 cells would round integers past 2**53.
 
 What depends only on shapes is computed once per shape and cached read-only:
 the first cell of each pooling window and the flat offset of each stacked
@@ -212,7 +211,7 @@ class _ConvPlan(_Plan):
 
 
 class _PoolPlan(_Plan):
-    """maxpool2's window-cell buffer in the scratch array (_pool_cells)."""
+    """maxpool2's window-cell buffer in the scratch array."""
 
     def __init__(self, shape):
         B, C, H, W = shape
@@ -221,7 +220,12 @@ class _PoolPlan(_Plan):
         self.held = (4, self.run, C, H // 2, W // 2)  # the window cells
 
     def _over(self, cells, n):
-        return _pool_views(cells[:, :n])
+        """_pool_cells' views of n rows: the cells [4, n, C, h, w] as
+        [2, 2, n, C, h, w] (row offset, column offset), each cell's plane, and
+        the first three planes."""
+        cells = cells[:, :n]
+        return (cells.reshape((2, 2) + cells.shape[1:]), cells[0], cells[1], cells[2],
+                cells[3], cells[:3])
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -239,14 +243,13 @@ def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
             f"({spec.out_channels},{spec.in_channels},{spec.kernel},{spec.kernel})"
         )
     plan = _plan(xb, spec, "conv2d")
-    w2 = w.reshape(spec.out_channels, -1).astype(np.float64, copy=False)
+    w2 = w.reshape(spec.out_channels, -1)
     B, n = len(xb), plan.run
     y = np.empty((B, spec.out_channels, plan.ho * plan.wo))
     # [O, C*k*k] @ [n, C*k*k, Ho*Wo]: one dgemm per example
     for s in range(0, B, n):
         np.matmul(w2, _im2col(xb[s:s + n], plan), out=y[s:s + n])
-    y = y.reshape(B, spec.out_channels, plan.ho, plan.wo)
-    return y.astype(np.promote_types(xb.dtype, w.dtype), copy=False)
+    return y.reshape(B, spec.out_channels, plan.ho, plan.wo)
 
 
 def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec,
@@ -311,7 +314,7 @@ def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarr
                 f"conv2d output for this input has {want}"
             )
     k, n = spec.kernel, plan.run
-    u3 = ub.reshape(B, out[1], out[2] * out[3]).astype(np.float64, copy=False)
+    u3 = ub.reshape(B, out[1], out[2] * out[3])
     # [n, O, Ho*Wo] @ [n, Ho*Wo, C*k*k]: one dgemm per example, then a sum
     # over the batch axis in index order
     per_example = np.empty((B, out[1], C * k * k))
@@ -319,7 +322,7 @@ def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarr
         np.matmul(u3[s:s + n], _im2col(xb[s:s + n], plan).transpose(0, 2, 1),
                   out=per_example[s:s + n])
     g = np.add.reduce(per_example, axis=0)
-    return g.reshape(out[1], C, k, k).astype(np.result_type(x, u), copy=False)
+    return g.reshape(out[1], C, k, k)
 
 
 def maxpool2(x: np.ndarray):
@@ -332,25 +335,22 @@ def maxpool2(x: np.ndarray):
     xb = _as_batch(x, "maxpool2 input")
     B, C, H, W = xb.shape
     plan = _plan(xb)
-    own = xb.dtype != np.float64  # float64 cells would round integers past 2**53
-    m = np.empty((B, C, H // 2, W // 2), xb.dtype)
+    m = np.empty((B, C, H // 2, W // 2))
     idx = np.empty(m.shape, np.int64)
     n = plan.run
     for s in range(0, B, n):
-        run, out = xb[s:s + n], m[s:s + n]
-        views = (_pool_views(np.empty((4,) + out.shape, xb.dtype)) if own
-                 else plan._scratch(len(run)))
-        _pool_cells(run, views, out, idx[s:s + n])
+        run = xb[s:s + n]
+        _pool_cells(run, plan._scratch(len(run)), m[s:s + n], idx[s:s + n])
     return m, idx
 
 
 def _pool_cells(xb, views, m, idx):
-    """maxpool2 of one run of examples xb [n, C, H, W] through _pool_views of
-    a [4, n, C, H/2, W/2] buffer of xb's dtype, written into m and idx."""
+    """maxpool2 of one run of examples xb [n, C, H, W] through the plan's
+    views of its float64 window cells, written into m and idx."""
     B, C, H, W = xb.shape
     cells6, a, b, c, d, abc = views
     # one transposing copy lays each window's cells out as four contiguous
-    # planes, in ascending flat-index order; copying moves no bit
+    # float64 planes, in ascending flat-index order
     cells6[...] = xb.reshape(B, C, H // 2, 2, W // 2, 2).transpose(3, 5, 0, 1, 2, 4)
     # np.maximum returns its second operand on a tie, so the earlier cell's
     # bits (-0.0 against 0.0) are kept
@@ -372,14 +372,6 @@ def _pool_cells(xb, views, m, idx):
     idx += nabc
 
 
-def _pool_views(cells: np.ndarray) -> tuple:
-    """The views of window cells [4, n, C, h, w] that _pool_cells works
-    through: the cells as [2, 2, n, C, h, w] (row offset, column offset), each
-    cell's plane, and the first three planes."""
-    return (cells.reshape((2, 2) + cells.shape[1:]), cells[0], cells[1], cells[2], cells[3],
-            cells[:3])
-
-
 def _even(H: int, W: int) -> None:
     if H % 2 or W % 2:
         raise ShapeError(
@@ -398,9 +390,9 @@ def _first_cells(H: int, W: int) -> np.ndarray:
 def _route(idx: np.ndarray, plane: int, what: str) -> np.ndarray:
     """Route idx [B, C, h, w] as indices into its B*C stacked planes of `plane`
     cells, each checked to lie in [0, plane), inside its own plane."""
-    if idx.dtype.kind not in "iu":
-        raise ValueError(f"{what}: pool indices must be integers, got {idx.dtype}")
-    rows = idx.reshape(-1, idx.shape[2] * idx.shape[3]).astype(np.int64, copy=False)
+    if idx.dtype != np.int64:
+        raise ValueError(f"{what}: pool indices must be int64, got {idx.dtype}")
+    rows = idx.reshape(-1, idx.shape[2] * idx.shape[3])
     # one reduction checks both ends: a negative index wraps to above plane
     if rows.size and np.maximum.reduce(rows.view(np.uint64), axis=None) >= plane:
         raise ValueError(

@@ -42,7 +42,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 64
     learning_rates: tuple[float, ...] = ()  # empty: 0.05 for every connection
-    beta: float | None = None  # falls back to ModelSpec.beta
     momentum: float = 0.9
     update_rule: str = "symmetric"
     seed: int = 0
@@ -56,9 +55,9 @@ class TrainConfig:
         if not all(0 <= lr < np.inf for lr in self.learning_rates):
             raise ValueError(f"learning_rates must be >= 0 and finite, got "
                              f"{self.learning_rates}")
-        for name in ("beta", "momentum", "adv_epsilon"):
+        for name in ("momentum", "adv_epsilon"):
             v = getattr(self, name)
-            if v is not None and not np.isfinite(v):
+            if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
@@ -98,16 +97,15 @@ def phi_grad_params(x, state: NetworkState, params: Params,
 
 def ep_estimate(x, y, params: Params, spec: ModelSpec, cfg: TrainConfig,
                 s_star: NetworkState | None = None) -> Params:
-    """Contrastive loss-gradient estimate under cfg.update_rule; s_star is the
-    free fixed point of x when the caller already has it.
+    """Contrastive loss-gradient estimate under cfg.update_rule at the nudging
+    strength spec.beta (> 0); s_star is the free fixed point of x when the
+    caller already has it.
 
     one_sided is (G(s_*) - G(s^beta)) / beta from one nudged phase. symmetric
-    anchors its two nudged phases at +/-|beta| with the signed prefactor
-    1/(2*beta), which makes the estimate an exactly odd function of beta.
+    is (G(s^-beta) - G(s^beta)) / (2*beta) from nudged phases at +beta and
+    -beta.
     """
-    beta = cfg.beta if cfg.beta is not None else spec.beta
-    if cfg.update_rule == "symmetric" and beta == 0:
-        raise ValueError("symmetric update needs beta != 0")
+    beta = spec.beta
     if s_star is None:
         s_star = free_phase(x, params, spec)
     if cfg.update_rule == "one_sided":
@@ -116,9 +114,8 @@ def ep_estimate(x, y, params: Params, spec: ModelSpec, cfg: TrainConfig,
         hi = phi_grad_params(x, s_plus, params, spec)
         a, b = 1.0 / beta, -1.0 / beta
     else:
-        mag = abs(beta)
-        s_plus = nudged_phase(x, params, spec, s_star, y, +mag)
-        s_minus = nudged_phase(x, params, spec, s_star, y, -mag)
+        s_plus = nudged_phase(x, params, spec, s_star, y, beta)
+        s_minus = nudged_phase(x, params, spec, s_star, y, -beta)
         hi = phi_grad_params(x, s_plus, params, spec)
         lo = phi_grad_params(x, s_minus, params, spec)
         a, b = 1.0 / (2.0 * beta), -1.0 / (2.0 * beta)

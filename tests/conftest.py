@@ -82,7 +82,7 @@ def desk_spec() -> ModelSpec:
 
 def desk_train_config(seed: int = 0, **overrides) -> training.TrainConfig:
     kwargs = dict(epochs=20, batch_size=64, learning_rates=(0.1, 0.05),
-                  beta=0.5, momentum=0.9, update_rule="symmetric", seed=seed)
+                  momentum=0.9, update_rule="symmetric", seed=seed)
     kwargs.update(overrides)
     return training.TrainConfig(**kwargs)
 

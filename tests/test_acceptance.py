@@ -7,6 +7,7 @@ shared with the module tests through conftest.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,8 +51,9 @@ def test_c01_ep_gradient_oracle():
         ref = fd_param_grads(x, y, params, spec)
 
         def estimate(rule, beta):
-            cfg = TrainConfig(update_rule=rule, learning_rates=(0.1,) * 3, beta=beta)
-            return dict(training.ep_estimate(x, y, params, spec, cfg).tensors())
+            cfg = TrainConfig(update_rule=rule, learning_rates=(0.1,) * 3)
+            return dict(training.ep_estimate(x, y, params, replace(spec, beta=beta),
+                                             cfg).tensors())
 
         sym = estimate("symmetric", 0.01)
         for name, fd in ref.items():

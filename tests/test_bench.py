@@ -92,6 +92,17 @@ class TestSynth:
         with pytest.raises(ValueError, match="noise must be a finite number >= 0"):
             data.synth_dataset("blobs", 8, (1, 8, 8), 2, noise=noise)
 
+    @pytest.mark.parametrize("kind", ["blobs", "stripes"])
+    @pytest.mark.parametrize("setting, message", [
+        ({"classes": 0}, r"^classes must be >= 1, got 0$"),
+        ({"classes": -1}, r"^classes must be >= 1, got -1$"),
+        ({"image_shape": (1, 0, 8)}, r"^image_shape extents must be >= 1, got \(1, 0, 8\)$"),
+        ({"image_shape": (0, 8, 8)}, r"^image_shape extents must be >= 1, got \(0, 8, 8\)$"),
+    ], ids=["zero classes", "negative classes", "zero height", "zero channels"])
+    def test_class_count_and_extents_must_be_positive(self, kind, setting, message):
+        with pytest.raises(ValueError, match=message):
+            data.synth_dataset(kind, 8, **setting)
+
     def test_zero_noise_blobs_linearly_separable(self):
         ds = data.synth_dataset("blobs", 128, (1, 8, 8), 2, seed=1, noise=0.0)
         flat = ds.images.reshape(len(ds), -1).astype(np.float64)

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,7 +152,8 @@ class TestFreePhase:
         x = rng.uniform(0, 1, (2,) + spec.input_shape)
         st = energy.free_phase(x, params, spec, t=250)
         assert st.steps < 250
-        again = energy.nudged_phase(x, params, spec, st, np.array([0, 0]), 0.0, t=1)
+        again = energy.nudged_phase(x, params, replace(spec, t_nudge=1), st,
+                                    np.array([0, 0]), 0.0)
         resid = max(np.max(np.abs(a - b)) for a, b in zip(again.layers, st.layers))
         assert resid < 1e-6
 
@@ -184,16 +186,20 @@ class TestFreePhase:
 
 @pytest.mark.parametrize("run", ["free_phase", "nudged_phase", "record_free_phase"])
 def test_zero_steps_rejected(run):
+    # the nudged phase runs spec.t_nudge steps, which the spec keeps >= 1
     spec, params = tiny_model(np.random.default_rng(17))
     x = rng_global.uniform(0, 1, (2,) + spec.input_shape)
     calls = {
-        "free_phase": lambda: energy.free_phase(x, params, spec, t=0),
-        "nudged_phase": lambda: energy.nudged_phase(
-            x, params, spec, zero_state(spec, 2), np.array([0, 1]), 0.5, t=0),
-        "record_free_phase": lambda: unrolled.record_free_phase(x, params, spec, 0),
+        "free_phase": (lambda: energy.free_phase(x, params, spec, t=0), "t >= 1"),
+        "nudged_phase": (lambda: energy.nudged_phase(
+            x, params, replace(spec, t_nudge=0), zero_state(spec, 2), np.array([0, 1]), 0.5),
+            "t_nudge must be >= 1"),
+        "record_free_phase": (lambda: unrolled.record_free_phase(x, params, spec, 0),
+                              "t >= 1"),
     }
-    with pytest.raises(ValueError, match="t >= 1"):
-        calls[run]()
+    call, message = calls[run]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestNudgedPhase:
@@ -202,7 +208,8 @@ class TestNudgedPhase:
         spec, params = tiny_model(rng, scale=0.8)
         x = rng.uniform(0, 1, (1,) + spec.input_shape)
         half = energy.free_phase(x, params, spec, t=7, fp_tol=0.0)
-        cont = energy.nudged_phase(x, params, spec, half, np.array([1]), 0.0, t=5)
+        cont = energy.nudged_phase(x, params, replace(spec, t_nudge=5), half,
+                                   np.array([1]), 0.0)
         full = energy.free_phase(x, params, spec, t=12, fp_tol=0.0)
         assert all(np.array_equal(a, b) for a, b in zip(cont.layers, full.layers))
 
@@ -314,7 +321,7 @@ class TestInputDriveHoist:
         spec, params, x, x0, p0 = self._model(model)
         y = np.array([0, 2, 1])
         free = energy.free_phase(x, params, spec, t=5, fp_tol=0.0)
-        st = energy.nudged_phase(x, params, spec, free, y, beta, t=6)
+        st = energy.nudged_phase(x, params, replace(spec, t_nudge=6), free, y, beta)
         self._untouched(params, x, x0, p0)
         layers, _, _, _ = _step_loop(x, free.layers, params, spec, 6, 0.0, y=y,
                                      beta_signed=beta)
@@ -398,8 +405,8 @@ class TestPerExampleExit:
 
     def test_nudged_phase_adds_the_free_counts(self):
         free = self._free(self.x[:4])
-        st = energy.nudged_phase(self.x[:4], self.params, self.spec, free,
-                                 np.array([0, 1, 2, 0]), 0.5, t=3)
+        st = energy.nudged_phase(self.x[:4], self.params, replace(self.spec, t_nudge=3),
+                                 free, np.array([0, 1, 2, 0]), 0.5)
         assert st.example_steps.tolist() == (free.example_steps + 3).tolist()
         assert st.steps == free.steps + 3
 
@@ -445,7 +452,8 @@ class TestPlans:
         assert sorted(built) == RELAXATION_PLANS
         # the nudged phase, the parameter gradient and a second relaxation
         # meet the same geometries
-        energy.nudged_phase(self.x, self.params, self.spec, st, np.zeros(16, int), 0.5, t=3)
+        energy.nudged_phase(self.x, self.params, replace(self.spec, t_nudge=3), st,
+                            np.zeros(16, int), 0.5)
         training.phi_grad_params(self.x, st, self.params, self.spec)
         energy.free_phase(self.x, self.params, self.spec)
         assert sorted(built) == RELAXATION_PLANS

@@ -128,19 +128,21 @@ class TestConv2d:
         assert y.shape == (3, 5 + 2 * padding - 2, 7 + 2 * padding - 2)
         assert np.max(np.abs(y - conv2d_reference(x, w, padding))) < 1e-12
 
-    def test_float32_operands_round_the_float64_result(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.int8, np.uint8, np.int32])
+    def test_other_dtypes_give_the_float64_result(self, dtype):
+        # operands of another dtype give the bytes of their float64 cast
         rng = np.random.default_rng(32)
         spec = ConvSpec(2, 3, 3, 1)
-        x = rng.standard_normal((4, 2, 6, 6)).astype(np.float32)
-        w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        y = ops.conv2d(x, w, spec)
-        ref = ops.conv2d(x.astype(np.float64), w.astype(np.float64), spec)
-        assert y.dtype == np.float32
-        assert y.tobytes() == ref.astype(np.float32).tobytes()
-        g = ops.conv2d_transpose(y, w, spec)
-        ref = ops.conv2d_transpose(y.astype(np.float64), w.astype(np.float64), spec)
-        assert g.dtype == np.float32
-        assert g.tobytes() == ref.astype(np.float32).tobytes()
+        x, w, u = (np.clip(rng.standard_normal(shape) * 20, 0, 100).astype(dtype)
+                   for shape in ((4, 2, 6, 6), (3, 2, 3, 3), (4, 3, 6, 6)))
+        x64, w64, u64 = (a.astype(np.float64) for a in (x, w, u))
+        for got, want in ((ops.conv2d(x, w, spec), ops.conv2d(x64, w64, spec)),
+                          (ops.conv2d_transpose(u, w, spec),
+                           ops.conv2d_transpose(u64, w64, spec)),
+                          (ops.conv2d_weight_grad(x, u, spec),
+                           ops.conv2d_weight_grad(x64, u64, spec))):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
     def test_non_contiguous_input_matches_its_copy(self):
         rng = np.random.default_rng(33)
@@ -346,7 +348,7 @@ class TestRuns:
             for budget in _run_bytes(case, spec, x.shape):
                 _budget(monkeypatch, budget)
                 outs.append(call())
-            assert all(o.dtype == dtype and o.shape == outs[0].shape for o in outs)
+            assert all(o.dtype == np.float64 and o.shape == outs[0].shape for o in outs)
             assert len({o.tobytes() for o in outs}) == 1, case
 
     def test_runs_reuse_one_pair_of_buffers(self, monkeypatch):
@@ -513,8 +515,8 @@ class TestMaxPool:
             x0 = x.copy()
             pooled, idx = ops.maxpool2(x)
             ref_pooled, ref_idx = maxpool_oracle(x)
-            assert pooled.dtype == x.dtype and idx.dtype == np.int64
-            assert pooled.tobytes() == ref_pooled.tobytes()
+            assert pooled.dtype == np.float64 and idx.dtype == np.int64
+            assert pooled.tobytes() == ref_pooled.astype(np.float64).tobytes()
             assert np.array_equal(idx, ref_idx)
             assert x.tobytes() == x0.tobytes()
 
@@ -577,19 +579,18 @@ class TestUnpool:
             with pytest.raises(ValueError, match="corrupted pool indices"):
                 ops.pool_gather(y, idx)
 
-    def test_routes_of_any_integer_dtype_only(self):
-        # an int32 route reads the same cells under the same range check; a
-        # float route is refused by name
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float64])
+    def test_routes_are_int64_only(self, dtype):
+        # a route of any dtype but int64, the one maxpool2 makes, is refused
+        # by name
         y = np.arange(16.0).reshape(1, 1, 4, 4)
-        idx = np.array([[0, 2], [8, 10]])[None, None]
-        assert np.array_equal(ops.pool_gather(y, idx.astype(np.int32)),
-                              ops.pool_gather(y, idx))
-        bad = idx.astype(np.int32)
-        bad[0, 0, 1, 1] = -1
-        with pytest.raises(ValueError, match="corrupted pool indices"):
-            ops.pool_gather(y, bad)
-        with pytest.raises(ValueError, match="pool indices must be integers, got float64"):
-            ops.unpool2(np.ones((1, 1, 2, 2)), idx.astype(np.float64))
+        idx = np.array([[0, 2], [8, 10]], dtype=np.int64)[None, None]
+        assert ops.pool_gather(y, idx).ravel().tolist() == [0.0, 2.0, 8.0, 10.0]
+        for call in (lambda r: ops.pool_gather(y, r),
+                     lambda r: ops.unpool2(np.ones((1, 1, 2, 2)), r)):
+            with pytest.raises(ValueError,
+                               match=f"pool indices must be int64, got {np.dtype(dtype)}$"):
+                call(idx.astype(dtype))
 
     def test_pool_gather_rejects_route_of_wrong_shape(self):
         y = np.zeros((2, 3, 4, 4))
@@ -667,45 +668,46 @@ class TestPlans:
     @pytest.mark.parametrize("nans", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pooling_runs_keep_the_bits_and_the_dtype(self, dtype, nans, monkeypatch):
-        # one example per run, then runs of two with a ragged last one
+        # one example per run, then runs of two with a ragged last one; the
+        # result is float64 whatever the input's dtype
         x = _ties_and_nans(np.random.default_rng(53), (5, 3, 4, 6), dtype)
         if not nans:
             x[np.isnan(x)] = -0.0
-        ref_pooled, ref_idx = maxpool_oracle(x)
+        ref_pooled, ref_idx = maxpool_oracle(x.astype(np.float64))
         for budget in (1, 2 * 8 * 3 * 4 * 6):
             _budget(monkeypatch, budget)
             pooled, idx = ops.maxpool2(x)
-            assert pooled.dtype == dtype and idx.dtype == np.int64
+            assert pooled.dtype == np.float64 and idx.dtype == np.int64
             assert pooled.tobytes() == ref_pooled.tobytes()
             assert np.array_equal(idx, ref_idx)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int8])
-    def test_pooling_keeps_integers_and_their_bits(self, dtype, monkeypatch):
-        # an integer input pools in cells of its own dtype, in runs like a
-        # float64 one: in float64 cells the int64 values past 2**53, one
-        # apart, would tie and route to the first of them
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.int8])
+    def test_pooling_reads_integers_as_float64(self, dtype, monkeypatch):
+        # an integer input pools as its float64 cast, in runs like a float64
+        # one: int64 values past 2**53, one apart, round to ties in float64
+        # and route to the first of them
         info = np.iinfo(dtype)
         rng = np.random.default_rng(58)
         x = rng.integers(info.max - 3, info.max, (5, 3, 4, 6), dtype=dtype, endpoint=True)
         x[1] = rng.integers(info.min, info.max, (3, 4, 6), dtype=dtype, endpoint=True)
-        ref_pooled, ref_idx = maxpool_oracle(x)
+        ref_pooled, ref_idx = maxpool_oracle(x.astype(np.float64))
         for budget in (1, 2 * 8 * 3 * 4 * 6, ops._RUN_BYTES):
             _budget(monkeypatch, budget)
             pooled, idx = ops.maxpool2(x)
-            assert pooled.dtype == dtype and idx.dtype == np.int64
+            assert pooled.dtype == np.float64 and idx.dtype == np.int64
             assert pooled.tobytes() == ref_pooled.tobytes()
             assert np.array_equal(idx, ref_idx)
         if dtype == np.int64:
-            assert not np.array_equal(ops.maxpool2(x.astype(np.float64))[1], ref_idx)
+            assert not np.array_equal(ref_idx, maxpool_oracle(x)[1])
 
     @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose", "maxpool2"])
     @pytest.mark.parametrize("bad", ["shape", "batch", "dtype"])
     def test_a_plan_refuses_what_it_was_not_built_for(self, op, bad, monkeypatch):
         # a plan serves only operands of its geometry and at most its batch:
         # another shape gets a plan of its own, a larger batch a new plan in
-        # its place. A float32 operand shares the plan (a convolution copies
-        # it into the float64 buffers; pooling uses fresh float32 cells).
-        # Each gives the bits it gets on plans built for it alone
+        # its place. A float32 operand shares the plan, since every op copies
+        # it into the same float64 buffers. Each gives the bits it gets on
+        # plans built for it alone
         rng = np.random.default_rng(54)
         spec = ConvSpec(2, 3, 3, 1)
         w = rng.standard_normal((3, 2, 3, 3))

@@ -3,23 +3,26 @@
 Every public module-level function or class, and every public method of a
 class, must be referenced by name somewhere in the package besides its own
 definition; the few that exist for the tests' oracles or as reference
-baselines are listed with the reason they stay. The parameters are cast to
-float64 and each conv kernel flipped for its adjoint in one place,
-`energy._prepare`. Where an op's buffers live is decided in `ops` alone.
-The package imports no third-party package that
-pyproject.toml does not declare as a runtime dependency, and declares none
-it does not import. No module reads the environment, so no setting (the
+baselines are listed with the reason they stay. Likewise every defaulted
+parameter of a public function or method, and every defaulted field of a
+public dataclass, is set by some call in the package or by a config key. The
+parameters are cast to float64 and each conv kernel flipped for its adjoint
+in one place, `energy._prepare`. Where an op's buffers live is decided in
+`ops` alone. The package imports no third-party package that pyproject.toml
+does not declare as a runtime dependency, and declares none it does not
+import. No module reads the environment, so no setting (the
 convolutions' run budget included) becomes an environment knob.
 """
 
 import ast
 import inspect
+import math
 import re
 import sys
 from pathlib import Path
 
 import epbench
-from epbench import energy, ops
+from epbench import config, energy, ops
 
 SRC = Path(epbench.__file__).resolve().parent
 
@@ -30,9 +33,20 @@ UNREFERENCED_BY_DESIGN = {
     "uncertainty.bootstrap_exponent": "the exponent's confidence interval (criterion 10)",
 }
 
+SET_ONLY_BY_TESTS = {
+    "attacks.AttackConfig.cw_lr": "criterion 7's closed-form C&W oracles run at other "
+                                  "step sizes",
+    "model.init_params(scale)": "the tests draw contracting and expanding models with it",
+    "cli.main(argv)": "it is the command line",
+}
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
 
 def test_every_public_definition_has_a_caller_in_src():
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -53,6 +67,66 @@ def test_every_public_definition_has_a_caller_in_src():
     unreferenced = {qual for qual, name in defs.items()
                     if not name.startswith("_") and name not in used}
     assert unreferenced == set(UNREFERENCED_BY_DESIGN)
+
+
+def _defaulted(qual, fn, skip):
+    """(qual(param), position in a call or None, name) of each defaulted
+    parameter of fn; a method's calls pass its first `skip` parameters
+    implicitly."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    for i, arg in enumerate(pos[first:], first):
+        yield f"{qual}({arg.arg})", i - skip, arg.arg
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield f"{qual}({arg.arg})", None, arg.arg
+
+
+def _settings(trees):
+    """(qualified setting, callee name, position in a call or None, keyword)
+    of every defaulted public parameter and dataclass field."""
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if f"{mod}.{node.name}" not in UNREFERENCED_BY_DESIGN:
+                    for qual, i, kw in _defaulted(f"{mod}.{node.name}", node, 0):
+                        yield qual, node.name, i, kw
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                    fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                    for i, f in enumerate(fields):
+                        if f.value is not None:
+                            yield f"{mod}.{node.name}.{f.target.id}", node.name, i, f.target.id
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        static = any(ast.unparse(d) == "staticmethod"
+                                     for d in item.decorator_list)
+                        for qual, i, kw in _defaulted(f"{mod}.{node.name}.{item.name}",
+                                                      item, 0 if static else 1):
+                            yield qual, item.name, i, kw
+
+
+def test_every_setting_has_a_setter_in_src():
+    # a setting counts as set when some call of its name passes it by
+    # position or keyword (a ** mapping sets none), or, for a ModelSpec or
+    # TrainConfig field, when a config key names it
+    trees = _trees()
+    calls = []
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                spread = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.append((name, math.inf if spread else len(node.args),
+                              {k.arg for k in node.keywords}))
+    keys = {"ModelSpec": config._SPEC_KEYS, "TrainConfig": config._TRAIN_KEYS}
+    unset = {qual for qual, name, i, kw in _settings(trees)
+             if kw not in keys.get(name, ())
+             and not any(callee == name and ((i is not None and n > i) or kw in kws)
+                         for callee, n, kws in calls)}
+    assert unset == set(SET_ONLY_BY_TESTS)
 
 
 def _calls_by_function(tree):

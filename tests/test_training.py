@@ -5,6 +5,7 @@ desk-scale accuracy)."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -84,27 +85,14 @@ class TestPhiGradParams:
 
 
 class TestEPUpdates:
-    def test_symmetric_antisymmetry_exact(self):
-        spec, params = oracle_model(6, t_free=250, t_nudge=40, fp_tol=1e-10)
-        rng = np.random.default_rng(7)
-        x = rng.uniform(0, 1, (1,) + spec.input_shape)
-        y = np.array([1])
-        cfg_p = TrainConfig(learning_rates=(0.1, 0.1, 0.1), beta=0.05)
-        cfg_m = TrainConfig(learning_rates=(0.1, 0.1, 0.1), beta=-0.05)
-        plus = training.ep_estimate(x, y, params, spec, cfg_p)
-        minus = training.ep_estimate(x, y, params, spec, cfg_m)
-        for (_, a), (_, b) in zip(plus.tensors(), minus.tensors()):
-            assert np.array_equal(a, -b)
-
     def test_one_sided_beta_to_zero_consistency(self):
         spec, params = oracle_model(8)
         rng = np.random.default_rng(9)
         x = rng.uniform(0, 1, (1,) + spec.input_shape)
         y = np.array([0])
-        est_a = training.ep_estimate(x, y, params, spec, TrainConfig(
-            update_rule="one_sided", learning_rates=(0.1,) * 3, beta=1e-3))
-        est_b = training.ep_estimate(x, y, params, spec, TrainConfig(
-            update_rule="one_sided", learning_rates=(0.1,) * 3, beta=5e-4))
+        cfg = TrainConfig(update_rule="one_sided", learning_rates=(0.1,) * 3)
+        est_a = training.ep_estimate(x, y, params, replace(spec, beta=1e-3), cfg)
+        est_b = training.ep_estimate(x, y, params, replace(spec, beta=5e-4), cfg)
         # estimates differ by O(beta)
         num = np.sqrt(sum(np.sum((a - b) ** 2)
                           for (_, a), (_, b) in zip(est_a.tensors(), est_b.tensors())))
@@ -112,12 +100,11 @@ class TestEPUpdates:
         assert num / den < 0.05
 
     def test_symmetric_gdu_cosine_and_magnitude(self):
-        spec, params = oracle_model(10)
+        spec, params = oracle_model(10, beta=0.01)
         rng = np.random.default_rng(11)
         x = rng.uniform(0, 1, (1,) + spec.input_shape)
         y = np.array([2])
-        est = training.ep_estimate(
-            x, y, params, spec, TrainConfig(learning_rates=(0.1,) * 3, beta=0.01))
+        est = training.ep_estimate(x, y, params, spec, TrainConfig(learning_rates=(0.1,) * 3))
         ref = fd_param_grads(x, y, params, spec)
         got = dict(est.tensors())
         for name, fd in ref.items():
@@ -129,14 +116,14 @@ class TestEPUpdates:
     def test_near_zero_estimate_on_saturated_correct_prediction(self):
         # when the readout already puts all softmax mass on the right class
         # the nudge force vanishes and the contrastive estimate collapses
-        spec, params = oracle_model(12, t_nudge=60)
+        spec, params = oracle_model(12, t_nudge=60, beta=0.05)
         rng = np.random.default_rng(13)
         x = rng.uniform(0, 1, (1,) + spec.input_shape)
         star = energy.free_phase(x, params, spec)
         label, _ = int(np.argmax(energy.readout(star, params, spec))), None
         params.w[-1] *= 100.0  # temperature -> saturated softmax
         params.b[-1] *= 100.0
-        cfg = TrainConfig(learning_rates=(0.1,) * 3, beta=0.05)
+        cfg = TrainConfig(learning_rates=(0.1,) * 3)
         est = training.ep_estimate(x, np.array([label]), params, spec, cfg)
         scale = np.sqrt(sum(np.sum(t ** 2) for _, t in est.tensors()))
         wrong = training.ep_estimate(
@@ -152,8 +139,8 @@ class TestEPUpdates:
         ref = fd_param_grads(x, y, params, spec)
 
         def err(rule, beta):
-            est = training.ep_estimate(x, y, params, spec, TrainConfig(
-                update_rule=rule, learning_rates=(0.1,) * 3, beta=beta))
+            est = training.ep_estimate(x, y, params, replace(spec, beta=beta), TrainConfig(
+                update_rule=rule, learning_rates=(0.1,) * 3))
             got = dict(est.tensors())
             return np.sqrt(sum(np.sum((got[n] - ref[n]) ** 2) for n in ref))
 
@@ -216,8 +203,8 @@ class TestTrainLoops:
             training.train("ep", train, spec, cfg)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("beta", np.nan, "beta must be finite, got nan"),
-        ("beta", -np.inf, "beta must be finite, got -inf"),
+        ("momentum", np.nan, "momentum must be finite, got nan"),
+        ("adv_epsilon", -np.inf, "adv_epsilon must be finite, got -inf"),
         ("momentum", np.inf, "momentum must be finite, got inf"),
         ("adv_epsilon", np.inf, "adv_epsilon must be finite, got inf"),
         ("learning_rates", (0.1, np.inf), r"learning_rates must be >= 0 and finite"),
@@ -390,10 +377,11 @@ from conftest import tiny_model
 from epbench import energy, ops, training
 from epbench.handle import for_params
 
-spec, params = tiny_model(np.random.default_rng(3), scale=0.9, t_free=40, t_nudge=10)
+spec, params = tiny_model(np.random.default_rng(3), scale=0.9, t_free=40, t_nudge=10,
+                          beta=0.4)
 xs = np.random.default_rng(4).uniform(0, 1, (6,) + spec.input_shape)
 ys = np.array([0, 1, 2, 0, 1, 2])
-cfg = training.TrainConfig(learning_rates=(0.1, 0.1, 0.1), beta=0.4)
+cfg = training.TrainConfig(learning_rates=(0.1, 0.1, 0.1))
 out = energy.free_phase(xs, params, spec).layers
 out += for_params(params, spec, "ep", 12).loss_grad(xs, ys)
 out += [t for _, t in training._ep_batch_grads(params, spec, cfg, xs, ys).tensors()]

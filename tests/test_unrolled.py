@@ -339,7 +339,7 @@ class TestReversePass:
             tape.route0 = broken
         else:
             tape.pool_idx[3][0] = broken
-        match = ("pool indices must be integers" if bad == "float"
+        match = ("pool indices must be int64, got float64" if bad == "float"
                  else "corrupted pool indices")
         with pytest.raises(ValueError, match=match):
             unrolled.backward_input(tape, x, params, spec, g_logits)
