@@ -10,20 +10,34 @@ leading batch axis: images and feature maps are [B, C, H, W]; an operand
 without it is rejected with ShapeError.
 
 All functions are pure (inputs never mutated) and deterministic. The three
-convolution primitives copy the input into a zero-bordered float64 buffer of
-the padded shape and copy one strided view of its k x k windows into a column
-matrix per example (im2col). They issue one BLAS dgemm per example through a
-stacked ``np.matmul``, so an example's output bits depend only on that
-example, not on its batch-mates or on the BLAS thread count. That lets the
-columns be built for one run of examples at a time, as many as fit
-``_RUN_BYTES`` (at least one), with each run multiplied into its rows of a
-preallocated output by ``np.matmul(..., out=...)``. Each example meets the
-same dgemm with byte-identical operands whatever the run length, so no bit
-moves. The weight gradient sums the per-example products over the batch in
-index order. maxpool2 copies each window's four cells into four contiguous
-float64 planes, one run of examples at a time, and compares them there.
-Pooling routes are int64 flat indices into each [H, W] plane, as maxpool2
-returns them, checked for dtype, shape and range before use.
+convolution primitives build a float64 column matrix [C*k*k, Ho*Wo] per
+example (im2col) and issue one BLAS dgemm per example through a stacked
+``np.matmul``, so an example's output bits depend only on that example, not
+on its batch-mates or on the BLAS thread count. That lets the columns be
+built for one run of examples at a time, as many as fit ``_RUN_BYTES`` (at
+least one), with each run multiplied into its rows of a preallocated output
+by ``np.matmul(..., out=...)``. The columns are built in one of two copy
+orders, whichever copies along the longer of the run's examples n and the
+output width Wo; the code reads both from its operands, so no setting
+chooses:
+- row by row (n <= Wo): the run goes into the interior of a zero-bordered
+  padded buffer [n, C, H+2p, W+2p], and one strided view of its k x k
+  windows is copied into the columns, the innermost loop along an output row;
+- batch-innermost (n > Wo, in runs of about half what ``_RUN_BYTES``
+  holds): the run goes into a zero-bordered batch-last buffer
+  [C, H+2p, W+2p, n], its [C, k, k, Ho, Wo, n] windows into a window
+  buffer, and that buffer, viewed as [C*k*k*Ho*Wo, n], is written
+  transposed into the columns. Every inner loop but the last runs along the
+  n examples, which at desk shapes (Wo of 4 or 8) is the longer axis.
+Both orders give the same columns, so each example meets the same dgemm
+with byte-identical operands whatever the order or the run length, and no
+bit moves. The weight gradient sums the per-example products over the batch
+in index order. maxpool2 copies each window's four cells into four
+contiguous float64 planes, one run of examples at a time, and compares them
+there. A call whose batch fits one run makes one copy and one product, with
+no loop or slicing. Pooling routes are int64 flat indices into each [H, W]
+plane, as maxpool2 returns them, checked for dtype, shape and range before
+use.
 
 Every call takes its buffers from a plan (``_ConvPlan``, ``_PoolPlan``) that
 this module keeps per thread, by the operand's geometry: its shape past the
@@ -32,12 +46,17 @@ first call of its geometry, which runs the checks that depend on nothing
 else (channel axis, output extent, even pooling extents), and built again
 only when a call brings a larger batch than it holds; a smaller batch fills
 its first rows, as a relaxation's row compressions leave it. A conv plan
-owns one run's zero-bordered padded buffer and its window view. Its columns,
-and a pool plan's window cells, are views of a scratch array that each
-thread keeps between calls, grown to its largest run. So held memory is one
-run's columns rather than the batch's, the steps of a relaxation or a
-reverse pass allocate only their outputs, and a conv call checks only its
-kernel. A thread's plans are dropped together when they reach ``_PLANS``.
+owns its zero-bordered padded buffers and their window views: the
+batch-first one, and the batch-last one only when its batch-innermost runs
+are wider than Wo (the batch-first one then holds Wo rows). Its columns,
+with the batch-innermost window buffer after them, and a pool plan's window
+cells, are views of a scratch array that each thread keeps between calls,
+grown to its largest run, at most ``_RUN_BYTES`` unless one example needs
+more. So held memory is one run's columns rather than the batch's, the
+steps of a relaxation or a reverse pass allocate only their outputs, and a
+conv call checks only its kernel, against a shape tuple that the ConvSpec
+stores beside the int tuple that keys its plans. A thread's plans are
+dropped together when they reach ``_PLANS``.
 
 What depends only on shapes is computed once per shape and cached read-only:
 the first cell of each pooling window and the flat offset of each stacked
@@ -81,6 +100,12 @@ class ConvSpec:
             raise ValueError(f"padding must be >= 0, got {self.padding}")
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be >= 1")
+        # the plan key and the kernel shape as int tuples, which hash and
+        # compare in C: the generated __hash__ and __eq__ run in Python
+        object.__setattr__(self, "_key", (self.in_channels, self.out_channels,
+                                          self.kernel, self.padding))
+        object.__setattr__(self, "_kernel_shape", (self.out_channels, self.in_channels,
+                                                   self.kernel, self.kernel))
 
     def out_extent(self, extent: int) -> int:
         out = extent + 2 * self.padding - self.kernel + 1
@@ -106,13 +131,14 @@ _RUN_BYTES = 1 << 19
 
 
 def _im2col(xb: np.ndarray, plan: _ConvPlan) -> np.ndarray:
-    """One run xb [n, C, H, W] of at most plan.run examples -> float64
+    """One run xb [n, C, H, W] of a call's examples (see _ConvPlan) -> float64
     [n, C*k*k, Ho*Wo] in the plan's column buffer; row (c, a, b) of example m
     holds x_padded[m, c, i+a, j+b] over the output positions (i, j) in
     row-major order. The padded buffer's zero border is left as it was."""
-    fill, win, cols6, cols = plan._scratch(len(xb))
+    fill, copies, cols = plan._scratch(len(xb))
     fill[...] = xb
-    cols6[...] = win
+    for dst, src in copies:
+        dst[...] = src
     return cols
 
 
@@ -139,7 +165,7 @@ def _plan(a: np.ndarray, spec: ConvSpec | None = None, what: str = "") -> _Plan:
     plans = getattr(_scratch, "plans", None)
     if plans is None:
         plans = _scratch.plans = {}
-    key = a.shape[1:], spec
+    key = a.shape[1:], None if spec is None else spec._key
     plan = plans.get(key)
     if plan is None or len(a) > plan.capacity:
         if len(plans) >= _PLANS:
@@ -182,9 +208,16 @@ class _Plan:
 
 class _ConvPlan(_Plan):
     """The im2col buffers of conv2d and conv2d_weight_grad for operands of
-    the given shape under spec: a zero-bordered padded buffer and its views,
-    which the plan owns, and a column buffer in the scratch array. `what`
-    names the op in a channel-axis error."""
+    the given shape under spec, in the two copy orders of the module
+    docstring: the padded buffers and their window views, which the plan
+    owns, and the columns, with the batch-innermost window buffer after
+    them, in the scratch array. A call of at most Wo rows takes runs of
+    `run` examples, a wider one runs of `wide`: at most the capacity, and
+    small enough that the columns and the window buffer, with its one spare
+    row, fill no more than _RUN_BYTES. A run that fits the batch-first
+    buffer is copied row by row; a plan whose `wide` is not above Wo has no
+    batch-last buffer, and its `wide` is `run`. `what` names the op in a
+    channel-axis error."""
 
     def __init__(self, shape, spec: ConvSpec, what: str):
         B, C, H, W = shape
@@ -192,22 +225,52 @@ class _ConvPlan(_Plan):
             raise ShapeError(f"{what} input channel axis has extent {C}, spec expects "
                              f"{spec.in_channels}")
         p, k = spec.padding, spec.kernel
-        self.ho, self.wo = spec.out_extent(H), spec.out_extent(W)
-        super().__init__(B, 8 * C * k * k * self.ho * self.wo)
-        self.held = (self.run, C * k * k, self.ho * self.wo)  # the columns
-        self.xp = xp = np.zeros((self.run, C, H + 2 * p, W + 2 * p))
+        self.ho, self.wo = ho, wo = spec.out_extent(H), spec.out_extent(W)
+        example = 8 * C * k * k * ho * wo
+        super().__init__(B, example)
+        wide = min((_RUN_BYTES // example - 1) // 2, B)
+        padded = (C, H + 2 * p, W + 2 * p)
+        self.xpt = None
+        if wide > wo:
+            # the batch-last buffer's interior as [n, C, H, W], and its
+            # [C, k, k, Ho, Wo, n] windows; the row copy serves at most Wo rows
+            self.wide, rows, held = wide, wo, 2 * wide + 1
+            self.xpt = xpt = np.zeros(padded + (wide,))
+            self.fill_t = xpt[:, p:p + H, p:p + W].transpose(3, 0, 1, 2)
+            self.win_t = np.ndarray((C, k, k, ho, wo, wide), np.float64, xpt, 0,
+                                    xpt.strides[:3] + xpt.strides[1:])
+        else:
+            self.wide = rows = held = self.run
+        self.held = (held, C * k * k, ho * wo)  # the columns, then the window buffer
+        self.xp = xp = np.zeros((rows,) + padded)
         # the interior that each run fills, and the [n, C, k, k, Ho, Wo]
         # windows, copied out in C order: a bare reshape can return an
         # overlapping view, which matmul multiplies with other bits
         self.fill = xp[:, :, p:p + H, p:p + W]
-        self.win = np.ndarray((self.run, C, k, k, self.ho, self.wo), np.float64, xp, 0,
+        self.win = np.ndarray((rows, C, k, k, ho, wo), np.float64, xp, 0,
                               xp.strides + xp.strides[2:])
 
+    def run_for(self, B: int) -> int:
+        """Examples per run for a call of B rows."""
+        return self.run if B <= self.wo else self.wide
+
     def _over(self, cols, n):
-        """_im2col's views of n rows: (fill, win, cols shaped like the
-        windows, cols)."""
-        win = self.win[:n]
-        return self.fill[:n], win, cols[:n].reshape(win.shape), cols[:n]
+        """_im2col's views of n rows: (the padded interior as [n, C, H, W],
+        the (destination, source) copies that build the columns from it, the
+        columns)."""
+        if n <= len(self.xp):  # row by row
+            win = self.win[:n]
+            return self.fill[:n], ((cols[:n].reshape(win.shape), win),), cols[:n]
+        # the window buffer's rows lie n apart, or n + 1 when n is a multiple
+        # of 16: at 128-byte multiples the transposing read keeps hitting
+        # the same cache sets and took 2.5-4x as long (n of 16, 32 and 48)
+        win, m = self.win_t[..., :n], math.prod(cols.shape[1:])
+        ld = n + (n % 16 == 0)
+        flat = cols.reshape(-1)
+        cols = flat[:n * m].reshape((n,) + cols.shape[1:])
+        wins = flat[n * m:(n + ld) * m].reshape(m, ld)[:, :n]
+        return (self.fill_t[:n], ((wins.reshape(win.shape), win), (cols.reshape(n, m), wins.T)),
+                cols)
 
 
 class _PoolPlan(_Plan):
@@ -235,20 +298,24 @@ def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """
     xb = _as_batch(x, "conv2d input")
     w = np.asarray(w)
-    if w.ndim != 4:
-        raise ShapeError(f"conv2d kernel: expected rank 4, got rank {w.ndim}")
-    if w.shape != (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel):
+    if w.shape != spec._kernel_shape:
+        if w.ndim != 4:
+            raise ShapeError(f"conv2d kernel: expected rank 4, got rank {w.ndim}")
         raise ShapeError(
             f"conv2d kernel shape {w.shape} does not match spec "
             f"({spec.out_channels},{spec.in_channels},{spec.kernel},{spec.kernel})"
         )
     plan = _plan(xb, spec, "conv2d")
     w2 = w.reshape(spec.out_channels, -1)
-    B, n = len(xb), plan.run
+    B = len(xb)
+    n = plan.run_for(B)
     y = np.empty((B, spec.out_channels, plan.ho * plan.wo))
     # [O, C*k*k] @ [n, C*k*k, Ho*Wo]: one dgemm per example
-    for s in range(0, B, n):
-        np.matmul(w2, _im2col(xb[s:s + n], plan), out=y[s:s + n])
+    if B <= n:
+        np.matmul(w2, _im2col(xb, plan), out=y)
+    else:
+        for s in range(0, B, n):
+            np.matmul(w2, _im2col(xb[s:s + n], plan), out=y[s:s + n])
     return y.reshape(B, spec.out_channels, plan.ho, plan.wo)
 
 
@@ -278,7 +345,7 @@ def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec,
         gb = gb[:, :, c:-c, c:-c]
     if w_adj is None:
         w_adj = _adjoint_kernel(w)
-    return conv2d(gb, w_adj, _transpose_spec(spec))
+    return conv2d(gb, w_adj, _transpose_spec(spec._key))
 
 
 def _adjoint_kernel(w: np.ndarray) -> np.ndarray:
@@ -289,11 +356,12 @@ def _adjoint_kernel(w: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _transpose_spec(spec: ConvSpec) -> ConvSpec:
-    """The geometry conv2d_transpose correlates with: channels swapped,
-    padding k-1-p, or 0 where that is negative and g is cropped instead."""
-    return ConvSpec(spec.out_channels, spec.in_channels, spec.kernel,
-                    max(spec.kernel - 1 - spec.padding, 0))
+def _transpose_spec(key: tuple) -> ConvSpec:
+    """The geometry conv2d_transpose correlates with for the spec whose _key
+    is key: channels swapped, padding k-1-p, or 0 where that is negative and
+    g is cropped instead."""
+    c, o, k, p = key
+    return ConvSpec(o, c, k, max(k - 1 - p, 0))
 
 
 def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -313,14 +381,18 @@ def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarr
                 f"conv2d_weight_grad upstream {axis} axis has extent {got}, the "
                 f"conv2d output for this input has {want}"
             )
-    k, n = spec.kernel, plan.run
+    k = spec.kernel
+    n = plan.run_for(B)
     u3 = ub.reshape(B, out[1], out[2] * out[3])
     # [n, O, Ho*Wo] @ [n, Ho*Wo, C*k*k]: one dgemm per example, then a sum
     # over the batch axis in index order
     per_example = np.empty((B, out[1], C * k * k))
-    for s in range(0, B, n):
-        np.matmul(u3[s:s + n], _im2col(xb[s:s + n], plan).transpose(0, 2, 1),
-                  out=per_example[s:s + n])
+    if B <= n:
+        np.matmul(u3, _im2col(xb, plan).transpose(0, 2, 1), out=per_example)
+    else:
+        for s in range(0, B, n):
+            np.matmul(u3[s:s + n], _im2col(xb[s:s + n], plan).transpose(0, 2, 1),
+                      out=per_example[s:s + n])
     g = np.add.reduce(per_example, axis=0)
     return g.reshape(out[1], C, k, k)
 
@@ -338,9 +410,12 @@ def maxpool2(x: np.ndarray):
     m = np.empty((B, C, H // 2, W // 2))
     idx = np.empty(m.shape, np.int64)
     n = plan.run
-    for s in range(0, B, n):
-        run = xb[s:s + n]
-        _pool_cells(run, plan._scratch(len(run)), m[s:s + n], idx[s:s + n])
+    if B <= n:
+        _pool_cells(xb, plan._scratch(B), m, idx)
+    else:
+        for s in range(0, B, n):
+            run = xb[s:s + n]
+            _pool_cells(run, plan._scratch(len(run)), m[s:s + n], idx[s:s + n])
     return m, idx
 
 

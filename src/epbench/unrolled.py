@@ -75,18 +75,19 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
 
     Connection 0 reads only x, along one route and with one weight at every
     step, so its cotangents are summed over the steps and its adjoint is
-    applied once. An x or g_logits whose batch is not the tape's is refused
-    with ops.ShapeError before any work.
+    applied once. A tape that does not fit spec (see _tape_batch), and an x
+    or g_logits whose batch is not the tape's, are refused with
+    ops.ShapeError before any work.
     """
     xb = _as_batch_x(x, spec)
-    shapes = [s.shape for s in tape.final]
-    batch = shapes[-1][0]
+    batch = _tape_batch(tape, spec)
     if len(xb) != batch:
         raise ops.ShapeError(f"input batch {len(xb)} != the tape's batch {batch}")
     g_logits = _cotangent(g_logits, batch, spec)
     if tape.steps == 0:
         return np.zeros_like(xb)
     net = _prepare(params, spec)
+    shapes = [s.shape for s in tape.final]
     g_layers = [np.zeros(shp) for shp in shapes]
     g_layers[-1] = _adjoint(net.n_layers, g_logits, net).reshape(shapes[-1])
     g_in = None  # connection 0's cotangent summed over the steps walked so far
@@ -101,6 +102,53 @@ def backward_input(tape: UnrolledTape, x, params: Params, spec: ModelSpec,
             # top-down term of connection i (into layer i-1) read s^i
             g_layers[i] += _drive(i, g_pre[i - 1], net, route)[0]
     return _adjoint(0, ops.unpool2(g_in, tape.route0), net)
+
+
+def _tape_batch(tape: UnrolledTape, spec: ModelSpec) -> int:
+    """The batch B of the tape's final state, once the arrays of the tape
+    that backward_input reads are checked against spec at B: the final state
+    layer by layer, one list of routes per list of masks, and at each step a
+    bool clamp mask of each layer's shape and a route of each pooled shape
+    for connections 1 and up. The routes' dtype and range, and route 0, are
+    ops.unpool2's to check."""
+    shapes = spec.state_shapes()
+    if len(tape.final) != len(shapes):
+        raise ops.ShapeError(f"tape final state has {len(tape.final)} layers, the model "
+                             f"has {len(shapes)}")
+    # shapes and dtypes are read by attribute, so that the check costs a
+    # small part of a reverse step; anything but an array fails it
+    lead = getattr(tape.final[0], "shape", ())[:1]
+    want = [lead + shp for shp in shapes]
+    for n, (s, shp) in enumerate(zip(tape.final, want)):
+        if getattr(s, "shape", None) != shp:
+            raise ops.ShapeError(f"tape final layer {n} is {_described(s)}, not {shp}")
+    if len(tape.pool_idx) != tape.steps:
+        raise ops.ShapeError(f"tape holds routes for {len(tape.pool_idx)} steps and masks "
+                             f"for {tape.steps}")
+    masks_want = [(shp, np.dtype(bool)) for shp in want]
+    for t, (routes, masks) in enumerate(zip(tape.pool_idx, tape.masks)):
+        got = [(getattr(m, "shape", None), getattr(m, "dtype", None)) for m in masks]
+        if got != masks_want:
+            if len(got) != len(want):
+                raise ops.ShapeError(f"tape step {t} holds {len(got)} masks, the model has "
+                                     f"{len(want)} layers")
+            n = next(n for n, (g, w) in enumerate(zip(got, masks_want)) if g != w)
+            raise ops.ShapeError(f"tape step {t} layer {n} mask is {_described(masks[n])}, "
+                                 f"not bool {want[n]}")
+        got = [getattr(r, "shape", None) for r in routes]
+        if got != want[1:]:
+            if len(got) != len(want) - 1:
+                raise ops.ShapeError(f"tape step {t} holds {len(got)} routes for connections 1 "
+                                     f"and up, the model has {len(want) - 1}")
+            n = next(n for n, (g, w) in enumerate(zip(got, want[1:]), 1) if g != w)
+            raise ops.ShapeError(f"tape step {t} connection {n} route is "
+                                 f"{_described(routes[n - 1])}, not {want[n]}")
+    return lead[0]
+
+
+def _described(a) -> str:
+    """dtype and shape of an array, or the type of anything else."""
+    return f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
 
 
 def logits_and_vjp(xs, params: Params, spec: ModelSpec, t: int):

@@ -15,6 +15,7 @@ import pytest
 
 from epbench import ops, unrolled
 from epbench.checkpoint import load_checkpoint
+from epbench.model import ModelSpec, init_params
 from epbench.ops import ConvSpec, ShapeError
 
 DESK_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "desk_ep.ckpt"
@@ -749,7 +750,7 @@ class TestPlans:
                                              r"spec \(3,2,3,3\)"):
             ops.conv2d(x, rng.standard_normal((3, 2, 1, 1)), spec)
         assert ops.conv2d(x, w, other).tobytes() == want
-        assert [key[1].padding for key in ops._scratch.plans] == [1, 2]
+        assert [key[1] for key in ops._scratch.plans] == [spec._key, other._key]
 
     def test_plan_calls_fill_the_plans_buffers(self, monkeypatch):
         rng = np.random.default_rng(56)
@@ -774,7 +775,7 @@ class TestPlans:
         ops.conv2d(x[:3], w, spec)
         assert len(seen) == 3 and seen[0][0] is seen[1][0] is seen[2][0]
         assert seen[1][1] is seen[2][1] and seen[0][1] is not seen[1][1]
-        assert ops._scratch.plans == {((2, 6, 6), spec): seen[0][0]}
+        assert ops._scratch.plans == {((2, 6, 6), spec._key): seen[0][0]}
         assert all(cols.ctypes.data == ops._scratch.buf.ctypes.data for *_, cols in seen)
 
     def test_the_plans_stay_within_their_bound(self, monkeypatch):
@@ -793,6 +794,148 @@ class TestPlans:
         again = [ops.conv2d(x, w, spec).tobytes() for x in xs]
         assert again == first
         assert len(ops._scratch.plans) <= ops._PLANS
+
+
+def _copy_orders(monkeypatch):
+    """A list with (rows, Wo, batch-innermost) of every im2col run from here
+    on: a run is batch-innermost when its input went into the plan's
+    batch-last padded buffer."""
+    seen, im2col = [], ops._im2col
+
+    def recorded(xb, plan):
+        cols = im2col(xb, plan)
+        fill = plan._views[len(xb)][0]
+        seen.append((len(xb), plan.wo,
+                     plan.xpt is not None and np.shares_memory(fill, plan.xpt)))
+        return cols
+
+    monkeypatch.setattr(ops, "_im2col", recorded)
+    return seen
+
+
+def _switch_case(op, k, padding, rng):
+    """(call, operands, Wo, column bytes per example) of one convolution op
+    on 5 x 6 inputs under ConvSpec(2, 3, k, padding), for 48 examples; Wo and
+    the column bytes are those of the correlation that builds the columns."""
+    spec = ConvSpec(2, 3, k, padding)
+    ho, wo = 5 + 2 * padding - k + 1, 6 + 2 * padding - k + 1
+    x = rng.standard_normal((48, 2, 5, 6))
+    w = rng.standard_normal((3, 2, k, k))
+    u = rng.standard_normal((48, 3, ho, wo))
+    if op == "conv2d_transpose":
+        # the adjoint correlates [B, 3, Ho, Wo] back to [B, 2, 5, 6]
+        w_adj = ops._adjoint_kernel(w)
+        return (lambda g: ops.conv2d_transpose(g, w, spec, w_adj)), (u,), 6, 8 * 3 * k * k * 30
+    call = {"conv2d": lambda x: ops.conv2d(x, w, spec),
+            "conv2d_weight_grad": lambda x, u: ops.conv2d_weight_grad(x, u, spec)}[op]
+    operands = (x,) if op == "conv2d" else (x, u)
+    return call, operands, wo, 8 * 2 * k * k * ho * wo
+
+
+class TestCopyOrders:
+    """A run of more examples than an output row holds (Wo) is copied into
+    its columns batch-innermost, any other row by row; the columns, and so
+    every bit, are the same either way."""
+
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose", "conv2d_weight_grad"])
+    @pytest.mark.parametrize("k, padding", [(1, 0), (1, 2), (3, 0), (3, 1), (3, 2), (5, 1),
+                                            (5, 2)])
+    def test_both_sides_of_the_switch_give_the_solo_bits(self, op, k, padding, monkeypatch):
+        rng = np.random.default_rng(60 + 3 * k + padding)
+        call, operands, wo, example = _switch_case(op, k, padding, rng)
+        # each example alone: one row, copied row by row
+        _fresh_plans(monkeypatch)
+        solo = [call(*(a[i:i + 1] for a in operands)) for i in range(48)]
+        def check(B):
+            got = call(*(a[:B] for a in operands))
+            if op == "conv2d_weight_grad":
+                assert got.tobytes() == np.add.reduce(np.stack(solo[:B]), axis=0).tobytes()
+            else:
+                assert got.tobytes() == b"".join(s.tobytes() for s in solo[:B])
+
+        # runs of Wo + 2 examples (the budget holds twice that, plus the
+        # window buffer's spare row): the largest batch spans four, the last
+        # of one example; its plans then serve Wo + 1 and Wo rows
+        _budget(monkeypatch, (2 * (wo + 2) + 1) * example)
+        seen = _copy_orders(monkeypatch)
+        for B in (3 * (wo + 2) + 1, wo + 1, wo):
+            seen.clear()
+            check(B)
+            assert seen == ([(wo + 2, wo, True)] * 3 + [(1, wo, False)] if B > wo + 1
+                            else [(B, wo, B > wo)])
+        assert len(ops._scratch.plans) == 1
+        # runs of 32 and 16, whose window buffers space their rows 33 and 17 apart
+        _budget(monkeypatch, 65 * example)
+        seen = _copy_orders(monkeypatch)
+        check(48)
+        check(16)
+        assert seen == [(32, wo, True), (16, wo, True), (16, wo, True)]
+
+    def test_two_threads_keep_their_bits_on_both_sides(self, monkeypatch):
+        # desk connection 1 (4 -> 8 channels on 4 x 4, Wo = 4) and its
+        # adjoint, at 64 rows and at 3, in two threads switching often
+        rng = np.random.default_rng(66)
+        spec = ConvSpec(4, 8, 3, 1)
+        xs = rng.standard_normal((2, 64, 4, 4, 4))
+        us = rng.standard_normal((2, 64, 8, 4, 4))
+        w = rng.standard_normal((8, 4, 3, 3))
+
+        def bits(i, B):
+            return b"".join(a.tobytes() for a in (
+                ops.conv2d(xs[i, :B], w, spec), ops.conv2d_transpose(us[i, :B], w, spec),
+                ops.conv2d_weight_grad(xs[i, :B], us[i, :B], spec)))
+
+        want = [[bits(i, B) for B in (64, 3)] for i in range(2)]
+        seen = _copy_orders(monkeypatch)
+        bad = []
+
+        def work(i):
+            for _ in range(20):
+                if [bits(i, B) for B in (64, 3)] != want[i]:
+                    bad.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+        assert {batch for _, _, batch in seen} == {True, False}
+
+    def test_desk_calls_over_wo_rows_copy_along_the_batch(self, monkeypatch):
+        # desk_ep.ckpt's relaxations and reverse passes at the benchmark's
+        # batch sizes, then the mid spec's (3 x 32 x 32, convs 32 and 64,
+        # runs of one or two examples): every run of more than Wo rows is
+        # copied batch-innermost, every other run row by row, and no mid run
+        # is wider than its Wo
+        ckpt = load_checkpoint(DESK_CKPT)
+        rng = np.random.default_rng(67)
+        _fresh_plans(monkeypatch)
+        seen = _copy_orders(monkeypatch)
+        for B in (1, 2, 4, 8, 16, 64, 128, 256):
+            x = rng.uniform(0, 1, (B,) + ckpt.spec.input_shape)
+            logits, vjp = unrolled.logits_and_vjp(x, ckpt.params, ckpt.spec, 3)
+            vjp(np.ones_like(logits))
+        assert all(batch == (n > wo) for n, wo, batch in seen)
+        # Wo is 8 for connection 0 and its adjoint, 4 for connection 1 and its adjoint
+        assert {wo for _, wo, batch in seen if batch} == {4, 8}
+        assert {wo for _, wo, batch in seen if not batch} == {4, 8}
+        spec = ModelSpec(input_shape=(3, 32, 32),
+                         conv=(ConvSpec(3, 32, 3, 1), ConvSpec(32, 64, 3, 1)),
+                         readout_dim=10, t_free=16, t_nudge=4, beta=0.5, fp_tol=1e-6)
+        params = init_params(spec, rng)
+        seen.clear()
+        x = rng.uniform(0, 1, (32,) + spec.input_shape)
+        logits, vjp = unrolled.logits_and_vjp(x, params, spec, 2)
+        vjp(np.ones_like(logits))
+        assert seen and not any(batch for *_, batch in seen)
+        assert max(n for n, *_ in seen) <= 2
 
 
 class TestHardClamp:

@@ -8,10 +8,12 @@ parameter of a public function or method, and every defaulted field of a
 public dataclass, is set by some call in the package or by a config key. The
 parameters are cast to float64 and each conv kernel flipped for its adjoint
 in one place, `energy._prepare`. Where an op's buffers live is decided in
-`ops` alone. The package imports no third-party package that pyproject.toml
-does not declare as a runtime dependency, and declares none it does not
-import. No module reads the environment, so no setting (the
-convolutions' run budget included) becomes an environment knob.
+`ops` alone, and the model reaches convolution and pooling only through
+`ops`' public names, the ones the benchmark's tracer times. The package
+imports no third-party package that pyproject.toml does not declare as a
+runtime dependency, and declares none it does not import. No module reads
+the environment, so no setting (the convolutions' run budget included)
+becomes an environment knob.
 """
 
 import ast
@@ -172,6 +174,24 @@ def test_op_buffers_are_planned_only_in_ops():
     for op in (ops.conv2d, ops.conv2d_transpose, ops.conv2d_weight_grad, ops.maxpool2):
         assert "plan" not in inspect.signature(op).parameters
     assert "plans" not in energy._Net._fields
+
+
+def test_the_model_reaches_convolution_and_pooling_through_public_ops():
+    # the benchmark's tracer wraps only public names, so a private shortcut
+    # into ops would hide its calls from every ops.* per-layer metric. The
+    # one private name read is the kernel flip, which runs once per entry
+    # point (see test_params_are_prepared_only_in_energy_prepare)
+    reached = set()
+    for stem in ("energy", "unrolled", "baseline", "training"):
+        for node in ast.walk(ast.parse((SRC / f"{stem}.py").read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "ops"):
+                reached.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module in ("ops", "epbench.ops"):
+                reached.update(alias.name for alias in node.names)
+    assert {name for name in reached if name.startswith("_")} == {"_adjoint_kernel"}
+    assert {"conv2d", "conv2d_transpose", "conv2d_weight_grad", "maxpool2", "unpool2",
+            "pool_gather"} <= reached
 
 
 def test_runtime_imports_are_the_declared_dependencies():

@@ -1,10 +1,10 @@
 """Exact input gradients through the unrolled dynamics: closed-form single
 step, finite differences, saturation, batching, the memory contract, the
 recorded forward pass against a per-step reference, and the reverse pass
-that applies connection 0's adjoint once; the ep and bp pullbacks' shape
-checks, the one parameter preparation per entry-point call, kernels flipped
-only where an adjoint runs, and the op plans a reverse pass adds to its
-relaxation's."""
+that applies connection 0's adjoint once and refuses a tape that does not
+fit the spec; the ep and bp pullbacks' shape checks, the one parameter
+preparation per entry-point call, kernels flipped only where an adjoint
+runs, and the op plans a reverse pass adds to its relaxation's."""
 
 import importlib
 import pkgutil
@@ -343,6 +343,45 @@ class TestReversePass:
                  else "corrupted pool indices")
         with pytest.raises(ValueError, match=match):
             unrolled.backward_input(tape, x, params, spec, g_logits)
+
+    @pytest.mark.parametrize("bad, match", [
+        ("float mask", r"tape step 10 layer 1 mask is float64 \(3, 8, 2, 2\), not bool"),
+        ("one-example mask", r"tape step 10 layer 0 mask is bool \(1, 4, 4, 4\), not bool "
+                             r"\(3, 4, 4, 4\)"),
+        ("short routes", r"tape holds routes for 11 steps and masks for 12"),
+        ("missing route", r"tape step 5 holds 0 routes for connections 1 and up, the model "
+                          r"has 1"),
+        ("route shape", r"tape step 5 connection 1 route is int64 \(3, 8, 1, 2\), not "
+                        r"\(3, 8, 2, 2\)"),
+        ("list mask", r"tape step 4 layer 0 mask is list, not bool \(3, 4, 4, 4\)"),
+        ("final shape", r"tape final layer 1 is float64 \(3, 8, 2, 1\), not \(3, 8, 2, 2\)"),
+        ("final layers", r"tape final state has 1 layers, the model has 2"),
+    ])
+    def test_refuses_a_tape_that_does_not_fit_the_spec(self, bad, match, monkeypatch):
+        # each would otherwise be read: a float mask scales the gradient, a
+        # one-example mask broadcasts over the batch, and the rest end in
+        # an IndexError or a broadcast error partway through the pass
+        spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 12)
+        if bad == "float mask":
+            tape.masks[10][1] = tape.masks[10][1] * 3.0
+        elif bad == "one-example mask":
+            tape.masks[10][0] = tape.masks[10][0][:1]
+        elif bad == "short routes":
+            tape.pool_idx.pop()
+        elif bad == "missing route":
+            tape.pool_idx[5] = []
+        elif bad == "list mask":
+            tape.masks[4][0] = tape.masks[4][0].tolist()
+        elif bad == "route shape":
+            tape.pool_idx[5][0] = tape.pool_idx[5][0][:, :, :1]
+        elif bad == "final shape":
+            tape.final[1] = tape.final[1][..., :1]
+        else:
+            tape.final.pop()
+        prepares = _count_prepares(monkeypatch)
+        with pytest.raises(ops.ShapeError, match=match):
+            unrolled.backward_input(tape, x, params, spec, g_logits)
+        assert not prepares
 
     def test_zero_step_tape_gives_zeros(self):
         spec, params, x, tape, g_logits = _tape_and_cotangent(tiny_model, 3)
