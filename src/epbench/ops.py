@@ -17,27 +17,28 @@ on its batch-mates or on the BLAS thread count. That lets the columns be
 built for one run of examples at a time, as many as fit ``_RUN_BYTES`` (at
 least one), with each run multiplied into its rows of a preallocated output
 by ``np.matmul(..., out=...)``. The columns are built in one of two copy
-orders, whichever copies along the longer of the run's examples n and the
-output width Wo; the code reads both from its operands, so no setting
-chooses:
-- row by row (n <= Wo): the run goes into the interior of a zero-bordered
-  padded buffer [n, C, H+2p, W+2p], and one strided view of its k x k
-  windows is copied into the columns, the innermost loop along an output row;
-- batch-innermost (n > Wo, in runs of about half what ``_RUN_BYTES``
-  holds): the run goes into a zero-bordered batch-last buffer
+orders, chosen per run from the run's examples n and the output width Wo,
+which the code reads from its operands, so no setting chooses:
+- row by row (n <= 2 Wo): the run goes into the interior of a
+  zero-bordered padded buffer [n, C, H+2p, W+2p], and one strided view of
+  its k x k windows is copied into the columns, the innermost loop along an
+  output row;
+- batch-innermost (n > 2 Wo, in runs of about half what ``_RUN_BYTES``
+  holds, where such a run can hold more than 2 Wo examples): the run goes into a zero-bordered batch-last buffer
   [C, H+2p, W+2p, n], its [C, k, k, Ho, Wo, n] windows into a window
   buffer, and that buffer, viewed as [C*k*k*Ho*Wo, n], is written
   transposed into the columns. Every inner loop but the last runs along the
-  n examples, which at desk shapes (Wo of 4 or 8) is the longer axis.
+  n examples. It makes three copies where the row order makes two, so it
+  pays once those loops are about twice as long as an output row: timed per
+  call at desk shapes (Wo of 4 or 8), the switch at n = Wo left calls of
+  9-16 rows at Wo 8 up to 1.3x slower than the row copy.
 Both orders give the same columns, so each example meets the same dgemm
 with byte-identical operands whatever the order or the run length, and no
 bit moves. The weight gradient sums the per-example products over the batch
 in index order. maxpool2 copies each window's four cells into four
 contiguous float64 planes, one run of examples at a time, and compares them
-there. A call whose batch fits one run makes one copy and one product, with
-no loop or slicing. Pooling routes are int64 flat indices into each [H, W]
-plane, as maxpool2 returns them, checked for dtype, shape and range before
-use.
+there. Pooling routes are int64 flat indices into each [H, W] plane, as
+maxpool2 returns them, checked for dtype, shape and range before use.
 
 Every call takes its buffers from a plan (``_ConvPlan``, ``_PoolPlan``) that
 this module keeps per thread, by the operand's geometry: its shape past the
@@ -48,9 +49,9 @@ only when a call brings a larger batch than it holds; a smaller batch fills
 its first rows, as a relaxation's row compressions leave it. A conv plan
 owns its zero-bordered padded buffers and their window views: the
 batch-first one, and the batch-last one only when its batch-innermost runs
-are wider than Wo (the batch-first one then holds Wo rows). Its columns,
-with the batch-innermost window buffer after them, and a pool plan's window
-cells, are views of a scratch array that each thread keeps between calls,
+are wider than 2 Wo (the batch-first one then holds 2 Wo rows). Its
+columns, with the batch-innermost window buffer after them, and a pool
+plan's window cells, are views of a scratch array that each thread keeps between calls,
 grown to its largest run, at most ``_RUN_BYTES`` unless one example needs
 more. So held memory is one run's columns rather than the batch's, the
 steps of a relaxation or a reverse pass allocate only their outputs, and a
@@ -211,13 +212,12 @@ class _ConvPlan(_Plan):
     the given shape under spec, in the two copy orders of the module
     docstring: the padded buffers and their window views, which the plan
     owns, and the columns, with the batch-innermost window buffer after
-    them, in the scratch array. A call of at most Wo rows takes runs of
-    `run` examples, a wider one runs of `wide`: at most the capacity, and
-    small enough that the columns and the window buffer, with its one spare
-    row, fill no more than _RUN_BYTES. A run that fits the batch-first
-    buffer is copied row by row; a plan whose `wide` is not above Wo has no
-    batch-last buffer, and its `wide` is `run`. `what` names the op in a
-    channel-axis error."""
+    them, in the scratch array. Only a plan whose batch-innermost runs can
+    hold more than 2 Wo examples copies batch-innermost. Its runs are then
+    as long as the capacity, or as the columns and the window buffer, with
+    its one spare row, let _RUN_BYTES hold; a run of at most 2 Wo rows, as a
+    short call or a call's last run brings, is still copied row by row.
+    `what` names the op in a channel-axis error."""
 
     def __init__(self, shape, spec: ConvSpec, what: str):
         B, C, H, W = shape
@@ -231,16 +231,16 @@ class _ConvPlan(_Plan):
         wide = min((_RUN_BYTES // example - 1) // 2, B)
         padded = (C, H + 2 * p, W + 2 * p)
         self.xpt = None
-        if wide > wo:
+        rows = held = self.run
+        if wide > 2 * wo:
             # the batch-last buffer's interior as [n, C, H, W], and its
-            # [C, k, k, Ho, Wo, n] windows; the row copy serves at most Wo rows
-            self.wide, rows, held = wide, wo, 2 * wide + 1
+            # [C, k, k, Ho, Wo, n] windows; the row copy serves at most 2 Wo
+            # rows
+            self.run, rows, held = wide, 2 * wo, 2 * wide + 1
             self.xpt = xpt = np.zeros(padded + (wide,))
             self.fill_t = xpt[:, p:p + H, p:p + W].transpose(3, 0, 1, 2)
             self.win_t = np.ndarray((C, k, k, ho, wo, wide), np.float64, xpt, 0,
                                     xpt.strides[:3] + xpt.strides[1:])
-        else:
-            self.wide = rows = held = self.run
         self.held = (held, C * k * k, ho * wo)  # the columns, then the window buffer
         self.xp = xp = np.zeros((rows,) + padded)
         # the interior that each run fills, and the [n, C, k, k, Ho, Wo]
@@ -249,10 +249,6 @@ class _ConvPlan(_Plan):
         self.fill = xp[:, :, p:p + H, p:p + W]
         self.win = np.ndarray((rows, C, k, k, ho, wo), np.float64, xp, 0,
                               xp.strides + xp.strides[2:])
-
-    def run_for(self, B: int) -> int:
-        """Examples per run for a call of B rows."""
-        return self.run if B <= self.wo else self.wide
 
     def _over(self, cols, n):
         """_im2col's views of n rows: (the padded interior as [n, C, H, W],
@@ -307,15 +303,11 @@ def conv2d(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
         )
     plan = _plan(xb, spec, "conv2d")
     w2 = w.reshape(spec.out_channels, -1)
-    B = len(xb)
-    n = plan.run_for(B)
+    B, n = len(xb), plan.run
     y = np.empty((B, spec.out_channels, plan.ho * plan.wo))
     # [O, C*k*k] @ [n, C*k*k, Ho*Wo]: one dgemm per example
-    if B <= n:
-        np.matmul(w2, _im2col(xb, plan), out=y)
-    else:
-        for s in range(0, B, n):
-            np.matmul(w2, _im2col(xb[s:s + n], plan), out=y[s:s + n])
+    for s in range(0, B, n):
+        np.matmul(w2, _im2col(xb[s:s + n], plan), out=y[s:s + n])
     return y.reshape(B, spec.out_channels, plan.ho, plan.wo)
 
 
@@ -381,18 +373,14 @@ def conv2d_weight_grad(x: np.ndarray, u: np.ndarray, spec: ConvSpec) -> np.ndarr
                 f"conv2d_weight_grad upstream {axis} axis has extent {got}, the "
                 f"conv2d output for this input has {want}"
             )
-    k = spec.kernel
-    n = plan.run_for(B)
+    k, n = spec.kernel, plan.run
     u3 = ub.reshape(B, out[1], out[2] * out[3])
     # [n, O, Ho*Wo] @ [n, Ho*Wo, C*k*k]: one dgemm per example, then a sum
     # over the batch axis in index order
     per_example = np.empty((B, out[1], C * k * k))
-    if B <= n:
-        np.matmul(u3, _im2col(xb, plan).transpose(0, 2, 1), out=per_example)
-    else:
-        for s in range(0, B, n):
-            np.matmul(u3[s:s + n], _im2col(xb[s:s + n], plan).transpose(0, 2, 1),
-                      out=per_example[s:s + n])
+    for s in range(0, B, n):
+        np.matmul(u3[s:s + n], _im2col(xb[s:s + n], plan).transpose(0, 2, 1),
+                  out=per_example[s:s + n])
     g = np.add.reduce(per_example, axis=0)
     return g.reshape(out[1], C, k, k)
 
@@ -410,12 +398,9 @@ def maxpool2(x: np.ndarray):
     m = np.empty((B, C, H // 2, W // 2))
     idx = np.empty(m.shape, np.int64)
     n = plan.run
-    if B <= n:
-        _pool_cells(xb, plan._scratch(B), m, idx)
-    else:
-        for s in range(0, B, n):
-            run = xb[s:s + n]
-            _pool_cells(run, plan._scratch(len(run)), m[s:s + n], idx[s:s + n])
+    for s in range(0, B, n):
+        run = xb[s:s + n]
+        _pool_cells(run, plan._scratch(len(run)), m[s:s + n], idx[s:s + n])
     return m, idx
 
 

@@ -815,13 +815,13 @@ def _copy_orders(monkeypatch):
 
 def _switch_case(op, k, padding, rng):
     """(call, operands, Wo, column bytes per example) of one convolution op
-    on 5 x 6 inputs under ConvSpec(2, 3, k, padding), for 48 examples; Wo and
+    on 5 x 6 inputs under ConvSpec(2, 3, k, padding), for 72 examples; Wo and
     the column bytes are those of the correlation that builds the columns."""
     spec = ConvSpec(2, 3, k, padding)
     ho, wo = 5 + 2 * padding - k + 1, 6 + 2 * padding - k + 1
-    x = rng.standard_normal((48, 2, 5, 6))
+    x = rng.standard_normal((72, 2, 5, 6))
     w = rng.standard_normal((3, 2, k, k))
-    u = rng.standard_normal((48, 3, ho, wo))
+    u = rng.standard_normal((72, 3, ho, wo))
     if op == "conv2d_transpose":
         # the adjoint correlates [B, 3, Ho, Wo] back to [B, 2, 5, 6]
         w_adj = ops._adjoint_kernel(w)
@@ -833,9 +833,9 @@ def _switch_case(op, k, padding, rng):
 
 
 class TestCopyOrders:
-    """A run of more examples than an output row holds (Wo) is copied into
-    its columns batch-innermost, any other row by row; the columns, and so
-    every bit, are the same either way."""
+    """A run of more than twice as many examples as an output row holds
+    (2 Wo) is copied into its columns batch-innermost, any other row by row;
+    the columns, and so every bit, are the same either way."""
 
     @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose", "conv2d_weight_grad"])
     @pytest.mark.parametrize("k, padding", [(1, 0), (1, 2), (3, 0), (3, 1), (3, 2), (5, 1),
@@ -845,7 +845,7 @@ class TestCopyOrders:
         call, operands, wo, example = _switch_case(op, k, padding, rng)
         # each example alone: one row, copied row by row
         _fresh_plans(monkeypatch)
-        solo = [call(*(a[i:i + 1] for a in operands)) for i in range(48)]
+        solo = [call(*(a[i:i + 1] for a in operands)) for i in range(72)]
         def check(B):
             got = call(*(a[:B] for a in operands))
             if op == "conv2d_weight_grad":
@@ -853,23 +853,25 @@ class TestCopyOrders:
             else:
                 assert got.tobytes() == b"".join(s.tobytes() for s in solo[:B])
 
-        # runs of Wo + 2 examples (the budget holds twice that, plus the
+        # runs of 2 Wo + 2 examples (the budget holds twice that, plus the
         # window buffer's spare row): the largest batch spans four, the last
-        # of one example; its plans then serve Wo + 1 and Wo rows
-        _budget(monkeypatch, (2 * (wo + 2) + 1) * example)
+        # of one example; its plans then serve 2 Wo + 1 and 2 Wo rows
+        run = 2 * wo + 2
+        _budget(monkeypatch, (2 * run + 1) * example)
         seen = _copy_orders(monkeypatch)
-        for B in (3 * (wo + 2) + 1, wo + 1, wo):
+        for B in (3 * run + 1, 2 * wo + 1, 2 * wo):
             seen.clear()
             check(B)
-            assert seen == ([(wo + 2, wo, True)] * 3 + [(1, wo, False)] if B > wo + 1
-                            else [(B, wo, B > wo)])
+            assert seen == ([(run, wo, True)] * 3 + [(1, wo, False)] if B > run
+                            else [(B, wo, B > 2 * wo)])
         assert len(ops._scratch.plans) == 1
-        # runs of 32 and 16, whose window buffers space their rows 33 and 17 apart
+        # runs of 32 and 16, whose window buffers space their rows 33 and 17
+        # apart; 16 rows are copied row by row where Wo is 8 or more
         _budget(monkeypatch, 65 * example)
         seen = _copy_orders(monkeypatch)
         check(48)
         check(16)
-        assert seen == [(32, wo, True), (16, wo, True), (16, wo, True)]
+        assert seen == [(32, wo, True)] + [(16, wo, 16 > 2 * wo)] * 2
 
     def test_two_threads_keep_their_bits_on_both_sides(self, monkeypatch):
         # desk connection 1 (4 -> 8 channels on 4 x 4, Wo = 4) and its
@@ -908,10 +910,10 @@ class TestCopyOrders:
         assert bad == []
         assert {batch for _, _, batch in seen} == {True, False}
 
-    def test_desk_calls_over_wo_rows_copy_along_the_batch(self, monkeypatch):
+    def test_desk_calls_over_2_wo_rows_copy_along_the_batch(self, monkeypatch):
         # desk_ep.ckpt's relaxations and reverse passes at the benchmark's
         # batch sizes, then the mid spec's (3 x 32 x 32, convs 32 and 64,
-        # runs of one or two examples): every run of more than Wo rows is
+        # runs of one or two examples): every run of more than 2 Wo rows is
         # copied batch-innermost, every other run row by row, and no mid run
         # is wider than its Wo
         ckpt = load_checkpoint(DESK_CKPT)
@@ -922,7 +924,11 @@ class TestCopyOrders:
             x = rng.uniform(0, 1, (B,) + ckpt.spec.input_shape)
             logits, vjp = unrolled.logits_and_vjp(x, ckpt.params, ckpt.spec, 3)
             vjp(np.ones_like(logits))
-        assert all(batch == (n > wo) for n, wo, batch in seen)
+        # the adjoint of connection 0 (4 channels on 8 x 8) would hold at
+        # most 13 rows in a batch-innermost run, so its plans keep the row
+        # copy, in runs of 28
+        assert all(batch == (n > 2 * wo) for n, wo, batch in seen if (n, wo) != (28, 8))
+        assert (28, 8, False) in seen
         # Wo is 8 for connection 0 and its adjoint, 4 for connection 1 and its adjoint
         assert {wo for _, wo, batch in seen if batch} == {4, 8}
         assert {wo for _, wo, batch in seen if not batch} == {4, 8}
