@@ -222,11 +222,7 @@ def cw_attack(xs, ys, model, cfg: AttackConfig) -> AttackResult:
 
 def _square_patch_side(it_scaled: int, p_init: float, n_features: int, channels: int,
                        max_side: int) -> int:
-    divisor = 512
-    for thresh, div in SQUARE_P_SCHEDULE:
-        if it_scaled <= thresh:
-            divisor = div
-            break
+    divisor = next(div for thresh, div in SQUARE_P_SCHEDULE if it_scaled <= thresh)
     p = p_init / divisor
     side = int(round(math.sqrt(p * n_features / channels)))
     return min(max(side, 1), max_side)

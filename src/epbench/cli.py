@@ -21,8 +21,8 @@ from .bench import RunRecord
 from .checkpoint import (MODEL_KINDS, Checkpoint, CheckpointError, load_checkpoint,
                          save_checkpoint)
 from .config import load_config
-from .data import (CIFAR_VARIANTS, SYNTH_KINDS, Dataset, channel_stats, load_cifar_binary,
-                   normalize_images, synth_dataset)
+from .data import (CIFAR_VARIANTS, SYNTH_KINDS, CifarFormatError, Dataset, channel_stats,
+                   load_cifar_binary, normalize_images, synth_dataset)
 from .handle import from_checkpoint
 
 
@@ -83,6 +83,22 @@ def _synth_from_snapshot(snap: dict, split: str) -> Dataset:
         raise CheckpointError(f"training-config field {exc.args[0]!r} missing") from None
 
 
+def _read_cifar(args, spec) -> Dataset:
+    """The CIFAR file --data, or exit 2 naming it when it cannot be read, is
+    malformed, holds no example or does not fit the model's shape and classes."""
+    try:
+        ds = load_cifar_binary(args.data, variant=args.cifar_variant)
+    except (OSError, CifarFormatError) as exc:
+        args.error(f"{args.data}: {exc}")
+    if not len(ds):
+        args.error(f"{args.data}: the file holds no example")
+    if ds.images.shape[1:] != spec.input_shape:
+        args.error(f"{args.data}: images {ds.images.shape[1:]} != model input {spec.input_shape}")
+    if ds.labels.max() >= spec.readout_dim:
+        args.error(f"{args.data}: label {ds.labels.max()} >= model classes {spec.readout_dim}")
+    return ds
+
+
 def _open_checkpoint(args):
     """(checkpoint, evaluation data, handle, model id) for --ckpt. The data is
     --data, else the test split of the synthetic recipe the checkpoint was
@@ -98,7 +114,7 @@ def _open_checkpoint(args):
     if source == "synth":
         ds = _synth_from_snapshot(ckpt.train_config, split="test")
     else:
-        ds = load_cifar_binary(source, variant=args.cifar_variant)
+        ds = _read_cifar(args, ckpt.spec)
     if args.subset:
         ds = ds.subset(args.subset)
     return ckpt, ds, from_checkpoint(ckpt, args.timestep), Path(args.ckpt).stem
@@ -120,8 +136,7 @@ def cmd_train(args) -> int:
     else:
         # no held-out split ships with one CIFAR file: `epbench eval --data
         # <test file>` measures held-out accuracy
-        train = replace(load_cifar_binary(args.data, variant=args.cifar_variant),
-                        split="train")
+        train = replace(_read_cifar(args, spec), split="train")
         test = None
         snapshot = {"data": args.data, "seed": cfg.seed}
     mean, std = channel_stats(train.images)
@@ -316,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth-n", type=_count, default=512)
     p.add_argument("--synth-noise", type=_noise, default=0.5)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, error=p.error)
 
     p = sub.add_parser("attack", help="run attacks against a checkpoint",
                        parents=[run_args])

@@ -24,15 +24,14 @@ class CifarFormatError(ValueError):
 @dataclass
 class Dataset:
     images: np.ndarray          # [N,C,H,W] float32 in [0,1]
-    labels: np.ndarray          # [N] int64 in [0, classes)
-    classes: int
+    labels: np.ndarray          # [N] int64
     split: str = "train"
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def subset(self, n: int) -> "Dataset":
-        return Dataset(self.images[:n], self.labels[:n], self.classes, self.split)
+        return Dataset(self.images[:n], self.labels[:n], self.split)
 
 
 def channel_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,7 +44,7 @@ def channel_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def normalize_images(images: np.ndarray, mean, std) -> np.ndarray:
     mean = np.asarray(mean, dtype=np.float64).reshape(1, -1, 1, 1)
     std = np.asarray(std, dtype=np.float64).reshape(1, -1, 1, 1)
-    return ((images - mean) / std).astype(np.float64)
+    return ((images - mean) / std).astype(np.float64, copy=False)
 
 
 def load_cifar_binary(path, variant: str = "cifar10") -> Dataset:
@@ -70,7 +69,7 @@ def load_cifar_binary(path, variant: str = "cifar10") -> Dataset:
     n = raw.size // record
     if n == 0:
         return Dataset(np.zeros((0, 3, 32, 32), dtype=np.float32),
-                       np.zeros(0, dtype=np.int64), classes, split="test")
+                       np.zeros(0, dtype=np.int64), split="test")
     recs = raw.reshape(n, record)
     labels = recs[:, label_bytes - 1].astype(np.int64)  # fine label for cifar100
     bad = np.nonzero(labels >= classes)[0]
@@ -81,7 +80,7 @@ def load_cifar_binary(path, variant: str = "cifar10") -> Dataset:
         )
     pixels = recs[:, label_bytes:].reshape(n, 3, 32, 32)
     images = (pixels.astype(np.float32) / 255.0)
-    return Dataset(images, labels, classes, split="test")
+    return Dataset(images, labels, split="test")
 
 
 def synth_dataset(kind: str, n: int, image_shape=(1, 8, 8), classes: int = 2,
@@ -131,4 +130,4 @@ def synth_dataset(kind: str, n: int, image_shape=(1, 8, 8), classes: int = 2,
                           + phase)
             img = (0.5 + 0.45 * wave)[None, :, :] + noise * rng.standard_normal((C, H, W))
             images[k] = np.clip(img, 0.0, 1.0)
-    return Dataset(images, labels, classes, split=split)
+    return Dataset(images, labels, split=split)

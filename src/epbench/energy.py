@@ -22,11 +22,11 @@ bias, adjoint at fixed pool routes and weight gradient are written once here;
 the unrolled reverse pass, the EP rules and the backprop twin reuse them.
 They read one parameter view, `_prepare`'s: the weights and biases as
 float64, each bias shaped to broadcast over its drive, and each conv
-kernel's flipped adjoint kernel, made the first time that connection's
-adjoint runs (most entry points run none). Every entry point prepares the
-model once per call. Where an op's buffers live is `ops`' business alone: it
-keeps them per thread by operand geometry, so a relaxation's steps, across
-its row compressions, and the relaxations after it reuse them.
+kernel's flipped adjoint kernel. Every entry point prepares the model, and
+so flips each kernel, once per call; no step flips one. Where an op's
+buffers live is `ops`' business alone: it keeps them per thread by operand
+geometry, so a relaxation's steps, across its row compressions, and the
+relaxations after it reuse them.
 
 All dynamics run in float64 regardless of parameter dtype. Every input,
 state and result carries a leading batch axis: x is [B, C, H, W], each state
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,11 +85,11 @@ def _layers64(layers, spec: ModelSpec, batch: int | None = None) -> list[np.ndar
 
 class _Net(NamedTuple):
     """The one parameter view the connection helpers read, computed once per
-    entry-point call by `_prepare`."""
+    entry-point call by `_prepare`, which flips every conv kernel there."""
 
     params: Params        # every weight and bias as float64
     spec: ModelSpec
-    w_adj: Callable       # w_adj(i): conv connection i's adjoint kernel
+    w_adj: list           # conv connection i's adjoint kernel
     b: list               # bias i shaped to broadcast over connection i's drive
     n_layers: int
 
@@ -97,13 +97,7 @@ class _Net(NamedTuple):
 def _prepare(params: Params, spec: ModelSpec) -> _Net:
     """params prepared for every connection-helper call of one entry point."""
     p64 = params.map(np.asarray, dtype=_F)
-    flipped = {}
-
-    def w_adj(i):
-        # flipped the first time _adjoint needs it: most entry points never do
-        if i not in flipped:
-            flipped[i] = ops._adjoint_kernel(p64.w[i])
-        return flipped[i]
+    w_adj = [ops._adjoint_kernel(w) for w in p64.w[:-1]]
     b = [bi[:, None, None] for bi in p64.b[:-1]] + [p64.b[-1]]
     return _Net(p64, spec, w_adj, b, spec.n_layers)
 
@@ -134,7 +128,7 @@ def _adjoint(i, u, net: _Net):
     w = net.params.w[i]
     if i == net.n_layers:
         return np.einsum("kd,bk->bd", w, u, dtype=_F)
-    return ops.conv2d_transpose(u, w, net.spec.conv[i], net.w_adj(i))
+    return ops.conv2d_transpose(u, w, net.spec.conv[i], net.w_adj[i])
 
 
 def _weight_grad(i, src, g, net: _Net, u=None):

@@ -63,8 +63,8 @@ What depends only on shapes is computed once per shape and cached read-only:
 the first cell of each pooling window and the flat offset of each stacked
 plane that a route check adds. ``conv2d_transpose`` flips its kernel on every
 call unless the caller passes the flipped kernel, as the connection helpers
-in ``energy`` do: an entry point of the model flips each kernel the first
-time it needs it.
+in ``energy`` do: an entry point of the model flips each kernel once, when
+it prepares the model.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def conv2d_transpose(g: np.ndarray, w: np.ndarray, spec: ConvSpec,
     """Exact adjoint of conv2d: <conv2d(x,w), g> == <x, conv2d_transpose(g,w)>.
 
     w_adj is _adjoint_kernel(w) when the caller holds it (the model's entry
-    points prepare it at its first use); None derives it from w here.
+    points flip it when they prepare the model); None derives it from w here.
     """
     gb = _as_batch(g, "conv2d_transpose input")
     if gb.shape[1] != spec.out_channels:

@@ -97,28 +97,23 @@ def phi_grad_params(x, state: NetworkState, params: Params,
 
 def ep_estimate(x, y, params: Params, spec: ModelSpec, cfg: TrainConfig,
                 s_star: NetworkState | None = None) -> Params:
-    """Contrastive loss-gradient estimate under cfg.update_rule at the nudging
-    strength spec.beta (> 0); s_star is the free fixed point of x when the
-    caller already has it.
-
-    one_sided is (G(s_*) - G(s^beta)) / beta from one nudged phase. symmetric
-    is (G(s^-beta) - G(s^beta)) / (2*beta) from nudged phases at +beta and
-    -beta.
+    """Contrastive loss-gradient estimate (G(s_lo) - G(s^beta)) / span under
+    cfg.update_rule at the nudging strength spec.beta (> 0); s_star is the
+    free fixed point of x when the caller already has it. one_sided takes
+    s_lo = s_star and span = beta (error O(beta)); symmetric nudges again at
+    -beta for s_lo and takes span = 2*beta (error O(beta^2)).
     """
     beta = spec.beta
     if s_star is None:
         s_star = free_phase(x, params, spec)
+    s_plus = nudged_phase(x, params, spec, s_star, y, beta)
     if cfg.update_rule == "one_sided":
-        s_plus = nudged_phase(x, params, spec, s_star, y, beta)
-        lo = phi_grad_params(x, s_star, params, spec)
-        hi = phi_grad_params(x, s_plus, params, spec)
-        a, b = 1.0 / beta, -1.0 / beta
+        s_lo, span = s_star, beta
     else:
-        s_plus = nudged_phase(x, params, spec, s_star, y, beta)
-        s_minus = nudged_phase(x, params, spec, s_star, y, -beta)
-        hi = phi_grad_params(x, s_plus, params, spec)
-        lo = phi_grad_params(x, s_minus, params, spec)
-        a, b = 1.0 / (2.0 * beta), -1.0 / (2.0 * beta)
+        s_lo, span = nudged_phase(x, params, spec, s_star, y, -beta), 2.0 * beta
+    hi = phi_grad_params(x, s_plus, params, spec)
+    lo = phi_grad_params(x, s_lo, params, spec)
+    a, b = 1.0 / span, -1.0 / span
     return lo.map(lambda u, v: a * u + b * v, hi)
 
 

@@ -26,7 +26,6 @@ class DisagreementCurve:
     eps: np.ndarray        # strictly increasing radii
     rate: np.ndarray       # disagreement fraction per radius
     samples: np.ndarray    # draws per radius
-    norm: str = "l2"
 
 
 @dataclass
@@ -68,7 +67,7 @@ def disagreement_curve(model_eval, xs, norm: str, eps_grid, samples_per_eps: int
             pred = np.asarray(model_eval(np.concatenate(draws)))
             flips[e_i] += int(np.sum(pred != np.tile(base, k)))
     return DisagreementCurve(eps=eps_grid, rate=flips / np.maximum(total, 1),
-                             samples=total, norm=norm)
+                             samples=total)
 
 
 def fit_exponent(curve: DisagreementCurve) -> ExponentFit:
@@ -100,7 +99,7 @@ def bootstrap_exponent(curve: DisagreementCurve, n_boot: int = 200,
     for _ in range(n_boot):
         flips = rng.binomial(curve.samples, np.clip(curve.rate, 0, 1))
         boot = DisagreementCurve(eps=curve.eps, rate=flips / np.maximum(curve.samples, 1),
-                                 samples=curve.samples, norm=curve.norm)
+                                 samples=curve.samples)
         try:
             alphas.append(fit_exponent(boot).alpha)
         except ValueError:

@@ -71,7 +71,11 @@ class TestCifarParser:
         p.write_bytes(make_cifar_record(4, 128, label2=42))
         ds = data.load_cifar_binary(p, variant="cifar100")
         assert ds.labels[0] == 42
-        assert ds.classes == 100
+        p.write_bytes(make_cifar_record(4, 128, label2=99))
+        assert data.load_cifar_binary(p, variant="cifar100").labels[0] == 99
+        p.write_bytes(make_cifar_record(4, 128, label2=100))
+        with pytest.raises(CifarFormatError, match=r"label 100 out of range \[0,100\)"):
+            data.load_cifar_binary(p, variant="cifar100")
 
 
 class TestSynth:

@@ -224,6 +224,51 @@ def test_cifar_checkpoint_evaluates_on_given_data(cifar_ckpt, tmp_path, capsys):
     assert "on 6 examples" in capsys.readouterr().out
 
 
+def _write_bad_cifar(path, case):
+    """Write the CIFAR file of one case that a 3x32x32, 10-class model
+    cannot use; returns the extra argv it is read with."""
+    pixels = np.zeros((8, 3072), dtype=np.uint8)
+    if case == "cifar100-labels":
+        coarse, fine = np.zeros((8, 1), np.uint8), np.arange(0, 80, 10, dtype=np.uint8)[:, None]
+        path.write_bytes(np.concatenate([coarse, fine, pixels], axis=1).tobytes())
+        return ["--cifar-variant", "cifar100"]
+    labels = np.arange(8, dtype=np.uint8)[:, None]
+    payload = np.concatenate([labels, pixels], axis=1).tobytes()
+    if case != "missing":
+        path.write_bytes({"truncated": payload[:3073 + 5], "empty": b""}.get(case, payload))
+    return []
+
+
+@pytest.mark.parametrize("command", ["eval", "attack", "train"])
+@pytest.mark.parametrize("case, message", [
+    ("missing", "No such file or directory"),
+    ("truncated", "not a multiple of the 3073-byte record (byte offset 3073)"),
+    ("empty", "the file holds no example"),
+    ("cifar100-labels", "label 70 >= model classes 10"),
+    ("desk-model", "images (3, 32, 32) != model input (1, 8, 8)"),
+], ids=["missing", "truncated", "empty", "cifar100-labels", "desk-model"])
+def test_unusable_cifar_file_exits_2_naming_it(command, case, message, cifar_ckpt,
+                                               ep_ckpt, workdir, tmp_path, capsys):
+    # the file is checked before any model runs: no traceback, no accuracy
+    # over labels the model cannot predict, no result file
+    data = tmp_path / "data.bin"
+    argv = ["--data", str(data)] + _write_bad_cifar(data, case)
+    out = tmp_path / "r.out"
+    if command == "train":
+        cfg = workdir / "model.cfg" if case == "desk-model" else cifar_ckpt[1].parent / "cifar.cfg"
+        argv = ["train", "--model", "ep", "--config", str(cfg)] + argv
+    else:
+        ckpt = ep_ckpt if case == "desk-model" else cifar_ckpt[1]
+        argv = [command, "--ckpt", str(ckpt)] + argv
+        argv += ["--family", "pgd", "--eps", "0.1"] if command == "attack" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{data}: " in err and message in err
+    assert not out.exists()
+
+
 def test_ep_training_reports_free_phase_steps(tmp_path, capsys):
     cfg = tmp_path / "one.cfg"
     # two convs, so the probe's examples stop at different steps

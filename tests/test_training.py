@@ -131,6 +131,28 @@ class TestEPUpdates:
         wrong_scale = np.sqrt(sum(np.sum(t ** 2) for _, t in wrong.tensors()))
         assert scale < 1e-3 * wrong_scale
 
+    @pytest.mark.parametrize("rule", ["one_sided", "symmetric"])
+    def test_estimate_is_its_rules_formula_bit_for_bit(self, rule):
+        # one_sided (1/beta) G(s*) + (-1/beta) G(s+), symmetric
+        # (1/2beta) G(s-) + (-1/2beta) G(s+), each built from the phases
+        spec, params = oracle_model(16)
+        x = np.random.default_rng(17).uniform(0, 1, (3,) + spec.input_shape)
+        y = np.array([0, 2, 1])
+        beta = spec.beta
+        star = energy.free_phase(x, params, spec)
+        plus = energy.nudged_phase(x, params, spec, star, y, beta)
+        if rule == "one_sided":
+            low, a, b = star, 1.0 / beta, -1.0 / beta
+        else:
+            low = energy.nudged_phase(x, params, spec, star, y, -beta)
+            a, b = 1.0 / (2.0 * beta), -1.0 / (2.0 * beta)
+        g_low = dict(training.phi_grad_params(x, low, params, spec).tensors())
+        g_plus = dict(training.phi_grad_params(x, plus, params, spec).tensors())
+        est = training.ep_estimate(x, y, params, spec, TrainConfig(update_rule=rule))
+        for name, got in est.tensors():
+            want = a * g_low[name] + b * g_plus[name]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
     def test_order_of_accuracy_one_sided_and_symmetric(self):
         spec, params = oracle_model(14)
         rng = np.random.default_rng(15)
