@@ -11,6 +11,7 @@ import numpy as np
 
 SYNTH_KINDS = ("blobs", "stripes")
 CIFAR_VARIANTS = ("cifar10", "cifar100")
+_RUN_VALUES = 1 << 13  # float64 values in each of synth_dataset's per-run temporaries
 
 
 class CifarFormatError(ValueError):
@@ -41,10 +42,12 @@ def channel_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean.astype(np.float32), std.astype(np.float32)
 
 
-def normalize_images(images: np.ndarray, mean, std) -> np.ndarray:
-    mean = np.asarray(mean, dtype=np.float64).reshape(1, -1, 1, 1)
-    std = np.asarray(std, dtype=np.float64).reshape(1, -1, 1, 1)
-    return ((images - mean) / std).astype(np.float64, copy=False)
+def normalize_images(images, mean, std) -> np.ndarray:
+    """(images - mean) / std per channel (stats shaped [C, 1, 1], so the rank is
+    kept) as one new float64 array."""
+    mean, std = (np.asarray(a, dtype=np.float64).reshape(-1, 1, 1) for a in (mean, std))
+    out = np.subtract(images, mean, dtype=np.float64)
+    return np.divide(out, std, out=out)
 
 
 def load_cifar_binary(path, variant: str = "cifar10") -> Dataset:
@@ -79,8 +82,7 @@ def load_cifar_binary(path, variant: str = "cifar10") -> Dataset:
             offset=int(bad[0]) * record + label_bytes - 1,
         )
     pixels = recs[:, label_bytes:].reshape(n, 3, 32, 32)
-    images = (pixels.astype(np.float32) / 255.0)
-    return Dataset(images, labels, split="test")
+    return Dataset(np.divide(pixels, 255.0, dtype=np.float32), labels, split="test")
 
 
 def synth_dataset(kind: str, n: int, image_shape=(1, 8, 8), classes: int = 2,
@@ -106,28 +108,26 @@ def synth_dataset(kind: str, n: int, image_shape=(1, 8, 8), classes: int = 2,
     C, H, W = image_shape
     labels = np.arange(n, dtype=np.int64) % classes
     ii, jj = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
-    images = np.empty((n, C, H, W), dtype=np.float32)
-    if kind == "blobs":
-        # class centers on a circle around the image center
-        angles = 2 * np.pi * np.arange(classes) / classes
-        r = min(H, W) / 4.0
+    y = np.arange(classes)[:, None, None]
+    if kind == "blobs":  # one bump per class, centered on a circle around the image center
+        angles, r, width = 2 * np.pi * y / classes, min(H, W) / 4.0, min(H, W) / 6.0
         ci = H / 2.0 - 0.5 + r * np.sin(angles)
         cj = W / 2.0 - 0.5 + r * np.cos(angles)
-        width = min(H, W) / 6.0
-        for k in range(n):
-            y = labels[k]
-            bump = 0.9 * np.exp(-(((ii - ci[y]) ** 2 + (jj - cj[y]) ** 2)
-                                  / (2.0 * width ** 2)))
-            img = bump[None, :, :] + noise * rng.standard_normal((C, H, W))
-            images[k] = np.clip(img, 0.0, 1.0)
-    else:
-        freq = 2.0
-        for k in range(n):
-            y = labels[k]
-            theta = np.pi * y / classes
-            phase = rng.uniform(0.0, 2 * np.pi)
-            wave = np.sin(2 * np.pi * freq * (ii * np.cos(theta) + jj * np.sin(theta)) / H
-                          + phase)
-            img = (0.5 + 0.45 * wave)[None, :, :] + noise * rng.standard_normal((C, H, W))
-            images[k] = np.clip(img, 0.0, 1.0)
+        per_class = 0.9 * np.exp(-(((ii - ci) ** 2 + (jj - cj) ** 2) / (2.0 * width ** 2)))
+    else:  # one orientation per class at frequency 2; each image adds its own phase
+        theta = np.pi * y / classes
+        per_class = 2 * np.pi * 2.0 * (ii * np.cos(theta) + jj * np.sin(theta)) / H
+    images = np.empty((n, C, H, W), dtype=np.float32)
+    run = max(1, _RUN_VALUES // (C * H * W))
+    for start in range(0, n, run):
+        ys = labels[start:start + run]
+        img, phase = np.empty((len(ys), C, H, W)), np.empty((len(ys), 1, 1))
+        for k in range(len(ys)):  # the stream's order: a stripe's phase, then its noise
+            if kind == "stripes":
+                phase[k] = rng.uniform(0.0, 2 * np.pi)
+            rng.standard_normal(out=img[k])
+        clean = per_class[ys] if kind == "blobs" else 0.5 + 0.45 * np.sin(per_class[ys] + phase)
+        img *= noise
+        img += clean[:, None]
+        images[start:start + run] = np.clip(img, 0.0, 1.0, out=img)
     return Dataset(images, labels, split=split)

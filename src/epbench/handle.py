@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import baseline, energy, unrolled
+from .data import normalize_images
 from .model import ModelSpec, Params
 
 _F = np.float64
@@ -47,14 +48,12 @@ def for_params(params: Params, spec: ModelSpec, kind: str, timestep: int | None,
     normalize=(mean, std) per channel maps raw pixels into model space as
     (x - mean) / std; None feeds the pixels in unchanged.
     """
-    if normalize is None:
-        mean, std = _F(0.0), _F(1.0)
-    else:
-        # [C, 1, 1] keeps the rank of xs, so the model rejects unbatched images
-        mean, std = (np.asarray(a, dtype=_F).reshape(-1, 1, 1) for a in normalize)
+    # shaped [C, 1, 1] once, as normalize_images broadcasts them, for the pullback too
+    mean, std = (np.asarray(a, dtype=_F).reshape(-1, 1, 1)
+                 for a in ((0.0, 1.0) if normalize is None else normalize))
 
     def to_model(xs):
-        return (np.asarray(xs, dtype=_F) - mean) / std
+        return normalize_images(xs, mean, std)
 
     if kind == "ep":
         if timestep is None:

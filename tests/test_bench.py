@@ -1,24 +1,26 @@
 """Harness pieces: the CIFAR binary parser, synthetic data, evaluation, mean
 robustness, result files, and checkpoint round trips."""
 
+import itertools
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epbench import bench, data
+from epbench import baseline, bench, data
 from epbench.bench import RunRecord
 from epbench.checkpoint import (MAGIC, Checkpoint, CheckpointError, load_checkpoint,
                                 save_checkpoint)
 from epbench.data import CifarFormatError
-from epbench.handle import from_checkpoint
+from epbench.handle import for_params, from_checkpoint
 from epbench.model import init_params
 from epbench.ops import ConvSpec
-from conftest import desk_spec
+from conftest import desk_spec, tiny_model
 
 
 def make_cifar_record(label, pixel_value, label2=None):
@@ -77,8 +79,106 @@ class TestCifarParser:
         with pytest.raises(CifarFormatError, match=r"label 100 out of range \[0,100\)"):
             data.load_cifar_binary(p, variant="cifar100")
 
+    def test_scaling_holds_one_float32_copy(self, tmp_path):
+        p = tmp_path / "batch.bin"
+        values = np.arange(200)
+        p.write_bytes(b"".join(make_cifar_record(k % 10, int(v)) for k, v in enumerate(values)))
+        ds, peak = traced_peak(data.load_cifar_binary, p)
+        # the file's bytes (a quarter of the result) and one float32 stack
+        assert peak < 1.5 * ds.images.nbytes
+        want = np.float32(values) / np.float32(255.0)
+        assert ds.images.tobytes() == np.repeat(want, 3072).tobytes()
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw above what was held before)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNormalize:
+    MEAN = np.array([0.4, 0.5, 0.6], dtype=np.float32)
+    STD = np.array([0.2, 0.5, 2.0], dtype=np.float32)
+
+    def images(self, n=4):
+        return np.random.default_rng(1).uniform(0, 1, (n, 3, 8, 8)).astype(np.float32)
+
+    def test_bits_of_subtract_then_divide(self):
+        xs = self.images()
+        mean, std = (np.float64(a).reshape(1, -1, 1, 1) for a in (self.MEAN, self.STD))
+        got = data.normalize_images(xs, self.MEAN, self.STD)
+        assert got.dtype == np.float64
+        assert got.tobytes() == ((xs - mean) / std).tobytes()
+        assert data.normalize_images(xs, 0.0, 1.0).tobytes() == xs.astype(np.float64).tobytes()
+
+    def test_holds_one_float64_copy(self):
+        xs = self.images(200)
+        out, peak = traced_peak(data.normalize_images, xs, self.MEAN, self.STD)
+        assert peak < 1.5 * out.nbytes
+
+    @pytest.mark.parametrize("normalize", [None, (MEAN, STD)], ids=["no stats", "stats"])
+    def test_handle_feeds_the_model_normalize_images(self, normalize, monkeypatch):
+        spec, params = tiny_model(np.random.default_rng(0), in_shape=(3, 8, 8))
+        seen = []
+        monkeypatch.setattr(baseline, "bp_forward", lambda xm, *a: seen.append(xm))
+        monkeypatch.setattr(baseline, "bp_logits_and_vjp",
+                            lambda xm, *a: (seen.append(xm), None))
+        model = for_params(params, spec, "bp", None, normalize=normalize)
+        xs = self.images()
+        model.logits(xs)
+        model.logits_vjp(xs)
+        want = data.normalize_images(xs, *(normalize or (0.0, 1.0))).tobytes()
+        assert [x.tobytes() for x in seen] == [want, want]
+
+
+def reference_synth(kind, n, image_shape, classes, seed, noise):
+    """The generator one image at a time: each image computes its class's
+    bump or wave, and draws its noise (a stripe image its phase first)."""
+    rng = np.random.default_rng(seed)
+    C, H, W = image_shape
+    labels = np.arange(n, dtype=np.int64) % classes
+    ii, jj = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
+    images = np.empty((n, C, H, W), dtype=np.float32)
+    angles = 2 * np.pi * np.arange(classes) / classes
+    r = min(H, W) / 4.0
+    ci = H / 2.0 - 0.5 + r * np.sin(angles)
+    cj = W / 2.0 - 0.5 + r * np.cos(angles)
+    width = min(H, W) / 6.0
+    for k in range(n):
+        y = labels[k]
+        if kind == "blobs":
+            clean = 0.9 * np.exp(-(((ii - ci[y]) ** 2 + (jj - cj[y]) ** 2)
+                                   / (2.0 * width ** 2)))
+        else:
+            theta = np.pi * y / classes
+            phase = rng.uniform(0.0, 2 * np.pi)
+            wave = np.sin(2 * np.pi * 2.0 * (ii * np.cos(theta) + jj * np.sin(theta)) / H
+                          + phase)
+            clean = 0.5 + 0.45 * wave
+        images[k] = np.clip(clean[None, :, :] + noise * rng.standard_normal((C, H, W)),
+                            0.0, 1.0)
+    return images, labels
+
 
 class TestSynth:
+    @pytest.mark.parametrize("kind", data.SYNTH_KINDS)
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 32, 32), (2, 5, 6)],
+                             ids=["1x8x8", "3x32x32", "2x5x6"])
+    def test_bytes_equal_the_one_image_at_a_time_generator(self, kind, shape):
+        run = data._RUN_VALUES // int(np.prod(shape))
+        for n, classes, noise, seed in itertools.product(
+                (1, 7, 2 * run + 3), (1, 2, 10), (0.0, 0.5), (0, 1, 2)):
+            ds = data.synth_dataset(kind, n, shape, classes, seed=seed, noise=noise)
+            images, labels = reference_synth(kind, n, shape, classes, seed, noise)
+            case = (n, classes, noise, seed)
+            assert ds.images.dtype == np.float32, case
+            assert ds.images.tobytes() == images.tobytes(), case
+            assert np.array_equal(ds.labels, labels), case
+
     def test_same_seed_identical(self):
         a = data.synth_dataset("blobs", 64, (1, 8, 8), 2, seed=5)
         b = data.synth_dataset("blobs", 64, (1, 8, 8), 2, seed=5)

@@ -1,4 +1,4 @@
-"""Desk CLI walkthrough: train and evaluate two small configs through
+"""Desk CLI walkthrough: train and evaluate three small configs through
 ``epbench.cli.main`` and print one ``sha256  file`` line per output.
 
 Usage (from the repository root)::
@@ -6,16 +6,19 @@ Usage (from the repository root)::
     python3 tools/walkthrough.py OUT_DIR
 
 The configs are ``configs/desk.cfg`` at ``epochs = 2``, which has no
-``adv_*`` keys, so that adv trains on the ``TrainConfig`` defaults, and a
-2-conv (4, 8) config that trains adv under linf PGD (epsilon 0.1, 3 steps).
-Each trains ep, bp and adv models on 256 synthetic examples; every
-checkpoint then runs the attack suite, Square alone at epsilon 0.3 (30 queries, 16 examples: strong enough that it breaks
-some examples, and so the walkthrough depends on its acceptance and query
-bookkeeping), PGD l2, PGD linf at epsilon 0 and 0.05, the corruption sweep
-at severities 1 and 3, eval and the uncertainty curve. The ep checkpoint
-sweeps all five severities instead, so every entry of
-``corruptions.SEVERITIES`` reaches a digest, and also runs PGD at
-``--timestep 3``.
+``adv_*`` keys, so that adv trains on the ``TrainConfig`` defaults, a
+2-conv (4, 8) config that trains adv under linf PGD (epsilon 0.1, 3 steps),
+and ``stripes``: 3x16x16 stripes in three classes, convs (4, 8), ``t_free``
+8, ``t_nudge`` 4, one epoch, so that the digests cover the stripes generator
+and 3-channel convolutions. Each trains ep, bp and adv models, the first two
+on 256 synthetic blobs, ``stripes`` on 64 stripes; every checkpoint then
+runs the attack suite, Square alone at epsilon 0.3 (30 queries, 16
+examples: strong enough that it breaks some examples, and so the
+walkthrough depends on its acceptance and query bookkeeping), PGD l2, PGD
+linf at epsilon 0 and 0.05, the corruption sweep at severities 1 and 3,
+eval and the uncertainty curve. The ep checkpoint sweeps all five
+severities instead, so every entry of ``corruptions.SEVERITIES`` reaches a
+digest, and also runs PGD at ``--timestep 3``.
 
 Digests cover checkpoints and training histories byte for byte, result CSVs
 with the ``wall_ms`` column dropped, and each command's stdout with wall
@@ -55,7 +58,18 @@ adv_norm       = linf
 adv_epsilon    = 0.1
 adv_steps      = 3
 """,
+    "stripes": """input_shape    = 3,16,16
+conv_channels  = 4, 8
+readout_dim    = 3
+t_free         = 8
+t_nudge        = 4
+beta           = 0.5
+epochs         = 1
+batch_size     = 32
+""",
 }
+# training data per config: 256 blobs unless named here
+SYNTH = {"stripes": ["--synth-kind", "stripes", "--synth-n", "64"]}
 KINDS = ("ep", "bp", "adv")
 
 
@@ -116,7 +130,8 @@ def main(argv=None) -> int:
         os.chdir(work)
         for kind in KINDS:
             run(f"{kind}_train", ["train", "--model", kind, "--config", "model.cfg",
-                                  "--synth-n", "256", "--out", f"{kind}.ckpt"])
+                                  *SYNTH.get(config, ["--synth-n", "256"]),
+                                  "--out", f"{kind}.ckpt"])
             for name, cmd in commands(kind):
                 run(name, cmd)
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file() and p.name != "model.cfg"):
